@@ -27,6 +27,17 @@ what the golden fixture in ``tests/data/wire_golden.json`` pins down.
 Payloads are restricted to JSON-expressible values (plus the tagged
 types above); anything else raises :class:`CodecError` at send time
 rather than corrupting silently.
+
+Wired messages travel in the reliable link's
+:class:`~repro.net.reliable.Frame` units, one frame per datagram
+(:func:`frame_to_envelope` / :func:`frame_from_envelope`)::
+
+    {"t": "msg", "seq": 9, "base": 7, "src": ..., "dst": ..., "m": [<message>, ...]}
+    {"t": "ack", "seq": 9, "cum": 6, "sacks": [[8, 9]], "src": ..., "dst": ...}
+
+``m`` is the frame's batch, in send order; a link ack — one per data
+frame — is :class:`~repro.net.reliable.LinkAckMsg`'s three fields laid
+flat, not sent through the reflective message codec above.
 """
 
 from __future__ import annotations
@@ -38,7 +49,10 @@ from typing import Any, Dict
 from ..core import protocol as _protocol  # noqa: F401 - fills the registry
 from ..core.protocol import PrefPayload
 from ..errors import ProtocolError
+from ..net.causal import StampedMessage
 from ..net.message import Message
+from ..net.reliable import Frame, LinkAckMsg
+from ..net.vectorclock import VectorClock
 from ..types import NodeId, ProxyId, ProxyRef
 
 _PREF = "__pref__"
@@ -138,6 +152,64 @@ def decode_message(data: bytes) -> Message:
     except (UnicodeDecodeError, ValueError) as exc:
         raise CodecError(f"corrupt wire frame: {exc}") from None
     return message_from_obj(obj)
+
+
+#: The stamp of every live frame.  No ordering layer runs on the live
+#: wire yet (ROADMAP: vector clocks in the envelope), so the stamp slot
+#: is never read; one shared instance, built at import, keeps
+#: ``net/causal.py`` and ``net/vectorclock.py`` off the live path.
+_NO_STAMP = VectorClock()
+_NO_CONSTRAINTS: Dict[str, VectorClock] = {}
+
+
+def unstamped(message: Message) -> StampedMessage:
+    """*message* as the link transports it on the live wire."""
+    return StampedMessage(message, _NO_STAMP, _NO_CONSTRAINTS)
+
+
+def frame_to_envelope(frame: Frame) -> Dict[str, Any]:
+    """One link frame as the envelope of its datagram."""
+    ack = frame.payload
+    if isinstance(ack, LinkAckMsg):
+        return {"t": "ack", "seq": ack.seq, "cum": ack.cum,
+                "sacks": ack.sacks, "src": frame.src, "dst": frame.dst}
+    return {"t": "msg", "seq": frame.seq, "base": frame.base,
+            "src": frame.src, "dst": frame.dst,
+            "m": [message_to_obj(m) for m in frame.protocol_messages()]}
+
+
+def _seq(value: Any) -> int:
+    if type(value) is not int or value < 0:
+        raise CodecError(f"bad sequence number {value!r}")
+    return value
+
+
+def frame_from_envelope(obj: Dict[str, Any]) -> Frame:
+    """Rebuild a link frame from a ``msg`` or ``ack`` envelope.
+
+    Raises :class:`CodecError` for anything :func:`frame_to_envelope`
+    cannot have produced — the link's state machine is only ever shown
+    frames a peer link could have sent.
+    """
+    try:
+        src, dst, seq = obj["src"], obj["dst"], _seq(obj["seq"])
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise CodecError(f"bad frame endpoints {src!r} -> {dst!r}")
+        src, dst = NodeId(src), NodeId(dst)
+        if obj["t"] == "ack":
+            sacks = tuple((_seq(lo), _seq(hi)) for lo, hi in obj["sacks"])
+            return Frame(src=src, dst=dst, seq=seq, payload=LinkAckMsg(
+                seq=seq, cum=_seq(obj["cum"]), sacks=sacks, src=src, dst=dst))
+        base = _seq(obj["base"])
+        if not 1 <= base <= seq:
+            raise CodecError(f"window base {base} beyond frame {seq}")
+        messages = [message_from_obj(m) for m in obj["m"]]
+        if not messages or any(isinstance(m, LinkAckMsg) for m in messages):
+            raise CodecError(f"bad frame batch of {len(messages)}")
+        return Frame(src=src, dst=dst, seq=seq, base=base,
+                     batch=tuple(unstamped(m) for m in messages))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed frame envelope: {exc!r}") from None
 
 
 def encode_envelope(obj: Dict[str, Any]) -> bytes:

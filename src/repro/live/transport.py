@@ -4,16 +4,17 @@ Three adapters, each implementing exactly the structural surface the
 protocol entities already program against:
 
 * :class:`LiveWiredTransport` — the inter-station fabric.  Reliable
-  delivery over lossy loopback UDP: per-destination sequence numbers,
-  receiver-side dedup plus re-ack, sender-side retransmission driven by
-  a real :class:`~repro.net.reliable.RtoEstimator` on wall-clock RTT
-  samples (Karn's rule: only never-retransmitted frames feed the
-  estimator) with :class:`~repro.net.reliable.RetryPolicy` jitter, and
-  the same ``delivery_failed`` → ``on_delivery_failure`` escalation the
-  sim transport performs when the retry budget runs out.  Inbound frames
-  pass through an :class:`~repro.live.channel.InboundShaper`: a shaped
-  drop is simply never acknowledged, so what the trace records as
-  ``wired_retx`` is a real datagram hitting the wire again.
+  delivery over lossy loopback UDP is the sim's own
+  :class:`~repro.net.reliable.ReliableLink` — selective repeat, SACK,
+  fast retransmit, adaptive RTO on wall-clock RTT samples, window-bounded
+  dedup, ``delivery_failed`` → ``on_delivery_failure`` when the retry
+  budget runs out — plugged into this class as its
+  :class:`~repro.net.reliable.LinkPort`: a frame out is one datagram, a
+  datagram in is one ``on_frame``.  No sequence number, timer or dedup
+  state lives here.  Inbound data frames pass through an
+  :class:`~repro.live.channel.InboundShaper` first: a shaped drop never
+  reaches the link, so it is never acknowledged, and what the trace
+  records as ``wired_retx`` is a real datagram hitting the wire again.
 
 * :class:`LiveWirelessStationSide` — what an MSS process sees of the
   radio.  Downlink is fire-and-forget (one datagram to the driver,
@@ -29,19 +30,23 @@ protocol entities already program against:
   cell, fault verdicts) are mirrored here, where the host objects live.
 
 All three record the same trace kinds with the same fields as their sim
-counterparts, which is what lets ``obs/spans.py`` and the invariant
-oracle consume a merged live trace unmodified.
+counterparts (the wired one through the same
+:class:`~repro.net.wired.WiredFabric` methods), which is what lets
+``obs/spans.py`` and the invariant oracle consume a merged live trace
+unmodified.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError, UnknownNodeError
+from ..net.causal import StampedMessage
 from ..net.message import Message
 from ..net.monitor import NetworkMonitor
-from ..net.reliable import RetryPolicy, RtoEstimator
+from ..net.reliable import Frame, ReliableLink, RetryPolicy
+from ..net.wired import WiredFabric
 from ..net.wireless import WirelessHost, WirelessStation
 from ..sim.tracing import TraceRecorder
 from ..types import CellId, MhState, NodeId
@@ -49,40 +54,21 @@ from .channel import InboundShaper, WirelessShaper
 from .codec import (
     CodecError,
     encode_envelope,
+    frame_from_envelope,
+    frame_to_envelope,
     message_from_obj,
     message_to_obj,
+    unstamped,
 )
 from .engine import AsyncioEngine
 
 Address = Tuple[str, int]
 
-#: Hard ceiling on wire-level attempts per frame, independent of the
-#: retry policy (which tops out at RetryPolicy.max_retries anyway).
-DEFAULT_MAX_ATTEMPTS = 20
 
-
-class _PendingFrame:
-    """Sender-side state for one unacknowledged wired frame."""
-
-    __slots__ = ("data", "message", "src", "dst", "attempts", "timer",
-                 "first_sent", "retransmitted")
-
-    def __init__(self, data: bytes, message: Message, src: NodeId,
-                 dst: NodeId, first_sent: float) -> None:
-        self.data = data
-        self.message = message
-        self.src = src
-        self.dst = dst
-        self.attempts = 1
-        self.timer: Optional[Any] = None
-        self.first_sent = first_sent
-        self.retransmitted = False
-
-
-class LiveWiredTransport:
-    """Reliable wired fabric over one process's UDP socket."""
-
-    name = "wired"
+class LiveWiredTransport(WiredFabric):
+    """The wired fabric over one process's UDP socket: the port
+    (:class:`~repro.net.reliable.LinkPort`) its reliable link sends
+    datagrams through."""
 
     def __init__(
         self,
@@ -95,46 +81,19 @@ class LiveWiredTransport:
         shaper: Optional[InboundShaper] = None,
         policy: Optional[RetryPolicy] = None,
     ) -> None:
-        self.engine = engine
+        super().__init__(engine, recorder, monitor)
         self.sock = sock
         self.addresses = dict(addresses)
         self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = (recorder if recorder is not None
-                         else TraceRecorder(enabled=False))
-        self.monitor = monitor if monitor is not None else NetworkMonitor()
         self.shaper = shaper if shaper is not None else InboundShaper(None)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self._nodes: Dict[NodeId, Any] = {}
-        self._down: Set[NodeId] = set()
-        # Sender side: next seq and in-flight frames per (src, dst) flow.
-        self._next_seq: Dict[Tuple[NodeId, NodeId], int] = {}
-        self._pending: Dict[Tuple[NodeId, NodeId, int], _PendingFrame] = {}
-        self._rto: Dict[NodeId, RtoEstimator] = {}
-        # Receiver side: seqs already dispatched per (src, dst) flow.
-        self._seen: Dict[Tuple[NodeId, NodeId], Set[int]] = {}
-        self.retransmissions = 0
-        self.duplicates_absorbed = 0
-        self.delivery_failures = 0
+        self.transport = ReliableLink(
+            self, policy if policy is not None else RetryPolicy(), self.rng)
         self.send_errors = 0
-
-    # -- topology ----------------------------------------------------------
-
-    def attach(self, node: Any) -> None:
-        self._nodes[node.node_id] = node
 
     def station_ids(self) -> List[NodeId]:
         """Every station in the cluster, from the address map (sorted)."""
         return [node for node in sorted(self.addresses)
                 if str(node).startswith("mss:")]
-
-    def set_down(self, node_id: NodeId) -> None:
-        self._down.add(node_id)
-
-    def set_up(self, node_id: NodeId) -> None:
-        self._down.discard(node_id)
-
-    def is_down(self, node_id: NodeId) -> bool:
-        return node_id in self._down
 
     # -- send path ---------------------------------------------------------
 
@@ -146,169 +105,66 @@ class LiveWiredTransport:
             raise UnknownNodeError(f"wired source {src!r} not attached")
         message.src = src
         message.dst = dst
-        self.monitor.on_send(self.name, message)
-        if self.recorder.wants("send"):
-            self.recorder.record(
-                self.engine.now, "send", src,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=dst, detail=message.describe())
-        flow = (src, dst)
-        seq = self._next_seq.get(flow, 0) + 1
-        self._next_seq[flow] = seq
-        data = encode_envelope({
-            "t": "msg", "seq": seq, "src": src, "dst": dst,
-            "m": message_to_obj(message),
-        })
-        pending = _PendingFrame(data, message, src, dst,
-                                first_sent=self.engine.now)
-        self._pending[(src, dst, seq)] = pending
-        self._sendto(data, dst)
-        self._arm((src, dst, seq), pending)
+        self._note_send(src, dst, message)
+        self.transport.send(src, dst, unstamped(message))
 
-    def _rto_for(self, dst: NodeId) -> RtoEstimator:
-        estimator = self._rto.get(dst)
-        if estimator is None:
-            estimator = RtoEstimator(initial=self.policy.timeout)
-            self._rto[dst] = estimator
-        return estimator
-
-    def _arm(self, key: Tuple[NodeId, NodeId, int],
-             pending: _PendingFrame) -> None:
-        delay = self.policy.jittered(self._rto_for(pending.dst).rto,
-                                     self.rng.random())
-        pending.timer = self.engine.schedule(delay, self._expire, key,
-                                             label="live:wired-retx")
-
-    def _expire(self, key: Tuple[NodeId, NodeId, int]) -> None:
-        pending = self._pending.get(key)
-        if pending is None:
-            return
-        if pending.attempts >= min(self.policy.max_retries,
-                                   DEFAULT_MAX_ATTEMPTS):
-            del self._pending[key]
-            self._give_up(pending)
-            return
-        pending.attempts += 1
-        pending.retransmitted = True
-        self.retransmissions += 1
-        if self.recorder.wants("wired_retx"):
-            self.recorder.record(
-                self.engine.now, "wired_retx", pending.src,
-                net=self.name, msg=pending.message.kind,
-                msg_id=pending.message.msg_id, dst=pending.dst)
-        self._rto_for(pending.dst).on_timeout()
-        self._sendto(pending.data, pending.dst)
-        self._arm(key, pending)
-
-    def _give_up(self, pending: _PendingFrame) -> None:
-        message = pending.message
-        self.delivery_failures += 1
-        self.monitor.on_drop(self.name, message, "delivery_failed")
-        if self.recorder.wants("delivery_failed"):
-            self.recorder.record(
-                self.engine.now, "delivery_failed", pending.src,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=pending.dst, attempts=pending.attempts)
-        node = self._nodes.get(pending.src)
-        notify = getattr(node, "on_delivery_failure", None)
-        if notify is not None:
-            notify(message)
-
-    def _sendto(self, data: bytes, dst: NodeId) -> None:
+    def _transmit(self, src: NodeId, dst: NodeId, message: Message,
+                  payload: Frame, retransmit: bool = False) -> None:
+        """One frame, one datagram."""
+        if retransmit:
+            self._row("wired_retx", src, message, dst=dst)
         try:
-            self.sock.sendto(data, self.addresses[dst])
+            self.sock.sendto(encode_envelope(frame_to_envelope(payload)),
+                             self.addresses[dst])
         except OSError:
-            # A full socket buffer behaves like wire loss: the
-            # retransmission timer recovers it.
+            # A full socket buffer (or a frame too big for a datagram)
+            # behaves like wire loss: the link's timer recovers it, or
+            # gives up and reports delivery_failed.
             self.send_errors += 1
 
     # -- receive path ------------------------------------------------------
 
     def on_datagram(self, obj: Dict[str, Any]) -> None:
-        """One parsed wired envelope (``msg`` or ``ack``)."""
-        if obj.get("t") == "ack":
-            self._on_ack(obj)
-        else:
-            self._on_msg(obj)
+        """One parsed wired envelope (``msg`` or ``ack``).
 
-    def _on_ack(self, obj: Dict[str, Any]) -> None:
-        # The ack travels dst -> src of the data frame, so the pending
-        # key is (ack.dst, ack.src, seq).
-        key = (NodeId(obj["dst"]), NodeId(obj["src"]), obj["seq"])
-        pending = self._pending.pop(key, None)
-        if pending is None:
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
-        if not pending.retransmitted:
-            rtt = max(0.0, self.engine.now - pending.first_sent)
-            self._rto_for(pending.dst).sample(rtt)
-
-    def _on_msg(self, obj: Dict[str, Any]) -> None:
+        The link acknowledges every data frame it is shown, and an ack
+        is a promise to deliver: a frame reaches it only if it is well
+        formed, this process hosts the addressee and can answer the
+        sender, the addressee is up, and the shaper lets it through.
+        """
         try:
-            src = NodeId(obj["src"])
-            dst = NodeId(obj["dst"])
-            seq = int(obj["seq"])
-            message = message_from_obj(obj["m"])
-        except (KeyError, TypeError, ValueError, CodecError):
+            frame = frame_from_envelope(obj)
+        except CodecError:
             return
+        src, dst = frame.src, frame.dst
+        if dst not in self._nodes or src not in self.addresses:
+            return
+        if frame.payload is not None:
+            # Acks are not shaped: to the sender a lost ack and a lost
+            # data frame look the same, and shaping one direction keeps
+            # the drop count equal to the plan's loss draws.
+            self.transport.on_frame(frame)
+            return
+        message = frame.message
         if dst in self._down:
-            self._record_drop(src, dst, message, "down")
+            self._fault_drop(src, dst, message, "down")
             return  # unacked: the peer keeps retrying until we come up
-        verdict = self.shaper.verdict(src, dst, self.engine.now)
+        verdict = self.shaper.verdict(src, dst, self.sim.now)
         if not verdict.deliver:
-            self._record_drop(src, dst, message, verdict.reason)
+            self._fault_drop(src, dst, message, verdict.reason)
             return  # unacked: the sender's timer produces the real retry
-        self._send_ack(src, dst, seq)
-        seen = self._seen.setdefault((src, dst), set())
-        if seq in seen:
-            self.duplicates_absorbed += 1
-            return  # transport dedup; the re-ack above already went out
-        seen.add(seq)
         if verdict.duplicate:
-            # Receiver-side dup injection: the copy is absorbed by our
-            # own dedup immediately, matching the sim's observable
-            # behaviour (one delivery plus a wired_dup record).
-            self.monitor.on_send(self.name, message)
-            if self.recorder.wants("wired_dup"):
-                self.recorder.record(
-                    self.engine.now, "wired_dup", src,
-                    net=self.name, msg=message.kind, msg_id=message.msg_id,
-                    dst=dst)
+            self._note_duplicate(src, dst, message)
+            self.transport.on_frame(frame)
         if verdict.extra_delay > 0:
-            self.engine.schedule(verdict.extra_delay, self._deliver,
-                                 dst, message, label="live:wired-delay")
+            self.sim.schedule(verdict.extra_delay, self.transport.on_frame,
+                              frame, label="live:wired-delay")
         else:
-            self._deliver(dst, message)
+            self.transport.on_frame(frame)
 
-    def _record_drop(self, src: NodeId, dst: NodeId, message: Message,
-                     reason: str) -> None:
-        self.monitor.on_drop(self.name, message, reason)
-        if self.recorder.wants("wired_drop"):
-            self.recorder.record(
-                self.engine.now, "wired_drop", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=src, reason=reason)
-
-    def _send_ack(self, src: NodeId, dst: NodeId, seq: int) -> None:
-        data = encode_envelope({"t": "ack", "seq": seq,
-                                "src": dst, "dst": src})
-        try:
-            self.sock.sendto(data, self.addresses[src])
-        except (OSError, KeyError):
-            self.send_errors += 1
-
-    def _deliver(self, dst: NodeId, message: Message) -> None:
-        node = self._nodes.get(dst)
-        if node is None:
-            return  # addressed to a node this process does not host
-        self.monitor.on_deliver(self.name, message)
-        if self.recorder.wants("recv"):
-            self.recorder.record(
-                self.engine.now, "recv", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=message.src, detail=message.describe())
-        node.on_wired_message(message)
+    def _ordered_arrival(self, dst: NodeId, stamped: StampedMessage) -> None:
+        """No ordering layer on the live wire: deliver on arrival."""
+        self._deliver(dst, stamped.message)
 
 
 class _StationStub:

@@ -25,9 +25,9 @@ Families owned by the facade (labels in parentheses):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from ..obs.registry import CounterFamily, MetricsHub
+from ..obs.registry import Counter, CounterFamily, MetricsHub
 from ..types import NodeId
 from .message import Message
 
@@ -84,6 +84,20 @@ class NetworkMonitor:
 
     def on_drop(self, network: str, message: Message, reason: str) -> None:
         self._dropped.labels(network, message.kind, reason).inc()
+
+    def send_handles(self, network: str, kind: str,
+                     src: NodeId) -> Tuple[Counter, Counter, Counter]:
+        """The children :meth:`on_send` bumps for *kind* from *src*
+        (messages, bytes, node load), for a caller to resolve once."""
+        return (self._sent.labels(network, kind),
+                self._sent_bytes.labels(network, kind),
+                self._node_sent.labels(src))
+
+    def deliver_handles(self, network: str, kind: str,
+                        dst: NodeId) -> Tuple[Counter, Counter]:
+        """The children :meth:`on_deliver` bumps for *kind* to *dst*."""
+        return (self._received.labels(network, kind),
+                self._node_received.labels(dst))
 
     # -- read path (experiments, reports) ---------------------------------
 

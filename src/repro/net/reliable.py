@@ -33,6 +33,11 @@ restores causal order, exactly as it does for latency inversions.
 With no fault plan and no explicit opt-in no transport is built at all
 and :class:`~repro.net.wired.WiredNetwork` keeps its original lossless
 single-hop path — zero overhead when off.
+
+A transport is plugged into a :class:`LinkPort`; the simulated
+:class:`~repro.net.wired.WiredNetwork` is one, the UDP socket of
+:class:`~repro.live.transport.LiveWiredTransport` the other — the live
+backend runs this same state machine, not a copy of it.
 """
 
 from __future__ import annotations
@@ -42,25 +47,23 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     ClassVar,
     Deque,
     Dict,
     Iterator,
     List,
     Optional,
+    Protocol,
     Tuple,
 )
 
+from ..engine import Engine, ScheduledEvent
 from ..errors import ConfigError
-from ..obs.registry import LATENCY_BUCKETS
-from ..sim import Event
+from ..obs.registry import LATENCY_BUCKETS, Counter
 from ..types import NodeId
 from .causal import StampedMessage
 from .message import Message
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (wired imports us)
-    from .wired import WiredNetwork
+from .monitor import NetworkMonitor
 
 #: One directed transport channel.
 Channel = Tuple[NodeId, NodeId]
@@ -351,7 +354,7 @@ class _Pending:
     frame: Frame
     sent_at: float = 0.0
     attempts: int = 1
-    timer: Optional[Event] = None
+    timer: Optional[ScheduledEvent] = None
     retransmitted: bool = False  # Karn's rule: excluded from RTT samples
     dupacks: int = 0
 
@@ -390,18 +393,48 @@ class SendWindow:
         return len(self.inflight) + len(self.queue)
 
 
+class LinkPort(Protocol):
+    """The wire port a link transport is plugged into: all it uses of
+    its owner, so the transport never learns what the wire is made of.
+
+    ``sim`` is the clock and timers (any :class:`~repro.engine.Engine`).
+    ``_transmit`` puts a frame on the wire *unreliably* — it may be
+    lost, duplicated or delayed — and whatever survives comes back as
+    ``on_frame(payload)`` on the transport at the far end; *message* is
+    the frame's representative for labels and trace rows, *retransmit*
+    marks a repeat.  ``_ordered_arrival`` takes each deduplicated data
+    message (once, in any order across frames); ``_delivery_failed``
+    takes a frame the transport gave up on after *attempts*
+    transmissions.  ``name`` and ``monitor`` are for accounting.
+    """
+
+    name: str
+    monitor: NetworkMonitor
+
+    @property
+    def sim(self) -> Engine: ...
+
+    def _transmit(self, src: NodeId, dst: NodeId, message: Message,
+                  payload: "Frame", retransmit: bool = False) -> None: ...
+
+    def _ordered_arrival(self, dst: NodeId,
+                         stamped: StampedMessage) -> None: ...
+
+    def _delivery_failed(self, frame: "Frame", attempts: int) -> None: ...
+
+
 class _LinkTransport:
     """Shared plumbing of both wired-link transports.
 
-    Owned by a :class:`~repro.net.wired.WiredNetwork`; uses the
-    network's ``_transmit`` (fault plan + latency + scheduling) for the
-    wire and hands deduplicated data frames back to
+    Plugged into a :class:`LinkPort`; uses the port's ``_transmit`` (in
+    the sim: fault plan + latency + scheduling; live: one datagram) for
+    the wire and hands deduplicated data frames back to
     ``_ordered_arrival``.  Per-instance counters are the deterministic
     primary source for experiment reports; the hub handles mirror them
     into the observability exports.
     """
 
-    def __init__(self, net: "WiredNetwork", policy: RetryPolicy,
+    def __init__(self, net: LinkPort, policy: RetryPolicy,
                  rng: random.Random) -> None:
         self.net = net
         self.policy = policy
@@ -423,6 +456,9 @@ class _LinkTransport:
             "rdp_reliable_link_pending_frames",
             "Unacknowledged reliable-link frames awaiting ack or retry")
         self._obs_unacked.set_function(lambda: float(self.pending_count()))
+        # Link-ack accounting children per ack channel: what the
+        # monitor's on_send would look up again on every ack.
+        self._obs_ack_sent: Dict[Channel, Tuple[Counter, ...]] = {}
 
     # -- interface ---------------------------------------------------------
 
@@ -447,7 +483,15 @@ class _LinkTransport:
         ack.dst = frame.src
         self.acks_sent += 1
         self._obs_acks.inc()
-        self.net.monitor.on_send(self.net.name, ack)
+        handles = self._obs_ack_sent.get((frame.dst, frame.src))
+        if handles is None:
+            handles = self._obs_ack_sent[frame.dst, frame.src] = (
+                self.net.monitor.send_handles(self.net.name, ack.kind,
+                                              frame.dst))
+        sent, sent_bytes, node_sent = handles
+        sent.inc()
+        sent_bytes.inc(ack.size_bytes())
+        node_sent.inc()
         self.net._transmit(
             frame.dst, frame.src, ack,
             Frame(src=frame.dst, dst=frame.src, seq=frame.seq, payload=ack))
@@ -491,7 +535,7 @@ class ReliableLink(_LinkTransport):
       the gap via the piggybacked window base.
     """
 
-    def __init__(self, net: "WiredNetwork", policy: RetryPolicy,
+    def __init__(self, net: LinkPort, policy: RetryPolicy,
                  rng: random.Random, window: int = 32,
                  max_batch: int = 8) -> None:
         super().__init__(net, policy, rng)
@@ -508,6 +552,7 @@ class ReliableLink(_LinkTransport):
         self._rtos: Dict[Channel, RtoEstimator] = {}
         self._recv: Dict[Channel, AckRanges] = {}
         self._tick: Dict[Channel, List[StampedMessage]] = {}
+        self._obs_ack_received: Dict[Channel, Tuple[Counter, ...]] = {}
         hub = net.monitor.hub
         self._obs_window = hub.gauge(
             "rdp_transport_window_occupancy",
@@ -645,10 +690,16 @@ class ReliableLink(_LinkTransport):
             self._ack_one(window, seq)
 
     def _on_link_ack(self, ack: LinkAckMsg) -> None:
-        self.net.monitor.on_deliver(self.net.name, ack)
+        assert ack.src is not None and ack.dst is not None
+        handles = self._obs_ack_received.get((ack.src, ack.dst))
+        if handles is None:  # monitor.on_deliver, resolved once
+            handles = self._obs_ack_received[ack.src, ack.dst] = (
+                self.net.monitor.deliver_handles(self.net.name, ack.kind,
+                                                 ack.dst))
+        handles[0].inc()
+        handles[1].inc()
         # The acked channel runs data-sender -> data-receiver; the ack
         # travels the reverse direction, so swap its endpoints back.
-        assert ack.src is not None and ack.dst is not None
         channel = (ack.dst, ack.src)
         window = self._windows.get(channel)
         if window is None:
@@ -771,7 +822,7 @@ class LegacyReliableLink(_LinkTransport):
     --transport legacy``); see ``docs/TRANSPORT.md`` for the ablation.
     """
 
-    def __init__(self, net: "WiredNetwork", policy: RetryPolicy,
+    def __init__(self, net: LinkPort, policy: RetryPolicy,
                  rng: random.Random) -> None:
         super().__init__(net, policy, rng)
         self._next_seq: Dict[Channel, int] = {}
@@ -869,6 +920,7 @@ __all__ = [
     "Frame",
     "LegacyReliableLink",
     "LinkAckMsg",
+    "LinkPort",
     "ReliableLink",
     "RetryPolicy",
     "RtoEstimator",

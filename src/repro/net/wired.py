@@ -21,8 +21,9 @@ Nodes attach with an object exposing ``node_id`` and
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Union
 
+from ..engine import Engine
 from ..errors import ConfigError, UnknownNodeError
 from ..sim import Simulator, TraceRecorder
 from ..types import NodeId, is_mss
@@ -55,38 +56,22 @@ class WiredNode(Protocol):
     def on_wired_message(self, message: Message) -> None: ...
 
 
-class WiredNetwork:
-    """Static network with configurable ordering, latency and faults."""
+class WiredFabric:
+    """What a wired fabric keeps, whatever carries its frames: attached
+    nodes, the crashed set, and the counters and trace rows of a send, a
+    delivery, a drop and an abandoned frame.  :class:`WiredNetwork` and
+    the UDP :class:`~repro.live.transport.LiveWiredTransport` add the
+    wire — ``send``, and the ``_transmit``/``_ordered_arrival`` half of
+    :class:`~repro.net.reliable.LinkPort` (this class is the other)."""
 
     name = "wired"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: Optional[LatencyModel] = None,
-        rng: Optional[random.Random] = None,
-        recorder: Optional[TraceRecorder] = None,
-        monitor: Optional[NetworkMonitor] = None,
-        ordering: str = "causal",
-        pairwise_delay: Optional[PairwiseDelay] = None,
-        faults: Optional[FaultPlan] = None,
-        reliable: Optional[bool] = None,
-        retry: Optional[RetryPolicy] = None,
-        retry_rng: Optional[random.Random] = None,
-        transport: str = "sr",
-        window: int = 32,
-        max_batch: int = 8,
-    ) -> None:
+    def __init__(self, sim: Engine, recorder: Optional[TraceRecorder],
+                 monitor: Optional[NetworkMonitor]) -> None:
         self.sim = sim
-        self.latency = latency or ConstantLatency(0.010)
-        self.pairwise_delay = pairwise_delay
-        self.rng = rng if rng is not None else random.Random(0)
         self.recorder = recorder if recorder is not None else TraceRecorder(enabled=False)
         self.monitor = monitor if monitor is not None else NetworkMonitor()
-        self.ordering: OrderingLayer = make_ordering(ordering)
         self._nodes: Dict[NodeId, WiredNode] = {}
-        self._deliver_cbs: Dict[NodeId, Callable[[Message], None]] = {}
-        self.faults = faults
         self._down: Set[NodeId] = set()
         self.failures: List[DeliveryFailure] = []
         self.dup_injected = 0
@@ -98,48 +83,10 @@ class WiredNetwork:
             labels=("event",))
         self._obs_dup_injected = fault_events.labels("duplicate_injected")
         self._obs_delivery_failed = fault_events.labels("delivery_failed")
-        # The reliable transport defaults to "on iff faults are on"; an
-        # explicit reliable=False keeps the raw faulty fabric (the AN14
-        # ablation that demonstrates what the transport buys).
-        if transport not in ("sr", "legacy"):
-            raise ConfigError(f"unknown wired transport {transport!r}")
-        self.transport_mode: Optional[str] = None
-        self.transport: Optional[_LinkTransport] = None
-        if reliable if reliable is not None else faults is not None:
-            policy = retry if retry is not None else RetryPolicy()
-            link_rng = retry_rng if retry_rng is not None else random.Random(1)
-            self.transport_mode = transport
-            if transport == "legacy":
-                self.transport = LegacyReliableLink(self, policy=policy,
-                                                   rng=link_rng)
-            else:
-                self.transport = ReliableLink(self, policy=policy,
-                                              rng=link_rng, window=window,
-                                              max_batch=max_batch)
 
     def attach(self, node: WiredNode) -> None:
         """Register a static node; replaces any previous registration."""
         self._nodes[node.node_id] = node
-
-    def detach(self, node_id: NodeId) -> None:
-        """Permanently remove a static node and prune its ordering state.
-
-        Messages still in flight to the node raise on delivery; held-back
-        causal state referencing it is dropped so long sweeps that cycle
-        through many endpoints don't grow without bound.  Re-attaching the
-        same id later starts it from fresh ordering state (see
-        :meth:`OrderingLayer.retire` for the caveat on in-flight stamps).
-        """
-        self._nodes.pop(node_id, None)
-        self._deliver_cbs.pop(node_id, None)
-        self.ordering.retire(node_id)
-
-    def knows(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
-
-    def station_ids(self) -> List[NodeId]:
-        """All attached Mobile Support Stations, sorted (page broadcasts)."""
-        return sorted(n for n in self._nodes if is_mss(n))
 
     # -- crash/recovery ---------------------------------------------------
 
@@ -165,6 +112,131 @@ class WiredNetwork:
     def is_down(self, node_id: NodeId) -> bool:
         return node_id in self._down
 
+    # -- counters and trace rows ------------------------------------------
+
+    def _row(self, kind: str, node: NodeId, message: Message,
+             detail: bool = False, **fields: Any) -> None:
+        """One trace row about *message*, if the recorder wants *kind*."""
+        if self.recorder.wants(kind):
+            if detail:
+                fields["detail"] = message.describe()
+            self.recorder.record(
+                self.sim.now, kind, node, net=self.name, msg=message.kind,
+                msg_id=message.msg_id, **fields)
+
+    def _note_send(self, src: NodeId, dst: NodeId, message: Message) -> None:
+        self.monitor.on_send(self.name, message)
+        self._row("send", src, message, detail=True, dst=dst)
+
+    def _note_duplicate(self, src: NodeId, dst: NodeId,
+                        message: Message) -> None:
+        self.dup_injected += 1
+        self._obs_dup_injected.inc()
+        self._row("wired_dup", src, message, dst=dst)
+
+    def _fault_drop(self, src: NodeId, dst: NodeId, message: Message,
+                    reason: str) -> None:
+        self.monitor.on_drop(self.name, message, reason)
+        self._row("wired_drop", dst, message, src=src, reason=reason)
+
+    def _delivery_failed(self, frame: Frame, attempts: int) -> None:
+        """The reliable link gave up on a frame: count, trace and record
+        the failure *per carried message* (a selective-repeat frame may
+        batch several), then offer the source node a redelivery hook.
+
+        A node exposing ``on_delivery_failure(message)`` (the proxy
+        redelivery path via the hosting MSS) is told about each
+        abandoned message so application-level recovery — re-forwarding
+        a result along a fresh route — can take over where transport
+        persistence gave up."""
+        node = self._nodes.get(frame.src)
+        notify = getattr(node, "on_delivery_failure", None)
+        for message in frame.protocol_messages():
+            self._obs_delivery_failed.inc()
+            self.monitor.on_drop(self.name, message, "delivery_failed")
+            self._row("delivery_failed", frame.src, message,
+                      dst=frame.dst, attempts=attempts)
+            self.failures.append(DeliveryFailure(
+                time=self.sim.now, src=frame.src, dst=frame.dst,
+                message=message, attempts=attempts))
+            if notify is not None:
+                notify(message)
+
+    def _deliver(self, dst: NodeId, message: Message) -> None:
+        node = self._nodes.get(dst)
+        if node is None:
+            raise UnknownNodeError(f"wired destination {dst!r} detached mid-flight")
+        self.monitor.on_deliver(self.name, message)
+        self._row("recv", dst, message, src=message.src, detail=True)
+        node.on_wired_message(message)
+
+
+class WiredNetwork(WiredFabric):
+    """Static network with configurable ordering, latency and faults."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        latency: Optional[LatencyModel] = None,
+        rng: Optional[random.Random] = None,
+        recorder: Optional[TraceRecorder] = None,
+        monitor: Optional[NetworkMonitor] = None,
+        ordering: str = "causal",
+        pairwise_delay: Optional[PairwiseDelay] = None,
+        faults: Optional[FaultPlan] = None,
+        reliable: Optional[bool] = None,
+        retry: Optional[RetryPolicy] = None,
+        retry_rng: Optional[random.Random] = None,
+        transport: str = "sr",
+        window: int = 32,
+        max_batch: int = 8,
+    ) -> None:
+        super().__init__(sim, recorder, monitor)
+        self.latency = latency or ConstantLatency(0.010)
+        self.pairwise_delay = pairwise_delay
+        self.rng = rng if rng is not None else random.Random(0)
+        self.ordering: OrderingLayer = make_ordering(ordering)
+        self._deliver_cbs: Dict[NodeId, Callable[[Message], None]] = {}
+        self.faults = faults
+        # The reliable transport defaults to "on iff faults are on"; an
+        # explicit reliable=False keeps the raw faulty fabric (the AN14
+        # ablation that demonstrates what the transport buys).
+        if transport not in ("sr", "legacy"):
+            raise ConfigError(f"unknown wired transport {transport!r}")
+        self.transport_mode: Optional[str] = None
+        self.transport: Optional[_LinkTransport] = None
+        if reliable if reliable is not None else faults is not None:
+            policy = retry if retry is not None else RetryPolicy()
+            link_rng = retry_rng if retry_rng is not None else random.Random(1)
+            self.transport_mode = transport
+            if transport == "legacy":
+                self.transport = LegacyReliableLink(self, policy=policy,
+                                                   rng=link_rng)
+            else:
+                self.transport = ReliableLink(self, policy=policy,
+                                              rng=link_rng, window=window,
+                                              max_batch=max_batch)
+
+    def detach(self, node_id: NodeId) -> None:
+        """Permanently remove a static node and prune its ordering state.
+
+        Messages still in flight to the node raise on delivery; held-back
+        causal state referencing it is dropped so long sweeps that cycle
+        through many endpoints don't grow without bound.  Re-attaching the
+        same id later starts it from fresh ordering state (see
+        :meth:`OrderingLayer.retire` for the caveat on in-flight stamps).
+        """
+        self._nodes.pop(node_id, None)
+        self._deliver_cbs.pop(node_id, None)
+        self.ordering.retire(node_id)
+
+    def knows(self, node_id: NodeId) -> bool:
+        return node_id in self._nodes
+
+    def station_ids(self) -> List[NodeId]:
+        """All attached Mobile Support Stations, sorted (page broadcasts)."""
+        return sorted(n for n in self._nodes if is_mss(n))
+
     # -- send path --------------------------------------------------------
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
@@ -181,13 +253,7 @@ class WiredNetwork:
         message.src = src
         message.dst = dst
         stamped = self.ordering.on_send(src, dst, message)
-        self.monitor.on_send(self.name, message)
-        if self.recorder.wants("send"):
-            self.recorder.record(
-                self.sim.now, "send", src,
-                net=self.name, msg=message.kind, msg_id=message.msg_id, dst=dst,
-                detail=message.describe(),
-            )
+        self._note_send(src, dst, message)
         transport = self.transport
         if transport is None and self.faults is None:
             # Lossless fast path: statement-for-statement the original
@@ -211,10 +277,8 @@ class WiredNetwork:
         latency and schedule arrival.  *payload* is what ``_arrive``
         receives — a bare stamped message on the transportless fabric, a
         :class:`Frame` under the reliable link."""
-        if retransmit and self.recorder.wants("wired_retx"):
-            self.recorder.record(
-                self.sim.now, "wired_retx", src,
-                net=self.name, msg=message.kind, msg_id=message.msg_id, dst=dst)
+        if retransmit:
+            self._row("wired_retx", src, message, dst=dst)
         faults = self.faults
         extra = 0.0
         if faults is not None:
@@ -225,13 +289,7 @@ class WiredNetwork:
                 self._fault_drop(src, dst, message, "loss")
                 return
             if faults.duplicated():
-                self.dup_injected += 1
-                self._obs_dup_injected.inc()
-                if self.recorder.wants("wired_dup"):
-                    self.recorder.record(
-                        self.sim.now, "wired_dup", src,
-                        net=self.name, msg=message.kind, msg_id=message.msg_id,
-                        dst=dst)
+                self._note_duplicate(src, dst, message)
                 self._schedule_arrival(src, dst, message, payload,
                                        faults.extra_delay())
             extra = faults.extra_delay()
@@ -245,41 +303,6 @@ class WiredNetwork:
             delay += self.pairwise_delay(src, dst)
         self.sim.schedule(delay, self._arrive, dst, payload,
                           label=f"wired:{message.kind}")
-
-    def _fault_drop(self, src: NodeId, dst: NodeId, message: Message,
-                    reason: str) -> None:
-        self.monitor.on_drop(self.name, message, reason)
-        if self.recorder.wants("wired_drop"):
-            self.recorder.record(
-                self.sim.now, "wired_drop", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=src, reason=reason)
-
-    def _delivery_failed(self, frame: Frame, attempts: int) -> None:
-        """The reliable link gave up on a frame: count, trace and record
-        the failure *per carried message* (a selective-repeat frame may
-        batch several), then offer the source node a redelivery hook.
-
-        A node exposing ``on_delivery_failure(message)`` (the proxy
-        redelivery path via the hosting MSS) is told about each
-        abandoned message so application-level recovery — re-forwarding
-        a result along a fresh route — can take over where transport
-        persistence gave up."""
-        node = self._nodes.get(frame.src)
-        notify = getattr(node, "on_delivery_failure", None)
-        for message in frame.protocol_messages():
-            self._obs_delivery_failed.inc()
-            self.monitor.on_drop(self.name, message, "delivery_failed")
-            if self.recorder.wants("delivery_failed"):
-                self.recorder.record(
-                    self.sim.now, "delivery_failed", frame.src,
-                    net=self.name, msg=message.kind, msg_id=message.msg_id,
-                    dst=frame.dst, attempts=attempts)
-            self.failures.append(DeliveryFailure(
-                time=self.sim.now, src=frame.src, dst=frame.dst,
-                message=message, attempts=attempts))
-            if notify is not None:
-                notify(message)
 
     # -- arrival path -----------------------------------------------------
 
@@ -305,16 +328,3 @@ class WiredNetwork:
                 self._deliver(_dst, m)
             self._deliver_cbs[dst] = deliver
         self.ordering.on_arrival(dst, stamped, deliver)
-
-    def _deliver(self, dst: NodeId, message: Message) -> None:
-        node = self._nodes.get(dst)
-        if node is None:
-            raise UnknownNodeError(f"wired destination {dst!r} detached mid-flight")
-        self.monitor.on_deliver(self.name, message)
-        if self.recorder.wants("recv"):
-            self.recorder.record(
-                self.sim.now, "recv", dst,
-                net=self.name, msg=message.kind, msg_id=message.msg_id, src=message.src,
-                detail=message.describe(),
-            )
-        node.on_wired_message(message)

@@ -2,10 +2,12 @@
 
 One small cluster (2 stations, 2 hosts, light shaped loss) is enough to
 exercise the whole live stack — fork + pre-bound sockets, wire codec,
-selective-ack wired transport, driver-side radio, migration, merged
-trace gating — against the same oracle and span accounting the sim
-uses.  Kept deliberately small so it stays fast; the CI ``live-smoke``
-job runs the bigger preset through the CLI.
+selective-ack wired transport (the sim's own ``ReliableLink`` on the UDP
+socket), driver-side radio, migration, merged trace gating — against
+the same oracle and span accounting the sim uses.  Kept deliberately
+small so it stays fast; the CI ``live-smoke`` job runs the bigger preset
+through the CLI, and ``tests/test_live_transport.py`` covers the wired
+transport alone, without a fork.
 """
 
 import pathlib

@@ -1,6 +1,7 @@
 """Wire-codec property tests: every message kind crosses the live wire
 byte-identically, and the byte format itself is pinned by a golden
-fixture (``tests/data/wire_golden.json``).
+fixture (``tests/data/wire_golden.json``) — per message kind, plus the
+two envelopes the reliable link's frames travel in.
 
 The sample builder is annotation-driven: it constructs one instance of
 every class in ``Message.registry()`` from a fixed value per field type,
@@ -26,10 +27,14 @@ from repro.live.codec import (  # noqa: E402
     decode_message,
     encode_envelope,
     encode_message,
+    frame_from_envelope,
+    frame_to_envelope,
     message_from_obj,
     message_to_obj,
+    unstamped,
 )
 from repro.net.message import Message  # noqa: E402
+from repro.net.reliable import Frame, LinkAckMsg  # noqa: E402
 from repro.types import NodeId, ProxyId, ProxyRef, RequestId  # noqa: E402
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "wire_golden.json"
@@ -166,23 +171,61 @@ def test_unencodable_payload_rejected_at_send_time():
 
 
 def test_envelope_round_trip():
-    env = {"t": "msg", "seq": 3, "src": "mss:s0", "dst": "mss:s1",
-           "m": message_to_obj(sample_message(Message.registry()["ack"]))}
+    env = {"t": "msg", "seq": 3, "base": 2, "src": "mss:s0", "dst": "mss:s1",
+           "m": [message_to_obj(sample_message(Message.registry()["ack"]))]}
     assert decode_envelope(encode_envelope(env)) == json.loads(
         encode_envelope(env))
     with pytest.raises(CodecError):
         decode_envelope(b"[1,2,3]")  # no "t" key
 
 
+def sample_frames():
+    """The two frame shapes on the live wire: a data frame batching two
+    messages, and the link ack that answers it with one SACK block."""
+    src, dst = NodeId("mss:s0"), NodeId("mss:s1")
+    batch = tuple(unstamped(sample_message(Message.registry()[kind]))
+                  for kind in ("ack", "result_forward"))
+    ack = LinkAckMsg(msg_id=41, src=dst, dst=src, seq=9, cum=6,
+                     sacks=((8, 9),))
+    return {"msg": Frame(src=src, dst=dst, seq=9, base=7, batch=batch),
+            "ack": Frame(src=dst, dst=src, seq=9, payload=ack)}
+
+
+@pytest.mark.parametrize("tag", ["msg", "ack"])
+def test_frame_envelope_round_trip(tag):
+    frame = sample_frames()[tag]
+    data = encode_envelope(frame_to_envelope(frame))
+    envelope = decode_envelope(data)
+    assert envelope["t"] == tag
+    decoded = frame_from_envelope(envelope)
+    assert (decoded.src, decoded.dst, decoded.seq, decoded.base) == (
+        frame.src, frame.dst, frame.seq, frame.base)
+    assert encode_envelope(frame_to_envelope(decoded)) == data
+    if tag == "ack":
+        # Flat fields, not a message object: msg_id does not cross.
+        assert set(envelope) == {"t", "seq", "cum", "sacks", "src", "dst"}
+        assert (decoded.payload.seq, decoded.payload.cum,
+                decoded.payload.sacks) == (9, 6, ((8, 9),))
+    else:
+        assert [m.kind for m in decoded.protocol_messages()] == [
+            "ack", "result_forward"]
+    with pytest.raises(CodecError):
+        frame_from_envelope({**envelope, "seq": None})
+
+
 # -- the golden fixture -----------------------------------------------------
 
 
 def _current_golden():
-    return {
+    golden = {
         kind: encode_message(
             sample_message(Message.registry()[kind])).decode("utf-8")
         for kind in all_kinds()
     }
+    for tag, frame in sample_frames().items():
+        golden[f"envelope:{tag}"] = encode_envelope(
+            frame_to_envelope(frame)).decode("utf-8")
+    return golden
 
 
 def test_wire_format_matches_golden_fixture():
@@ -194,8 +237,8 @@ def test_wire_format_matches_golden_fixture():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     current = _current_golden()
     assert set(current) == set(golden), (
-        "message registry and golden fixture disagree on the set of kinds "
-        "- regenerate the fixture")
+        "message registry (plus the two envelopes) and golden fixture "
+        "disagree on the set of entries - regenerate the fixture")
     for kind in sorted(current):
         assert current[kind] == golden[kind], (
             f"wire format of {kind!r} changed - if intentional, regenerate "
