@@ -71,12 +71,6 @@ class WiredFaultSpec:
             if t1 <= t0:
                 raise ConfigError(f"empty partition window {window!r}")
 
-    @property
-    def active(self) -> bool:
-        """Does this spec actually perturb anything?"""
-        return bool(self.loss or self.duplication or self.spike_probability
-                    or self.reorder or self.partitions)
-
 
 @dataclass
 class WirelessFaultSpec:
@@ -116,13 +110,6 @@ class WirelessFaultSpec:
             _cell, t0, t1 = window
             if t1 <= t0:
                 raise ConfigError(f"empty blackout window {window!r}")
-
-    @property
-    def active(self) -> bool:
-        """Does this spec actually perturb anything?"""
-        return bool(self.loss or self.burst_probability
-                    or self.congestion_probability or self.handoff_blackout
-                    or self.blackouts)
 
 
 @dataclass

@@ -32,9 +32,10 @@ import os
 import socket
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import WiredFaultSpec
+from ..engine import Engine
 from ..hosts.api import RdpClient
 from ..hosts.mobile_host import MobileHost
 from ..instruments import Instruments
@@ -43,7 +44,6 @@ from ..sim.rng import RngStreams
 from ..sim.tracing import TraceRecord, TraceRecorder
 from ..types import CellId, NodeId, mss_id, server_id
 from ..verify.oracle import ExactlyOnceDelivery, NoLostResult, Oracle
-from .channel import WirelessShaper
 from .clock import LiveClock
 from .codec import CodecError, decode_envelope, encode_envelope
 from .engine import AsyncioEngine
@@ -103,6 +103,27 @@ class ClusterResult:
                 and not self.violations)
 
 
+def schedule_workload(engine: Engine, spec: ClusterSpec,
+                      clients: Sequence[RdpClient],
+                      cells: Sequence[CellId]) -> None:
+    """The run's traffic, on whichever engine hosts *clients* (``h0``,
+    ``h1``, … in order): each issues its request schedule, staggered so
+    uplinks interleave, and the first hops one cell over while its
+    requests are in flight — the hand-off must chase the results."""
+    for i, client in enumerate(clients):
+        for j in range(spec.requests_per_host):
+            engine.schedule(
+                0.1 + i * spec.host_stagger + j * spec.request_gap,
+                client.request, spec.service, {"host": f"h{i}", "n": j},
+                label="issue")
+    if clients and len(cells) > 1:
+        def _migrate() -> None:
+            host = clients[0].host
+            target = cells[(cells.index(host.current_cell) + 1) % len(cells)]
+            host.migrate_to(target)
+        engine.schedule(spec.migrate_at, _migrate, label="migrate")
+
+
 def _bind_loopback() -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
@@ -136,11 +157,10 @@ class _Driver:
         self.engine = AsyncioEngine(loop, clock)
         self.recorder = TraceRecorder()
         self.instruments = Instruments(recorder=self.recorder)
-        streams = RngStreams(spec.seed)
         self.wireless = LiveWirelessHostSide(
             self.engine, sock, stations,
-            shaper=WirelessShaper(None, loss_probability=spec.wireless_loss,
-                                  rng=streams.stream("live.wireless")),
+            loss_probability=spec.wireless_loss,
+            rng=RngStreams(spec.seed).stream("live.wireless"),
             recorder=self.recorder,
             monitor=self.instruments.monitor,
         )
@@ -282,26 +302,10 @@ async def _drive(spec: ClusterSpec, driver: _Driver,
         notes.append(f"only {len(driver.ready)}/{driver.expected_ready} "
                      f"stations reported ready")
 
-    # Hosts join round-robin across cells; each then issues its request
-    # schedule, staggered so uplinks interleave.
-    for i in range(spec.n_hosts):
-        name = f"h{i}"
-        client = driver.add_host(name, cells[i % len(cells)])
-        for j in range(spec.requests_per_host):
-            delay = 0.1 + i * spec.host_stagger + j * spec.request_gap
-            driver.engine.schedule(
-                delay, client.request, spec.service,
-                {"host": name, "n": j}, label="live:issue")
-
-    # Mid-run migration: the first host hops one cell over while its
-    # requests are in flight — the hand-off chase must chase the results.
-    if spec.n_hosts > 0 and len(cells) > 1:
-        def _migrate() -> None:
-            host = driver.clients["h0"].host
-            target = cells[(cells.index(host.current_cell) + 1) % len(cells)]
-            host.migrate_to(target)
-        driver.engine.schedule(spec.migrate_at, _migrate,
-                               label="live:migrate")
+    # Hosts join round-robin across cells.
+    clients = [driver.add_host(f"h{i}", cells[i % len(cells)])
+               for i in range(spec.n_hosts)]
+    schedule_workload(driver.engine, spec, clients, cells)
 
     expected = spec.n_hosts * spec.requests_per_host
     start = driver.engine.now

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional
 from ..config import WiredFaultSpec, WorldConfig
 from ..types import CellId
 from ..world import World
-from .cluster import ClusterResult, ClusterSpec
+from .cluster import ClusterResult, ClusterSpec, schedule_workload
 
 
 def _stats(latencies: List[float]) -> Dict[str, Optional[float]]:
@@ -60,21 +60,10 @@ def run_sim_twin(spec: ClusterSpec) -> Dict[str, Any]:
     ))
     world.add_server(spec.server_name, service=spec.service)
     cells = [CellId(f"cell{i}") for i in range(spec.n_cells)]
-    clients = []
-    for i in range(spec.n_hosts):
-        client = world.add_host(f"h{i}", cells[i % len(cells)],
-                                retry_interval=spec.retry_interval)
-        clients.append(client)
-        for j in range(spec.requests_per_host):
-            delay = 0.1 + i * spec.host_stagger + j * spec.request_gap
-            world.sim.schedule(delay, client.request, spec.service,
-                               {"host": f"h{i}", "n": j}, label="sim:issue")
-    if spec.n_hosts > 0 and len(cells) > 1:
-        def _migrate() -> None:
-            host = clients[0].host
-            target = cells[(cells.index(host.current_cell) + 1) % len(cells)]
-            host.migrate_to(target)
-        world.sim.schedule(spec.migrate_at, _migrate, label="sim:migrate")
+    clients = [world.add_host(f"h{i}", cells[i % len(cells)],
+                              retry_interval=spec.retry_interval)
+               for i in range(spec.n_hosts)]
+    schedule_workload(world.sim, spec, clients, cells)
 
     world.run_until_idle()
 

@@ -33,12 +33,12 @@ from typing import Dict, Optional, Tuple
 from ..config import WiredFaultSpec
 from ..instruments import Instruments
 from ..net.directory import DirectoryService
+from ..net.faults import wired_plan
 from ..servers.base import AppServer
 from ..sim.rng import RngStreams
 from ..sim.tracing import TraceRecorder
 from ..stations.mss import MobileSupportStation, MssConfig
 from ..types import CellId, NodeId
-from .channel import InboundShaper, build_wired_plan
 from .clock import LiveClock
 from .codec import CodecError, decode_envelope
 from .engine import AsyncioEngine
@@ -122,8 +122,7 @@ class _ChildRuntime:
             rng=streams.stream(f"live.wired.{config.station}"),
             recorder=self.recorder,
             monitor=self.instruments.monitor,
-            shaper=InboundShaper(
-                build_wired_plan(config.seed, config.wired_faults)),
+            faults=wired_plan(config.wired_faults, streams),
         )
         self.wireless = LiveWirelessStationSide(
             self.engine, sock, config.driver_addr,

@@ -11,46 +11,45 @@ protocol entities already program against:
   budget runs out — plugged into this class as its
   :class:`~repro.net.reliable.LinkPort`: a frame out is one datagram, a
   datagram in is one ``on_frame``.  No sequence number, timer or dedup
-  state lives here.  Inbound data frames pass through an
-  :class:`~repro.live.channel.InboundShaper` first: a shaped drop never
+  state lives here.  An inbound data frame first meets the fault plan's
+  :meth:`~repro.net.faults.FaultPlan.verdict`: a shaped drop never
   reaches the link, so it is never acknowledged, and what the trace
   records as ``wired_retx`` is a real datagram hitting the wire again.
 
 * :class:`LiveWirelessStationSide` — what an MSS process sees of the
   radio.  Downlink is fire-and-forget (one datagram to the driver,
-  faithful to the paper's single-attempt respMss); ``host()`` raises
-  :class:`~repro.errors.UnknownNodeError` because radio-level host state
-  lives in the driver process — the MSS call sites already treat that
-  surface as optional knowledge (``_host_in_cell`` et al. catch and
-  degrade).
+  faithful to the paper's single-attempt respMss); no host is ever
+  registered here, so ``host()`` raises
+  :class:`~repro.errors.UnknownNodeError` — the MSS call sites already
+  treat that surface as optional knowledge (``_host_in_cell`` et al.
+  catch and degrade).
 
 * :class:`LiveWirelessHostSide` — what the driver process (hosting the
-  MHs) sees of the radio.  Uplink state checks, cell resolution, and
-  the delivery-time checks of the sim channel (inactive host, wrong
-  cell, fault verdicts) are mirrored here, where the host objects live.
+  MHs) sees of the radio: uplink out, downlink in.
 
-All three record the same trace kinds with the same fields as their sim
-counterparts (the wired one through the same
-:class:`~repro.net.wired.WiredFabric` methods), which is what lets
-``obs/spans.py`` and the invariant oracle consume a merged live trace
-unmodified.
+Both radio halves are :class:`~repro.net.wireless.WirelessFabric` — the
+admission and delivery-time checks, the loss verdict and every counter
+and trace row are the sim channel's own code — and the wired one is
+:class:`~repro.net.wired.WiredFabric`; what this module adds is the
+codec and the socket.  That is what lets ``obs/spans.py`` and the
+invariant oracle consume a merged live trace unmodified.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import NetworkError, UnknownNodeError
+from ..errors import UnknownNodeError
 from ..net.causal import StampedMessage
+from ..net.faults import FaultPlan, WirelessFaultPlan
 from ..net.message import Message
 from ..net.monitor import NetworkMonitor
 from ..net.reliable import Frame, ReliableLink, RetryPolicy
 from ..net.wired import WiredFabric
-from ..net.wireless import WirelessHost, WirelessStation
+from ..net.wireless import WirelessFabric, WirelessHost, WirelessStation
 from ..sim.tracing import TraceRecorder
-from ..types import CellId, MhState, NodeId
-from .channel import InboundShaper, WirelessShaper
+from ..types import CellId, NodeId, is_mss
 from .codec import (
     CodecError,
     encode_envelope,
@@ -78,22 +77,21 @@ class LiveWiredTransport(WiredFabric):
         rng: Optional[random.Random] = None,
         recorder: Optional[TraceRecorder] = None,
         monitor: Optional[NetworkMonitor] = None,
-        shaper: Optional[InboundShaper] = None,
+        faults: Optional[FaultPlan] = None,
         policy: Optional[RetryPolicy] = None,
     ) -> None:
         super().__init__(engine, recorder, monitor)
         self.sock = sock
         self.addresses = dict(addresses)
         self.rng = rng if rng is not None else random.Random(0)
-        self.shaper = shaper if shaper is not None else InboundShaper(None)
+        self.faults = faults
         self.transport = ReliableLink(
             self, policy if policy is not None else RetryPolicy(), self.rng)
         self.send_errors = 0
 
     def station_ids(self) -> List[NodeId]:
         """Every station in the cluster, from the address map (sorted)."""
-        return [node for node in sorted(self.addresses)
-                if str(node).startswith("mss:")]
+        return sorted(node for node in self.addresses if is_mss(node))
 
     # -- send path ---------------------------------------------------------
 
@@ -130,7 +128,7 @@ class LiveWiredTransport(WiredFabric):
         The link acknowledges every data frame it is shown, and an ack
         is a promise to deliver: a frame reaches it only if it is well
         formed, this process hosts the addressee and can answer the
-        sender, the addressee is up, and the shaper lets it through.
+        sender, the addressee is up, and the fault plan lets it through.
         """
         try:
             frame = frame_from_envelope(obj)
@@ -149,16 +147,21 @@ class LiveWiredTransport(WiredFabric):
         if dst in self._down:
             self._fault_drop(src, dst, message, "down")
             return  # unacked: the peer keeps retrying until we come up
-        verdict = self.shaper.verdict(src, dst, self.sim.now)
-        if not verdict.deliver:
-            self._fault_drop(src, dst, message, verdict.reason)
-            return  # unacked: the sender's timer produces the real retry
-        if verdict.duplicate:
+        duplicate, extra = None, 0.0
+        if self.faults is not None:
+            reason, duplicate, extra = self.faults.verdict(
+                src, dst, self.sim.now)
+            if reason is not None:
+                self._fault_drop(src, dst, message, reason)
+                return  # unacked: the sender's timer produces the real retry
+        if duplicate is not None:
+            # Both copies of a shaped duplicate arrive now; only the
+            # original pays the plan's extra delay.
             self._note_duplicate(src, dst, message)
             self.transport.on_frame(frame)
-        if verdict.extra_delay > 0:
-            self.sim.schedule(verdict.extra_delay, self.transport.on_frame,
-                              frame, label="live:wired-delay")
+        if extra > 0:
+            self.sim.schedule(extra, self.transport.on_frame, frame,
+                              label="live:wired-delay")
         else:
             self.transport.on_frame(frame)
 
@@ -177,10 +180,45 @@ class _StationStub:
         self.cell_id = cell_id
 
 
-class LiveWirelessStationSide:
-    """The radio as seen from an MSS process: downlink out, uplink in."""
+class _LiveRadio(WirelessFabric):
+    """The radio fabric over one process's UDP socket: a frame in the
+    air is one ``wmsg`` datagram."""
 
-    name = "wireless"
+    def __init__(self, engine: AsyncioEngine, sock: Any,
+                 **fabric: Any) -> None:
+        super().__init__(engine, **fabric)
+        self.sock = sock
+        self.send_errors = 0
+
+    def _sendto(self, direction: str, cell: CellId, message: Message,
+                addr: Address) -> None:
+        data = encode_envelope({"t": "wmsg", "dir": direction, "cell": cell,
+                                "m": message_to_obj(message)})
+        try:
+            self.sock.sendto(data, addr)
+        except OSError:
+            self.send_errors += 1
+
+    @staticmethod
+    def _parse(obj: Dict[str, Any]) -> Optional[Tuple[CellId, Message]]:
+        """``(cell, message)`` of one ``wmsg`` envelope, None if malformed."""
+        try:
+            return CellId(obj["cell"]), message_from_obj(obj["m"])
+        except (KeyError, TypeError, CodecError):
+            return None
+
+    def _after(self, delay: float, callback: Callable[..., None],
+               *args: Any) -> None:
+        """Run *callback* once a congestion *delay* has passed."""
+        if delay > 0:
+            self.sim.schedule(delay, callback, *args,
+                              label="live:wl-congestion")
+        else:
+            callback(*args)
+
+
+class LiveWirelessStationSide(_LiveRadio):
+    """The radio as seen from an MSS process: downlink out, uplink in."""
 
     def __init__(
         self,
@@ -190,200 +228,69 @@ class LiveWirelessStationSide:
         recorder: Optional[TraceRecorder] = None,
         monitor: Optional[NetworkMonitor] = None,
     ) -> None:
-        self.engine = engine
-        self.sock = sock
+        super().__init__(engine, sock, recorder=recorder, monitor=monitor)
         self.driver_addr = driver_addr
-        self.recorder = (recorder if recorder is not None
-                         else TraceRecorder(enabled=False))
-        self.monitor = monitor if monitor is not None else NetworkMonitor()
-        self._stations: Dict[CellId, WirelessStation] = {}
-        self.send_errors = 0
-
-    def register_station(self, station: WirelessStation) -> None:
-        self._stations[station.cell_id] = station
-
-    def host(self, host_id: NodeId) -> WirelessHost:
-        """Radio-level host state lives in the driver process.
-
-        The MSS call sites (``_host_in_cell``/``_host_unreachable``)
-        treat this surface as best-effort knowledge and degrade when it
-        raises, so the live station simply has none.
-        """
-        raise UnknownNodeError(
-            f"live station has no radio-level view of {host_id!r}")
 
     def downlink(self, station: WirelessStation, host_id: NodeId,
                  message: Message) -> None:
-        """One fire-and-forget transmission attempt toward the driver."""
-        message.src = station.node_id
-        message.dst = host_id
-        self.monitor.on_send(self.name, message)
-        if self.recorder.wants("send"):
-            self.recorder.record(
-                self.engine.now, "send", station.node_id,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=host_id, detail=message.describe())
-        data = encode_envelope({"t": "wmsg", "dir": "down",
-                                "cell": station.cell_id,
-                                "m": message_to_obj(message)})
-        try:
-            self.sock.sendto(data, self.driver_addr)
-        except OSError:
-            self.send_errors += 1
+        """One fire-and-forget transmission attempt toward the driver,
+        where the hosts — and so every delivery-time check — live."""
+        self._note_send(station.node_id, host_id, message)
+        self._sendto("down", station.cell_id, message, self.driver_addr)
 
     def on_datagram(self, obj: Dict[str, Any]) -> None:
-        """One uplink frame arriving from the driver."""
-        try:
-            message = message_from_obj(obj["m"])
-            cell = CellId(obj["cell"])
-        except (KeyError, TypeError, CodecError):
+        """One uplink frame arriving from the driver, which has already
+        put it through the loss verdict."""
+        parsed = self._parse(obj)
+        if parsed is None:
             return
-        station = self._stations.get(cell)
-        if station is None:
-            return
-        self.monitor.on_deliver(self.name, message)
-        if self.recorder.wants("recv"):
-            self.recorder.record(
-                self.engine.now, "recv", station.node_id,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=message.src, detail=message.describe())
-        station.on_wireless_message(message)
+        cell, message = parsed
+        if cell in self._stations:
+            self._receive(self._stations[cell], message)
 
 
-class LiveWirelessHostSide:
+class LiveWirelessHostSide(_LiveRadio):
     """The radio as seen from the driver process hosting the MHs."""
-
-    name = "wireless"
 
     def __init__(
         self,
         engine: AsyncioEngine,
         sock: Any,
         stations: Dict[CellId, Tuple[NodeId, Address]],
-        shaper: Optional[WirelessShaper] = None,
+        loss_probability: float = 0.0,
+        rng: Optional[random.Random] = None,
         recorder: Optional[TraceRecorder] = None,
         monitor: Optional[NetworkMonitor] = None,
+        faults: Optional[WirelessFaultPlan] = None,
     ) -> None:
-        self.engine = engine
-        self.sock = sock
-        self.shaper = shaper if shaper is not None else WirelessShaper(None)
-        self.recorder = (recorder if recorder is not None
-                         else TraceRecorder(enabled=False))
-        self.monitor = monitor if monitor is not None else NetworkMonitor()
-        self._stations: Dict[CellId, _StationStub] = {}
+        super().__init__(engine, sock, loss_probability=loss_probability,
+                         rng=rng, recorder=recorder, monitor=monitor,
+                         faults=faults)
         self._station_addrs: Dict[CellId, Address] = {}
         for cell, (node_id, addr) in stations.items():
-            self._stations[cell] = _StationStub(node_id, cell)
+            self.register_station(_StationStub(node_id, cell))
             self._station_addrs[cell] = addr
-        self._hosts: Dict[NodeId, WirelessHost] = {}
-        self.send_errors = 0
-
-    def register_host(self, host: WirelessHost) -> None:
-        self._hosts[host.node_id] = host
-
-    def host(self, host_id: NodeId) -> WirelessHost:
-        try:
-            return self._hosts[host_id]
-        except KeyError:
-            raise UnknownNodeError(
-                f"unknown mobile host {host_id!r}") from None
-
-    def station_of(self, cell: CellId) -> _StationStub:
-        try:
-            return self._stations[cell]
-        except KeyError:
-            raise UnknownNodeError(
-                f"no station registered for cell {cell!r}") from None
-
-    def note_handoff(self, host_id: NodeId) -> None:
-        self.shaper.note_handoff(host_id, self.engine.now)
 
     def uplink(self, host: WirelessHost, message: Message) -> None:
-        if host.state is not MhState.ACTIVE \
-                and host.state is not MhState.MIGRATING:
-            raise NetworkError(
-                f"{host.node_id} cannot transmit while {host.state}")
-        if host.current_cell is None:
-            raise NetworkError(f"{host.node_id} is not in any cell")
-        cell = host.current_cell
-        station = self.station_of(cell)
-        message.src = host.node_id
-        message.dst = station.node_id
-        self.monitor.on_send(self.name, message)
-        if self.recorder.wants("send"):
-            self.recorder.record(
-                self.engine.now, "send", host.node_id,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                dst=station.node_id, detail=message.describe())
-        verdict = self.shaper.verdict(cell, host.node_id, self.engine.now)
-        if verdict is not None:
-            self._drop(message, verdict,
-                       kind="drop" if verdict == "loss" else "wireless_drop")
-            return
-        data = encode_envelope({"t": "wmsg", "dir": "up", "cell": cell,
-                                "m": message_to_obj(message)})
-        delay = self.shaper.extra_delay()
-        if delay > 0:
-            self.engine.schedule(delay, self._sendto, data, cell,
-                                 label="live:wl-congestion")
-        else:
-            self._sendto(data, cell)
+        station = self._admit_uplink(host, message)
+        self._after(self._congestion(message, host.node_id),
+                    self._transmit_uplink, station.cell_id, host.node_id,
+                    message)
 
-    def _sendto(self, data: bytes, cell: CellId) -> None:
-        try:
-            self.sock.sendto(data, self._station_addrs[cell])
-        except OSError:
-            self.send_errors += 1
+    def _transmit_uplink(self, cell: CellId, host_id: NodeId,
+                         message: Message) -> None:
+        """The hand-off blackout state lives with the hosts, so the
+        uplink meets its loss verdict here, before the socket."""
+        if not self._lost(cell, host_id, message):
+            self._sendto("up", cell, message, self._station_addrs[cell])
 
     def on_datagram(self, obj: Dict[str, Any]) -> None:
-        """One downlink frame arriving from a station process.
-
-        The delivery-time checks mirror the sim channel's
-        ``_deliver_downlink``: the frame dies unless the target host is
-        still active and still in the sending station's cell, then the
-        fault verdicts get their say.
-        """
-        try:
-            message = message_from_obj(obj["m"])
-            cell = CellId(obj["cell"])
-        except (KeyError, TypeError, CodecError):
+        """One downlink frame arriving from a station process."""
+        parsed = self._parse(obj)
+        if parsed is None:
             return
-        host = self._hosts.get(message.dst)
-        if host is None:
-            self._drop(message, "unknown_host")
-            return
-        if host.state is not MhState.ACTIVE:
-            self._drop(message, "inactive")
-            return
-        if host.current_cell != cell:
-            self._drop(message, "not_in_cell")
-            return
-        verdict = self.shaper.verdict(cell, host.node_id, self.engine.now)
-        if verdict is not None:
-            self._drop(message, verdict,
-                       kind="drop" if verdict == "loss" else "wireless_drop")
-            return
-        delay = self.shaper.extra_delay()
-        if delay > 0:
-            self.engine.schedule(delay, self._deliver_downlink, host, message,
-                                 label="live:wl-congestion")
-        else:
-            self._deliver_downlink(host, message)
-
-    def _deliver_downlink(self, host: WirelessHost, message: Message) -> None:
-        self.monitor.on_deliver(self.name, message)
-        if self.recorder.wants("recv"):
-            self.recorder.record(
-                self.engine.now, "recv", host.node_id,
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                src=message.src, detail=message.describe())
-        host.on_wireless_message(message)
-
-    def _drop(self, message: Message, reason: str,
-              kind: str = "drop") -> None:
-        self.monitor.on_drop(self.name, message, reason)
-        if self.recorder.wants(kind):
-            self.recorder.record(
-                self.engine.now, kind, message.dst or "?",
-                net=self.name, msg=message.kind, msg_id=message.msg_id,
-                reason=reason)
+        cell, message = parsed
+        host_id = message.dst or NodeId("?")
+        self._after(self._congestion(message, message.src or NodeId("?")),
+                    self._deliver_downlink, cell, host_id, message,
+                    self._receivable(cell, host_id))

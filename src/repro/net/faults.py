@@ -9,25 +9,34 @@ exercised and measured instead of assumed.
 Every random decision draws from the plan's own ``random.Random``
 stream (worlds derive it from the master seed as ``faults.wired``), so a
 given seed produces the same fault schedule on every run.  The plan is
-consulted by :class:`~repro.net.wired.WiredNetwork` once per transmitted
-frame; drops and duplicates are recorded by the tracer under the
+consulted once per frame through :meth:`FaultPlan.verdict` — by
+:class:`~repro.net.wired.WiredNetwork` when it transmits, by the UDP
+:class:`~repro.live.transport.LiveWiredTransport` when a datagram
+arrives; drops and duplicates are recorded by the tracer under the
 ``wired_drop`` / ``wired_dup`` kinds and counted by the
 :class:`~repro.net.monitor.NetworkMonitor`.
 
 :class:`WirelessFaultPlan` is the radio-side sibling (stream
 ``faults.wireless``): loss bursts, congestion latency spikes, timed cell
 blackouts and per-MH hand-off blackout windows, consulted by
-:class:`~repro.net.wireless.WirelessChannel` and traced under the
-``wireless_drop`` / ``wireless_delay`` kinds.
+:class:`~repro.net.wireless.WirelessFabric` on either engine and traced
+under the ``wireless_drop`` / ``wireless_delay`` kinds.
+
+:func:`wired_plan` and :func:`wireless_plan` are the one recipe from a
+config spec and a world's RNG streams to a plan.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from ..sim.rng import RngStreams
 from ..types import CellId, NodeId
+
+if TYPE_CHECKING:  # config imports this package
+    from ..config import WiredFaultSpec, WirelessFaultSpec
 
 # One partition window: the unordered link {a, b} is cut for t0 <= now < t1.
 PartitionWindow = Tuple[NodeId, NodeId, float, float]
@@ -131,7 +140,25 @@ class FaultPlan:
              for a, b, t0, t1 in self._partitions],
             "partition")
 
-    # -- per-frame queries (called by WiredNetwork._transmit) ------------
+    # -- per-frame queries ------------------------------------------------
+
+    def verdict(self, src: NodeId, dst: NodeId, now: float,
+                ) -> Tuple[Optional[str], Optional[float], float]:
+        """One frame's fate: ``(drop reason, duplicate's extra delay,
+        extra delay)``.
+
+        The order — cut, loss, duplication (and, for a duplicate, the
+        delay draw of the second copy), delay — is the plan's
+        determinism contract: a cut consumes no draw, a lost frame none
+        after the loss draw.  A reason means the frame is gone; a
+        duplicate delay that is not ``None`` means it arrives twice.
+        """
+        if self.cut(src, dst, now):
+            return "partition", None, 0.0
+        if self.lost():
+            return "loss", None, 0.0
+        duplicate = self.extra_delay() if self.duplicated() else None
+        return None, duplicate, self.extra_delay()
 
     def cut(self, src: NodeId, dst: NodeId, now: float) -> bool:
         """Is the src-dst link inside an active partition window?"""
@@ -259,7 +286,20 @@ class WirelessFaultPlan:
         if self.handoff_blackout > 0.0:
             self._handoff_until[host_id] = now + self.handoff_blackout
 
-    # -- per-frame queries (called by WirelessChannel) -------------------
+    # -- per-frame queries ------------------------------------------------
+
+    def verdict(self, cell: CellId, host_id: NodeId,
+                now: float) -> Optional[str]:
+        """Why one frame between *host_id* and *cell* is lost, or None.
+
+        Cell blackout, then the host's hand-off blackout — neither
+        consumes a draw — then :meth:`lost`.
+        """
+        if self.blacked_out(cell, now):
+            return "blackout"
+        if self.in_handoff_blackout(host_id, now):
+            return "handoff_blackout"
+        return self.lost(cell, now)
 
     def blacked_out(self, cell: CellId, now: float) -> bool:
         for c, t0, t1 in self._blackouts:
@@ -308,3 +348,53 @@ class WirelessFaultPlan:
             "handoff_blackout": self.handoff_blackout,
             "blackouts": [list(window) for window in self._blackouts],
         }
+
+
+# -- spec -> plan -------------------------------------------------------------
+#
+# No spec, no plan.  A spec that is present always yields one, active or
+# not: an all-zero plan draws nothing, and it is what arms the sim's
+# reliable link and gives the fuzzer's ``wired_loss`` / ``cell_blackout``
+# ops an object to mutate.
+
+
+def wired_plan(spec: Optional[WiredFaultSpec],
+               streams: RngStreams) -> Optional[FaultPlan]:
+    """The wired plan *spec* describes, on the ``faults.wired`` stream."""
+    if spec is None:
+        return None
+    plan = FaultPlan(
+        rng=streams.stream("faults.wired"),
+        loss=spec.loss,
+        duplication=spec.duplication,
+        spike_probability=spec.spike_probability,
+        spike=spec.spike,
+        reorder=spec.reorder,
+        reorder_spread=spec.reorder_spread,
+        partitions=tuple(
+            (NodeId(a), NodeId(b), t0, t1)
+            for a, b, t0, t1 in spec.partitions),
+    )
+    plan.validate()
+    return plan
+
+
+def wireless_plan(spec: Optional[WirelessFaultSpec],
+                  streams: RngStreams) -> Optional[WirelessFaultPlan]:
+    """The radio plan *spec* describes, on the ``faults.wireless`` stream."""
+    if spec is None:
+        return None
+    plan = WirelessFaultPlan(
+        rng=streams.stream("faults.wireless"),
+        loss=spec.loss,
+        burst_probability=spec.burst_probability,
+        burst_length=spec.burst_length,
+        burst_loss=spec.burst_loss,
+        congestion_probability=spec.congestion_probability,
+        congestion_delay=spec.congestion_delay,
+        handoff_blackout=spec.handoff_blackout,
+        blackouts=tuple(
+            (CellId(cell), t0, t1) for cell, t0, t1 in spec.blackouts),
+    )
+    plan.validate()
+    return plan

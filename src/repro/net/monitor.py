@@ -21,13 +21,18 @@ Families owned by the facade (labels in parentheses):
 * ``rdp_net_messages_dropped_total`` (net, kind, reason)
 * ``rdp_node_messages_sent_total`` / ``rdp_node_messages_received_total``
   (node) — the per-node load proxies
+
+:class:`Fabric`, the base of the wired and the radio fabric, lives here
+too: it is what ties a monitor, a trace recorder and a clock together.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from ..engine import Engine
 from ..obs.registry import Counter, CounterFamily, MetricsHub
+from ..sim.tracing import TraceRecorder
 from ..types import NodeId
 from .message import Message
 
@@ -167,3 +172,27 @@ class NetworkMonitor:
         for (node,), child in self._node_received.children.items():
             out[node] = out.get(node, 0) + int(child.value)  # type: ignore[attr-defined]
         return out
+
+
+class Fabric:
+    """What a fabric keeps on either engine, wired or radio: its clock,
+    its recorder, its monitor, and the one shape of a trace row about a
+    message."""
+
+    name = "net"
+
+    def __init__(self, sim: Engine, recorder: Optional[TraceRecorder],
+                 monitor: Optional[NetworkMonitor]) -> None:
+        self.sim = sim
+        self.recorder = recorder if recorder is not None else TraceRecorder(enabled=False)
+        self.monitor = monitor if monitor is not None else NetworkMonitor()
+
+    def _row(self, kind: str, node: NodeId, message: Message,
+             detail: bool = False, **fields: Any) -> None:
+        """One trace row about *message*, if the recorder wants *kind*."""
+        if self.recorder.wants(kind):
+            if detail:
+                fields["detail"] = message.describe()
+            self.recorder.record(
+                self.sim.now, kind, node, net=self.name, msg=message.kind,
+                msg_id=message.msg_id, **fields)

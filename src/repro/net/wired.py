@@ -21,7 +21,7 @@ Nodes attach with an object exposing ``node_id`` and
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Union
+from typing import Callable, Dict, List, Optional, Protocol, Set, Union
 
 from ..engine import Engine
 from ..errors import ConfigError, UnknownNodeError
@@ -31,7 +31,7 @@ from .causal import OrderingLayer, StampedMessage, make_ordering
 from .faults import FaultPlan
 from .latency import ConstantLatency, LatencyModel
 from .message import Message
-from .monitor import NetworkMonitor
+from .monitor import Fabric, NetworkMonitor
 from .reliable import (
     DeliveryFailure,
     Frame,
@@ -56,7 +56,7 @@ class WiredNode(Protocol):
     def on_wired_message(self, message: Message) -> None: ...
 
 
-class WiredFabric:
+class WiredFabric(Fabric):
     """What a wired fabric keeps, whatever carries its frames: attached
     nodes, the crashed set, and the counters and trace rows of a send, a
     delivery, a drop and an abandoned frame.  :class:`WiredNetwork` and
@@ -68,9 +68,7 @@ class WiredFabric:
 
     def __init__(self, sim: Engine, recorder: Optional[TraceRecorder],
                  monitor: Optional[NetworkMonitor]) -> None:
-        self.sim = sim
-        self.recorder = recorder if recorder is not None else TraceRecorder(enabled=False)
-        self.monitor = monitor if monitor is not None else NetworkMonitor()
+        super().__init__(sim, recorder, monitor)
         self._nodes: Dict[NodeId, WiredNode] = {}
         self._down: Set[NodeId] = set()
         self.failures: List[DeliveryFailure] = []
@@ -113,16 +111,6 @@ class WiredFabric:
         return node_id in self._down
 
     # -- counters and trace rows ------------------------------------------
-
-    def _row(self, kind: str, node: NodeId, message: Message,
-             detail: bool = False, **fields: Any) -> None:
-        """One trace row about *message*, if the recorder wants *kind*."""
-        if self.recorder.wants(kind):
-            if detail:
-                fields["detail"] = message.describe()
-            self.recorder.record(
-                self.sim.now, kind, node, net=self.name, msg=message.kind,
-                msg_id=message.msg_id, **fields)
 
     def _note_send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         self.monitor.on_send(self.name, message)
@@ -279,20 +267,16 @@ class WiredNetwork(WiredFabric):
         :class:`Frame` under the reliable link."""
         if retransmit:
             self._row("wired_retx", src, message, dst=dst)
-        faults = self.faults
         extra = 0.0
-        if faults is not None:
-            if faults.cut(src, dst, self.sim.now):
-                self._fault_drop(src, dst, message, "partition")
+        if self.faults is not None:
+            reason, duplicate, extra = self.faults.verdict(
+                src, dst, self.sim.now)
+            if reason is not None:
+                self._fault_drop(src, dst, message, reason)
                 return
-            if faults.lost():
-                self._fault_drop(src, dst, message, "loss")
-                return
-            if faults.duplicated():
+            if duplicate is not None:
                 self._note_duplicate(src, dst, message)
-                self._schedule_arrival(src, dst, message, payload,
-                                       faults.extra_delay())
-            extra = faults.extra_delay()
+                self._schedule_arrival(src, dst, message, payload, duplicate)
         self._schedule_arrival(src, dst, message, payload, extra)
 
     def _schedule_arrival(self, src: NodeId, dst: NodeId, message: Message,

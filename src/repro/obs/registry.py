@@ -18,11 +18,6 @@ Design constraints, in order:
   iterate in sorted order so snapshots are byte-stable run over run.
   Timestamps, where they appear, are *simulated* time supplied by the
   caller (see :mod:`repro.obs.scrape`).
-* **Zero overhead when disabled.**  A hub built with ``enabled=False``
-  hands out shared no-op handles whose ``inc``/``set``/``observe`` are
-  empty methods — the same contract as
-  :meth:`repro.sim.tracing.TraceRecorder.wants`: hot paths keep their
-  pre-bound handle and pay one no-op call, never a dict lookup.
 * **Pre-bound handles.**  ``family.labels(...)`` resolves a label set to
   a child handle once; call sites store the handle and bump it directly.
   Facades cache children so per-message accounting stays one dict lookup
@@ -150,62 +145,6 @@ class Histogram:
         return out
 
 
-# -- no-op handles (shared singletons) ---------------------------------------
-
-
-class NullCounter:
-    """No-op counter: the disabled hub's zero-overhead handle."""
-
-    __slots__ = ()
-    value: float = 0
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-
-class NullGauge:
-    __slots__ = ()
-    value: float = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        pass
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        pass
-
-    def read(self) -> float:
-        return 0.0
-
-
-class NullHistogram:
-    __slots__ = ()
-    bounds: Tuple[float, ...] = ()
-    total = 0
-    sum = 0.0
-    samples: Optional[List[float]] = None
-
-    def observe(self, value: Union[int, float]) -> None:
-        pass
-
-    def cumulative(self) -> List[int]:
-        return [0]
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-
-AnyCounter = Union[Counter, NullCounter]
-AnyGauge = Union[Gauge, NullGauge]
-AnyHistogram = Union[Histogram, NullHistogram]
-
-
 # -- families -----------------------------------------------------------------
 
 
@@ -327,14 +266,9 @@ class MetricsHub:
     names and — for histograms — bucket bounds) so independent modules
     can ``hub.counter("rdp_x_total", ...)`` without coordinating; a
     conflicting re-registration raises :class:`ConfigError`.
-
-    A disabled hub registers nothing and returns the shared no-op
-    handles, making every call site a cheap no-op (the
-    ``TraceRecorder.wants()`` contract, applied to metrics).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
 
     # -- registration ------------------------------------------------------
@@ -359,16 +293,12 @@ class MetricsHub:
 
     def counter(self, name: str, help: str = "",
                 labels: Sequence[str] = ()) -> CounterFamily:
-        if not self.enabled:
-            return _NULL_COUNTER_FAMILY
         family = self._register(CounterFamily, name, help, labels)
         assert isinstance(family, CounterFamily)
         return family
 
     def gauge(self, name: str, help: str = "",
               labels: Sequence[str] = ()) -> GaugeFamily:
-        if not self.enabled:
-            return _NULL_GAUGE_FAMILY
         family = self._register(GaugeFamily, name, help, labels)
         assert isinstance(family, GaugeFamily)
         return family
@@ -377,8 +307,6 @@ class MetricsHub:
                   labels: Sequence[str] = (),
                   buckets: Sequence[float] = LATENCY_BUCKETS,
                   track: bool = False) -> HistogramFamily:
-        if not self.enabled:
-            return _NULL_HISTOGRAM_FAMILY
         family = self._register(HistogramFamily, name, help, labels,
                                 buckets=buckets, track=track)
         assert isinstance(family, HistogramFamily)
@@ -405,67 +333,6 @@ class MetricsHub:
         self._families.clear()
 
 
-class _NullCounterFamily(CounterFamily):
-    """Disabled-hub counter family: labels() is the no-op handle."""
-
-    def __init__(self) -> None:  # no hub, no registration
-        self.name = "null"
-        self.help = ""
-        self.label_names = ()
-        self.children = {}
-
-    def labels(self, *values: str) -> NullCounter:  # type: ignore[override]
-        return NULL_COUNTER
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0
-
-
-class _NullGaugeFamily(GaugeFamily):
-    def __init__(self) -> None:
-        self.name = "null"
-        self.help = ""
-        self.label_names = ()
-        self.children = {}
-
-    def labels(self, *values: str) -> NullGauge:  # type: ignore[override]
-        return NULL_GAUGE
-
-    def set(self, value: Union[int, float]) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        pass
-
-    def read(self) -> float:
-        return 0.0
-
-
-class _NullHistogramFamily(HistogramFamily):
-    def __init__(self) -> None:
-        self.name = "null"
-        self.help = ""
-        self.label_names = ()
-        self.children = {}
-        self.buckets = (1.0,)
-        self.track = False
-
-    def labels(self, *values: str) -> NullHistogram:  # type: ignore[override]
-        return NULL_HISTOGRAM
-
-    def observe(self, value: Union[int, float]) -> None:
-        pass
-
-
-_NULL_COUNTER_FAMILY = _NullCounterFamily()
-_NULL_GAUGE_FAMILY = _NullGaugeFamily()
-_NULL_HISTOGRAM_FAMILY = _NullHistogramFamily()
-
-
 __all__ = [
     "COUNT_BUCKETS",
     "Counter",
@@ -477,10 +344,4 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricFamily",
     "MetricsHub",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
 ]

@@ -39,7 +39,7 @@ from .net.latency import (
     NormalLatency,
     UniformLatency,
 )
-from .net.faults import FaultPlan, WirelessFaultPlan
+from .net.faults import wired_plan, wireless_plan
 from .net.wired import WiredNetwork
 from .net.wireless import WirelessChannel
 from .servers.base import AppServer
@@ -95,39 +95,6 @@ class World:
         self.cell_map = _build_cellmap(self.config)
 
         self._node_positions: Dict[NodeId, tuple] = {}
-        faults: Optional[FaultPlan] = None
-        if self.config.wired_faults is not None:
-            spec = self.config.wired_faults
-            faults = FaultPlan(
-                rng=self.rng.stream("faults.wired"),
-                loss=spec.loss,
-                duplication=spec.duplication,
-                spike_probability=spec.spike_probability,
-                spike=spec.spike,
-                reorder=spec.reorder,
-                reorder_spread=spec.reorder_spread,
-                partitions=tuple(
-                    (NodeId(a), NodeId(b), t0, t1)
-                    for a, b, t0, t1 in spec.partitions),
-            )
-            faults.validate()
-        wireless_faults: Optional[WirelessFaultPlan] = None
-        if self.config.wireless_faults is not None:
-            wspec = self.config.wireless_faults
-            wireless_faults = WirelessFaultPlan(
-                rng=self.rng.stream("faults.wireless"),
-                loss=wspec.loss,
-                burst_probability=wspec.burst_probability,
-                burst_length=wspec.burst_length,
-                burst_loss=wspec.burst_loss,
-                congestion_probability=wspec.congestion_probability,
-                congestion_delay=wspec.congestion_delay,
-                handoff_blackout=wspec.handoff_blackout,
-                blackouts=tuple(
-                    (CellId(cell), t0, t1)
-                    for cell, t0, t1 in wspec.blackouts),
-            )
-            wireless_faults.validate()
         self.wired = WiredNetwork(
             self.sim,
             latency=build_latency(self.config.wired_latency),
@@ -137,7 +104,7 @@ class World:
             ordering=self.config.ordering,
             pairwise_delay=(self._distance_delay
                             if self.config.wired_distance_delay else None),
-            faults=faults,
+            faults=wired_plan(self.config.wired_faults, self.rng),
             reliable=self.config.wired_reliable,
             retry=self.config.wired_retry,
             retry_rng=self.rng.stream("reliable.wired"),
@@ -152,7 +119,7 @@ class World:
             recorder=self.instruments.recorder,
             monitor=self.instruments.monitor,
             bandwidth_bps=self.config.wireless_bandwidth_bps,
-            faults=wireless_faults,
+            faults=wireless_plan(self.config.wireless_faults, self.rng),
         )
 
         self.stations: Dict[CellId, MobileSupportStation] = {}

@@ -1,21 +1,22 @@
-"""Shaping-channel parity: the live backend's fault plans are the sim's.
+"""The channel model both engines run: recipes and per-frame verdicts.
 
-Two contracts pinned here:
+The sim fabrics and the live UDP transports consult the same plan
+objects through the same calls (``net/faults.py``), so what is pinned
+here is the plans themselves:
 
-* **Plan parity** — :func:`repro.live.channel.build_wired_plan` /
-  ``build_wireless_plan`` derive fault plans from a root seed exactly the
-  way :class:`repro.world.World` does (the ``faults.wired`` /
-  ``faults.wireless`` RngStreams substreams), so a live cluster and its
-  sim twin consult identical fault schedules.
-* **Draw-order parity** — :class:`repro.live.channel.InboundShaper`
-  consumes the plan's RNG in the same per-frame order as
-  :meth:`repro.net.wired.WiredNetwork._transmit` (cut, loss, dup, dup's
-  extra delay, main extra delay), and the wireless verdict mirrors the
-  sim channel's gate order.  Verified by running both consumption
-  patterns over twin plans and checking the verdicts *and* the
-  post-sequence RNG state agree.
+* **Recipe** — :func:`repro.net.faults.wired_plan` /
+  :func:`~repro.net.faults.wireless_plan` draw from the ``faults.wired``
+  / ``faults.wireless`` substreams of the root seed, and build a plan
+  for any spec that is present, all-zero included.
+* **Verdict order** — wired: cut, loss, duplication (plus the
+  duplicate's delay draw), delay; radio: blackout, hand-off blackout,
+  burst, fault loss, then the fabric's flat-loss draw.  A 500-frame
+  sequence per plan is pinned as literal values captured from the
+  commit before the verdicts moved into the plans, so a reordered,
+  added or dropped draw fails here.
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -26,12 +27,11 @@ from repro.config import (  # noqa: E402
     WirelessFaultSpec,
     WorldConfig,
 )
-from repro.live.channel import (  # noqa: E402
-    InboundShaper,
-    WirelessShaper,
-    build_wired_plan,
-    build_wireless_plan,
-)
+from repro.net.faults import wired_plan, wireless_plan  # noqa: E402
+from repro.net.message import Message  # noqa: E402
+from repro.net.wired import WiredNetwork  # noqa: E402
+from repro.net.wireless import WirelessFabric  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
 from repro.sim.rng import RngStreams  # noqa: E402
 from repro.types import CellId, NodeId  # noqa: E402
 from repro.world import World  # noqa: E402
@@ -48,127 +48,176 @@ WIRELESS_SPEC = WirelessFaultSpec(loss=0.1, burst_probability=0.05,
                                   congestion_delay=0.03,
                                   handoff_blackout=0.2)
 
+# One character per frame (frame i at t = i * 0.01), SEED and the specs
+# above.  Wired: L lost, D delivered twice, . delivered once.
+WIRED_FATES = (
+    "LL....D.....DL.LL..D.L...DL.....D..L.L..LL.......L....D......L..L."
+    ".....L....D.......D..L..........D...L.......LL.....LL.D.L.L.LL..LL"
+    "..........D.........D....L.....LL..L...L..L.......D...L.....DL...."
+    ".DD....D..L...L.D...D....LDLL......LL.D.L.....LD.L....LL..L.....LL"
+    "...............D...D...D...D..L..D....L..LD......D.......D.L......"
+    "L.......L.LL..LL..L......................L..........L.D...D....L.D"
+    ".LL.D.L...........LL.L............L.L....L.........L....DLL.L..L.."
+    "..L..L.....L.....L.L..D..D........D.L.")
+WIRED_DELAYS_SHA256 = (
+    "321962f753c0172f2c15d042f6e8f6d36108143ef86c0c0b3ae13cd614dec78b")
+WIRED_FIRST_DELAYS = [(5, 0.05), (9, 0.009819880995090213),
+                      (18, 0.0548228700922402), (20, 0.05)]
+WIRED_NEXT_DRAW = 0.5093476082112074
 
-def test_inactive_specs_build_no_plan():
-    assert build_wired_plan(SEED, None) is None
-    assert build_wired_plan(SEED, WiredFaultSpec()) is None
-    assert build_wireless_plan(SEED, None) is None
-    assert build_wireless_plan(SEED, WirelessFaultSpec()) is None
+# Radio, host handing off at frame 100: B burst, F fault loss,
+# H hand-off blackout, . delivered.
+WIRELESS_FATES = (
+    ".....F....BBBBBBBBBBBBBBB.BBBBB.BBBBBBB.BBBBBB.BBBBBBBBBBBBB......"
+    ".BBBBBBB.BBB.BBBBB..BBBBBBBBBBBBBBHHHHHHHHHHHHHHHHHHHH.....BBBBBBB"
+    "B.BBBBBBBBBFBBBBB..BBBBBBBBBBBBBBBBBBBBBBBF..F.........F....F....."
+    "..BBBBBBBBBBBB.BBBBBBBB.BBBBBBBBBBB..BBBBBBBBBB.BBBBF..........BBB"
+    "BBBBBFBBBBBBBBBBB.BBBBBBBBBBBBBBBBB.BBBBBBBBBBB......F...F...BBBB."
+    "BBBBBBBBBBBBBFBBBBBBB.BBBBBBBBBBBBBBBBBBBBBB.............F.....BBB"
+    "BBBBBBBBBBBBBBBBBBBBB.BBBBBBB.FBBBBBBBBBBBBBBBB....BB.BBBBBBBBBBBB"
+    "BBBBB.BBBBB..B.FBBB.BBBBBBBBBBBBBBB...")
+WIRELESS_NEXT_DRAW = 0.019621375032436106
+WIRELESS_CODES = {None: ".", "burst": "B", "fault_loss": "F",
+                  "handoff_blackout": "H", "blackout": "K"}
+
+
+class _Node:
+    def __init__(self, node_id):
+        self.node_id = node_id
+        self.received = []
+
+    def on_wired_message(self, message):
+        self.received.append(message)
+
+
+# -- recipe -------------------------------------------------------------------
+
+
+def test_an_all_zero_spec_still_builds_a_plan():
+    """No spec, no plan; a spec that is present yields one (it is what
+    arms the sim's reliable link and what the fuzzer's ops mutate), and
+    an all-zero one draws nothing."""
+    streams = RngStreams(SEED)
+    assert wired_plan(None, streams) is None
+    assert wireless_plan(None, streams) is None
+    wired = wired_plan(WiredFaultSpec(), streams)
+    radio = wireless_plan(WirelessFaultSpec(), streams)
+    before = wired.rng.getstate(), radio.rng.getstate()
+    for frame in range(50):
+        assert wired.verdict(NodeId("a"), NodeId("b"),
+                             frame * 0.1) == (None, None, 0.0)
+        assert radio.verdict(CellId("c"), NodeId("h"), frame * 0.1) is None
+        assert radio.extra_delay() == 0.0
+    assert (wired.rng.getstate(), radio.rng.getstate()) == before
 
 
 def test_wired_plan_matches_world_recipe():
-    """Same seed, same spec -> the world's plan and the live plan draw
-    identical sequences (they are seeded from the same substream)."""
+    """A world's wired plan is the recipe's, on ``faults.wired``."""
     world = World(WorldConfig(seed=SEED, n_cells=2,
                               wired_faults=WIRED_SPEC))
-    live_plan = build_wired_plan(SEED, WIRED_SPEC)
-    world_plan = world.wired.faults
-    assert world_plan is not None and live_plan is not None
-    assert live_plan.describe() == world_plan.describe()
-    for _ in range(500):
-        assert live_plan.lost() == world_plan.lost()
-        assert live_plan.duplicated() == world_plan.duplicated()
-        assert live_plan.extra_delay() == world_plan.extra_delay()
-    # Streams still in lockstep after 500 frames' worth of draws.
-    assert live_plan.rng.random() == world_plan.rng.random()
+    streams = RngStreams(SEED)
+    built = wired_plan(WIRED_SPEC, streams)
+    assert built.rng is streams.stream("faults.wired")
+    assert world.wired.faults.describe() == built.describe()
+    assert world.wired.faults.rng.getstate() == built.rng.getstate()
 
 
 def test_wireless_plan_matches_world_recipe():
     world = World(WorldConfig(seed=SEED, n_cells=2,
                               wireless_faults=WIRELESS_SPEC))
-    live_plan = build_wireless_plan(SEED, WIRELESS_SPEC)
-    world_plan = world.wireless.faults
-    assert world_plan is not None and live_plan is not None
-    assert live_plan.describe() == world_plan.describe()
-    cell = CellId("cell0")
-    host = NodeId("mh:h0")
-    now = 0.0
-    for step in range(500):
-        now = step * 0.01
-        if step == 100:
-            live_plan.note_handoff(host, now)
-            world_plan.note_handoff(host, now)
-        assert (live_plan.in_handoff_blackout(host, now)
-                == world_plan.in_handoff_blackout(host, now))
-        assert live_plan.lost(cell, now) == world_plan.lost(cell, now)
-        assert live_plan.extra_delay() == world_plan.extra_delay()
-    assert live_plan.rng.random() == world_plan.rng.random()
+    streams = RngStreams(SEED)
+    built = wireless_plan(WIRELESS_SPEC, streams)
+    assert built.rng is streams.stream("faults.wireless")
+    assert world.wireless.faults.describe() == built.describe()
+    assert world.wireless.faults.rng.getstate() == built.rng.getstate()
+
+
+# -- wired verdict (the sim's ``_transmit`` and the live transport's inbound
+# -- shaping both consult it) -------------------------------------------------
 
 
 def test_inbound_shaper_consumes_draws_in_sim_transmit_order():
-    """Twin plans, one consumed by the sim's per-frame pattern, one by
-    the shaper: verdicts match frame by frame, and the RNG streams stay
-    in lockstep (proof nothing extra or missing was drawn)."""
-    sim_plan = build_wired_plan(SEED, WIRED_SPEC)
-    live_plan = build_wired_plan(SEED, WIRED_SPEC)
-    shaper = InboundShaper(live_plan)
+    plan = wired_plan(WIRED_SPEC, RngStreams(SEED))
     src, dst = NodeId("mss:s0"), NodeId("mss:s1")
+    fates, delays = [], []
     for frame in range(500):
-        now = frame * 0.01
-        # The sim's _transmit consumption pattern, verbatim:
-        if sim_plan.cut(src, dst, now):
-            sim_outcome = ("cut",)
-        elif sim_plan.lost():
-            sim_outcome = ("lost",)
-        elif sim_plan.duplicated():
-            dup_delay = sim_plan.extra_delay()
-            sim_outcome = ("dup", dup_delay, sim_plan.extra_delay())
-        else:
-            sim_outcome = ("deliver", sim_plan.extra_delay())
+        reason, duplicate, extra = plan.verdict(src, dst, frame * 0.01)
+        fates.append("L" if reason == "loss"
+                     else "D" if duplicate is not None else ".")
+        delays.append((reason, extra))
+    assert "".join(fates) == WIRED_FATES
+    assert [(i, d) for i, (_, d) in enumerate(delays)
+            if d > 0][:4] == WIRED_FIRST_DELAYS
+    assert hashlib.sha256(
+        repr(delays).encode()).hexdigest() == WIRED_DELAYS_SHA256
+    # Nothing extra and nothing missing was drawn along the way.
+    assert plan.rng.random() == WIRED_NEXT_DRAW
 
-        verdict = shaper.verdict(src, dst, now)
-        if sim_outcome[0] == "lost":
-            assert not verdict.deliver and verdict.reason == "loss"
-        elif sim_outcome[0] == "dup":
-            assert verdict.deliver and verdict.duplicate
-            assert verdict.extra_delay == sim_outcome[2]
-        else:
-            assert verdict.deliver and not verdict.duplicate
-            assert verdict.extra_delay == sim_outcome[1]
-    assert sim_plan.rng.random() == live_plan.rng.random()
+    # The sim fabric spends exactly those draws, one verdict per frame.
+    sim = Simulator()
+    twin = wired_plan(WIRED_SPEC, RngStreams(SEED))
+    net = WiredNetwork(sim, faults=twin, reliable=False, ordering="raw")
+    nodes = [_Node(src), _Node(dst)]
+    for node in nodes:
+        net.attach(node)
+    for frame in range(500):
+        sim.schedule(frame * 0.01, net.send, src, dst, Message())
+    sim.run()
+    assert net.monitor.drops("loss") == WIRED_FATES.count("L")
+    assert net.dup_injected == WIRED_FATES.count("D")
+    assert len(nodes[1].received) == 500 - WIRED_FATES.count("L") \
+        + WIRED_FATES.count("D")
+    assert twin.rng.random() == WIRED_NEXT_DRAW
 
 
 def test_inbound_shaper_partition_short_circuits_without_draws():
     spec = WiredFaultSpec(loss=0.5, partitions=(
         ("mss:s0", "mss:s1", 1.0, 2.0),))
-    plan = build_wired_plan(SEED, spec)
-    shaper = InboundShaper(plan)
+    plan = wired_plan(spec, RngStreams(SEED))
     state_before = plan.rng.getstate()
-    verdict = shaper.verdict(NodeId("mss:s0"), NodeId("mss:s1"), 1.5)
-    assert not verdict.deliver and verdict.reason == "partition"
+    assert plan.verdict(NodeId("mss:s0"), NodeId("mss:s1"),
+                        1.5) == ("partition", None, 0.0)
     assert plan.rng.getstate() == state_before, (
-        "a partition cut must not consume loss/dup draws — the sim's "
+        "a partition cut must not consume loss/dup draws — the "
         "short-circuit order is part of the determinism contract")
 
 
-def test_inbound_shaper_without_plan_delivers_everything():
-    shaper = InboundShaper(None)
-    for frame in range(50):
-        verdict = shaper.verdict(NodeId("a"), NodeId("b"), frame * 0.1)
-        assert verdict.deliver and not verdict.duplicate
-        assert verdict.extra_delay == 0.0
+# -- radio verdict (both engines' radios shape frames through it) -------------
 
 
-def test_wireless_shaper_flat_loss_matches_seeded_stream():
-    """The flat (plan-less) loss draw is the sim channel's: one
-    ``rng.random() < p`` per frame from a named substream."""
-    rng_a = RngStreams(SEED).stream("live.wireless")
-    rng_b = RngStreams(SEED).stream("live.wireless")
-    shaper = WirelessShaper(None, loss_probability=0.3, rng=rng_a)
+def test_wireless_verdict_draw_sequence_is_pinned():
+    plan = wireless_plan(WIRELESS_SPEC, RngStreams(SEED))
     cell, host = CellId("cell0"), NodeId("mh:h0")
-    for frame in range(500):
-        expected = "loss" if rng_b.random() < 0.3 else None
-        assert shaper.verdict(cell, host, frame * 0.01) == expected
+    fates = []
+    for step in range(500):
+        now = step * 0.01
+        if step == 100:
+            plan.note_handoff(host, now)
+        fates.append(WIRELESS_CODES[plan.verdict(cell, host, now)])
+    assert "".join(fates) == WIRELESS_FATES
+    assert plan.rng.random() == WIRELESS_NEXT_DRAW
 
 
 def test_wireless_shaper_handoff_blackout_gates_before_draws():
-    plan = build_wireless_plan(SEED, WIRELESS_SPEC)
-    shaper = WirelessShaper(plan)
+    plan = wireless_plan(WIRELESS_SPEC, RngStreams(SEED))
     cell, host = CellId("cell0"), NodeId("mh:h0")
-    shaper.note_handoff(host, 1.0)
+    plan.note_handoff(host, 1.0)
     state_before = plan.rng.getstate()
-    assert shaper.verdict(cell, host, 1.1) == "handoff_blackout"
+    assert plan.verdict(cell, host, 1.1) == "handoff_blackout"
     assert plan.rng.getstate() == state_before
     # Outside the window the plan draws again.
-    assert shaper.verdict(cell, host, 1.1 + WIRELESS_SPEC.handoff_blackout) \
+    assert plan.verdict(cell, host, 1.1 + WIRELESS_SPEC.handoff_blackout) \
         in (None, "burst", "fault_loss")
+    assert plan.rng.getstate() != state_before
+
+
+def test_wireless_shaper_flat_loss_matches_seeded_stream():
+    """The plan-less loss decision of either engine's radio: one
+    ``rng.random() < p`` per frame from the stream it was given."""
+    fabric = WirelessFabric(Simulator(), loss_probability=0.3,
+                            rng=RngStreams(SEED).stream("live.wireless"))
+    twin = RngStreams(SEED).stream("live.wireless")
+    cell, host = CellId("cell0"), NodeId("mh:h0")
+    for _ in range(500):
+        assert fabric._lost(cell, host, Message()) == (twin.random() < 0.3)
+    assert fabric.monitor.drops("loss") == fabric.monitor.drops() > 0

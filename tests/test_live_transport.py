@@ -5,7 +5,7 @@ event loop in this process (no fork), so a test can reach into both ends
 of a channel.  Four things are pinned here:
 
 * the reliable hop itself — per-channel exactly-once under a seeded
-  :class:`InboundShaper`, a ``set_down`` peer bridged by retransmission,
+  :class:`FaultPlan`, a ``set_down`` peer bridged by retransmission,
   trace rows with the sim's field sets;
 * that a frame is never acknowledged unless it can be delivered
   (unhosted destination, malformed envelope);
@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.live.channel import InboundShaper, ShapeVerdict
 from repro.live.clock import LiveClock
 from repro.live.codec import (
     decode_envelope,
@@ -64,23 +63,10 @@ def _bind() -> socket.socket:
     return sock
 
 
-class _Scripted(InboundShaper):
-    """A shaper whose verdict is a function of the arrival count."""
-
-    def __init__(self, script: Callable[[int], ShapeVerdict]) -> None:
-        super().__init__(None)
-        self.script = script
-        self.arrivals = 0
-
-    def verdict(self, src: NodeId, dst: NodeId, now: float) -> ShapeVerdict:
-        self.arrivals += 1
-        return self.script(self.arrivals)
-
-
 class _Live:
     """Nodes A and B: a transport and a loopback socket each, one loop."""
 
-    def __init__(self, shapers: Sequence[Optional[InboundShaper]] = (None, None),
+    def __init__(self, plans: Sequence[Optional[FaultPlan]] = (None, None),
                  policy: Optional[RetryPolicy] = None) -> None:
         self.loop = asyncio.new_event_loop()
         self.engine = AsyncioEngine(self.loop, LiveClock.start())
@@ -96,7 +82,7 @@ class _Live:
         for i, sock in enumerate(self.socks):
             net = LiveWiredTransport(
                 self.engine, sock, addresses, rng=random.Random(i),
-                recorder=self.recorder, shaper=shapers[i], policy=policy)
+                recorder=self.recorder, faults=plans[i], policy=policy)
             net.attach(self.sinks[i])
             self.nets.append(net)
             self.loop.add_reader(sock.fileno(), self._pump, sock, net)
@@ -190,8 +176,7 @@ def _plan(seed: int, **rates: float) -> FaultPlan:
 
 def test_exactly_once_per_channel_under_seeded_shaping(live):
     rates = dict(loss=0.25, duplication=0.1, reorder=0.1)
-    pair = live(shapers=(InboundShaper(_plan(11, **rates)),
-                         InboundShaper(_plan(12, **rates))))
+    pair = live(plans=(_plan(11, **rates), _plan(12, **rates)))
     ab = [f"a->b#{i}" for i in range(120)]
     ba = [f"b->a#{i}" for i in range(120)]
 
@@ -207,7 +192,7 @@ def test_exactly_once_per_channel_under_seeded_shaping(live):
     assert sorted(_tags(pair.sinks[1])) == sorted(ab)
     assert sorted(_tags(pair.sinks[0])) == sorted(ba)
     assert all(m.src == A for m in pair.sinks[1].received)
-    # The shaper did bite, and the link did the repairing.
+    # The plan did bite, and the link did the repairing.
     assert pair.rows("wired_drop") and pair.rows("wired_dup")
     assert sum(n.transport.retransmissions for n in pair.nets) > 0
     assert sum(n.transport.duplicates_suppressed for n in pair.nets) > 0
@@ -251,8 +236,7 @@ def test_trace_rows_carry_the_sims_field_sets(live):
     net.send(A, B, _Tagged(tag="lost"))
     sim.run()
 
-    pair = live(shapers=(None, InboundShaper(_plan(3, loss=0.3,
-                                                   duplication=0.3))),
+    pair = live(plans=(None, _plan(3, loss=0.3, duplication=0.3)),
                 policy=FAST)
     pair.send_paced(0, B, [f"m{i}" for i in range(40)])
     pair.nets[0].send(A, GHOST, _Tagged(tag="lost"))
@@ -401,7 +385,7 @@ def test_receiver_state_stays_window_bounded_sim():
 
 
 def test_receiver_state_stays_window_bounded_live(live):
-    pair = live(shapers=(None, InboundShaper(_plan(21, **SOAK_RATES))))
+    pair = live(plans=(None, _plan(21, **SOAK_RATES)))
     link_tx, link_rx = pair.nets[0].transport, pair.nets[1].transport
     peak = sent = 0
 
@@ -426,7 +410,7 @@ def test_receiver_state_stays_window_bounded_live(live):
 def _assert_live_timer_recovers_tail_losses(live) -> None:
     """Property: one frame in flight at a time, so a shaped loss has no
     later ack to expose it — only the retransmit timer can repair it."""
-    pair = live(shapers=(None, InboundShaper(_plan(5, loss=0.4))),
+    pair = live(plans=(None, _plan(5, loss=0.4)),
                 policy=RetryPolicy(timeout=0.02, min_timeout=0.01,
                                    jitter=0.0))
     for i in range(12):
@@ -453,12 +437,11 @@ LONG_RTT = 0.1
 
 def _live_steady_state_retransmissions(live, n: int = 10) -> int:
     """The Karn scenario of ``test_transport_sr`` on sockets, same
-    proportions: the shaper holds every frame back 100 ms, twenty times
+    proportions: the plan holds every frame back 100 ms, twenty times
     the initial RTO, so early frames are always retransmitted before
     their ack returns (and an ambiguous sample reads a quarter RTT)."""
-    slow = _Scripted(lambda _n: ShapeVerdict(deliver=True,
-                                             extra_delay=LONG_RTT))
-    pair = live(shapers=(None, slow),
+    slow = FaultPlan(random.Random(0), spike_probability=1.0, spike=LONG_RTT)
+    pair = live(plans=(None, slow),
                 policy=RetryPolicy(timeout=0.005, min_timeout=0.005,
                                    max_timeout=2.0, jitter=0.0))
     pair.send_paced(0, B, [f"m{i}" for i in range(n)], gap=2 * LONG_RTT)

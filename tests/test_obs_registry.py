@@ -17,7 +17,6 @@ from repro.obs import (
     prometheus_text,
     snapshot,
 )
-from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.sim import Simulator
 
 
@@ -108,23 +107,6 @@ def test_invalid_names_rejected():
         hub.counter("bad name")
     with pytest.raises(ConfigError):
         hub.counter("rdp_ok_total", labels=("bad label",))
-
-
-def test_disabled_hub_hands_out_noop_handles():
-    hub = MetricsHub(enabled=False)
-    counter = hub.counter("rdp_x_total", labels=("a",))
-    assert counter.labels("a") is NULL_COUNTER
-    counter.labels("a").inc(5)
-    assert counter.value == 0
-    gauge = hub.gauge("rdp_g")
-    assert gauge.labels() is NULL_GAUGE
-    gauge.set_function(lambda: 9.0)
-    assert gauge.read() == 0.0
-    histogram = hub.histogram("rdp_h")
-    assert histogram.labels() is NULL_HISTOGRAM
-    histogram.observe(1.0)
-    assert hub.families() == []
-    assert prometheus_text(hub) == ""
 
 
 def test_default_bucket_presets_are_sorted():

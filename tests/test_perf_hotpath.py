@@ -100,7 +100,16 @@ def test_no_describe_when_kind_filtered_out(sim):
     net.attach(a)
     net.attach(b)
     net.send(a.node_id, b.node_id, _TrackedMsg(tag="w1"))
+    # Both fabrics write their rows through Fabric._row.
+    channel = WirelessChannel(sim, recorder=TraceRecorder(kinds={"drop"}))
+    station, host = _Station("mss:a", "cell:a"), _Host("mh:m", "cell:a")
+    channel.register_station(station)
+    channel.register_host(host)
+    channel.downlink(station, host.node_id, _TrackedMsg(tag="down"))
+    channel.uplink(host, _TrackedMsg(tag="up"))
     sim.run()
+    assert [m.tag for m in b.received + host.received
+            + station.received] == ["w1", "down", "up"]
     assert _DESCRIBE_CALLS == []
 
 

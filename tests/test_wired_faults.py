@@ -154,8 +154,6 @@ def test_wired_fault_spec_validation():
         WiredFaultSpec(loss=1.2)
     with pytest.raises(ConfigError):
         WiredFaultSpec(partitions=((mss_id("s0"), mss_id("s1"), 3.0, 2.0),))
-    assert not WiredFaultSpec().active
-    assert WiredFaultSpec(loss=0.1).active
 
 
 # -- RetryPolicy -------------------------------------------------------------
