@@ -8,9 +8,9 @@ line, ring, grid (a city district model) and complete (teleport) graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
+import functools
 import re
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -18,7 +18,8 @@ from ..errors import MobilityError
 from ..types import CellId
 
 
-def natural_key(name: str) -> tuple:
+@functools.cache  # a pure function of the name; every sort asks per cell
+def natural_key(name: str) -> Tuple[Union[int, str], ...]:
     """Sort key treating digit runs numerically: cell2 before cell10."""
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", name))

@@ -7,7 +7,10 @@ causally ordered — and by the trace verifier.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
+
+#: ``(sender, seq)`` — the identity of one stamp of the causal layer.
+Head = Tuple[str, int]
 
 
 class VectorClock:
@@ -15,12 +18,20 @@ class VectorClock:
 
     Missing entries are zero.  Comparison follows the usual partial order:
     ``a <= b`` iff every component of ``a`` is <= the one in ``b``.
+
+    ``heads`` is plain data beside the components, owned by
+    :class:`repro.net.causal.CausalOrdering`: on a clock that layer has
+    frozen it names the maximal stamps the clock is the pointwise max
+    of, which is what :meth:`missing` and :meth:`merged` work from.  It
+    is empty on every other clock and takes no part in ``==`` or
+    ``hash``.
     """
 
-    __slots__ = ("_clock",)
+    __slots__ = ("_clock", "heads")
 
     def __init__(self, clock: Optional[Mapping[str, int]] = None) -> None:
         self._clock: Dict[str, int] = {k: v for k, v in (clock or {}).items() if v}
+        self.heads: Tuple[Head, ...] = ()
 
     def tick(self, node: str) -> None:
         """Advance *node*'s component by one."""
@@ -37,6 +48,7 @@ class VectorClock:
     def copy(self) -> "VectorClock":
         out = VectorClock.__new__(VectorClock)
         out._clock = self._clock.copy()
+        out.heads = ()
         return out
 
     def merge(self, other: "VectorClock") -> None:
@@ -64,10 +76,31 @@ class VectorClock:
         return advanced
 
     def merged(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise max, as a new clock."""
+        """Pointwise max, as a new clock whose heads are the heads of
+        either operand that the other does not cover.  A head both
+        operands list is covered by both and must still survive, once."""
         out = self.copy()
         out.merge(other)
+        mine, theirs = self._clock.get, other._clock.get
+        out.heads = tuple(
+            [head for head in self.heads
+             if head in other.heads or theirs(head[0], 0) < head[1]]
+            + [head for head in other.heads if mine(head[0], 0) < head[1]])
         return out
+
+    def missing(self, other: "VectorClock") -> Optional[str]:
+        """The sender of the first head of *other* this clock has not
+        reached, or None when it has reached them all.
+
+        Between clocks of one causal layer ``missing(other) is None``
+        is ``other <= self`` (the lemma in :mod:`repro.net.causal`), at
+        one dict probe per head instead of one per component.
+        """
+        get = self._clock.get
+        for sender, seq in other.heads:
+            if get(sender, 0) < seq:
+                return sender
+        return None
 
     def dominates(self, other: "VectorClock") -> bool:
         """True when ``other <= self`` (pointwise)."""
@@ -94,9 +127,6 @@ class VectorClock:
     def concurrent_with(self, other: "VectorClock") -> bool:
         """True when neither clock dominates the other."""
         return not self.dominates(other) and not other.dominates(self)
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return iter(self._clock.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._clock.items()))

@@ -211,8 +211,10 @@ class WiredNetwork(WiredFabric):
         Messages still in flight to the node raise on delivery; held-back
         causal state referencing it is dropped so long sweeps that cycle
         through many endpoints don't grow without bound.  Re-attaching the
-        same id later starts it from fresh ordering state (see
-        :meth:`OrderingLayer.retire` for the caveat on in-flight stamps).
+        same id later starts it with nothing received and, under causal
+        ordering, its send numbering continued (see
+        :meth:`OrderingLayer.retire`, also for the caveat on in-flight
+        stamps).
         """
         self._nodes.pop(node_id, None)
         self._deliver_cbs.pop(node_id, None)

@@ -73,6 +73,22 @@ def test_unknown_cell_raises():
         cmap.neighbors(CellId("nowhere"))
 
 
+def test_cells_and_neighbors_follow_a_graph_edited_after_construction():
+    # Only the sort key is memoised, never a sorted list: callers such as
+    # ring_topology edit cmap.graph after the CellMap exists.
+    cmap = line_topology(11)
+    assert cmap.cells[:3] == ["cell0", "cell1", "cell2"]
+    assert cmap.cells[-1] == "cell10"            # numeric, not lexical
+    assert cmap.neighbors(CellId("cell0")) == ["cell1"]
+    cmap.graph.add_edge(CellId("cell0"), CellId("cell10"))
+    cmap.graph.add_edge(CellId("cell0"), CellId("cell12"))   # a new cell
+    assert cmap.neighbors(CellId("cell0")) == ["cell1", "cell10", "cell12"]
+    assert cmap.cells[-2:] == ["cell10", "cell12"] and len(cmap) == 12
+    cmap.graph.remove_node(CellId("cell1"))
+    assert cmap.neighbors(CellId("cell0")) == ["cell10", "cell12"]
+    assert "cell1" not in cmap.cells
+
+
 # -- residence times ------------------------------------------------------------
 
 def test_fixed_residence():

@@ -72,3 +72,17 @@ def test_equality_ignores_zero_entries():
 def test_hashable():
     assert hash(VectorClock({"p": 1})) == hash(VectorClock({"p": 1}))
     assert len({VectorClock({"p": 1}), VectorClock({"p": 1})}) == 1
+
+
+def test_heads_ride_beside_the_components():
+    a = VectorClock({"p": 2, "q": 1})
+    a.heads = (("p", 2),)
+    b = VectorClock({"q": 3})
+    b.heads = (("q", 3),)
+    assert a.missing(b) == "q" and b.missing(a) == "p"
+    both = a.merged(b)
+    assert both.heads == (("p", 2), ("q", 3))
+    assert both.missing(a) is None and both.missing(b) is None
+    assert both.merged(a).heads == both.heads      # a's head is shared, kept once
+    assert a.copy().heads == ()                    # a copy is a new clock
+    assert a == VectorClock({"p": 2, "q": 1})      # heads take no part in ==
