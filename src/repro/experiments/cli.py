@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 from typing import Callable, Dict, List, Set
 
@@ -130,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="run experiments and write one Markdown report")
     report.add_argument("ids", nargs="*", default=[],
-                        help="subset of experiment ids (default: all)")
+                        help="subset of experiment ids (default: all); a "
+                             "subset replaces only its own sections of an "
+                             "existing report")
     report.add_argument("--out", type=pathlib.Path,
                         default=pathlib.Path("REPORT.md"),
                         help="report file (default: REPORT.md)")
@@ -241,14 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SECTION_RE = re.compile(r"^## (\S+) — ", re.MULTILINE)
+
+
 def write_report(ids: List[str], out: pathlib.Path) -> str:
-    """Run the given experiments and render a Markdown report."""
-    sections = []
+    """Run the given experiments and render a Markdown report.
+
+    A full run writes the whole file.  A subset of the ids, when *out*
+    exists, is spliced into it: a regenerated section replaces the
+    section of the same id where it stands (an id the file lacks is
+    appended) and every other section is kept as it is.
+    """
+    sections: Dict[str, str] = {}
+    if out.exists() and set(ids) != set(EXPERIMENTS):
+        kept = out.read_text()
+        marks = list(_SECTION_RE.finditer(kept))
+        ends = [mark.start() for mark in marks[1:]] + [len(kept)]
+        for mark, end in zip(marks, ends):
+            section = kept[mark.start():end].rstrip("\n") + "\n"
+            sections[mark.group(1)] = section
     for exp_id in ids:
         started = wall_clock()
         text = EXPERIMENTS[exp_id]()
         elapsed = wall_clock() - started
-        sections.append(
+        sections[exp_id] = (
             f"## {exp_id} — {DESCRIPTIONS[exp_id]}\n\n"
             f"```\n{text}\n```\n\n"
             f"_regenerated in {elapsed:.1f}s_\n")
@@ -256,7 +275,7 @@ def write_report(ids: List[str], out: pathlib.Path) -> str:
         "# RDP reproduction report\n\n"
         "Regenerated artifacts of *RDP: A Result Delivery Protocol for "
         "Mobile Computing* (ICDCS 2000).  See EXPERIMENTS.md for the "
-        "paper-claim-by-claim comparison.\n\n" + "\n".join(sections))
+        "paper-claim-by-claim comparison.\n\n" + "\n".join(sections.values()))
     out.write_text(body)
     return body
 

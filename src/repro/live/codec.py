@@ -43,14 +43,13 @@ flat, not sent through the reflective message codec above.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from typing import Any, Dict
 
 from ..core import protocol as _protocol  # noqa: F401 - fills the registry
 from ..core.protocol import PrefPayload
 from ..errors import ProtocolError
 from ..net.causal import StampedMessage
-from ..net.message import Message
+from ..net.message import Message, layout
 from ..net.reliable import Frame, LinkAckMsg
 from ..net.vectorclock import VectorClock
 from ..types import NodeId, ProxyId, ProxyRef
@@ -116,10 +115,9 @@ def message_to_obj(message: Message) -> Dict[str, Any]:
     if Message.registry().get(cls.kind) is not cls:
         raise CodecError(
             f"{cls.__name__} (kind {cls.kind!r}) is not wire-registered")
-    encoded: Dict[str, Any] = {}
-    for f in fields(message):
-        encoded[f.name] = _encode_value(getattr(message, f.name))
-    return {"k": cls.kind, "f": encoded}
+    return {"k": cls.kind,
+            "f": {name: _encode_value(getattr(message, name))
+                  for name in layout(cls)[0]}}
 
 
 def message_from_obj(obj: Any) -> Message:

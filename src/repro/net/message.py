@@ -11,9 +11,11 @@ such as AN7 (hand-off state transfer cost) can compare byte counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from types import MappingProxyType
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 from ..types import NodeId
 
@@ -23,12 +25,20 @@ HEADER_BYTES = 40
 PER_FIELD_BYTES = 8
 
 
+#: Exact-type sizes of the scalar values, probed ahead of the ladder
+#: (which sizes what can be subclassed: an ``IntEnum`` member is 8;
+#: ``None`` and ``bool`` cannot, so they are decided here alone).
+_SCALAR_BYTES: Dict[type, int] = {type(None): 0, bool: 1, int: 8, float: 8}
+
+
 def _payload_size(value: Any) -> int:
     """Rough serialized size of one message field."""
-    if value is None:
-        return 0
-    if isinstance(value, bool):
-        return 1
+    kind = type(value)
+    if kind is str:
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
+    size = _SCALAR_BYTES.get(kind)
+    if size is not None:
+        return size
     if isinstance(value, (int, float)):
         return 8
     if isinstance(value, str):
@@ -69,17 +79,16 @@ class Message:
             Message._registry[kind] = cls
 
     @classmethod
-    def registry(cls) -> Dict[str, Type["Message"]]:
-        """Mapping of kind string to message class (read-only use)."""
-        return dict(cls._registry)
+    def registry(cls) -> Mapping[str, Type["Message"]]:
+        """Mapping of kind string to message class (a read-only view)."""
+        return MappingProxyType(cls._registry)
 
     def size_bytes(self) -> int:
         """Deterministic modelled wire size."""
-        total = HEADER_BYTES
-        for f in fields(self):
-            if f.name in ("msg_id", "src", "dst"):
-                continue
-            total += PER_FIELD_BYTES + _payload_size(getattr(self, f.name))
+        sized = layout(type(self))[1]
+        total = HEADER_BYTES + PER_FIELD_BYTES * len(sized)
+        for name in sized:
+            total += _payload_size(getattr(self, name))
         return total
 
     def describe(self) -> str:
@@ -91,3 +100,13 @@ class Message:
             f"<{type(self).__name__} #{self.msg_id} "
             f"{self.src}->{self.dst} {self.describe()}>"
         )
+
+
+@functools.cache
+def layout(cls: Type[Message]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Field names of message class *cls*, resolved once per class: all
+    of them (what the live codec walks) and the sized subset — every
+    field but the envelope's ``msg_id``/``src``/``dst`` (what
+    :meth:`Message.size_bytes` walks)."""
+    names = tuple(f.name for f in fields(cls))
+    return names, tuple(n for n in names if n not in ("msg_id", "src", "dst"))

@@ -18,10 +18,13 @@ Design constraints, in order:
   iterate in sorted order so snapshots are byte-stable run over run.
   Timestamps, where they appear, are *simulated* time supplied by the
   caller (see :mod:`repro.obs.scrape`).
-* **Pre-bound handles.**  ``family.labels(...)`` resolves a label set to
-  a child handle once; call sites store the handle and bump it directly.
-  Facades cache children so per-message accounting stays one dict lookup
-  plus an integer add, exactly the cost of the Counters they replaced.
+* **One probe per count.**  ``family.labels(...)`` probes ``children``
+  with the caller's own argument tuple; a hit — every call after a label
+  set's first, when the values are strings — costs that one dict lookup,
+  and the ``str()`` normalisation, arity check and child creation run
+  only on a miss.  The facades do not cache children (measured: no
+  faster, more memory); a call site that wants to skip even the probe
+  keeps the returned handle and bumps it directly.
 
 Histogram bucket bounds are fixed at registration (Prometheus-style
 cumulative ``le`` buckets with an implicit ``+Inf``), so two runs of the
@@ -172,7 +175,12 @@ class MetricFamily:
     def _make_child(self) -> object:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _child(self, values: LabelValues) -> object:
+    def _child(self, raw: Tuple[object, ...]) -> object:
+        """The slow path of ``labels()``: *raw* missed ``children``, so
+        normalise it to the string tuple children are keyed by (one child
+        for ``7``, ``"7"`` and a ``NodeId``; sortable exports) and create
+        the child on first use."""
+        values = tuple(str(v) for v in raw)
         child = self.children.get(values)
         if child is None:
             if len(values) != len(self.label_names):
@@ -194,7 +202,9 @@ class CounterFamily(MetricFamily):
         return Counter()
 
     def labels(self, *values: str) -> Counter:
-        child = self._child(tuple(str(v) for v in values))
+        child = self.children.get(values)
+        if child is None:
+            child = self._child(values)
         assert isinstance(child, Counter)
         return child
 
@@ -215,7 +225,9 @@ class GaugeFamily(MetricFamily):
         return Gauge()
 
     def labels(self, *values: str) -> Gauge:
-        child = self._child(tuple(str(v) for v in values))
+        child = self.children.get(values)
+        if child is None:
+            child = self._child(values)
         assert isinstance(child, Gauge)
         return child
 
@@ -248,7 +260,9 @@ class HistogramFamily(MetricFamily):
         return Histogram(self.buckets, track=self.track)
 
     def labels(self, *values: str) -> Histogram:
-        child = self._child(tuple(str(v) for v in values))
+        child = self.children.get(values)
+        if child is None:
+            child = self._child(values)
         assert isinstance(child, Histogram)
         return child
 
@@ -327,10 +341,6 @@ class MetricsHub:
         if not isinstance(family, CounterFamily):
             return 0
         return family.value
-
-    def clear(self) -> None:
-        """Drop every family (schema included) — test isolation helper."""
-        self._families.clear()
 
 
 __all__ = [

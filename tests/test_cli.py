@@ -46,6 +46,28 @@ def test_report_subcommand(tmp_path, capsys):
     assert "FIG3" in body and "AN4" in body
 
 
+def test_report_of_a_subset_splices_into_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "mini.md"
+    assert main(["report", "fig3", "an4", "an2", "--out", str(out)]) == 0
+    # Make the kept sections recognisable: a regeneration would undo this.
+    marked = out.read_text().replace("FIG3", "FIG3-kept").replace(
+        "AN2:", "AN2-kept:")
+    out.write_text(marked)
+    head, fig3, an4, an2 = marked.split("## ")
+
+    assert main(["report", "an4", "--out", str(out)]) == 0
+    after = out.read_text().split("## ")
+    assert len(after) == 4                      # nothing was dropped
+    assert [after[0], after[1], after[3]] == [head, fig3, an2]
+    assert after[2].split("_regenerated")[0] == an4.split("_regenerated")[0]
+    # An id the file lacks is appended; the rest still stands.
+    assert main(["report", "fig4", "--out", str(out)]) == 0
+    grown = out.read_text().split("## ")
+    assert grown[:2] + [grown[3]] == [head, fig3, an2 + "\n"]  # + separator
+    assert grown[4].startswith("fig4 ") and len(grown) == 5
+    assert out.read_text().endswith("s_\n")
+
+
 def test_bench_smoke_writes_schema_and_is_deterministic(tmp_path, capsys):
     import json
 

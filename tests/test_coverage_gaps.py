@@ -57,6 +57,12 @@ def test_metrics_series_and_per_node():
     assert snap["hits"] == 3
     metrics.clear()
     assert metrics.count("hits") == 0
+    # Cleared, not detached: the next increment counts from zero and is
+    # what the hub exports.
+    metrics.incr("hits", node="n1")
+    assert metrics.count("hits") == 1
+    assert metrics.hub.counter_total("rdp_hits_total") == 1
+    assert metrics.hub.get("rdp_hits_total").items()[0][0] == ("n1",)
 
 
 # -- sequence filters --------------------------------------------------------------

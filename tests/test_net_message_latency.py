@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import random
 
 import pytest
 
-from repro.core.protocol import GreetMsg, RequestMsg, ResultForwardMsg
+import repro.baselines.itcp_like  # noqa: F401 - fills the registry
+import repro.servers.tis  # noqa: F401 - fills the registry
+from repro.core.protocol import (
+    GreetMsg,
+    PrefPayload,
+    RequestMsg,
+    ResultForwardMsg,
+)
 from repro.errors import ConfigError
 from repro.net.latency import (
     ConstantLatency,
@@ -14,8 +23,15 @@ from repro.net.latency import (
     NormalLatency,
     UniformLatency,
 )
-from repro.net.message import HEADER_BYTES, Message
+from repro.net.message import (
+    HEADER_BYTES,
+    PER_FIELD_BYTES,
+    Message,
+    _payload_size,
+    layout,
+)
 from repro.types import NodeId, ProxyId, ProxyRef, RequestId
+from tests.test_live_codec import all_kinds, sample_message
 
 
 def test_msg_ids_unique_and_increasing():
@@ -45,6 +61,82 @@ def test_size_handles_structured_payloads():
     msg = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r"), service="s",
                      payload={"op": "query", "items": [1, 2, 3], "flag": True})
     assert msg.size_bytes() > HEADER_BYTES
+
+
+# -- the size model's fast paths against the formula they replaced ------------
+
+
+def _reference_payload_size(value):
+    """``_payload_size`` as it was before the exact-type table."""
+    if value is None:
+        return 0
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(_reference_payload_size(v) for v in value) + PER_FIELD_BYTES
+    if isinstance(value, dict):
+        return sum(_reference_payload_size(k) + _reference_payload_size(v)
+                   for k, v in value.items())
+    return PER_FIELD_BYTES
+
+
+def _reference_size(message):
+    """``Message.size_bytes`` as it was before the per-class layout."""
+    total = HEADER_BYTES
+    for f in dataclasses.fields(message):
+        if f.name in ("msg_id", "src", "dst"):
+            continue
+        total += PER_FIELD_BYTES + _reference_payload_size(
+            getattr(message, f.name))
+    return total
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+class _Tagged(str):
+    pass
+
+
+_REF = ProxyRef(mss=NodeId("mss:s0"), proxy_id=ProxyId("px1"))
+_EDGE_VALUES = [
+    True, 1, False, 0, 2.5, None, _Colour.RED, "plain", _Tagged("tagged"),
+    "na\u00efve \u2603 \U0001f600", "", b"\x00\x01\xff", _REF,
+    PrefPayload(ref=_REF, rkpr=True), object(), (), [True, 1, "x"],
+    {1, 2}, frozenset({"a"}), (NodeId("mss:s0"), _Tagged("t")),
+    {"k": (1, {"a": [True, None, "\u00e9"]}), "n": _Colour.RED},
+]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+def test_payload_size_equals_the_ladder_alone(value):
+    assert _payload_size(value) == _reference_payload_size(value)
+    msg = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r"),
+                     service="s", payload=value)
+    assert msg.size_bytes() == _reference_size(msg)
+
+
+#: The two classes that add modelled state on top of the base formula.
+_EXTRA = {"deregack": "extra_state_bytes", "proxy_move": "state_bytes"}
+
+
+@pytest.mark.parametrize("kind", all_kinds())
+def test_size_bytes_equals_the_reference_for_every_registered_class(kind):
+    message = sample_message(Message.registry()[kind])
+    overrides = type(message).size_bytes is not Message.size_bytes
+    assert overrides == (kind in _EXTRA)
+    extra = getattr(message, _EXTRA[kind]) if overrides else 0
+    assert extra > 0 or not overrides
+    assert message.size_bytes() == _reference_size(message) + extra
+    assert layout(type(message))[0] == tuple(
+        f.name for f in dataclasses.fields(message))    # the codec's walk
 
 
 def test_describe_mentions_flags():

@@ -18,6 +18,7 @@ from repro.obs import (
     snapshot,
 )
 from repro.sim import Simulator
+from repro.types import NodeId
 
 
 # -- registry -----------------------------------------------------------------
@@ -107,6 +108,45 @@ def test_invalid_names_rejected():
         hub.counter("bad name")
     with pytest.raises(ConfigError):
         hub.counter("rdp_ok_total", labels=("bad label",))
+
+
+def test_labels_normalise_every_spelling_to_one_string_keyed_child():
+    """``labels()`` probes with the caller's tuple and normalises only on
+    a miss; whatever the spelling and whichever came first, the child is
+    stored once, under the string tuple."""
+    hub = MetricsHub()
+    families = (hub.counter("rdp_c_total", labels=("node",)),
+                hub.gauge("rdp_g", labels=("node",)),
+                hub.histogram("rdp_h", labels=("node",), buckets=(1.0,)))
+    for family in families:
+        seven = family.labels(7)                    # raw spelling first
+        assert family.labels("7") is seven
+        assert family.labels(NodeId("7")) is seven
+        assert family.labels(7) is seven
+        assert family.labels(7.0) is not seven      # str(7.0) == "7.0"
+        nine = family.labels("9")                   # string spelling first
+        assert family.labels(9) is nine
+        family.labels("mss:a")
+        assert sorted(family.children) == [("7",), ("7.0",), ("9",), ("mss:a",)]
+        assert [values for values, _ in family.items()] == sorted(family.children)
+        for wrong in ((), ("a", "b"), (1, 2)):
+            with pytest.raises(ConfigError):
+                family.labels(*wrong)
+        assert len(family.children) == 4            # a refused call leaves nothing
+    prometheus_text(hub)                            # sorted(): str keys only
+    assert [family.name for family in hub.families()] == [
+        "rdp_c_total", "rdp_g", "rdp_h"]
+
+
+def test_unlabeled_family_has_the_one_empty_tuple_child():
+    hub = MetricsHub()
+    family = hub.counter("rdp_u_total")
+    family.labels().inc()
+    family.inc()
+    assert family.labels() is family.labels()
+    assert list(family.children) == [()] and family.value == 2
+    with pytest.raises(ConfigError):
+        family.labels("x")
 
 
 def test_default_bucket_presets_are_sorted():

@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Dict, List
 
 import pytest
 
+from repro.config import WiredFaultSpec
+from repro.experiments import bench as bench_mod
+from repro.net import message as message_mod
 from repro.net.causal import CausalOrdering, OrderingLayer, StampedMessage
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
 from repro.net.vectorclock import VectorClock
 from repro.net.wired import WiredNetwork
 from repro.net.wireless import WirelessChannel
+from repro.obs.registry import CounterFamily, MetricFamily
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId
 
@@ -539,3 +543,57 @@ def test_causal_layer_op_counts_on_a_pinned_148_node_plan(monkeypatch):
     assert calls["dominates"] == calls["parked"]
     assert calls["missing"] > 50 * 1500          # the tables are not empty
     assert calls["probes"] < 2 * 148 * 1500      # < 2N per delivered message
+
+
+# -- the accounting path: resolved once, probed per message -------------------
+
+
+def test_label_sets_and_message_layouts_are_resolved_once(monkeypatch):
+    """Over a small lossy city the normalising slow path of ``labels()``
+    runs once per child created — never for a label set that exists —
+    and ``dataclasses.fields`` once per message class sized, however
+    many messages are counted."""
+    calls: Counter = Counter()
+    fields_of: Counter = Counter()
+    sized: Counter = Counter()
+    real_child, real_fields = MetricFamily._child, message_mod.fields
+    real_labels, real_size = CounterFamily.labels, Message.size_bytes
+
+    def child(self: MetricFamily, raw: tuple) -> object:
+        before = len(self.children)
+        made = real_child(self, raw)
+        calls["slow"] += 1
+        calls["created"] += len(self.children) - before
+        return made
+
+    def labels(self: CounterFamily, *values: str) -> object:
+        calls["lookups"] += 1
+        return real_labels(self, *values)
+
+    def fields(class_or_instance: object) -> tuple:
+        cls = (class_or_instance if isinstance(class_or_instance, type)
+               else type(class_or_instance))
+        fields_of[cls] += 1
+        return real_fields(class_or_instance)
+
+    def size_bytes(self: Message) -> int:
+        sized[type(self)] += 1
+        return real_size(self)
+
+    monkeypatch.setattr(MetricFamily, "_child", child)
+    monkeypatch.setattr(CounterFamily, "labels", labels)
+    monkeypatch.setattr(message_mod, "fields", fields)
+    monkeypatch.setattr(Message, "size_bytes", size_bytes)
+    message_mod.layout.cache_clear()
+
+    preset = bench_mod.BenchPreset(name="tiny", citizens=60, grid=3,
+                                   duration=40.0)
+    config = replace(bench_mod.build_config(preset), wired_faults=WiredFaultSpec(
+        loss=0.10, duplication=0.02, reorder=0.05))
+    world, _ = bench_mod.run_scenario(preset, config)
+
+    assert world.sim.events_executed == 5787           # the world is pinned
+    assert (calls["lookups"], calls["slow"], calls["created"]) == (
+        17164, 639, 639)
+    assert (len(sized), sum(sized.values())) == (16, 3016)
+    assert fields_of == Counter(dict.fromkeys(sized, 1))
