@@ -75,17 +75,10 @@ def extract_breakdowns(world: "World") -> List[LatencyBreakdown]:
             continue
         if rec.kind == "proxy_admit":
             admitted.setdefault(rid, rec.time)
+        elif rec.kind == "proxy_result":
+            result_at_proxy.setdefault(rid, rec.time)
         elif rec.kind == "deliver":
             delivered.setdefault(rid, rec.time)
-    # The result's arrival at the proxy is the send time of its first
-    # forward toward the MH.
-    for rec in recorder.records:
-        if rec.kind != "send" or rec.get("msg") != "result_forward":
-            continue
-        detail = str(rec.get("detail", ""))
-        rid = detail[len("fwd_result("):].split(" ")[0].rstrip(")")
-        if rid:
-            result_at_proxy.setdefault(rid, rec.time)
 
     out: List[LatencyBreakdown] = []
     for client in world.clients.values():

@@ -1,8 +1,8 @@
 """Determinism passes (rule ids ``DET00x``).
 
-PR 1's fuzz harness promises *byte-identical replay*: the same seed must
-produce the same canonical trace in any process.  These rules flag code
-patterns that silently break that promise:
+The fuzz harness promises *byte-identical replay*: the same seed must
+produce the same raw trace however many runs came before it.  These
+rules flag code patterns that silently break that promise:
 
 * DET001 — wall-clock reads (``time.time`` & friends) in simulator code;
   simulated time comes from :class:`repro.sim.Simulator`, wall time only
@@ -16,10 +16,10 @@ patterns that silently break that promise:
 * DET004 — iteration over a ``set`` with side effects (sends, trace
   records, scheduling) in the loop body: set order varies per process,
   so the emitted order does too.
-* DET005 — a new module-level ``itertools.count`` not covered by the
-  canonical-trace renumbering of :mod:`repro.verify.canonical` (global
-  counters survive across runs inside one process, so raw ids differ
-  between a first and second run of the same seed).
+* DET005 — a module-level ``itertools.count``: a global counter
+  survives across runs inside one process, so its ids differ between a
+  first and second run of the same seed.  Ids come from the engine's
+  :class:`~repro.engine.Ids` (one per world) instead.
 
 **Scope.**  The determinism contract is a *simulator* contract; the live
 backend (``repro/live``) runs on real wall-clock sockets, where reading
@@ -59,22 +59,6 @@ _EFFECT_CALLS = {
     "push", "notify", "fail", "_wired_send", "_downlink",
     "proxy_wired_send", "_local_deliver", "write",
 }
-
-#: Module-level counters already neutralized by the canonical-trace
-#: renumbering in ``repro/verify/canonical.py`` (or proven never to reach
-#: a trace).  Everything else is a new global-counter hazard.
-COVERED_COUNTERS: Dict[Tuple[str, str], str] = {
-    ("net/message.py", "_msg_counter"): "msg_id (canonical namespace 'm')",
-    ("stations/mss.py", "_proxy_ids"): "proxy_id (canonical namespace 'p')",
-    ("core/proxy.py", "_delivery_ids"): "delivery_id (canonical namespace 'd')",
-    ("hosts/mobile_host.py", "_request_ids"):
-        "request_id (canonical namespace 'q')",
-    ("baselines/direct.py", "_delivery_ids"):
-        "delivery_id (canonical namespace 'd')",
-    ("baselines/itcp_like.py", "_delivery_ids"):
-        "delivery_id (canonical namespace 'd')",
-}
-
 
 def _exempt(src: SourceFile) -> bool:
     """Live-backend files run on wall-clock sockets — no sim-determinism
@@ -356,7 +340,7 @@ def rule_set_iteration(tree: SourceTree) -> List[Finding]:
 
 
 def rule_global_counter(tree: SourceTree) -> List[Finding]:
-    """DET005: new module-level itertools.count not covered by canonical."""
+    """DET005: module-level itertools.count in simulator code."""
     findings: List[Finding] = []
     for src in tree:
         if _exempt(src):
@@ -376,15 +360,13 @@ def rule_global_counter(tree: SourceTree) -> List[Finding]:
             for target in node.targets:
                 if not isinstance(target, ast.Name):
                     continue
-                if (src.rel, target.id) in COVERED_COUNTERS:
-                    continue
                 findings.append(src.finding(
                     "DET005", node.lineno,
                     f"module-level counter '{target.id}' survives across "
-                    f"runs in one process and is not renumbered by "
-                    f"repro/verify/canonical.py",
-                    "make it per-instance state, or register its field in "
-                    "canonical._ID_NAMESPACES and COVERED_COUNTERS"))
+                    f"runs in one process, so its ids depend on what ran "
+                    f"before",
+                    "draw the id from the engine's Ids (sim.ids) or make "
+                    "the counter per-instance state"))
     return findings
 
 
@@ -393,8 +375,7 @@ DETERMINISM_RULES = {
     "DET002": (rule_unseeded_random, "process-global/unseeded randomness"),
     "DET003": (rule_id_hash, "id()/hash() leaking into behaviour"),
     "DET004": (rule_set_iteration, "side-effecting iteration over a set"),
-    "DET005": (rule_global_counter,
-               "module-level counter not covered by canonical renumbering"),
+    "DET005": (rule_global_counter, "module-level counter in simulator code"),
 }
 
 

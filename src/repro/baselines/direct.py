@@ -9,7 +9,6 @@ the two delivery ratios.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict
 
 from ..core.protocol import (
@@ -23,7 +22,6 @@ from ..stations.mss import MobileSupportStation
 from ..types import NodeId, ProxyId, ProxyRef, RequestId
 
 _PSEUDO_PROXY = ProxyId("direct")
-_delivery_ids = itertools.count(1_000_000)
 
 
 class DirectDeliveryMss(MobileSupportStation):
@@ -59,7 +57,7 @@ class DirectDeliveryMss(MobileSupportStation):
             return
         self._downlink(mh, WirelessResultMsg(
             mh=mh, request_id=msg.request_id,
-            delivery_id=next(_delivery_ids), payload=msg.payload))
+            delivery_id=self.sim.ids.delivery(), payload=msg.payload))
         self.instr.metrics.incr("results_forwarded_to_mh", node=self.node_id)
 
     def _on_ack(self, msg: AckMsg) -> None:

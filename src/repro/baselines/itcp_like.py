@@ -19,9 +19,8 @@ hand-off.  The result-delivery analogue implemented here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.protocol import (
     AckMsg,
@@ -37,7 +36,6 @@ from ..stations.mss import MobileSupportStation
 from ..types import NodeId, ProxyId, ProxyRef, RequestId
 
 _PSEUDO_PROXY = ProxyId("itcp")
-_delivery_ids = itertools.count(2_000_000)
 
 
 @dataclass
@@ -123,14 +121,13 @@ class ItcpLikeMss(MobileSupportStation):
         self._store_and_deliver(mh, msg.request_id, msg.payload)
 
     def _store_and_deliver(self, mh: NodeId, request_id: RequestId,
-                           payload: Any,
-                           delivery_id: Optional[int] = None) -> None:
+                           payload: Any) -> None:
         image = self._image(mh)
         image.pending_requests.pop(request_id, None)
         stored = image.unacked_results.get(request_id)
         if stored is None:
             stored = StoredResult(request_id=request_id,
-                                  delivery_id=delivery_id or next(_delivery_ids),
+                                  delivery_id=self.sim.ids.delivery(),
                                   payload=payload)
             image.unacked_results[request_id] = stored
         self.instr.metrics.incr("results_forwarded_to_mh", node=self.node_id)

@@ -15,7 +15,6 @@ identity for sends.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Protocol, Set
 
@@ -49,8 +48,6 @@ _BOUNCE_RETRY_CAP = 8.0
 #: uplink to survive, and an unacked result must converge within a
 #: bounded drain window rather than back off past it.
 _ACK_TIMEOUT_CAP_FACTOR = 4
-
-_delivery_ids = itertools.count(1)
 
 
 class ProxyHost(Protocol):
@@ -366,7 +363,7 @@ class Proxy:
     def _accept_result(self, record: RequestRecord, payload: Any) -> None:
         record.result = payload
         record.result_received = True
-        record.delivery_id = next(_delivery_ids)
+        record.delivery_id = self.sim.ids.delivery()
         record.custody_since = self.sim.now
         self.instr.metrics.incr("proxy_results_received", node=self.host.node_id)
         if self.instr.recorder.wants("proxy_result"):

@@ -20,7 +20,6 @@ protocol live under lossy wireless and is free when the radio is reliable.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.protocol import (
@@ -41,8 +40,6 @@ from ..engine import Engine
 from ..sim import Timer
 from ..types import CellId, MhState, NodeId, RequestId, mh_id
 from .clientlog import ClientLog
-
-_request_ids = itertools.count(1)
 
 
 class MobileHost:
@@ -353,7 +350,7 @@ class MobileHost:
     # -- requests -------------------------------------------------------------------
 
     def new_request_id(self) -> RequestId:
-        return RequestId(f"{self.name}-r{next(_request_ids)}")
+        return RequestId(f"{self.name}-r{self.sim.ids.request()}")
 
     def send_request(self, service: str, payload: Any = None,
                      request_id: Optional[RequestId] = None) -> RequestId:

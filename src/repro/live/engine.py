@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Optional
 
+from ..engine import Ids
 from ..errors import SchedulingError
 from .clock import LiveClock
 
@@ -51,12 +52,16 @@ class LiveEvent:
 
 
 class AsyncioEngine:
-    """Clock plus scheduler on real time (one per live process)."""
+    """Clock plus scheduler on real time (one per live process).
+
+    *ids* defaults to a fresh :class:`~repro.engine.Ids` counting from 1;
+    each process of a cluster passes its own disjoint range."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
-                 clock: LiveClock) -> None:
+                 clock: LiveClock, ids: Optional[Ids] = None) -> None:
         self.loop = loop
         self.clock = clock
+        self.ids = ids if ids is not None else Ids()
         self.scheduled_count = 0
 
     @property

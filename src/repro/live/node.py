@@ -4,16 +4,15 @@ The driver (:mod:`repro.live.cluster`) binds every socket **before**
 forking, so datagrams sent to a child that has not finished starting up
 simply queue in its kernel buffer — no startup race.  Each child then:
 
-1. rebases the module-level id counters into its own numeric namespace
-   (``index * 10**9``) so msg/proxy/delivery ids stay cluster-unique
-   without coordination;
-2. builds its private engine stack — fresh asyncio loop,
+1. builds its private engine stack — fresh asyncio loop,
    :class:`~repro.live.clock.LiveClock` on the cluster epoch,
-   :class:`~repro.live.engine.AsyncioEngine`, a full
+   :class:`~repro.live.engine.AsyncioEngine` drawing ids from its own
+   range (``index * 10**9 + 1`` upward, so msg/proxy/delivery ids stay
+   cluster-unique without coordination), a full
    :class:`~repro.sim.tracing.TraceRecorder`;
-3. constructs the protocol entities exactly as the sim world would
+2. constructs the protocol entities exactly as the sim world would
    (same constructors, same config), wired through the live transports;
-4. pumps datagrams from its socket into the transports until the driver
+3. pumps datagrams from its socket into the transports until the driver
    sends a ``stop`` control frame, then dumps its trace rows as JSONL
    for the driver to merge.
 
@@ -24,13 +23,13 @@ point is :func:`run_mss_process`.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import socket
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..config import WiredFaultSpec
+from ..engine import Ids
 from ..instruments import Instruments
 from ..net.directory import DirectoryService
 from ..net.faults import wired_plan
@@ -71,25 +70,6 @@ class ChildConfig:
     trace_path: str = ""            # where to dump this process's trace
 
 
-def _rebase_counters(index: int) -> None:
-    """Move this process's id counters into a private namespace.
-
-    The counters are module globals referenced *by name* at call time
-    (``next(_msg_counter)``), so rebinding the module attribute is
-    enough.  The driver keeps namespace 0 (the counters' natural start).
-    """
-    base = index * ID_NAMESPACE + 1
-    from ..core import proxy as core_proxy
-    from ..hosts import mobile_host
-    from ..net import message
-    from ..stations import mss
-
-    message._msg_counter = itertools.count(base)
-    mss._proxy_ids = itertools.count(base)
-    core_proxy._delivery_ids = itertools.count(base)
-    mobile_host._request_ids = itertools.count(base)
-
-
 def dump_trace(recorder: TraceRecorder, path: str) -> None:
     """Write trace rows as JSONL for the driver-side merge."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -109,7 +89,8 @@ class _ChildRuntime:
         self.sock = sock
         self.loop = loop
         self.clock = LiveClock(config.epoch)
-        self.engine = AsyncioEngine(loop, self.clock)
+        self.engine = AsyncioEngine(
+            loop, self.clock, Ids(config.index * ID_NAMESPACE + 1))
         self.recorder = TraceRecorder()
         self.instruments = Instruments(recorder=self.recorder)
         self.directory = DirectoryService()
@@ -181,7 +162,6 @@ class _ChildRuntime:
 
 def run_mss_process(config: ChildConfig, sock: socket.socket) -> None:
     """Child-process main: serve the station until told to stop."""
-    _rebase_counters(config.index)
     loop = asyncio.new_event_loop()
     asyncio.set_event_loop(loop)
     sock.setblocking(False)

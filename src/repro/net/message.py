@@ -12,14 +12,11 @@ such as AN7 (hand-off state transfer cost) can compare byte counts.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 from ..types import NodeId
-
-_msg_counter = itertools.count(1)
 
 HEADER_BYTES = 40
 PER_FIELD_BYTES = 8
@@ -56,13 +53,18 @@ def _payload_size(value: Any) -> int:
 class Message:
     """Base class for every simulated message.
 
-    ``src``/``dst`` are filled in by the network when the message is sent;
-    ``msg_id`` is globally unique and used for duplicate detection.
+    ``src``/``dst`` are filled in by the network when the message is sent.
+    ``msg_id`` names the message in trace rows (pairing a send with its
+    receive): 0 until the message is first sent, then stamped once from
+    the world's :class:`~repro.engine.Ids` and kept across re-sends,
+    retransmissions and redeliveries; a decoded live message keeps its
+    sender's.  Nothing deduplicates on it — links use frame sequence
+    numbers, the mobile host delivery and request ids.
     """
 
     kind: ClassVar[str] = "message"
 
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = 0
     src: Optional[NodeId] = None
     dst: Optional[NodeId] = None
 

@@ -187,6 +187,12 @@ class Fabric:
         self.recorder = recorder if recorder is not None else TraceRecorder(enabled=False)
         self.monitor = monitor if monitor is not None else NetworkMonitor()
 
+    def stamp(self, message: Message) -> None:
+        """Give *message* its id from the engine's :class:`~repro.engine.Ids`
+        unless it already has one (a re-send, or a decoded live message)."""
+        if not message.msg_id:
+            message.msg_id = self.sim.ids.message()
+
     def _row(self, kind: str, node: NodeId, message: Message,
              detail: bool = False, **fields: Any) -> None:
         """One trace row about *message*, if the recorder wants *kind*."""

@@ -405,7 +405,8 @@ class LinkPort(Protocol):
     marks a repeat.  ``_ordered_arrival`` takes each deduplicated data
     message (once, in any order across frames); ``_delivery_failed``
     takes a frame the transport gave up on after *attempts*
-    transmissions.  ``name`` and ``monitor`` are for accounting.
+    transmissions.  ``name`` and ``monitor`` are for accounting, and
+    ``stamp`` gives a link ack its message id.
     """
 
     name: str
@@ -413,6 +414,8 @@ class LinkPort(Protocol):
 
     @property
     def sim(self) -> Engine: ...
+
+    def stamp(self, message: Message) -> None: ...
 
     def _transmit(self, src: NodeId, dst: NodeId, message: Message,
                   payload: "Frame", retransmit: bool = False) -> None: ...
@@ -481,6 +484,7 @@ class _LinkTransport:
         """Send *ack* back along the reverse channel of *frame*."""
         ack.src = frame.dst
         ack.dst = frame.src
+        self.net.stamp(ack)
         self.acks_sent += 1
         self._obs_acks.inc()
         handles = self._obs_ack_sent.get((frame.dst, frame.src))

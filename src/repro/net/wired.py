@@ -113,6 +113,7 @@ class WiredFabric(Fabric):
     # -- counters and trace rows ------------------------------------------
 
     def _note_send(self, src: NodeId, dst: NodeId, message: Message) -> None:
+        self.stamp(message)
         self.monitor.on_send(self.name, message)
         self._row("send", src, message, detail=True, dst=dst)
 

@@ -115,6 +115,7 @@ class WirelessFabric(Fabric):
     def _note_send(self, src: NodeId, dst: NodeId, message: Message) -> None:
         message.src = src
         message.dst = dst
+        self.stamp(message)
         self.monitor.on_send(self.name, message)
         self._row("send", src, message, detail=True, dst=dst)
 

@@ -15,6 +15,7 @@ import heapq
 import math
 from typing import Any, Callable, Optional
 
+from ..engine import Ids
 from ..errors import SchedulingError, SimulationError
 from .event import Event
 
@@ -50,6 +51,7 @@ class Simulator:
         self._events_executed = 0
         self._seq = 0
         self._cancelled_pending = 0
+        self.ids = Ids()
 
     @property
     def now(self) -> float:

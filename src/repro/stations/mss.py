@@ -16,7 +16,6 @@ An MSS is a reliable static host that (paper, Sections 2-3):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Type
 
@@ -60,8 +59,6 @@ from ..engine import Engine
 from ..types import CellId, NodeId, ProxyId, ProxyRef, RequestId, mss_id
 from .inbox import Inbox
 from .pref import PrefTable
-
-_proxy_ids = itertools.count(1)
 
 #: One dispatch-table entry: a bound method handling the concrete message
 #: class keyed by the entry.  Each handler declares its precise subclass
@@ -310,6 +307,7 @@ class MobileSupportStation:
         respMss — the common case the paper optimizes for)."""
         message.src = self.node_id
         message.dst = self.node_id
+        self.wired.stamp(message)
         self.instr.metrics.incr("local_dispatches", node=self.node_id)
         if self.instr.recorder.wants("send"):
             self.instr.recorder.record(
@@ -364,7 +362,7 @@ class MobileSupportStation:
 
     def _create_proxy(self, mh: NodeId,
                       currentloc: Optional[NodeId] = None) -> Proxy:
-        proxy_id = ProxyId(f"px{next(_proxy_ids)}")
+        proxy_id = ProxyId(f"px{self.sim.ids.proxy()}")
         proxy = Proxy(
             self.sim, self, mh, proxy_id, self.instr,
             send_server_acks=self.config.send_server_acks,
@@ -834,7 +832,7 @@ class MobileSupportStation:
             return
         if distance_fn(self.node_id, pref.ref.mss) < threshold:
             return
-        new_proxy_id = ProxyId(f"px{next(_proxy_ids)}")
+        new_proxy_id = ProxyId(f"px{self.sim.ids.proxy()}")
         self._migrations_inflight.add(mh)
         self.instr.metrics.incr("proxy_migrations_started", node=self.node_id)
         self._wired_send(pref.ref.mss, ProxyMigrateRequestMsg(

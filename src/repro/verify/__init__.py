@@ -21,7 +21,7 @@ from .oracle import (
     SingleProxyPerSeries,
     default_checkers,
 )
-from .canonical import canonical_lines, canonical_text
+from .canonical import canonical_lines
 from .fuzz import (
     FuzzCase,
     FuzzConfig,
@@ -49,7 +49,6 @@ __all__ = [
     "SingleProxyPerSeries",
     "default_checkers",
     "canonical_lines",
-    "canonical_text",
     "FuzzCase",
     "FuzzConfig",
     "FuzzOp",

@@ -1,65 +1,23 @@
 """Canonical trace serialization for determinism checks.
 
-Trace rows carry identifiers drawn from process-global counters
-(``msg_id``, ``delivery_id``, the numeric suffixes of request and proxy
-ids), so two runs of the *same* seed inside one process produce equal
-traces up to an id offset.  Canonicalization renumbers every id by first
-appearance, which makes byte-identical comparison meaningful: two runs
-are equivalent iff their canonical serializations are equal.
-
-The free-text ``detail`` field (message ``describe()`` output) embeds the
-same raw ids and is dropped rather than rewritten.
+Every id in a trace row is drawn from the world's own
+:class:`~repro.engine.Ids`, so two runs of the same seed produce equal
+rows however many runs came before them in the process.  Serializing
+them as one stable text line each (fields in sorted order) makes that
+byte-identical comparison direct: two runs are equivalent iff their
+canonical lines are equal.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Iterable, List
 
 from ..sim.tracing import TraceRecord
 
-# Fields renumbered by first appearance, grouped by namespace: ids from
-# different namespaces never compare equal even if their raw values do.
-_ID_NAMESPACES = {
-    "msg_id": "m",
-    "delivery_id": "d",
-    "request_id": "q",
-    "subscription_id": "q",
-    "proxy_id": "p",
-    "new_proxy_id": "p",
-}
-_DROPPED_FIELDS = {"detail"}
-
-
-class _Renumberer:
-    def __init__(self) -> None:
-        self._maps: Dict[str, Dict[str, str]] = {}
-
-    def canon(self, namespace: str, value: Any) -> str:
-        table = self._maps.setdefault(namespace, {})
-        key = str(value)
-        if key not in table:
-            table[key] = f"{namespace}{len(table) + 1}"
-        return table[key]
-
 
 def canonical_lines(records: Iterable[TraceRecord]) -> List[str]:
-    """One stable text line per record, ids renumbered by first use."""
-    renumber = _Renumberer()
-    lines = []
-    for rec in records:
-        parts = [f"{rec.time:.6f}", rec.kind, rec.node]
-        for key in sorted(rec.fields):
-            if key in _DROPPED_FIELDS:
-                continue
-            value = rec.fields[key]
-            namespace = _ID_NAMESPACES.get(key)
-            if namespace is not None and value is not None:
-                value = renumber.canon(namespace, value)
-            parts.append(f"{key}={value}")
-        lines.append(" ".join(parts))
-    return lines
-
-
-def canonical_text(records: Iterable[TraceRecord]) -> str:
-    """The full canonical serialization, newline-joined."""
-    return "\n".join(canonical_lines(records)) + "\n"
+    """One stable text line per record, fields sorted by name."""
+    return [" ".join([f"{rec.time:.6f}", rec.kind, rec.node,
+                      *(f"{key}={rec.fields[key]}"
+                        for key in sorted(rec.fields))])
+            for rec in records]

@@ -10,10 +10,12 @@ list); ``save_repro``/``load_case`` round-trip cases through JSON seed
 files so a failure found in a campaign can be pinned as a regression
 test (see ``tests/corpus/``).
 
-Everything here is deterministic: cases come from ``random.Random(seed)``
-and the simulation itself draws only from the world's named RNG streams,
-so the same seed produces the same trace (up to process-global id
-counters — compare with :func:`repro.verify.canonical.canonical_lines`).
+Everything here is deterministic: cases come from ``random.Random(seed)``,
+the simulation itself draws only from the world's named RNG streams, and
+every id comes from the world's own engine, so the same seed produces
+byte-identical raw trace rows however many runs came before it in the
+process (``keep_trace`` returns them as
+:func:`repro.verify.canonical.canonical_lines`).
 """
 
 from __future__ import annotations

@@ -32,6 +32,16 @@ def test_run_writes_output_files(tmp_path, capsys):
     assert "del-pref" in written.read_text()
 
 
+def test_fig4_chart_does_not_depend_on_what_ran_before(tmp_path, capsys):
+    # Request and proxy ids in the chart come from the world's engine, so
+    # running fig3 first in the same process leaves fig4's text unchanged.
+    assert main(["run", "fig4", "--out", str(tmp_path / "alone")]) == 0
+    assert main(["run", "fig3", "fig4", "--out", str(tmp_path / "after")]) == 0
+    alone = (tmp_path / "alone" / "fig4.txt").read_text()
+    assert "-r1)" in alone
+    assert (tmp_path / "after" / "fig4.txt").read_text() == alone
+
+
 def test_unknown_id_fails(capsys):
     assert main(["run", "an99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

@@ -60,6 +60,25 @@ def test_satisfies_engine_protocols():
         loop.close()
 
 
+def test_cluster_processes_draw_ids_from_disjoint_ranges():
+    from repro.live.cluster import ClusterSpec, _Driver
+    from repro.live.node import ID_NAMESPACE, ChildConfig, _ChildRuntime
+
+    loop = asyncio.new_event_loop()
+    try:
+        clock = LiveClock.start()
+        child = _ChildRuntime(ChildConfig(
+            index=2, station="s1", cell="c1", epoch=clock.epoch, seed=1,
+            addresses={}, driver_addr=("127.0.0.1", 9)), None, loop)
+        driver = _Driver(ClusterSpec(), clock, loop, None, {})
+        base = 2 * ID_NAMESPACE + 1
+        for draw in ("message", "request", "proxy", "delivery"):
+            assert getattr(child.engine.ids, draw)() == base
+            assert getattr(driver.engine.ids, draw)() == 1
+    finally:
+        loop.close()
+
+
 def test_negative_delay_raises_like_the_simulator():
     loop = asyncio.new_event_loop()
     try:

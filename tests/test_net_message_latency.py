@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+from typing import List, Tuple
 
 import pytest
 
@@ -30,14 +31,57 @@ from repro.net.message import (
     _payload_size,
     layout,
 )
+from repro.net.wired import WiredNetwork
+from repro.sim import Simulator, TraceRecorder
 from repro.types import NodeId, ProxyId, ProxyRef, RequestId
 from tests.test_live_codec import all_kinds, sample_message
 
 
+class _Node:
+    def __init__(self, name: str) -> None:
+        self.node_id = NodeId(name)
+
+    def on_wired_message(self, message: Message) -> None:
+        pass
+
+
+def _message_id_rows() -> List[Tuple[str, int]]:
+    """Two fresh messages and a re-send of the first, on a reliable link
+    whose receiver is down for a second (so the frame is retransmitted);
+    returns every trace row's ``(kind, msg_id)``."""
+    sim = Simulator()
+    recorder = TraceRecorder()
+    net = WiredNetwork(sim, recorder=recorder, reliable=True)
+    a, b = _Node("mss:a"), _Node("mss:b")
+    net.attach(a)
+    net.attach(b)
+    first = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r1"),
+                       service="s")
+    second = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r2"),
+                        service="s")
+    assert first.msg_id == second.msg_id == 0  # unset until first sent
+    net.set_down(b.node_id)
+    net.send(a.node_id, b.node_id, first)
+    stamped = first.msg_id
+    net.send(a.node_id, b.node_id, second)
+    net.send(a.node_id, b.node_id, first)
+    assert 0 < stamped < second.msg_id
+    assert first.msg_id == stamped  # a re-send keeps its id
+    sim.schedule(1.0, net.set_up, b.node_id)
+    sim.run()
+    return [(r.kind, r.fields["msg_id"]) for r in recorder.records]
+
+
 def test_msg_ids_unique_and_increasing():
-    a = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r1"), service="s")
-    b = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r2"), service="s")
-    assert b.msg_id > a.msg_id
+    rows = _message_id_rows()
+    sends = [i for kind, i in rows if kind == "send"]
+    assert sends == [sends[0], sends[0] + 1, sends[0]]
+    # The link retransmits the frame under the id its first message got.
+    retx = {i for kind, i in rows if kind == "wired_retx"}
+    assert retx == {sends[0]}
+    assert [i for kind, i in rows if kind == "recv"] == sends
+    # Ids are the world's: a fresh Simulator hands out the same sequence.
+    assert _message_id_rows() == rows
 
 
 def test_registry_contains_protocol_kinds():
@@ -115,7 +159,13 @@ _EDGE_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("value", _EDGE_VALUES, ids=repr)
+def _edge_id(value: object) -> str:
+    # A bare object's repr carries its address, so its test id would
+    # change from run to run.
+    return "object()" if type(value) is object else repr(value)
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=_edge_id)
 def test_payload_size_equals_the_ladder_alone(value):
     assert _payload_size(value) == _reference_payload_size(value)
     msg = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r"),

@@ -14,7 +14,6 @@ Three layers:
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 
 import pytest
@@ -188,19 +187,11 @@ def _fingerprint(world, workloads):
     }
 
 
-def test_span_recording_does_not_perturb_the_simulation(monkeypatch):
-    # Request and proxy ids come from process-global counters, so their
-    # string lengths (and thus modelled byte counts) depend on how many
-    # worlds ran earlier in the process.  Pin both counters so the two
-    # runs are comparable byte for byte.
-    from repro.hosts import mobile_host
-    from repro.stations import mss
-    monkeypatch.setattr(mobile_host, "_request_ids", itertools.count(1))
-    monkeypatch.setattr(mss, "_proxy_ids", itertools.count(1))
+def test_span_recording_does_not_perturb_the_simulation():
+    # Every id is drawn from the world's own engine, so two worlds in one
+    # process compare byte for byte (modelled sizes included).
     off = run_scenario(_TINY, build_config(_TINY),
                        instruments=Instruments.disabled())
-    monkeypatch.setattr(mobile_host, "_request_ids", itertools.count(1))
-    monkeypatch.setattr(mss, "_proxy_ids", itertools.count(1))
     builder = SpanBuilder()
     recorder = TraceRecorder(kinds=SpanBuilder.KINDS,
                              sink=builder.on_record)

@@ -114,14 +114,14 @@ def test_priority_disabled_is_fifo():
 def test_fifo_within_same_priority():
     sim = Simulator()
     handled = []
-    inbox = Inbox(sim, lambda m: handled.append(m.msg_id), proc_delay=0.1)
+    inbox = Inbox(sim, handled.append, proc_delay=0.1)
     first, second = _ack(1), _ack(2)
     blocker = _request()
     inbox.push(blocker)
     inbox.push(first)
     inbox.push(second)
     sim.run()
-    assert handled == [blocker.msg_id, first.msg_id, second.msg_id]
+    assert handled == [blocker, first, second]
 
 
 def test_processing_takes_proc_delay_each(sim):

@@ -385,7 +385,7 @@ def test_det004_quiet_on_sorted_iteration(tmp_path):
     assert result.findings == []
 
 
-# -- DET005: uncovered global counters -------------------------------------
+# -- DET005: module-level counters -----------------------------------------
 
 def test_det005_fires_on_new_module_counter(tmp_path):
     result = analyze(tmp_path, {"mod.py": '''
@@ -630,6 +630,18 @@ def test_new_global_counter_fails_analyze(mutable_tree, capsys):
     assert code == 1
     assert "DET005" in out
     assert "_regression_ids" in out
+
+
+def test_restored_message_counter_fails_analyze(mutable_tree, capsys):
+    # DET005 has no whitelist: a module-level msg_id counter in the
+    # message module is a finding like any other.
+    message = mutable_tree / "net" / "message.py"
+    message.write_text(message.read_text() + "\nimport itertools\n"
+                       "_msg_counter = itertools.count(1)\n")
+
+    assert main(["analyze", "--root", str(mutable_tree), "--no-baseline",
+                 "--select", "DET005"]) == 1
+    assert "_msg_counter" in capsys.readouterr().out
 
 
 # -- CLI surface -----------------------------------------------------------
