@@ -126,8 +126,8 @@ def check_pref_consistency(world: "World", report: VerificationReport) -> None:
         for proxy in station.proxies.values():
             proxies_by_ref[(station.node_id, proxy.proxy_id)] = proxy
     for station in world.stations.values():
-        for mh in station.local_mhs:
-            pref = station.prefs.get(mh)
+        for mh, entry in station.entries.items():
+            pref = entry.pref
             if pref is None or pref.ref is None:
                 continue
             proxy = proxies_by_ref.get((pref.ref.mss, pref.ref.proxy_id))
@@ -142,12 +142,13 @@ def check_pref_consistency(world: "World", report: VerificationReport) -> None:
 
 
 def check_registration_uniqueness(world: "World", report: VerificationReport) -> None:
-    """No MH is in two stations' local_mhs simultaneously (assumption 3)."""
+    """No MH is registered at two stations simultaneously (assumption 3)."""
     report.checked.append("registration_uniqueness")
     owners: Dict[NodeId, List[NodeId]] = defaultdict(list)
     for station in world.stations.values():
-        for mh in station.local_mhs:
-            owners[mh].append(station.node_id)
+        for mh, entry in station.entries.items():
+            if entry.pref is not None:
+                owners[mh].append(station.node_id)
     for mh, stations in owners.items():
         if len(stations) > 1:
             report.fail(f"{mh} registered at {len(stations)} MSSs: {stations}")
@@ -161,15 +162,15 @@ def check_proxy_reachability(world: "World", report: VerificationReport) -> None
     state — the class of bug the custody-fork fixes close."""
     report.checked.append("proxy_reachability")
     refs = set()
+    registered: Set[NodeId] = set()
     for station in world.stations.values():
-        for mh in station.local_mhs:
-            pref = station.prefs.get(mh)
-            if pref is not None and pref.ref is not None:
-                refs.add((pref.ref.mss, str(pref.ref.proxy_id)))
+        for mh, entry in station.entries.items():
+            if entry.pref is not None:
+                registered.add(mh)
+                if entry.pref.ref is not None:
+                    refs.add((entry.pref.ref.mss, str(entry.pref.ref.proxy_id)))
         for proxy_id, stub in station._proxy_stubs.items():
             refs.add((stub.mss, str(stub.proxy_id)))
-    registered = {mh for station in world.stations.values()
-                  for mh in station.local_mhs}
     for station in world.stations.values():
         for proxy in station.proxies.values():
             if not proxy.requestlist:

@@ -32,7 +32,7 @@ class DirectDeliveryMss(MobileSupportStation):
         self._request_owner: Dict[RequestId, NodeId] = {}
 
     def _on_request(self, msg: RequestMsg) -> None:
-        if msg.mh not in self.local_mhs:
+        if self.pref_of(msg.mh) is None:
             self.instr.metrics.incr("requests_from_unregistered", node=self.node_id)
             return
         self.instr.metrics.incr("requests_accepted", node=self.node_id)
@@ -51,7 +51,7 @@ class DirectDeliveryMss(MobileSupportStation):
             self.instr.metrics.incr("mss_unhandled_messages", node=self.node_id)
             return
         mh = self._request_owner.pop(msg.request_id, None)
-        if mh is None or mh not in self.local_mhs:
+        if mh is None or self.pref_of(mh) is None:
             # The MH is gone; with no proxy there is no recovery.
             self.instr.metrics.incr("direct_results_lost", node=self.node_id)
             return

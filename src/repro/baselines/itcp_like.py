@@ -81,7 +81,7 @@ class ItcpLikeMss(MobileSupportStation):
     # -- requests ---------------------------------------------------------------
 
     def _on_request(self, msg: RequestMsg) -> None:
-        if msg.mh not in self.local_mhs:
+        if self.pref_of(msg.mh) is None:
             self.instr.metrics.incr("requests_from_unregistered", node=self.node_id)
             return
         self.instr.metrics.incr("requests_accepted", node=self.node_id)
@@ -105,7 +105,7 @@ class ItcpLikeMss(MobileSupportStation):
             self.instr.metrics.incr("mss_unhandled_messages", node=self.node_id)
             return
         mh = self._request_owner.pop(msg.request_id, None)
-        if mh is None or mh not in self.local_mhs:
+        if mh is None or self.pref_of(mh) is None:
             target = self.forwarding_pointers.get(mh) if mh is not None else None
             if target is None:
                 self.instr.metrics.incr("itcp_results_stranded", node=self.node_id)
@@ -136,7 +136,7 @@ class ItcpLikeMss(MobileSupportStation):
             delivery_id=stored.delivery_id, payload=stored.payload))
 
     def _on_ack(self, msg: AckMsg) -> None:
-        if msg.mh in self._deregistered or msg.mh not in self.local_mhs:
+        if self.pref_of(msg.mh) is None:  # unknown, or surrendered
             self.instr.metrics.incr("acks_ignored_after_dereg", node=self.node_id)
             return
         image = self._image(msg.mh)
@@ -202,7 +202,7 @@ class ItcpLikeMss(MobileSupportStation):
 
     def _on_chased(self, message: "_ChasedResult") -> None:
         mh = message.mh
-        if mh in self.local_mhs:
+        if self.pref_of(mh) is not None:
             self._store_and_deliver(mh, message.request_id, message.payload)
             return
         target = self.forwarding_pointers.get(mh)

@@ -45,12 +45,15 @@ class Event:
         return (self.time, self.seq) < (other.time, other.seq)
 
     def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        if not self.cancelled:
+        """Mark the event so the simulator skips it when popped; a no-op
+        once it fired (the kernel detaches it), so no phantom tombstone.
+        The tombstone lets go of its callback and arguments."""
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
             self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancelled()
+            self.callback, self.args = _noop, ()
+            sim._note_cancelled()
 
     def fire(self) -> None:
         """Invoke the callback (the simulator calls this; tests may too)."""

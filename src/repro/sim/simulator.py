@@ -154,6 +154,7 @@ class Simulator:
                     break
                 pop(queue)
                 self._now = time
+                event._sim = None   # fired: a later cancel() is a no-op
                 event.callback(*event.args)
                 self._events_executed += 1
                 fired += 1

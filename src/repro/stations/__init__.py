@@ -1,14 +1,14 @@
-"""Mobile Support Stations: registration, hand-off, pref table, inbox."""
+"""Mobile Support Stations: registration, hand-off, per-MH entries, inbox."""
 
 from .inbox import Inbox, default_priority
-from .mss import MobileSupportStation, MssConfig
-from .pref import Pref, PrefTable
+from .mss import MhEntry, MobileSupportStation, MssConfig
+from .pref import Pref
 
 __all__ = [
     "Inbox",
+    "MhEntry",
     "MobileSupportStation",
     "MssConfig",
     "Pref",
-    "PrefTable",
     "default_priority",
 ]

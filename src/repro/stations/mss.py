@@ -2,7 +2,8 @@
 
 An MSS is a reliable static host that (paper, Sections 2-3):
 
-* serves one cell and keeps ``local_mhs``, the set of MHs currently in it;
+* serves one cell and keeps one :class:`MhEntry` per MH it deals with —
+  the paper's ``local Mhs`` are the entries holding a pref;
 * holds one *pref* (proxy reference) per local MH;
 * hosts proxy objects and routes proxy-addressed wired messages to them;
 * runs the Hand-off protocol (greet / dereg / deregack) with its peers;
@@ -17,7 +18,7 @@ An MSS is a reliable static host that (paper, Sections 2-3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Type
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
 
 from ..core.placement import CurrentCellPlacement, PlacementPolicy
 from ..core.protocol import (
@@ -50,15 +51,17 @@ from ..core.protocol import (
     WirelessResultMsg,
 )
 from ..core.proxy import Proxy
+from ..errors import UnknownNodeError
 from ..instruments import Instruments
 from ..net.directory import DirectoryService
 from ..net.message import Message
 from ..net.wired import WiredNetwork
 from ..net.wireless import WirelessChannel
-from ..engine import Engine
-from ..types import CellId, NodeId, ProxyId, ProxyRef, RequestId, mss_id
+from ..engine import Engine, ScheduledEvent
+from ..types import (CellId, MhState, NodeId, ProxyId, ProxyRef, RequestId,
+                     mss_id)
 from .inbox import Inbox
-from .pref import PrefTable
+from .pref import Pref
 
 #: One dispatch-table entry: a bound method handling the concrete message
 #: class keyed by the entry.  Each handler declares its precise subclass
@@ -140,8 +143,62 @@ class _IncomingHandoff:
     register_on_failure: bool = False
 
 
+class MhEntry:
+    """What one station knows about one MH; kept until the station crashes.
+
+    The fields overlap rather than encode one exclusive state (a join can
+    register an MH mid-acquisition; a surrendered MH can be re-acquired):
+    docs/PROTOCOL.md §3 tabulates how the hand-off messages act on them."""
+
+    __slots__ = ("pref", "reg_seq", "incoming", "surrendered", "migrating",
+                 "deferred_deregs", "creation_queue", "retained",
+                 "deferred_update", "redeliveries", "failures", "probe")
+
+    def __init__(self) -> None:
+        # Local (registered here) exactly while there is a pref; reg_seq
+        # is the registering greet/join's incarnation, -1 when not local.
+        self.pref: Optional[Pref] = None
+        self.reg_seq = -1
+        self.incoming: Optional[_IncomingHandoff] = None  # our acquisition
+        # Handed off since the last registration here: its Acks are dead.
+        self.surrendered = False
+        self.migrating = False  # a proxy migration we asked for is in flight
+        # (requester, seq) deregs and requests waiting for our acquisition
+        # or a remote proxy creation.
+        self.deferred_deregs: Tuple[Tuple[NodeId, int], ...] = ()
+        self.creation_queue: Tuple[RequestMsg, ...] = ()
+        # Footnote-3 retention (None when empty) and the location update
+        # held back until the retained results are acknowledged.
+        self.retained: Optional[Dict[RequestId, WirelessResultMsg]] = None
+        self.deferred_update: Optional[ProxyRef] = None
+        # Wireless-leg redelivery per request: [frame, attempts, event]
+        # (None when there is none).
+        self.redeliveries: Optional[Dict[RequestId, list]] = None
+        # The seq of each failed custody chase since the last registration.
+        self.failures: Tuple[int, ...] = ()
+        self.probe: Optional[ScheduledEvent] = None  # the hand-off probe
+
+    def pop_redelivery(self, request_id: RequestId) -> Optional[list]:
+        pending = (self.redeliveries.pop(request_id, None)
+                   if self.redeliveries else None)
+        if not self.redeliveries:
+            self.redeliveries = None
+        return pending
+
+    def cancel_redeliveries(self) -> None:
+        for pending in (self.redeliveries or {}).values():
+            pending[2].cancel()
+        self.redeliveries = None
+
+    def cancel_timers(self) -> None:
+        if self.probe is not None:
+            self.probe.cancel()
+        self.cancel_redeliveries()
+
+
 class MobileSupportStation:
-    """One cell's Mobile Support Station."""
+    """One cell's Mobile Support Station: per-MH state in ``entries``,
+    per-proxy state in ``proxies`` and ``_proxy_stubs``."""
 
     def __init__(
         self,
@@ -165,32 +222,10 @@ class MobileSupportStation:
         self.config = config or MssConfig()
         self.placement = self.config.placement or CurrentCellPlacement()
 
-        self.local_mhs: Set[NodeId] = set()
-        self.prefs = PrefTable()
+        self.entries: Dict[NodeId, MhEntry] = {}
         self.proxies: Dict[ProxyId, Proxy] = {}
-        self._incoming: Dict[NodeId, _IncomingHandoff] = {}
-        self._pending_deregs: Dict[NodeId, List[tuple]] = {}
-        self._deregistered: Set[NodeId] = set()
-        self._creation_queue: Dict[NodeId, List[RequestMsg]] = {}
-        # Registration incarnation per local MH (from the greet/join that
-        # registered it); used to reject stale hand-off transactions.
-        self._reg_seqs: Dict[NodeId, int] = {}
-        # Footnote-3 retention: results kept for local MHs that were
-        # inactive at delivery time, plus deferred location updates.
-        self._retained: Dict[NodeId, Dict[RequestId, WirelessResultMsg]] = {}
-        self._deferred_updates: Dict[NodeId, ProxyRef] = {}
-        # Proxy migration: moves we initiated (awaiting the state) and
-        # forwarding stubs left behind for proxies that moved away.
-        self._migrations_inflight: Set[NodeId] = set()
+        # Forwarding stubs left behind for proxies that moved away.
         self._proxy_stubs: Dict[ProxyId, ProxyRef] = {}
-        # Wireless-leg redelivery: per (mh, request_id) the last result
-        # frame downlinked, the attempt count, and the armed timer event.
-        self._wireless_pending: Dict[tuple, list] = {}
-        # Failed full custody chases per (mh, seq): after two, the state
-        # is presumed destroyed (MSS crash) and the MH registers fresh.
-        self._failed_acquisitions: Dict[tuple, int] = {}
-        # One live probe chain per MH at most (see _schedule_handoff_probe).
-        self._probes_armed: Set[NodeId] = set()
         # Crashed flag: while down the station accepts no traffic and
         # sends nothing (see crash()/restart()).
         self.down = False
@@ -238,13 +273,29 @@ class MobileSupportStation:
             "rdp_mss_registered_mhs",
             "Mobile hosts currently registered, per MSS",
             labels=("node",),
-        ).labels(self.node_id).set_function(lambda: float(len(self.local_mhs)))
+        ).labels(self.node_id).set_function(lambda: float(sum(
+            1 for entry in self.entries.values() if entry.pref is not None)))
 
         wired.attach(self)
         wireless.register_station(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MSS {self.name} cell={self.cell_id} mhs={len(self.local_mhs)}>"
+        return f"<MSS {self.name} cell={self.cell_id} entries={len(self.entries)}>"
+
+    def pref_of(self, mh: NodeId) -> Optional[Pref]:
+        """*mh*'s pref while it is registered here (local), else None."""
+        entry = self.entries.get(mh)
+        return entry.pref if entry is not None else None
+
+    def _local(self, mh: NodeId) -> Optional[MhEntry]:
+        entry = self.entries.get(mh)
+        return entry if entry is not None and entry.pref is not None else None
+
+    def _entry(self, mh: NodeId) -> MhEntry:
+        entry = self.entries.get(mh)
+        if entry is None:
+            entry = self.entries[mh] = MhEntry()
+        return entry
 
     # -- network entry points -----------------------------------------------
 
@@ -254,11 +305,7 @@ class MobileSupportStation:
             return
         self._inbox.push(message)
 
-    def on_wireless_message(self, message: Message) -> None:
-        if self.down:
-            self.instr.metrics.incr("mss_down_drops", node=self.node_id)
-            return
-        self._inbox.push(message)
+    on_wireless_message = on_wired_message
 
     def on_delivery_failure(self, message: Message) -> None:
         """The wired transport exhausted its retry budget on one of our
@@ -314,13 +361,8 @@ class MobileSupportStation:
                 self.sim.now, "send", self.node_id,
                 net="local", msg=message.kind, msg_id=message.msg_id,
                 dst=self.node_id, detail=message.describe())
-        self.sim.schedule(0.0, self._local_push, message, label="mss:local")
-
-    def _local_push(self, message: Message) -> None:
-        if self.down:
-            self.instr.metrics.incr("mss_down_drops", node=self.node_id)
-            return
-        self._inbox.push(message)
+        self.sim.schedule(0.0, self.on_wired_message, message,
+                          label="mss:local")
 
     def _downlink(self, mh: NodeId, message: Message) -> None:
         if self.down:
@@ -354,15 +396,18 @@ class MobileSupportStation:
             self._wired_send(station, MhLocateMsg(mh=mh, proxy_ref=reply_to))
 
     def _on_mh_locate(self, msg: MhLocateMsg) -> None:
-        if msg.mh not in self.local_mhs:
+        if self._local(msg.mh) is None:
             self.instr.metrics.incr("mh_page_misses", node=self.node_id)
             return
         self.instr.metrics.incr("mh_page_hits", node=self.node_id)
         self._send_update_currentloc(msg.mh, msg.proxy_ref)
 
-    def _create_proxy(self, mh: NodeId,
-                      currentloc: Optional[NodeId] = None) -> Proxy:
-        proxy_id = ProxyId(f"px{self.sim.ids.proxy()}")
+    def _new_proxy_id(self) -> ProxyId:
+        return ProxyId(f"px{self.sim.ids.proxy()}")
+
+    def _create_proxy(self, mh: NodeId, currentloc: Optional[NodeId] = None,
+                      proxy_id: Optional[ProxyId] = None) -> Proxy:
+        proxy_id = proxy_id or self._new_proxy_id()
         proxy = Proxy(
             self.sim, self, mh, proxy_id, self.instr,
             send_server_acks=self.config.send_server_acks,
@@ -376,39 +421,40 @@ class MobileSupportStation:
     # -- registration (join / leave / greet) ---------------------------------
 
     def _register(self, mh: NodeId, seq: int, how: str = "join") -> None:
-        self.local_mhs.add(mh)
-        self.prefs.ensure(mh)
-        self._reg_seqs[mh] = seq
-        self._deregistered.discard(mh)
-        for key in [k for k in self._failed_acquisitions if k[0] == mh]:
-            del self._failed_acquisitions[key]
+        entry = self._entry(mh)
+        if entry.pref is None:
+            entry.pref = Pref()
+        entry.reg_seq = seq
+        entry.surrendered = False
+        entry.failures = ()
         self.instr.recorder.record(self.sim.now, "register", self.node_id,
                                    mh=mh, seq=seq, how=how)
         self._downlink(mh, RegisteredMsg(mh=mh, seq=seq))
 
-    def _known_seq(self, mh: NodeId) -> int:
-        return self._reg_seqs.get(mh, -1)
+    def _unregister(self, entry: MhEntry) -> Pref:
+        """Drop the registration; returns the pref (empty when none)."""
+        pref = entry.pref or Pref()
+        entry.pref = None
+        entry.reg_seq = -1
+        entry.cancel_redeliveries()
+        return pref
 
     def _on_join(self, msg: JoinMsg) -> None:
-        already = msg.mh in self.local_mhs
-        if already and msg.seq <= self._known_seq(msg.mh):
+        entry = self._local(msg.mh)
+        if entry is not None and msg.seq <= entry.reg_seq:
             # Join retransmission: confirm again.
-            self._downlink(msg.mh, RegisteredMsg(mh=msg.mh,
-                                                 seq=self._known_seq(msg.mh)))
+            self._downlink(msg.mh, RegisteredMsg(mh=msg.mh, seq=entry.reg_seq))
             return
         self._register(msg.mh, msg.seq, how="join")
-        if not already:
+        if entry is None:
             self.instr.metrics.incr("mh_joins", node=self.node_id)
 
     def _on_leave(self, msg: LeaveMsg) -> None:
-        pref = self.prefs.pop(msg.mh)
-        if pref.has_proxy:
+        entry = self.entries.get(msg.mh)
+        if entry is not None and self._unregister(entry).has_proxy:
             # Assumption 6 says an MH only leaves once everything is
             # acknowledged; count violations instead of crashing.
             self.instr.metrics.incr("mh_left_with_pending", node=self.node_id)
-        self.local_mhs.discard(msg.mh)
-        self._reg_seqs.pop(msg.mh, None)
-        self._cancel_wireless_redelivery(msg.mh)
         self.instr.metrics.incr("mh_leaves", node=self.node_id)
         self.instr.recorder.record(self.sim.now, "deregister", self.node_id,
                                    mh=msg.mh, how="leave")
@@ -423,10 +469,11 @@ class MobileSupportStation:
             self._on_reactivation_greet(mh, msg.seq,
                                         self._greet_fallbacks(msg))
             return
-        if mh in self.local_mhs:
-            if msg.seq <= self._known_seq(mh):
+        entry = self._entry(mh)
+        if entry.pref is not None:
+            if msg.seq <= entry.reg_seq:
                 # Greet retransmission after a completed hand-off: confirm.
-                self._downlink(mh, RegisteredMsg(mh=mh, seq=self._known_seq(mh)))
+                self._downlink(mh, RegisteredMsg(mh=mh, seq=entry.reg_seq))
                 self.instr.metrics.incr("duplicate_greets", node=self.node_id)
                 return
             # The MH left us for old_mss and came straight back before
@@ -435,122 +482,118 @@ class MobileSupportStation:
             # hand-off's dereg will be rejected as stale when it arrives.
             self._register(mh, msg.seq, how="bounce")
             self.instr.metrics.incr("bounce_re_registrations", node=self.node_id)
-            pref = self.prefs.ensure(mh)
-            if pref.ref is not None:
-                self._send_update_currentloc(mh, pref.ref)
-            self._flush_pending_deregs(mh)
+            if entry.pref.ref is not None:
+                self._send_update_currentloc(mh, entry.pref.ref)
+            self._flush_deferred_deregs(mh)
             return
-        record = self._incoming.get(mh)
-        if record is not None:
-            if msg.seq <= record.seq:
-                self.instr.metrics.incr("duplicate_greets", node=self.node_id)
-                return
+        if entry.incoming is None:
+            self.instr.recorder.record(self.sim.now, "handoff_start",
+                                       self.node_id, mh=mh, old=msg.old_mss)
+        elif msg.seq <= entry.incoming.seq:
+            self.instr.metrics.incr("duplicate_greets", node=self.node_id)
+            return
+        self._acquire(mh, entry, msg.old_mss, msg.seq,
+                      self._greet_fallbacks(msg))
+
+    def _acquire(self, mh: NodeId, entry: MhEntry, target: NodeId, seq: int,
+                 fallbacks: tuple, register_on_failure: bool = False) -> None:
+        """Ask *target* for *mh*'s state under incarnation *seq*."""
+        record = entry.incoming
+        if record is None:
+            record = entry.incoming = _IncomingHandoff(
+                old_mss=target, started_at=self.sim.now,
+                register_on_failure=register_on_failure)
+            self.instr.metrics.incr("handoffs_started", node=self.node_id)
+        else:
             # The MH re-entered our cell (a newer incarnation) while we
             # were still acquiring it: restart the hand-off toward the
             # MH's latest previous station, keeping the unanswered dereg
             # bookkeeping of earlier attempts.
-            record.old_mss = msg.old_mss
-            record.seq = msg.seq
-            record.started_at = self.sim.now
-            record.outstanding.add(msg.seq)
-            record.fallbacks = self._greet_fallbacks(msg)
             self.instr.metrics.incr("handoffs_restarted", node=self.node_id)
-            self._wired_send(msg.old_mss, DeregMsg(mh=mh, seq=msg.seq))
-            return
-        self._incoming[mh] = _IncomingHandoff(old_mss=msg.old_mss,
-                                              started_at=self.sim.now,
-                                              seq=msg.seq,
-                                              outstanding={msg.seq},
-                                              fallbacks=self._greet_fallbacks(msg))
-        self.instr.recorder.record(self.sim.now, "handoff_start", self.node_id,
-                                   mh=mh, old=msg.old_mss)
-        self.instr.metrics.incr("handoffs_started", node=self.node_id)
-        self._wired_send(msg.old_mss, DeregMsg(mh=mh, seq=msg.seq))
-        self._schedule_handoff_probe(mh)
+        record.old_mss, record.seq, record.started_at = target, seq, self.sim.now
+        record.outstanding.add(seq)
+        record.fallbacks = fallbacks
+        self._wired_send(target, DeregMsg(mh=mh, seq=seq))
+        self._schedule_handoff_probe(mh, entry)   # a no-op while one is armed
 
     def _on_reactivation_greet(self, mh: NodeId, seq: int,
                                fallbacks: tuple = ()) -> None:
         """Greet with old == self: reactivation in the same cell (no
         hand-off), but the proxy must re-send unacknowledged results —
         unless we retained them locally (footnote 3)."""
-        if seq <= self._known_seq(mh):
-            self._downlink(mh, RegisteredMsg(mh=mh, seq=self._known_seq(mh)))
+        entry = self._entry(mh)
+        if seq <= entry.reg_seq:
+            self._downlink(mh, RegisteredMsg(mh=mh, seq=entry.reg_seq))
             self.instr.metrics.incr("duplicate_greets", node=self.node_id)
             return
-        if mh not in self.local_mhs:
+        if entry.pref is None:
             self.instr.metrics.incr("reactivation_of_unknown_mh", node=self.node_id)
-            if fallbacks and mh not in self._incoming:
+            if entry.incoming is not None:
+                self.instr.metrics.incr("duplicate_greets", node=self.node_id)
+                return
+            if fallbacks:
                 # The MH believes we are its respMss but custody moved on
                 # without its knowledge (its confirmation was lost):
                 # fetch the state from the candidate owner instead of
                 # registering blind with an empty pref.
-                target, rest = fallbacks[0], fallbacks[1:]
-                self._incoming[mh] = _IncomingHandoff(
-                    old_mss=target, started_at=self.sim.now, seq=seq,
-                    outstanding={seq}, fallbacks=rest,
-                    register_on_failure=True)
-                self.instr.metrics.incr("handoffs_started", node=self.node_id)
-                self._wired_send(target, DeregMsg(mh=mh, seq=seq))
-                self._schedule_handoff_probe(mh)
-                return
-            if mh in self._incoming:
-                self.instr.metrics.incr("duplicate_greets", node=self.node_id)
+                self._acquire(mh, entry, fallbacks[0], seq, fallbacks[1:],
+                              register_on_failure=True)
                 return
         self._register(mh, seq, how="reactivate")
         self.instr.metrics.incr("reactivations", node=self.node_id)
-        pref = self.prefs.ensure(mh)
-        retained = self._retained.get(mh)
-        if pref.ref is not None and retained:
+        ref = entry.pref.ref
+        if ref is not None and entry.retained:
             # Redeliver locally first and hold the location update back
             # until the Acks are through (or a fallback timer fires):
             # causal wired order then lets the proxy see the Acks before
             # the update, saving its retransmissions.
-            for message in list(retained.values()):
+            for message in list(entry.retained.values()):
                 self.instr.metrics.incr("retained_redeliveries", node=self.node_id)
                 frame = WirelessResultMsg(
                     mh=mh, request_id=message.request_id,
                     delivery_id=message.delivery_id, payload=message.payload)
                 self._downlink(mh, frame)
-                self._arm_wireless_redelivery(mh, frame)
-            self._deferred_updates[mh] = pref.ref
+                self._arm_wireless_redelivery(entry, frame)
+            entry.deferred_update = ref
             self.sim.schedule(self.config.retain_update_fallback,
                               self._flush_deferred_update, mh,
                               label="mss:retain-fallback")
-        elif pref.ref is not None:
-            self._send_update_currentloc(mh, pref.ref)
-        self._flush_pending_deregs(mh)
+        elif ref is not None:
+            self._send_update_currentloc(mh, ref)
+        self._flush_deferred_deregs(mh)
         self._maybe_migrate_proxy(mh)
 
     def _flush_deferred_update(self, mh: NodeId) -> None:
-        ref = self._deferred_updates.pop(mh, None)
-        if ref is None:
+        entry = self.entries.get(mh)
+        if entry is None or entry.deferred_update is None:
             return
-        if mh in self.local_mhs:
+        ref, entry.deferred_update = entry.deferred_update, None
+        if entry.pref is not None:
             self._send_update_currentloc(mh, ref)
 
-    def _schedule_handoff_probe(self, mh: NodeId) -> None:
+    def _schedule_handoff_probe(self, mh: NodeId, entry: MhEntry) -> None:
         # At most one live chain per MH, whatever churn the acquisition
         # record goes through — per-record chains would accumulate under
         # heavy hand-off load.
-        if mh in self._probes_armed:
-            return
-        self._probes_armed.add(mh)
-        self.sim.schedule(self.config.handoff_probe_interval,
-                          self._handoff_probe, mh, label="mss:handoff-probe")
+        if entry.probe is None:
+            entry.probe = self.sim.schedule(self.config.handoff_probe_interval,
+                                            self._handoff_probe, mh,
+                                            label="mss:handoff-probe")
 
     def _handoff_probe(self, mh: NodeId) -> None:
         """Liveness for acquisitions: a peer that crashed loses deferred
         deregs, so an unanswered dereg is retransmitted (idempotent: the
         target either surrenders or answers not-found)."""
-        self._probes_armed.discard(mh)
-        record = self._incoming.get(mh)
+        entry = self.entries[mh]   # a crash cancels the probe with the entry
+        entry.probe = None
+        record = entry.incoming
         if record is None:
             return
         if record.outstanding:
             self.instr.metrics.incr("handoff_probes", node=self.node_id)
             self._wired_send(record.old_mss,
                              DeregMsg(mh=mh, seq=record.seq))
-        self._schedule_handoff_probe(mh)
+        self._schedule_handoff_probe(mh, entry)
 
     def _send_update_currentloc(self, mh: NodeId, ref: ProxyRef) -> None:
         self.instr.metrics.incr("update_currentloc_sent", node=self.node_id)
@@ -565,37 +608,39 @@ class MobileSupportStation:
         self._do_deregister(msg.mh, requester, msg.seq)
 
     def _do_deregister(self, mh: NodeId, requester: NodeId, seq: int) -> None:
-        if mh in self.local_mhs:
-            if seq <= self._known_seq(mh):
+        entry = self.entries.get(mh)
+        if entry is not None and entry.pref is not None:
+            if seq <= entry.reg_seq:
                 # The MH re-registered here since that greet: the
                 # requested hand-off is stale — refuse, keep the state.
                 self.instr.metrics.incr("stale_deregs_rejected", node=self.node_id)
-                self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq,
-                                                        found=False))
+                self._refuse(mh, requester, seq)
                 return
-            pref = self.prefs.get(mh)
-            if pref is not None and pref.creating:
+            if entry.pref.creating:
                 # A remote proxy creation is in flight; hand over once the
                 # pref has an address so it cannot be lost.
-                self._defer_dereg(mh, requester, seq)
+                self._defer_dereg(mh, entry, requester, seq)
                 return
-            self._surrender(mh, requester, seq)
+            self._surrender(mh, entry, requester, seq)
             return
-        record = self._incoming.get(mh)
+        record = entry.incoming if entry is not None else None
         if record is not None:
             if seq <= record.seq:
                 self.instr.metrics.incr("stale_deregs_rejected", node=self.node_id)
-                self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq,
-                                                        found=False))
+                self._refuse(mh, requester, seq)
                 return
             # The MH moved past us before our own acquisition finished;
             # serve the transfer as soon as it completes.
-            self._defer_dereg(mh, requester, seq)
+            self._defer_dereg(mh, entry, requester, seq)
             return
         self.instr.metrics.incr("deregs_for_unknown_mh", node=self.node_id)
+        self._refuse(mh, requester, seq)
+
+    def _refuse(self, mh: NodeId, requester: NodeId, seq: int) -> None:
         self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq, found=False))
 
-    def _defer_dereg(self, mh: NodeId, requester: NodeId, seq: int) -> None:
+    def _defer_dereg(self, mh: NodeId, entry: MhEntry, requester: NodeId,
+                     seq: int) -> None:
         """Queue a hand-off request for later service, deduplicating
         probe retransmissions of the same (requester, seq).
 
@@ -604,11 +649,10 @@ class MobileSupportStation:
         hand-offs (A waits on B's queue while B waits on A's), and an
         expiry is what guarantees every dereg is eventually answered.
         """
-        waiting = self._pending_deregs.setdefault(mh, [])
-        if (requester, seq) in waiting:
+        if (requester, seq) in entry.deferred_deregs:
             self.instr.metrics.incr("dereg_probe_duplicates", node=self.node_id)
             return
-        waiting.append((requester, seq))
+        entry.deferred_deregs += ((requester, seq),)
         self.instr.metrics.incr("deregs_deferred", node=self.node_id)
         self.sim.schedule(2 * self.config.handoff_probe_interval,
                           self._expire_deferred_dereg, mh, requester, seq,
@@ -616,28 +660,25 @@ class MobileSupportStation:
 
     def _expire_deferred_dereg(self, mh: NodeId, requester: NodeId,
                                seq: int) -> None:
-        waiting = self._pending_deregs.get(mh)
-        if waiting is None or (requester, seq) not in waiting:
+        entry = self.entries.get(mh)
+        if entry is None or (requester, seq) not in entry.deferred_deregs:
             return
-        waiting.remove((requester, seq))
-        if not waiting:
-            del self._pending_deregs[mh]
+        entry.deferred_deregs = tuple(waiting for waiting in entry.deferred_deregs
+                                      if waiting != (requester, seq))
         self.instr.metrics.incr("deferred_deregs_expired", node=self.node_id)
-        self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq, found=False))
+        self._refuse(mh, requester, seq)
 
-    def _surrender(self, mh: NodeId, requester: NodeId, seq: int) -> None:
+    def _surrender(self, mh: NodeId, entry: MhEntry, requester: NodeId,
+                   seq: int) -> None:
         """Hand the MH's state to *requester* (the actual de-registration)."""
         # Retained results are droppable residue: the proxy re-sends via
         # the new MSS's update (RDP's hand-off stays pref-only).
-        self._retained.pop(mh, None)
-        self._deferred_updates.pop(mh, None)
-        self._cancel_wireless_redelivery(mh)
+        entry.retained = None
+        entry.deferred_update = None
         extra_bytes = self._handoff_extra_bytes(mh)
-        pref = self.prefs.pop(mh)
-        self.local_mhs.discard(mh)
-        self._reg_seqs.pop(mh, None)
+        pref = self._unregister(entry)
         # From now on, Acks from this MH are ignored (paper, Section 3.1).
-        self._deregistered.add(mh)
+        entry.surrendered = True
         payload = PrefPayload(ref=pref.ref, rkpr=pref.rkpr)
         self._wired_send(requester, DeregAckMsg(
             mh=mh, seq=seq, found=True, pref=payload,
@@ -657,7 +698,8 @@ class MobileSupportStation:
 
     def _on_deregack(self, msg: DeregAckMsg) -> None:
         mh = msg.mh
-        record = self._incoming.get(mh)
+        entry = self.entries.get(mh)
+        record = entry.incoming if entry is not None else None
         if not msg.found:
             if record is None:
                 self.instr.metrics.incr("stale_deregacks", node=self.node_id)
@@ -679,16 +721,15 @@ class MobileSupportStation:
                                         node=self.node_id)
                 self._wired_send(target, DeregMsg(mh=mh, seq=record.seq))
                 return
-            del self._incoming[mh]
+            entry.incoming = None
             self.instr.metrics.incr("handoffs_aborted", node=self.node_id)
-            failures_key = (mh, record.seq)
-            failures = self._failed_acquisitions.get(failures_key, 0) + 1
-            self._failed_acquisitions[failures_key] = failures
-            if mh in self.local_mhs:
+            entry.failures += (record.seq,)
+            if entry.pref is not None:
                 # Re-registered locally in the meantime (reactivation):
                 # we can serve the queue from our own state.
-                self._flush_pending_deregs(mh)
-            elif ((record.register_on_failure or failures >= 2)
+                self._flush_deferred_deregs(mh)
+            elif ((record.register_on_failure
+                   or entry.failures.count(record.seq) >= 2)
                   and self._host_in_cell(mh)):
                 # Nobody answered across a full chase (twice, for normal
                 # greets) and the MH is physically here: the state is
@@ -698,13 +739,12 @@ class MobileSupportStation:
                 # registration.
                 self.instr.metrics.incr("blind_re_registrations",
                                         node=self.node_id)
-                self._failed_acquisitions.pop(failures_key, None)
                 self._register(mh, record.seq, how="blind")
-                self._flush_pending_deregs(mh)
+                self._flush_deferred_deregs(mh)
             else:
-                self._reject_pending_deregs(mh)
+                self._reject_deferred_deregs(mh, entry)
             return
-        if mh in self.local_mhs:
+        if entry is not None and entry.pref is not None:
             # We already own newer state for this MH (bounce or
             # reactivation re-registration); the late deregack carries an
             # older fork of the custody chain — installing it would
@@ -712,9 +752,9 @@ class MobileSupportStation:
             if record is not None:
                 record.outstanding.discard(msg.seq)
                 if not record.outstanding:
-                    del self._incoming[mh]
+                    entry.incoming = None
             self.instr.metrics.incr("late_deregacks_ignored", node=self.node_id)
-            self._flush_pending_deregs(mh)
+            self._flush_deferred_deregs(mh)
             return
         if record is None:
             # With per-acquisition response tracking, a found=True reply
@@ -725,28 +765,26 @@ class MobileSupportStation:
             self.instr.metrics.incr("stale_custody_forks_dropped",
                                     node=self.node_id)
             return
-        del self._incoming[mh]
-        reg_seq = max(record.seq, msg.seq)
-        pref = self.prefs.install(mh, msg.pref.ref, msg.pref.rkpr)
-        self._register(mh, reg_seq, how="handoff")
+        entry.incoming = None
+        pref = entry.pref = Pref(ref=msg.pref.ref, rkpr=msg.pref.rkpr)
+        self._register(mh, max(record.seq, msg.seq), how="handoff")
         self._install_handoff_state(msg)
-        if record is not None:
-            duration = self.sim.now - record.started_at
-            self.instr.metrics.observe("handoff_duration", duration)
-            self.instr.recorder.record(
-                self.sim.now, "handoff_done", self.node_id,
-                mh=mh, old=record.old_mss, duration=duration,
-                proxy_id=(pref.ref.proxy_id if pref.ref else None))
+        duration = self.sim.now - record.started_at
+        self.instr.metrics.observe("handoff_duration", duration)
+        self.instr.recorder.record(
+            self.sim.now, "handoff_done", self.node_id,
+            mh=mh, old=record.old_mss, duration=duration,
+            proxy_id=(pref.ref.proxy_id if pref.ref else None))
         self.instr.metrics.incr("handoffs_completed", node=self.node_id)
         if pref.ref is not None:
             self._send_update_currentloc(mh, pref.ref)
-        self._flush_pending_deregs(mh)
+        self._flush_deferred_deregs(mh)
         self._maybe_migrate_proxy(mh)
 
     def _install_handoff_state(self, msg: DeregAckMsg) -> None:
         """Hook: baselines that ship more than the pref install it here."""
 
-    def _flush_pending_deregs(self, mh: NodeId) -> None:
+    def _flush_deferred_deregs(self, mh: NodeId) -> None:
         """Serve every deferred hand-off request for *mh*.
 
         All entries must be answered: stale ones get rejected, the live
@@ -755,38 +793,34 @@ class MobileSupportStation:
         its greet retries re-drive the chase).  Leaving an entry queued
         forever deadlocks the custody chain.
         """
-        while True:
-            waiting = self._pending_deregs.get(mh)
-            if not waiting:
-                return
-            pref = self.prefs.get(mh)
-            if mh in self._incoming or (pref is not None and pref.creating):
-                return
-            requester, seq = waiting.pop(0)
-            if not waiting:
-                del self._pending_deregs[mh]
+        entry = self.entries[mh]
+        while (entry.deferred_deregs and entry.incoming is None
+               and not (entry.pref is not None and entry.pref.creating)):
+            (requester, seq), *waiting = entry.deferred_deregs
+            entry.deferred_deregs = tuple(waiting)
             self._do_deregister(mh, requester, seq)
 
-    def _reject_pending_deregs(self, mh: NodeId) -> None:
-        for requester, seq in self._pending_deregs.pop(mh, []):
-            self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq,
-                                                    found=False))
+    def _reject_deferred_deregs(self, mh: NodeId, entry: MhEntry) -> None:
+        waiting, entry.deferred_deregs = entry.deferred_deregs, ()
+        for requester, seq in waiting:
+            self._refuse(mh, requester, seq)
 
     # -- requests -------------------------------------------------------------
 
     def _on_request(self, msg: RequestMsg) -> None:
         mh = msg.mh
-        if mh not in self.local_mhs:
+        entry = self._local(mh)
+        if entry is None:
             self.instr.metrics.incr("requests_from_unregistered", node=self.node_id)
             self._maybe_nack_registration(mh)
             return
         self.instr.metrics.incr("requests_accepted", node=self.node_id)
-        pref = self.prefs.ensure(mh)
+        pref = entry.pref
         # Any new request invalidates a pending Ready-to-Kill-pref
         # (Section 3.3): the existing proxy will serve this request too.
         pref.rkpr = False
         if pref.creating:
-            self._creation_queue.setdefault(mh, []).append(msg)
+            entry.creation_queue += (msg,)
             return
         if pref.ref is None:
             target = self.placement.place(mh, self.node_id)
@@ -823,20 +857,21 @@ class MobileSupportStation:
         distance_fn = self.config.station_distance
         if threshold is None or distance_fn is None:
             return
-        if mh in self._migrations_inflight or mh not in self.local_mhs:
+        entry = self._local(mh)
+        if entry is None or entry.migrating:
             return
-        pref = self.prefs.get(mh)
-        if pref is None or pref.ref is None or pref.creating:
+        ref = entry.pref.ref
+        if ref is None or entry.pref.creating:
             return
-        if pref.ref.mss == self.node_id:
+        if ref.mss == self.node_id:
             return
-        if distance_fn(self.node_id, pref.ref.mss) < threshold:
+        if distance_fn(self.node_id, ref.mss) < threshold:
             return
-        new_proxy_id = ProxyId(f"px{self.sim.ids.proxy()}")
-        self._migrations_inflight.add(mh)
+        new_proxy_id = self._new_proxy_id()
+        entry.migrating = True
         self.instr.metrics.incr("proxy_migrations_started", node=self.node_id)
-        self._wired_send(pref.ref.mss, ProxyMigrateRequestMsg(
-            mh=mh, proxy_id=pref.ref.proxy_id, new_proxy_id=new_proxy_id))
+        self._wired_send(ref.mss, ProxyMigrateRequestMsg(
+            mh=mh, proxy_id=ref.proxy_id, new_proxy_id=new_proxy_id))
 
     def _on_proxy_migrate_request(self, msg: ProxyMigrateRequestMsg) -> None:
         proxy = self.proxies.pop(msg.proxy_id, None)
@@ -870,21 +905,16 @@ class MobileSupportStation:
             state=state, state_bytes=state_bytes))
 
     def _on_proxy_move(self, msg: ProxyMoveMsg) -> None:
-        self._migrations_inflight.discard(msg.mh)
+        entry = self.entries.get(msg.mh)
+        if entry is not None:
+            entry.migrating = False
         if msg.state is None:
             return  # the proxy was gone; nothing moved
-        proxy = Proxy(
-            self.sim, self, msg.mh, msg.new_proxy_id, self.instr,
-            send_server_acks=self.config.send_server_acks,
-            ack_timeout=self.config.proxy_ack_timeout,
-            custody_ttl=self.config.proxy_custody_ttl,
-        )
+        proxy = self._create_proxy(msg.mh, proxy_id=msg.new_proxy_id)
         proxy.import_state(msg.state)
-        self.proxies[msg.new_proxy_id] = proxy
         self.instr.metrics.incr("proxies_moved_in", node=self.node_id)
-        if msg.mh in self.local_mhs:
-            pref = self.prefs.ensure(msg.mh)
-            pref.ref = proxy.ref
+        if entry is not None and entry.pref is not None:
+            entry.pref.ref = proxy.ref
         proxy.after_relocation()
 
     def _expire_stub(self, proxy_id: ProxyId) -> None:
@@ -895,7 +925,9 @@ class MobileSupportStation:
         MSS receives traffic from MHs it does not know.  Nack them so
         they re-register — but never while a hand-off could explain the
         unknown state (the registration is already on its way then)."""
-        if mh in self._deregistered or mh in self._incoming:
+        entry = self.entries.get(mh)
+        if entry is not None and (entry.surrendered
+                                  or entry.incoming is not None):
             return
         self.instr.metrics.incr("registration_nacks", node=self.node_id)
         self._downlink(mh, ReRegisterMsg(mh=mh))
@@ -909,9 +941,11 @@ class MobileSupportStation:
         proxy-gone bounces, client retries, the reliable wired link) can
         and cannot absorb when that assumption is broken.
 
-        While down the station drops every wired/wireless arrival and
-        sends nothing; frames addressed to it on a reliable fabric are
-        retransmitted by their senders across the outage.  Idempotent.
+        Every per-MH entry (with its probe and redelivery timers), every
+        proxy and every forwarding stub is lost.  While down the station
+        drops every wired/wireless arrival and sends nothing; frames
+        addressed to it on a reliable fabric are retransmitted by their
+        senders across the outage.  Idempotent.
         """
         if self.down:
             return
@@ -921,19 +955,11 @@ class MobileSupportStation:
         self.instr.metrics.incr("mss_crashes", node=self.node_id)
         self.instr.recorder.record(self.sim.now, "mss_crash", self.node_id,
                                    inbox_dropped=dropped)
-        self.local_mhs.clear()
-        self.prefs = PrefTable()
+        for entry in self.entries.values():
+            entry.cancel_timers()
+        self.entries.clear()
         self.proxies.clear()
-        self._incoming.clear()
-        self._pending_deregs.clear()
-        self._deregistered.clear()
-        self._creation_queue.clear()
-        self._reg_seqs.clear()
-        self._retained.clear()
-        self._deferred_updates.clear()
-        for entry in self._wireless_pending.values():
-            entry[2].cancel()
-        self._wireless_pending.clear()
+        self._proxy_stubs.clear()
 
     def restart(self) -> None:
         """Reboot after :meth:`crash` with empty volatile state.
@@ -957,10 +983,10 @@ class MobileSupportStation:
 
     def _on_proxy_gone(self, msg: ProxyGoneMsg) -> None:
         mh = msg.mh
-        if mh not in self.local_mhs:
+        pref = self.pref_of(mh)
+        if pref is None:
             self.instr.metrics.incr("proxy_gone_for_absent_mh", node=self.node_id)
             return
-        pref = self.prefs.ensure(mh)
         if pref.ref is not None and pref.ref.proxy_id == msg.proxy_id:
             pref.clear_proxy()
             self.instr.metrics.incr("prefs_cleared_dangling", node=self.node_id)
@@ -971,22 +997,24 @@ class MobileSupportStation:
 
     def _on_proxy_created(self, msg: ProxyCreatedMsg) -> None:
         mh = msg.mh
-        pref = self.prefs.get(mh)
-        if pref is None or mh not in self.local_mhs:
+        entry = self._local(mh)
+        if entry is None:
             # The MH migrated away while the remote creation was in
             # flight; the deferred dereg path should have prevented this.
             self.instr.metrics.incr("proxy_created_for_absent_mh", node=self.node_id)
             return
-        pref.ref = msg.ref
-        pref.creating = False
-        for queued in self._creation_queue.pop(mh, []):
-            self._forward_request(msg.ref, queued)
-        self._flush_pending_deregs(mh)
+        entry.pref.ref = msg.ref
+        entry.pref.creating = False
+        queued, entry.creation_queue = entry.creation_queue, ()
+        for request in queued:
+            self._forward_request(msg.ref, request)
+        self._flush_deferred_deregs(mh)
 
     # -- results and acks ------------------------------------------------------
 
-    def _record_adoption(self, mh: NodeId, proxy_id: str, how: str) -> None:
-        """Trace a pref-ref (re)designation outside the hand-off path.
+    def _adopt(self, mh: NodeId, pref: Pref, ref: ProxyRef, how: str) -> None:
+        """Point *mh*'s pref at *ref* outside the hand-off path (``how`` is
+        ``rebuild`` or ``refresh``), counted and traced.
 
         The oracle's single-proxy checker reads these rows as the
         authoritative 'this proxy serves this MH now' signal — after an
@@ -994,14 +1022,18 @@ class MobileSupportStation:
         proxy's favour, and without this row the healing looks like a
         superseded proxy going rogue.
         """
+        pref.ref = ref
+        self.instr.metrics.incr("prefs_rebuilt" if how == "rebuild"
+                                else "prefs_refreshed", node=self.node_id)
         if self.instr.recorder.wants("proxy_adopt"):
             self.instr.recorder.record(self.sim.now, "proxy_adopt",
                                        self.node_id, mh=mh,
-                                       proxy_id=proxy_id, how=how)
+                                       proxy_id=ref.proxy_id, how=how)
 
     def _on_result_forward(self, msg: ResultForwardMsg) -> None:
         mh = msg.mh
-        if mh not in self.local_mhs:
+        entry = self._local(mh)
+        if entry is None:
             # Stale forward: the MH moved on.  Normally the proxy re-sends
             # when it learns the new location (Section 3.1), but if the
             # pref holding our address died in an MSS crash no location
@@ -1012,12 +1044,10 @@ class MobileSupportStation:
                 mh=mh, proxy_id=msg.proxy_ref.proxy_id,
                 request_id=msg.request_id))
             return
-        pref = self.prefs.ensure(mh)
+        pref = entry.pref
         foreign = False
         if pref.ref is None:
-            pref.ref = msg.proxy_ref
-            self.instr.metrics.incr("prefs_rebuilt", node=self.node_id)
-            self._record_adoption(mh, msg.proxy_ref.proxy_id, "rebuild")
+            self._adopt(mh, pref, msg.proxy_ref, "rebuild")
         elif pref.ref != msg.proxy_ref and not pref.creating:
             local = (self.proxies.get(pref.ref.proxy_id)
                      if pref.ref.mss == self.node_id else None)
@@ -1033,9 +1063,7 @@ class MobileSupportStation:
             else:
                 # The proxy announced itself from a new address (it
                 # migrated); adopt it so Acks stop detouring via the stub.
-                pref.ref = msg.proxy_ref
-                self.instr.metrics.incr("prefs_refreshed", node=self.node_id)
-                self._record_adoption(mh, msg.proxy_ref.proxy_id, "refresh")
+                self._adopt(mh, pref, msg.proxy_ref, "refresh")
         if not foreign:  # a foreign forward must not touch the owner's books
             if msg.del_pref and not self.config.persistent_proxies:
                 pref.rkpr = True
@@ -1047,16 +1075,18 @@ class MobileSupportStation:
         if self.config.retain_results and self._host_unreachable(mh):
             # Footnote 3: keep the message rather than relying solely on
             # the proxy's next retransmission.
-            self._retained.setdefault(mh, {})[msg.request_id] = wireless_result
+            if entry.retained is None:
+                entry.retained = {}
+            entry.retained[msg.request_id] = wireless_result
             self.instr.metrics.incr("results_retained", node=self.node_id)
             return
         self._downlink(mh, wireless_result)
         if not foreign:
-            self._arm_wireless_redelivery(mh, wireless_result)
+            self._arm_wireless_redelivery(entry, wireless_result)
 
     # -- wireless-leg redelivery ------------------------------------------------
 
-    def _arm_wireless_redelivery(self, mh: NodeId,
+    def _arm_wireless_redelivery(self, entry: MhEntry,
                                  message: WirelessResultMsg) -> None:
         """Watch one downlinked result until its Ack comes back.
 
@@ -1068,32 +1098,30 @@ class MobileSupportStation:
         """
         if self.config.wireless_ack_timeout is None:
             return
-        key = (mh, message.request_id)
-        entry = self._wireless_pending.get(key)
-        if entry is not None:
+        if entry.redeliveries is None:
+            entry.redeliveries = {}
+        pending = entry.redeliveries.get(message.request_id)
+        if pending is not None:
             # A fresh forward supersedes the old frame (new delivery id)
             # and restarts the local schedule.
-            entry[2].cancel()
+            pending[2].cancel()
         event = self.sim.schedule(self.config.wireless_ack_timeout,
-                                  self._wireless_redeliver, mh,
+                                  self._wireless_redeliver, message.mh,
                                   message.request_id,
                                   label="mss:wl-redeliver")
-        self._wireless_pending[key] = [message, 0, event]
+        entry.redeliveries[message.request_id] = [message, 0, event]
 
     def _wireless_redeliver(self, mh: NodeId, request_id: RequestId) -> None:
-        key = (mh, request_id)
-        entry = self._wireless_pending.get(key)
-        if entry is None or self.down:
-            return
-        message, attempts, _event = entry
-        pref = self.prefs.get(mh)
-        if (mh not in self.local_mhs or pref is None
-                or request_id not in pref.outstanding):
+        # An armed timer always has its record: acks, hand-offs and
+        # crashes cancel the timer when they drop the record.
+        entry = self.entries[mh]
+        message, attempts, _event = pending = entry.redeliveries[request_id]
+        if entry.pref is None or request_id not in entry.pref.outstanding:
             # Acked, handed off, or gone: nothing left to redeliver.
-            del self._wireless_pending[key]
+            entry.pop_redelivery(request_id)
             return
         attempts += 1
-        entry[1] = attempts
+        pending[1] = attempts
         # The metrics bridge exports this as rdp_wireless_redeliveries_total.
         self.instr.metrics.incr("wireless_redeliveries", node=self.node_id)
         if self.instr.recorder.wants("wireless_redelivery"):
@@ -1103,24 +1131,18 @@ class MobileSupportStation:
         self._downlink(mh, message)
         if attempts >= self.config.wireless_redelivery_attempts:
             # Budget exhausted: the proxy's end-to-end timeout takes over.
-            del self._wireless_pending[key]
+            entry.pop_redelivery(request_id)
             return
         base = self.config.wireless_ack_timeout
         delay = min(base * (2 ** attempts), 4 * base)
-        entry[2] = self.sim.schedule(delay, self._wireless_redeliver, mh,
-                                     request_id, label="mss:wl-redeliver")
-
-    def _cancel_wireless_redelivery(self, mh: NodeId,
-                                    request_id: Optional[RequestId] = None) -> None:
-        for key in [k for k in self._wireless_pending
-                    if k[0] == mh and (request_id is None or k[1] == request_id)]:
-            self._wireless_pending.pop(key)[2].cancel()
+        pending[2] = self.sim.schedule(delay, self._wireless_redeliver, mh,
+                                       request_id, label="mss:wl-redeliver")
 
     def _host_in_cell(self, mh: NodeId) -> bool:
         """Radio-level knowledge: is the MH physically in our cell?"""
         try:
             host = self.wireless.host(mh)
-        except Exception:
+        except UnknownNodeError:
             return False
         return host.current_cell == self.cell_id
 
@@ -1129,24 +1151,20 @@ class MobileSupportStation:
         inactive' — modelled as radio-level knowledge of the host."""
         try:
             host = self.wireless.host(mh)
-        except Exception:
+        except UnknownNodeError:
             return False
-        from ..types import MhState
-
         return host.state is not MhState.ACTIVE or host.current_cell != self.cell_id
 
     def _on_del_pref_notice(self, msg: DelPrefNoticeMsg) -> None:
         mh = msg.mh
-        if mh not in self.local_mhs:
+        pref = self.pref_of(mh)
+        if pref is None:
             self.instr.metrics.incr("del_pref_for_absent_mh", node=self.node_id)
             return
         if self.config.persistent_proxies:
             return
-        pref = self.prefs.ensure(mh)
         if pref.ref is None:
-            pref.ref = msg.proxy_ref
-            self.instr.metrics.incr("prefs_rebuilt", node=self.node_id)
-            self._record_adoption(mh, msg.proxy_ref.proxy_id, "rebuild")
+            self._adopt(mh, pref, msg.proxy_ref, "rebuild")
         pref.rkpr = True
         if (self.config.proxy_ack_timeout is not None
                 and not pref.outstanding and not pref.creating):
@@ -1166,25 +1184,28 @@ class MobileSupportStation:
 
     def _on_ack(self, msg: AckMsg) -> None:
         mh = msg.mh
-        if mh in self._deregistered:
+        entry = self.entries.get(mh)
+        if entry is not None and entry.surrendered:
             # The hand-off transfer was already served; this Ack is dead
             # (paper, Section 3.1) — the proxy will retransmit instead.
             self.instr.metrics.incr("acks_ignored_after_dereg", node=self.node_id)
             self.instr.recorder.record(self.sim.now, "ack_ignored", self.node_id,
                                        mh=mh, request_id=msg.request_id)
             return
-        if mh not in self.local_mhs:
+        if entry is None or entry.pref is None:
             self.instr.metrics.incr("acks_from_unknown_mh", node=self.node_id)
             self._maybe_nack_registration(mh)
             return
-        pref = self.prefs.ensure(mh)
+        pref = entry.pref
         pref.outstanding.discard(msg.request_id)
-        self._cancel_wireless_redelivery(mh, msg.request_id)
-        retained = self._retained.get(mh)
+        pending = entry.pop_redelivery(msg.request_id)
+        if pending is not None:
+            pending[2].cancel()
+        retained = entry.retained
         if retained is not None:
             retained.pop(msg.request_id, None)
             if not retained:
-                del self._retained[mh]
+                entry.retained = None
                 # All retained results acknowledged: release the deferred
                 # location update right after this Ack's forward so the
                 # proxy (causal order) sees the Acks first.

@@ -1,4 +1,4 @@
-"""The proxy-reference (*pref*) table kept by each MSS.
+"""The proxy reference (*pref*) an MSS keeps for each local MH.
 
 Per the paper (Section 3.1) a pref holds the address of the MH's current
 proxy (or null when the MH has no pending requests) plus the
@@ -9,7 +9,8 @@ and for all of MH's requests the corresponding Ack has been received",
 and ``outstanding`` is exactly the respMss's view of that condition.
 ``outstanding`` is *not* part of the hand-off payload — after a migration
 the proxy re-sends unacknowledged results to the new MSS, which rebuilds
-it.
+it.  The station holds each pref in the MH's
+:class:`~repro.stations.mss.MhEntry`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from ..types import NodeId, ProxyRef, RequestId
+from ..types import ProxyRef, RequestId
 
 
 @dataclass
@@ -43,35 +44,3 @@ class Pref:
         self.ref = None
         self.rkpr = False
         self.outstanding.clear()
-
-
-class PrefTable:
-    """All prefs held by one MSS, keyed by mobile-host id."""
-
-    def __init__(self) -> None:
-        self._prefs: Dict[NodeId, Pref] = {}
-
-    def ensure(self, mh: NodeId) -> Pref:
-        """Return the pref for *mh*, creating an empty one if needed."""
-        if mh not in self._prefs:
-            self._prefs[mh] = Pref()
-        return self._prefs[mh]
-
-    def get(self, mh: NodeId) -> Optional[Pref]:
-        return self._prefs.get(mh)
-
-    def pop(self, mh: NodeId) -> Pref:
-        """Remove and return *mh*'s pref (empty pref when absent)."""
-        return self._prefs.pop(mh, Pref())
-
-    def install(self, mh: NodeId, ref: Optional[ProxyRef], rkpr: bool) -> Pref:
-        """Install a pref received through hand-off (outstanding starts empty)."""
-        pref = Pref(ref=ref, rkpr=rkpr)
-        self._prefs[mh] = pref
-        return pref
-
-    def __contains__(self, mh: NodeId) -> bool:
-        return mh in self._prefs
-
-    def __len__(self) -> int:
-        return len(self._prefs)

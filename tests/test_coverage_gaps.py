@@ -118,7 +118,7 @@ def test_duplicate_join_confirms_again(world):
     world.run_until_idle()
     assert host.registered  # re-confirmed, no state change
     station = world.station(world.cells[0])
-    assert host.node_id in station.local_mhs
+    assert station.pref_of(host.node_id) is not None
 
 
 def test_inbox_custom_priority_fn(sim):

@@ -42,9 +42,8 @@ def test_lost_greet_fallback_finds_confirmed_owner():
 
     assert world.metrics.count("handoff_fallback_deregs") == 1
     s2 = world.station(world.cells[2])
-    assert host.node_id in s2.local_mhs
     assert host.registered
-    pref = s2.prefs.get(host.node_id)
+    pref = s2.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None   # custody arrived
     server.release(p.request_id, "found-you")
     world.run_until_idle()
@@ -70,12 +69,11 @@ def test_lost_greet_then_reactivation_uses_fallback():
     world.run(until=6.0)
 
     s1 = world.station(world.cells[1])
-    assert host.node_id in s1.local_mhs
-    pref = s1.prefs.get(host.node_id)
+    pref = s1.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None
     # Exactly one station owns it (no blind double-registration).
     owners = [s for s in world.stations.values()
-              if host.node_id in s.local_mhs]
+              if s.pref_of(host.node_id) is not None]
     assert len(owners) == 1
     server.release(p.request_id, "ok")
     world.run_until_idle()
@@ -102,7 +100,7 @@ def test_fallback_exhaustion_aborts_cleanly():
     # However the chase resolved, the MH must end registered exactly once
     # and able to complete requests.
     owners = [s for s in world.stations.values()
-              if host.node_id in s.local_mhs]
+              if s.pref_of(host.node_id) is not None]
     assert len(owners) == 1
     assert host.registered
     p = client.request("echo", "after-chaos")

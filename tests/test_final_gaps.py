@@ -41,7 +41,7 @@ def test_proxy_reachability_detects_stranded_state(world):
     world.run(until=1.0)
     station = world.station(world.cells[0])
     # Cut the pref while the proxy still has pending work.
-    pref = station.prefs.get(world.hosts["m"].node_id)
+    pref = station.pref_of(world.hosts["m"].node_id)
     pref.ref = None
     report = VerificationReport()
     check_proxy_reachability(world, report)
@@ -59,7 +59,7 @@ def test_proxy_reachability_ignores_mid_handoff(world):
     world.run(until=1.0)
     station = world.station(world.cells[0])
     mh = world.hosts["m"].node_id
-    station.local_mhs.discard(mh)   # simulate the hand-off gap
+    station.entries[mh].pref = None   # simulate the hand-off gap
     report = VerificationReport()
     check_proxy_reachability(world, report)
     assert report.ok

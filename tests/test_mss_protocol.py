@@ -20,7 +20,7 @@ def test_join_registers_and_confirms(world):
     host = world.hosts["m"]
     station = world.station(world.cells[0])
     assert host.registered
-    assert host.node_id in station.local_mhs
+    assert station.pref_of(host.node_id) is not None
     assert host.resp_mss == station.node_id
 
 
@@ -31,7 +31,7 @@ def test_leave_deregisters(world):
     world.hosts["m"].leave()
     world.run_until_idle()
     station = world.station(world.cells[0])
-    assert world.hosts["m"].node_id not in station.local_mhs
+    assert station.pref_of(world.hosts["m"].node_id) is None
     assert world.hosts["m"].state is MhState.LEFT
 
 
@@ -44,9 +44,8 @@ def test_handoff_moves_registration_and_pref(world):
     world.run(until=2.0)
     s0 = world.station(world.cells[0])
     s1 = world.station(world.cells[1])
-    assert host.node_id not in s0.local_mhs
-    assert host.node_id in s1.local_mhs
-    pref = s1.prefs.get(host.node_id)
+    assert s0.pref_of(host.node_id) is None
+    pref = s1.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None
     assert pref.ref.mss == s0.node_id  # proxy stayed at creation site
     world.run_until_idle()
@@ -74,7 +73,7 @@ def test_rkpr_set_by_del_pref_and_reset_by_new_request(world):
     # the release at 0.5) but before the MH's Ack returns (~0.52): RKpR
     # must be set (sole pending request).
     world.run(until=0.512)
-    pref = station.prefs.get(host.node_id)
+    pref = station.pref_of(host.node_id)
     assert pref.rkpr is True
     world.run_until_idle()
     # The Ack then cleared the pref and deleted the proxy.
@@ -94,7 +93,7 @@ def test_new_request_resets_rkpr_keeps_proxy(world):
     world.run(until=0.45)           # result delivered, Ack pending
     p2 = client.request("manual", "b")
     world.run(until=0.46)
-    assert station.prefs.get(host.node_id).rkpr is False
+    assert station.pref_of(host.node_id).rkpr is False
     world.run(until=1.0)
     # AckA carried del-proxy=false: the proxy survives and serves B.
     assert world.live_proxy_count() == 1
@@ -169,7 +168,7 @@ def test_stale_dereg_rejected_on_bounce(world):
     world.run_until_idle()
     assert world.metrics.count("stale_deregs_rejected") >= 1
     s0 = world.station(world.cells[0])
-    assert host.node_id in s0.local_mhs
+    assert s0.pref_of(host.node_id) is not None
     assert host.registered
     # The request still completed and the proxy retired.
     assert list(world.clients["m"].requests.values())[0].done

@@ -1,10 +1,11 @@
-"""Unit tests for the pref table and the prioritized inbox."""
+"""Unit tests for the pref, the station's pref table (the per-MH
+entries) and the prioritized inbox."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.protocol import AckMsg, DeregMsg, RequestMsg
+from repro.core.protocol import AckMsg, DeregMsg, LeaveMsg, RequestMsg
 from repro.sim import Simulator
 from repro.stations.inbox import (
     PRIORITY_ACK,
@@ -13,8 +14,9 @@ from repro.stations.inbox import (
     Inbox,
     default_priority,
 )
-from repro.stations.pref import Pref, PrefTable
+from repro.stations.pref import Pref
 from repro.types import NodeId, ProxyId, ProxyRef, RequestId
+from tests.test_mss_handoff_table import MH, Station
 
 
 def _ack(n: int = 1) -> AckMsg:
@@ -48,27 +50,38 @@ def test_pref_clear_proxy_resets_everything():
 
 
 def test_pref_table_ensure_idempotent():
-    table = PrefTable()
-    a = table.ensure(NodeId("mh:m"))
-    b = table.ensure(NodeId("mh:m"))
-    assert a is b
-    assert NodeId("mh:m") in table
-    assert len(table) == 1
+    """Registering again keeps the MH's one entry and its pref."""
+    s = Station()
+    s.join(1)
+    pref = s.s0.pref_of(MH)
+    s.join(2)
+    assert s.s0.pref_of(MH) is pref
+    assert list(s.s0.entries) == [MH]
 
 
 def test_pref_table_pop_returns_empty_for_missing():
-    table = PrefTable()
-    pref = table.pop(NodeId("mh:ghost"))
-    assert pref.ref is None
+    """A leave from an MH the station never registered finds no pref:
+    nothing pending is counted and no entry is created."""
+    s = Station()
+    s.deliver(LeaveMsg(mh=MH))
+    assert s.s0.pref_of(MH) is None and s.s0.entries == {}
+    assert s.world.metrics.count("mh_left_with_pending") == 0
+    assert s.world.metrics.count("mh_leaves") == 1
 
 
 def test_pref_table_install_resets_outstanding():
-    table = PrefTable()
-    ref = ProxyRef(mss=NodeId("mss:a"), proxy_id=ProxyId("px"))
-    old = table.ensure(NodeId("mh:m"))
+    """A pref received through hand-off replaces the old one and starts
+    with nothing outstanding."""
+    s = Station()
+    s.join(1)
+    old = s.s0.pref_of(MH)
     old.outstanding.add(RequestId("r"))
-    fresh = table.install(NodeId("mh:m"), ref, rkpr=True)
-    assert fresh.ref == ref and fresh.rkpr
+    s.dereg("s1", 2)                       # handed off: no pref here
+    s.greet("s1", 3)
+    s.deregack("s1", 3, True, "px", rkpr=True)
+    fresh = s.s0.pref_of(MH)
+    assert fresh is not old
+    assert fresh.ref == s.ref("px") and fresh.rkpr
     assert fresh.outstanding == set()
 
 

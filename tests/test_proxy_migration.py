@@ -142,10 +142,10 @@ def test_migrate_request_for_vanished_proxy_is_answered():
     station = world.stations[host.current_cell]
     # Force an initiate against the stale (deleted) ref.
     from repro.types import ProxyId, ProxyRef
-    pref = station.prefs.ensure(host.node_id)
+    pref = station.pref_of(host.node_id)
     pref.ref = ProxyRef(mss=world.station(world.cells[5]).node_id,
                         proxy_id=ProxyId("ghost"))
     station._maybe_migrate_proxy(host.node_id)
     world.run_until_idle()
     assert world.metrics.count("proxy_migrate_misses") == 1
-    assert host.node_id not in station._migrations_inflight
+    assert not station.entries[host.node_id].migrating

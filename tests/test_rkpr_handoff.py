@@ -1,9 +1,10 @@
-"""RKpR-flag edge cases around hand-off, plus pref-table and inbox
-semantics the flag machinery depends on (paper, Sections 3.1/3.3)."""
+"""RKpR-flag edge cases around hand-off, plus pref-table (per-MH entry)
+and inbox semantics the flag machinery depends on (paper, Sections
+3.1/3.3)."""
 
 from __future__ import annotations
 
-from repro.core.protocol import AckMsg, DelPrefNoticeMsg, DeregMsg, RequestMsg
+from repro.core.protocol import AckMsg, DelPrefNoticeMsg, DeregMsg, LeaveMsg, RequestMsg
 from repro.net.latency import ConstantLatency
 from repro.stations.inbox import (
     PRIORITY_ACK,
@@ -12,35 +13,46 @@ from repro.stations.inbox import (
     Inbox,
     default_priority,
 )
-from repro.stations.pref import Pref, PrefTable
+from repro.stations.pref import Pref
 from repro.types import ProxyRef
 from repro.verify import Oracle
 from tests.conftest import make_world
+from tests.test_mss_handoff_table import MH, Station
 
 
 class TestPrefTable:
     def test_ensure_is_idempotent(self):
-        table = PrefTable()
-        pref = table.ensure("mh:a")
+        # A re-registration (here a bounce back) keeps the pref and its
+        # flags: the station still owns the MH's state.
+        s = Station()
+        s.join(1)
+        pref = s.s0.pref_of(MH)
         pref.rkpr = True
-        assert table.ensure("mh:a") is pref
-        assert len(table) == 1
+        s.greet("s1", 2)
+        assert s.s0.pref_of(MH) is pref and pref.rkpr
+        assert len(s.s0.entries) == 1
 
     def test_install_resets_outstanding(self):
         # outstanding is explicitly NOT part of the hand-off payload: the
         # new respMss rebuilds it from the proxy's re-sends.
-        table = PrefTable()
-        old = table.ensure("mh:a")
-        old.outstanding.add("a-r1")
-        ref = ProxyRef(mss="mss:s0", proxy_id="px1")
-        new = table.install("mh:a", ref, rkpr=True)
-        assert new.ref == ref and new.rkpr
+        s = Station()
+        s.join(1)
+        s.s0.pref_of(MH).outstanding.add("a-r1")
+        s.dereg("s1", 2)
+        s.greet("s1", 3)
+        s.deregack("s1", 3, True, "px1", rkpr=True)
+        new = s.s0.pref_of(MH)
+        assert new.ref == s.ref("px1") and new.rkpr
         assert new.outstanding == set()
-        assert table.get("mh:a") is new
+        assert s.s0.entries[MH].pref is new
 
     def test_pop_missing_yields_empty_pref(self):
-        pref = PrefTable().pop("mh:ghost")
-        assert pref.ref is None and not pref.rkpr and not pref.outstanding
+        # A leave from an unknown MH finds an empty pref: no proxy, so
+        # nothing was left pending.
+        s = Station()
+        s.deliver(LeaveMsg(mh=MH))
+        assert s.s0.pref_of(MH) is None
+        assert s.world.metrics.count("mh_left_with_pending") == 0
 
     def test_clear_proxy_drops_flags(self):
         pref = Pref(ref=ProxyRef(mss="mss:s0", proxy_id="px1"), rkpr=True,
@@ -106,14 +118,14 @@ class TestRkprThroughHandoff:
         world.run(until=0.5)
         host.deactivate()                   # the only result misses the MH
         world.run(until=2.0)
-        pref = s0.prefs.get(host.node_id)
+        pref = s0.pref_of(host.node_id)
         assert pref is not None and pref.rkpr  # del-pref arrived at old MSS
         assert pref.outstanding             # ... with the Ack still missing
         host.migrate_to(world.cells[1])     # del-pref pending during hand-off
         host.activate()
         world.run(until=10.0)
         s1 = world.stations[world.cells[1]]
-        assert host.node_id in s1.local_mhs
+        assert s1.pref_of(host.node_id) is not None
         assert len(client.completed) == 1
         assert world.live_proxy_count() == 0  # rkpr honored at the new MSS
         assert oracle.finish() == []
@@ -154,11 +166,11 @@ class TestRkprThroughHandoff:
         world.run(until=2.0)
         host.migrate_to(world.cells[1])
         world.run(until=5.0)
-        assert host.node_id not in s0.local_mhs
+        assert s0.pref_of(host.node_id) is None
         before = world.metrics.count("del_pref_for_absent_mh")
         stale = DelPrefNoticeMsg(
             mh=host.node_id, proxy_ref=ProxyRef(mss=s0.node_id,
                                                 proxy_id="px-stale"))
         s0._on_del_pref_notice(stale)
         assert world.metrics.count("del_pref_for_absent_mh") == before + 1
-        assert s0.prefs.get(host.node_id) is None  # nothing resurrected
+        assert s0.pref_of(host.node_id) is None  # nothing resurrected

@@ -76,6 +76,34 @@ def test_cancelled_tombstones_are_compacted(sim):
     assert sim.events_executed == 51
 
 
+def test_cancelling_a_fired_event_is_a_noop(sim):
+    # A fired event has left the heap: cancelling it (as a retransmission
+    # timer does from its own callback) must not count a tombstone.
+    event = sim.schedule(1.0, lambda: None)
+    sim.run()
+    event.cancel()
+    assert sim._cancelled_pending == 0
+    assert not event.cancelled  # fired wins, as for the live engine
+
+
+def test_an_event_cancelling_itself_while_firing_leaves_no_tombstone(sim):
+    box = []
+    box.append(sim.schedule(1.0, lambda: box[0].cancel()))
+    sim.run()
+    assert sim._cancelled_pending == 0
+
+
+def test_cancel_counts_one_tombstone_per_queued_event(sim):
+    payload = object()
+    event = sim.schedule(1.0, lambda _: None, payload)
+    event.cancel()
+    event.cancel()
+    assert sim._cancelled_pending == 1
+    assert payload not in event.args  # the tombstone holds nothing alive
+    sim.run()
+    assert sim._cancelled_pending == 0
+
+
 def test_compaction_during_run_keeps_order(sim):
     out = []
 

@@ -102,7 +102,7 @@ def test_custody_survives_arbitrary_bounce_schedules(gaps, cells, proc_delay,
     assert all(p.done for p in client.requests.values())
     # Exactly one station owns the MH.
     owners = [s for s in world.stations.values()
-              if host.node_id in s.local_mhs]
+              if s.pref_of(host.node_id) is not None]
     assert len(owners) == 1
     report = check_all(world, expect_quiescent=True)
     assert report.ok, report.violations

@@ -415,12 +415,11 @@ def test_crash_wipes_volatile_state_and_restart_reregisters():
     client = world.add_host("m", world.cells[0], retry_interval=2.0)
     world.run(until=1.0)
     station = world.stations[world.cells[0]]
-    assert world.hosts["m"].node_id in station.local_mhs
+    assert station.pref_of(world.hosts["m"].node_id) is not None
 
     world.crash_mss(world.cells[0])
-    assert station.local_mhs == set()
+    assert station.entries == {}
     assert station.proxies == {}
-    assert len(station.prefs) == 0
     assert world.metrics.count("mss_crashes") == 1
 
     world.restart_mss(world.cells[0])
@@ -428,7 +427,7 @@ def test_crash_wipes_volatile_state_and_restart_reregisters():
     world.run(until=20.0)
     assert p.done and p.result == "back"
     assert world.metrics.count("mss_restarts") == 1
-    assert world.hosts["m"].node_id in station.local_mhs
+    assert station.pref_of(world.hosts["m"].node_id) is not None
 
 
 # -- crash-healing protocol extensions --------------------------------------
@@ -460,7 +459,7 @@ def test_orphaned_proxy_healed_by_bounce_and_page():
     world.restart_mss(world.cells[1])
     host.migrate_to(world.cells[2])
     world.run(until=8.0)
-    assert host.node_id in world.stations[world.cells[2]].local_mhs
+    assert world.stations[world.cells[2]].pref_of(host.node_id) is not None
     # Now the server answers: the proxy forwards to its stale currentloc.
     server.release(p.request_id, "done")
     world.run(until=40.0)
