@@ -6,40 +6,51 @@ message-sequence charts (Figures 3 and 4 of the paper) and to verify
 protocol invariants (delivery semantics, causal ordering, proxy
 uniqueness).
 
-Record kinds used by the library:
+Record kinds used by the library (``send``/``recv`` and the fabric kinds
+carry ``net``: ``wired``, ``wireless`` or ``local``):
 
-* ``send`` / ``recv`` / ``drop`` — message life-cycle on a network
-* ``deliver`` — a result handed to the mobile-host application
-* ``proxy_create`` / ``proxy_delete`` — proxy life-cycle
-* ``handoff_start`` / ``handoff_done`` — hand-off protocol
-* ``migrate`` / ``activate`` / ``deactivate`` — mobile host state
-* ``retransmit`` — a proxy re-sent a stored result
-* ``request`` — a mobile host issued a client request
-* ``register`` — an MSS registered an MH (join / greet / hand-off)
-* ``proxy_ack`` — a proxy received the Ack completing one request
+* messages — ``send`` ``recv`` ``drop`` ``wireless_drop`` ``wireless_delay``
+  ``wired_drop`` ``wired_dup`` ``wired_retx`` ``delivery_failed``
+* mobile hosts — ``request`` ``deliver`` ``migrate`` ``activate``
+  ``deactivate`` ``join`` ``leave`` ``mh_doze`` ``mh_wake`` ``mh_crash``
+  ``mh_recover``
+* proxies — ``proxy_create`` ``proxy_delete`` ``proxy_move`` ``proxy_adopt``
+  ``proxy_admit`` ``proxy_result`` ``proxy_ack`` ``retransmit`` ``custody_expired``
+* stations — ``register`` ``deregister`` ``handoff_start`` ``handoff_out``
+  ``handoff_done`` ``ack_ignored`` ``wireless_redelivery`` ``mss_crash`` ``mss_restart``
 
-Online consumers (e.g. the invariant oracle in :mod:`repro.verify`)
-subscribe with :meth:`TraceRecorder.add_sink`; every record that passes
-the enabled/kinds filter is pushed to each sink as it is produced.
+Sink contract: :meth:`TraceRecorder.add_sink` subscribes an online consumer
+(the oracle in :mod:`repro.verify`, a span builder) to every kept record or
+to the kept records of given kinds; each record is pushed, as it is
+produced, to the sinks of its kind in registration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+
+Sink = Callable[["TraceRecord"], None]
 
 
-@dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One structured trace row."""
+    """One structured trace row; never mutated once recorded."""
 
-    time: float
-    kind: str
-    node: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "node", "fields")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, time: float, kind: str, node: str,
+                 fields: Optional[Dict[str, Any]] = None) -> None:
+        self.time, self.kind, self.node = time, kind, node
+        self.fields: Dict[str, Any] = {} if fields is None else fields
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return ((self.time, self.kind, self.node, self.fields)
+                == (other.time, other.kind, other.node, other.fields))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kv = " ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
@@ -70,24 +81,29 @@ class TraceRecorder:
         self,
         enabled: bool = True,
         kinds: Optional[Iterable[str]] = None,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
+        sink: Optional[Sink] = None,
     ) -> None:
         self.enabled = enabled
         self._kinds = set(kinds) if kinds is not None else None
         self._records: List[TraceRecord] = []
-        self._sinks: List[Callable[[TraceRecord], None]] = []
+        self._sinks: List[Tuple[Sink, Optional[FrozenSet[str]]]] = []
+        self._routes: Dict[str, Tuple[Sink, ...]] = {}  # kind -> its sinks, built on first use
         if sink is not None:
-            self._sinks.append(sink)
+            self.add_sink(sink)
         self.counts: Dict[str, int] = {}
 
-    def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Subscribe *sink* to every record that passes the filters."""
-        self._sinks.append(sink)
+    def add_sink(self, sink: Sink, kinds: Optional[Iterable[str]] = None) -> None:
+        """Subscribe *sink* to the kept records of *kinds* (all when None)."""
+        self._sinks.append((sink, None if kinds is None else frozenset(kinds)))
+        self._routes.clear()
 
-    def remove_sink(self, sink: Callable[[TraceRecord], None]) -> None:
+    def remove_sink(self, sink: Sink) -> None:
         """Unsubscribe a previously added sink (no-op when absent)."""
-        if sink in self._sinks:
-            self._sinks.remove(sink)
+        for entry in self._sinks:
+            if entry[0] == sink:
+                self._sinks.remove(entry)
+                break
+        self._routes.clear()
 
     def wants(self, kind: str) -> bool:
         """True when a record of *kind* would be kept by :meth:`record`.
@@ -111,9 +127,13 @@ class TraceRecorder:
         if detail is not None and callable(detail):
             fields["detail"] = detail()
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        rec = TraceRecord(time=time, kind=kind, node=node, fields=dict(fields))
+        rec = TraceRecord(time, kind, node, fields)
         self._records.append(rec)
-        for sink in self._sinks:
+        sinks = self._routes.get(kind)
+        if sinks is None:
+            sinks = self._routes[kind] = tuple(
+                sink for sink, kinds in self._sinks if kinds is None or kind in kinds)
+        for sink in sinks:
             sink(rec)
 
     @property

@@ -1,8 +1,8 @@
 """Online invariant oracle over the structured trace stream.
 
-Each :class:`InvariantChecker` consumes :class:`~repro.sim.tracing.TraceRecord`
-rows as they are produced (via :meth:`TraceRecorder.add_sink`) and keeps
-just enough state to decide one protocol guarantee:
+Each :class:`InvariantChecker` consumes the :class:`~repro.sim.tracing.TraceRecord`
+rows of its ``KINDS`` as they are produced (via :meth:`TraceRecorder.add_sink`)
+and keeps just enough state to decide one protocol guarantee:
 
 * :class:`ExactlyOnceDelivery` — an MH application never sees the same
   request's result twice (paper, assumption 5);
@@ -37,8 +37,8 @@ surface several distinct failures.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from ..net.vectorclock import VectorClock
@@ -64,9 +64,12 @@ class InvariantViolation(VerificationError):
 
 
 class InvariantChecker:
-    """Base class: subscribes to trace rows, reports through the oracle."""
+    """Base class: subscribes to trace rows, reports through the oracle.
+
+    ``KINDS``: every row kind :meth:`on_record` reads (None: all kinds)."""
 
     name = "invariant"
+    KINDS: Optional[FrozenSet[str]] = None
 
     def __init__(self) -> None:
         self._oracle: Optional["Oracle"] = None
@@ -97,6 +100,7 @@ class ExactlyOnceDelivery(InvariantChecker):
     """
 
     name = "exactly_once_delivery"
+    KINDS = frozenset({"deliver"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -118,6 +122,7 @@ class NoLostResult(InvariantChecker):
     ``finish`` — only meaningful once the run was driven to quiescence)."""
 
     name = "no_lost_result"
+    KINDS = frozenset({"request", "deliver"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -144,6 +149,8 @@ class SingleProxyPerSeries(InvariantChecker):
     never admit another request, and it must eventually be deleted."""
 
     name = "single_proxy_per_series"
+    KINDS = frozenset({"proxy_create", "proxy_delete", "proxy_admit",
+                       "handoff_done", "proxy_adopt", "mss_crash"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -236,6 +243,8 @@ class SafeProxyDeletion(InvariantChecker):
     """
 
     name = "safe_proxy_deletion"
+    KINDS = frozenset({"proxy_create", "proxy_admit", "proxy_ack", "custody_expired",
+                       "proxy_move", "proxy_delete", "mss_crash"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -305,6 +314,8 @@ class NoCustodyLeak(InvariantChecker):
     """
 
     name = "no_custody_leak"
+    KINDS = frozenset({"proxy_create", "proxy_result", "proxy_ack", "custody_expired",
+                       "proxy_move", "proxy_delete", "mss_crash"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -367,44 +378,46 @@ class CausalWiredOrder(InvariantChecker):
     layer it audits: running it over a ``raw``-ordered world with latency
     jitter makes it fire.  A violation is a message delivered *after*
     some message whose send it causally preceded, at the same receiver.
+
+    The clocks tick only on sends and follow row order, so the send
+    numbered ``tick`` at ``sender`` precedes another send exactly when that
+    send's clock has reached ``tick`` at ``sender`` (Fidge/Mattern): a
+    comparison is one component probe.
     """
 
     name = "causal_wired_order"
+    KINDS = frozenset({"send", "recv"})
 
     def __init__(self) -> None:
         super().__init__()
-        self._clocks: Dict[str, VectorClock] = {}
-        self._stamps: Dict[int, VectorClock] = {}
-        self._frontiers: Dict[str, List[VectorClock]] = {}
-
-    def _clock(self, node: str) -> VectorClock:
-        clock = self._clocks.get(node)
-        if clock is None:
-            clock = self._clocks[node] = VectorClock()
-        return clock
+        self._clocks: DefaultDict[str, VectorClock] = defaultdict(VectorClock)
+        # (sender, tick, clock) of each wired send, by msg_id / as delivered.
+        self._stamps: Dict[int, Tuple[str, int, VectorClock]] = {}
+        self._frontiers: Dict[str, List[Tuple[str, int, VectorClock]]] = {}
 
     def on_record(self, rec: TraceRecord) -> None:
         if rec.get("net") != "wired":
             return
         if rec.kind == "send":
-            clock = self._clock(rec.node)
+            clock = self._clocks[rec.node]
             clock.tick(rec.node)
-            self._stamps[rec.get("msg_id")] = clock.copy()
+            self._stamps[rec.get("msg_id")] = (rec.node, clock.get(rec.node), clock.copy())
         elif rec.kind == "recv":
-            stamp = self._stamps.pop(rec.get("msg_id"), None)
-            if stamp is None:
+            sent = self._stamps.pop(rec.get("msg_id"), None)
+            if sent is None:
                 return
+            sender, tick, stamp = sent
             frontier = self._frontiers.setdefault(rec.node, [])
-            for delivered in frontier:
-                if stamp < delivered:
+            for _, _, delivered in frontier:
+                if delivered.get(sender) >= tick:
                     self.fail(rec.time,
                               f"{rec.node} received {rec.get('msg')} "
                               f"#{rec.get('msg_id')} from {rec.get('src')} "
                               f"after a message its send causally precedes")
                     break
-            self._clock(rec.node).merge(stamp)
-            frontier[:] = [d for d in frontier if not d <= stamp]
-            frontier.append(stamp)
+            self._clocks[rec.node].merge(stamp)
+            frontier[:] = [d for d in frontier if stamp.get(d[0]) < d[1]]
+            frontier.append(sent)
 
 
 class PrefHandoverConsistency(InvariantChecker):
@@ -419,6 +432,8 @@ class PrefHandoverConsistency(InvariantChecker):
     """
 
     name = "pref_handover_consistency"
+    KINDS = frozenset({"register", "handoff_out", "deregister", "mss_crash",
+                       "proxy_create", "proxy_move", "handoff_done"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -437,9 +452,7 @@ class PrefHandoverConsistency(InvariantChecker):
                           f"(how={rec.get('how')}) while {owner} still "
                           f"considers itself its respMss")
             self._owner[mh] = rec.node
-        elif kind == "handoff_out":
-            self._owner.pop(str(rec.get("mh")), None)
-        elif kind == "deregister":
+        elif kind in ("handoff_out", "deregister"):
             self._owner.pop(str(rec.get("mh")), None)
         elif kind == "mss_crash":
             for mh in [m for m, node in self._owner.items()
@@ -489,42 +502,49 @@ class Oracle:
         self.checkers = checkers if checkers is not None else default_checkers()
         self.raise_immediately = raise_immediately
         self.violations: List[InvariantViolation] = []
-        self._window: Deque[TraceRecord] = deque(maxlen=self.WINDOW)
         self._recorder: Optional[TraceRecorder] = None
-        self._now = 0.0
+        # The rows seen while attached: _rows[_first:_end] (_end None: to date).
+        self._rows: List[TraceRecord] = []
+        self._first = 0
+        self._end: Optional[int] = None
         for checker in self.checkers:
             checker.bind(self)
 
     # -- wiring -------------------------------------------------------------
 
     def attach(self, recorder: TraceRecorder) -> "Oracle":
-        recorder.add_sink(self._on_record)
+        """Subscribe each checker to the row kinds it declares."""
+        if self._recorder is not None:
+            raise VerificationError("oracle is already attached; detach() first")
+        for checker in self.checkers:
+            recorder.add_sink(checker.on_record, checker.KINDS)
         self._recorder = recorder
+        self._rows, self._first, self._end = recorder.records, len(recorder), None
         return self
 
     def detach(self) -> None:
         if self._recorder is not None:
-            self._recorder.remove_sink(self._on_record)
+            for checker in self.checkers:
+                self._recorder.remove_sink(checker.on_record)
+            self._end = len(self._rows)
             self._recorder = None
 
-    # -- the sink -----------------------------------------------------------
-
-    def _on_record(self, rec: TraceRecord) -> None:
-        self._window.append(rec)
-        self._now = rec.time
-        for checker in self.checkers:
-            checker.on_record(rec)
-
     def finish(self, time: Optional[float] = None) -> List[InvariantViolation]:
-        """Run end-of-run liveness checks; returns all violations."""
+        """Run end-of-run liveness checks (by default at the last seen row's
+        time); returns all violations."""
+        if time is None:
+            seen = self.window()
+            time = seen[-1].time if seen else 0.0
         for checker in self.checkers:
-            checker.finish(self._now if time is None else time)
+            checker.finish(time)
         return self.violations
 
     # -- reporting ----------------------------------------------------------
 
     def window(self) -> List[TraceRecord]:
-        return list(self._window)
+        """The last ``WINDOW`` rows recorded while attached."""
+        end = len(self._rows) if self._end is None else self._end
+        return self._rows[max(self._first, end - self.WINDOW):end]
 
     def report(self, violation: InvariantViolation) -> None:
         self.violations.append(violation)

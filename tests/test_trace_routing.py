@@ -1,0 +1,176 @@
+"""The recorder's sink contract: kind-routed sinks, registration order,
+subscriptions that change mid-run, and the one-object trace row."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.errors import VerificationError
+from repro.sim.tracing import TraceRecord, TraceRecorder
+from repro.verify import ExactlyOnceDelivery, Oracle
+
+KINDS = ("send", "request", "recv", "deliver", "mss_crash")
+
+
+def _tagger(calls, name):
+    return lambda rec: calls.append((rec.time, name))
+
+
+def test_filtered_sink_receives_only_its_kinds():
+    recorder = TraceRecorder()
+    seen = []
+    recorder.add_sink(seen.append, kinds={"request", "deliver"})
+    for i, kind in enumerate(KINDS):
+        recorder.record(float(i), kind, "n")
+    assert [rec.kind for rec in seen] == ["request", "deliver"]
+    assert len(recorder) == len(KINDS)       # routing filters sinks, not rows
+
+
+def test_mixed_sinks_are_called_in_registration_order():
+    calls = []
+    recorder = TraceRecorder(sink=_tagger(calls, "ctor"))   # all kinds
+    recorder.add_sink(_tagger(calls, "send"), kinds={"send"})
+    recorder.add_sink(_tagger(calls, "all"))
+    recorder.add_sink(_tagger(calls, "send+recv"), kinds=("send", "recv"))
+    for i, kind in enumerate(("send", "recv", "deliver", "send")):
+        recorder.record(float(i), kind, "n")
+    assert calls == [
+        (0.0, "ctor"), (0.0, "send"), (0.0, "all"), (0.0, "send+recv"),
+        (1.0, "ctor"), (1.0, "all"), (1.0, "send+recv"),
+        (2.0, "ctor"), (2.0, "all"),
+        (3.0, "ctor"), (3.0, "send"), (3.0, "all"), (3.0, "send+recv"),
+    ]
+
+
+def test_sink_added_after_rows_takes_effect_on_the_next_row():
+    # The fuzz/chaos pattern: the world records rows (so every kind's
+    # route is already built) before the oracle subscribes.
+    recorder = TraceRecorder()
+    early, late = [], []
+    recorder.add_sink(early.append, kinds={"send"})
+    recorder.record(1.0, "send", "n")
+    recorder.record(1.5, "recv", "n")
+    recorder.add_sink(late.append, kinds={"send"})
+    recorder.add_sink(late.append, kinds={"recv"})
+    recorder.record(2.0, "send", "n")
+    recorder.record(2.5, "recv", "n")
+    assert [rec.time for rec in early] == [1.0, 2.0]
+    assert [rec.time for rec in late] == [2.0, 2.5]
+
+
+def test_sink_removed_after_rows_stops_on_the_next_row():
+    recorder = TraceRecorder()
+    seen = []
+    recorder.add_sink(seen.append)
+    recorder.record(1.0, "send", "n")
+    recorder.remove_sink(seen.append)
+    recorder.record(2.0, "send", "n")
+    assert [rec.time for rec in seen] == [1.0]
+
+
+def test_remove_filtered_sink():
+    recorder = TraceRecorder()
+    kept, removed = [], []
+    recorder.add_sink(removed.append, kinds={"deliver"})
+    recorder.add_sink(kept.append, kinds={"deliver"})
+    recorder.record(1.0, "deliver", "n")
+    recorder.remove_sink(removed.append)
+    recorder.remove_sink(removed.append)      # absent now: a no-op
+    recorder.record(2.0, "deliver", "n")
+    assert [rec.time for rec in removed] == [1.0]
+    assert [rec.time for rec in kept] == [1.0, 2.0]
+
+
+def test_filtered_out_rows_reach_no_sink():
+    recorder = TraceRecorder(kinds={"deliver"})
+    seen = []
+    recorder.add_sink(seen.append)
+    recorder.add_sink(seen.append, kinds={"send"})
+    recorder.record(1.0, "send", "n")
+    recorder.record(2.0, "deliver", "n")
+    assert [rec.kind for rec in seen] == ["deliver"]
+
+
+def test_every_sink_gets_the_kept_row_object():
+    recorder = TraceRecorder()
+    seen = []
+    recorder.add_sink(seen.append)
+    recorder.add_sink(seen.append, kinds={"send"})
+    recorder.record(1.0, "send", "n", msg_id=7, detail=lambda: "d")
+    rec = recorder.records[0]
+    assert seen == [rec, rec] and seen[0] is rec and seen[1] is rec
+    assert rec.fields == {"msg_id": 7, "detail": "d"}
+
+
+def test_trace_record_equality_and_no_hashing():
+    rec = TraceRecord(1.0, "send", "n", {"a": 1})
+    assert rec == TraceRecord(time=1.0, kind="send", node="n", fields={"a": 1})
+    assert rec != TraceRecord(1.0, "send", "n", {"a": 2})
+    assert rec != TraceRecord(1.0, "recv", "n", {"a": 1})
+    assert TraceRecord(0.0, "k", "n").fields == {}
+    assert rec.get("a") == 1 and rec.get("b", "dflt") == "dflt"
+    with pytest.raises(TypeError):
+        hash(rec)
+    with pytest.raises(AttributeError):
+        rec.extra = 1                        # slotted: no per-row dict
+
+
+# -- the oracle's subscriptions --------------------------------------------
+
+
+def test_oracle_hands_each_checker_only_its_kinds():
+    seen = []
+
+    class Spy(ExactlyOnceDelivery):
+        def on_record(self, rec):
+            seen.append(rec.kind)
+            super().on_record(rec)
+
+    recorder = TraceRecorder()
+    oracle = Oracle([Spy()]).attach(recorder)
+    for kind in KINDS:
+        recorder.record(1.0, kind, "mh:a", request_id="a-r1")
+    oracle.detach()
+    recorder.record(2.0, "deliver", "mh:a", request_id="a-r1")
+    assert seen == ["deliver"]
+    assert oracle.violations == []
+
+
+class _FailAtFinish(ExactlyOnceDelivery):
+    def finish(self, time):
+        self.fail(time, "finish")
+
+
+def test_oracle_window_holds_only_rows_recorded_while_attached():
+    recorder = TraceRecorder()
+    recorder.record(5.0, "deliver", "mh:a", request_id="a-r1")
+    oracle = Oracle([_FailAtFinish()]).attach(recorder)
+    assert oracle.window() == []
+    recorder.record(6.0, "request", "mh:a", request_id="a-r2")
+    oracle.detach()
+    recorder.record(7.0, "request", "mh:a", request_id="a-r3")
+    assert [rec.time for rec in oracle.window()] == [6.0]
+    # finish() defaults to the last row seen, whatever came after.
+    [violation] = oracle.finish()
+    assert violation.time == 6.0
+    assert [rec.time for rec in violation.trace_slice] == [6.0]
+
+
+def test_oracle_that_saw_no_row_finishes_at_time_zero():
+    recorder = TraceRecorder()
+    recorder.record(5.0, "deliver", "mh:a", request_id="a-r1")
+    oracle = Oracle([_FailAtFinish()]).attach(recorder)
+    assert [v.time for v in oracle.finish()] == [0.0]
+
+
+def test_oracle_reattach_after_detach_is_allowed():
+    recorder = TraceRecorder()
+    oracle = Oracle([ExactlyOnceDelivery()])
+    oracle.attach(recorder)
+    oracle.detach()
+    oracle.attach(recorder)
+    recorder.record(1.0, "deliver", "mh:a", request_id="a-r1")
+    recorder.record(2.0, "deliver", "mh:a", request_id="a-r1")
+    assert [v.invariant for v in oracle.violations] == ["exactly_once_delivery"]
+    with pytest.raises(VerificationError):
+        oracle.attach(TraceRecorder())

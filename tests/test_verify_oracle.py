@@ -8,6 +8,7 @@ import pytest
 
 from tests.conftest import make_world
 from repro.core.proxy import Proxy
+from repro.errors import VerificationError
 from repro.net.latency import ConstantLatency
 from repro.sim.tracing import TraceRecorder
 from repro.verify import (
@@ -334,6 +335,30 @@ class TestOracle:
         recorder.record(1.0, "deliver", "mh:a", request_id="a-r1", delivery_id=1)
         oracle.detach()
         recorder.record(2.0, "deliver", "mh:a", request_id="a-r1", delivery_id=2)
+        assert oracle.violations == []
+
+    def test_attach_twice_raises_instead_of_double_subscribing(self):
+        # Subscribing twice would hand each row to every checker twice:
+        # one clean delivery would read as a duplicate.
+        oracle = Oracle([ExactlyOnceDelivery()])
+        recorder = TraceRecorder()
+        oracle.attach(recorder)
+        with pytest.raises(VerificationError):
+            oracle.attach(recorder)
+        recorder.record(1.0, "deliver", "mh:a", request_id="a-r1", delivery_id=1)
+        assert oracle.violations == []
+
+    def test_attach_elsewhere_raises_and_detach_releases_the_first(self):
+        oracle = Oracle([ExactlyOnceDelivery()])
+        first, second = TraceRecorder(), TraceRecorder()
+        oracle.attach(first)
+        with pytest.raises(VerificationError):
+            oracle.attach(second)
+        oracle.detach()
+        for recorder in (first, second):
+            for delivery_id in (1, 2):
+                recorder.record(1.0, "deliver", "mh:a", request_id="a-r1",
+                                delivery_id=delivery_id)
         assert oracle.violations == []
 
     def test_summary_counts_by_invariant(self):
