@@ -8,12 +8,16 @@ as a structural protocol so the same entity code runs under two engines:
 
 * the deterministic discrete-event :class:`~repro.sim.simulator.Simulator`
   (simulated time, the default everywhere);
-* the wall-clock :class:`~repro.live.engine.AsyncioEngine` (real time over
-  an asyncio event loop, one engine per live process — see
-  ``docs/LIVE.md``).
+* the wall-clock :class:`~repro.live.engine.AsyncioEngine` (real time,
+  one engine per live process — see ``docs/LIVE.md``), which drives a
+  :class:`Simulator` of its own from one asyncio timer.
+
+Both engines therefore hand out one handle type,
+:class:`~repro.sim.event.Event`: ``cancel`` is idempotent, a no-op once
+the callback fired, and a cancelled event's callback never runs.
 
 The protocol is deliberately the *intersection* of what entities use —
-``now``, ``schedule`` returning a cancellable handle, and ``ids``.  The
+``now``, ``schedule`` returning an :class:`Event`, and ``ids``.  The
 engine owns the ids because it is the one object scoped exactly to a
 world (a :class:`Simulator`) or a live process (an
 :class:`~repro.live.engine.AsyncioEngine`): an id is a function of that
@@ -26,7 +30,10 @@ drives a run keeps depending on the concrete engine it built.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from .sim.event import Event
 
 
 class Ids:
@@ -46,21 +53,6 @@ class Ids:
         self.request = itertools.count(start).__next__
         self.proxy = itertools.count(start).__next__
         self.delivery = itertools.count(start).__next__
-
-
-@runtime_checkable
-class ScheduledEvent(Protocol):
-    """Handle for one scheduled callback: cancellable, idempotently.
-
-    Satisfied by :class:`~repro.sim.event.Event` (simulated time) and
-    :class:`~repro.live.engine.LiveEvent` (asyncio timer).  ``cancel``
-    after the callback fired (or after a previous cancel) is a no-op;
-    a cancelled event's callback never runs.
-    """
-
-    cancelled: bool
-
-    def cancel(self) -> None: ...
 
 
 @runtime_checkable
@@ -85,4 +77,4 @@ class Engine(Protocol):
         callback: Callable[..., Any],
         *args: Any,
         label: str = "",
-    ) -> ScheduledEvent: ...
+    ) -> Event: ...

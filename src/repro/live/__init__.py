@@ -14,7 +14,7 @@ live run unmodified.  See ``docs/LIVE.md`` for the architecture and
 from .clock import LiveClock
 from .cluster import ClusterResult, ClusterSpec, run_cluster
 from .codec import CodecError, decode_message, encode_message
-from .engine import AsyncioEngine, LiveEvent
+from .engine import AsyncioEngine
 
 __all__ = [
     "AsyncioEngine",
@@ -22,7 +22,6 @@ __all__ = [
     "ClusterSpec",
     "CodecError",
     "LiveClock",
-    "LiveEvent",
     "decode_message",
     "encode_message",
     "run_cluster",

@@ -1,54 +1,40 @@
-"""The wall-clock :class:`~repro.engine.Engine` over an asyncio loop.
+"""The wall-clock :class:`~repro.engine.Engine`: the sim kernel, driven by
+an asyncio loop.
 
-:class:`AsyncioEngine` is the live twin of
-:class:`repro.sim.simulator.Simulator`: same ``now`` property, same
-``schedule(delay, callback, *args, label=...)`` contract, same
-:class:`~repro.errors.SchedulingError` on negative delays — so a
-protocol-entity bug surfaces identically under simulation and on the
-wire.  Delays are real seconds served by ``loop.call_later``; the handle
-it returns is wrapped in a :class:`LiveEvent` satisfying
-:class:`repro.engine.ScheduledEvent` (idempotent ``cancel``, a cancelled
-event's callback never runs).
+:class:`AsyncioEngine` owns a :class:`repro.sim.simulator.Simulator` and
+only drives it, so both engines share one scheduler: same heap, same
+:class:`~repro.sim.event.Event`, same ``(time, seq)`` tie-break, same
+:class:`~repro.errors.SchedulingError` on a negative delay.
+``schedule(delay, ...)`` is ``kernel.schedule_at(clock.now() + delay,
+...)``.  The engine keeps a single ``loop.call_at`` handle armed at the
+kernel's head deadline (``clock.epoch + t``) and re-arms it only when a
+new event lands earlier; on wake it fires every due event with
+``kernel.run(until=clock.now())`` and re-arms at ``peek_next_time()``.
+
+Design decisions:
+
+* Protocol code reads ``engine.now`` = ``clock.now()``, the wall clock,
+  so RTT samples and ``sent_at`` stay real.  The kernel's own ``now``
+  only orders events and rejects scheduling in the past.
+* An event scheduled during a wake for "now" fires on the next wake,
+  as ``call_later(0)`` would.
+* A raising callback does not wedge the engine: the handle is re-armed
+  in a ``finally`` and the exception reaches the loop's exception
+  handler; events due in the same wake fire on the next one.
+* Datagram dispatch stays on the socket reader, outside the kernel.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable, Optional
 
 from ..engine import Ids
 from ..errors import SchedulingError
+from ..sim.event import Event
+from ..sim.simulator import Simulator
 from .clock import LiveClock
-
-
-class LiveEvent:
-    """Cancellable handle for one ``call_later`` timer.
-
-    Mirrors :class:`repro.sim.event.Event`'s cancellation surface: the
-    ``cancelled`` flag plus an idempotent :meth:`cancel` that is a no-op
-    after the callback fired — exactly what :class:`repro.sim.Timer` and
-    the entities' own timer bookkeeping rely on.
-    """
-
-    __slots__ = ("label", "cancelled", "fired", "_handle")
-
-    def __init__(self, label: str = "") -> None:
-        self.label = label
-        self.cancelled = False
-        self.fired = False
-        self._handle: Optional[asyncio.TimerHandle] = None
-
-    def cancel(self) -> None:
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("cancelled" if self.cancelled
-                 else "fired" if self.fired else "armed")
-        return f"<LiveEvent {self.label or '?'} {state}>"
 
 
 class AsyncioEngine:
@@ -62,7 +48,9 @@ class AsyncioEngine:
         self.loop = loop
         self.clock = clock
         self.ids = ids if ids is not None else Ids()
-        self.scheduled_count = 0
+        self.kernel = Simulator()
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self._wake_at = math.inf   # kernel time the handle is armed for
 
     @property
     def now(self) -> float:
@@ -74,23 +62,32 @@ class AsyncioEngine:
         callback: Callable[..., Any],
         *args: Any,
         label: str = "",
-    ) -> LiveEvent:
+    ) -> Event:
         if delay < 0:
             raise SchedulingError(
                 f"cannot schedule {label or callback!r} {-delay!r}s in the past")
-        event = LiveEvent(label)
-
-        def _fire() -> None:
-            # The TimerHandle's own cancel() prevents most late firings;
-            # the flag covers a cancel landing in the same loop iteration.
-            if event.cancelled:
-                return
-            event.fired = True
-            callback(*args)
-
-        event._handle = self.loop.call_later(delay, _fire)
-        self.scheduled_count += 1
+        event = self.kernel.schedule_at(
+            self.clock.now() + delay, callback, *args, label=label)
+        if event.time < self._wake_at:
+            self._arm(event.time)
         return event
+
+    def _arm(self, time: float) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+        self._wake_at = time
+        self._handle = self.loop.call_at(self.clock.epoch + time, self._wake)
+
+    def _wake(self) -> None:
+        # While the kernel runs, _wake_at <= now <= any new event's time,
+        # so callbacks' schedule() calls never re-arm.
+        try:
+            self.kernel.run(until=self.clock.now())
+        finally:
+            self._wake_at = math.inf
+            head = self.kernel.peek_next_time()
+            if head is not None:
+                self._arm(head)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AsyncioEngine now={self.now:.3f}>"

@@ -57,9 +57,10 @@ from typing import (
     Tuple,
 )
 
-from ..engine import Engine, ScheduledEvent
+from ..engine import Engine
 from ..errors import ConfigError
 from ..obs.registry import LATENCY_BUCKETS, Counter
+from ..sim.event import Event
 from ..types import NodeId
 from .causal import StampedMessage
 from .message import Message
@@ -354,7 +355,7 @@ class _Pending:
     frame: Frame
     sent_at: float = 0.0
     attempts: int = 1
-    timer: Optional[ScheduledEvent] = None
+    timer: Optional[Event] = None
     retransmitted: bool = False  # Karn's rule: excluded from RTT samples
     dupacks: int = 0
 

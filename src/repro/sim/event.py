@@ -55,10 +55,6 @@ class Event:
             self.callback, self.args = _noop, ()
             sim._note_cancelled()
 
-    def fire(self) -> None:
-        """Invoke the callback (the simulator calls this; tests may too)."""
-        self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         name = self.label or getattr(self.callback, "__name__", "<fn>")

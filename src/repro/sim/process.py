@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..engine import Engine, ScheduledEvent
+from ..engine import Engine
 from ..errors import SchedulingError
+from .event import Event
 
 
 class Timer:
@@ -19,7 +20,7 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._label = label
-        self._event: Optional[ScheduledEvent] = None
+        self._event: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
@@ -60,7 +61,7 @@ class PeriodicProcess:
         self._action = action
         self._period = period
         self._label = label
-        self._event: Optional[ScheduledEvent] = None
+        self._event: Optional[Event] = None
         self._running = False
 
     @property

@@ -57,7 +57,8 @@ from ..net.directory import DirectoryService
 from ..net.message import Message
 from ..net.wired import WiredNetwork
 from ..net.wireless import WirelessChannel
-from ..engine import Engine, ScheduledEvent
+from ..engine import Engine
+from ..sim.event import Event
 from ..types import (CellId, MhState, NodeId, ProxyId, ProxyRef, RequestId,
                      mss_id)
 from .inbox import Inbox
@@ -176,7 +177,7 @@ class MhEntry:
         self.redeliveries: Optional[Dict[RequestId, list]] = None
         # The seq of each failed custody chase since the last registration.
         self.failures: Tuple[int, ...] = ()
-        self.probe: Optional[ScheduledEvent] = None  # the hand-off probe
+        self.probe: Optional[Event] = None  # the hand-off probe
 
     def pop_redelivery(self, request_id: RequestId) -> Optional[list]:
         pending = (self.redeliveries.pop(request_id, None)

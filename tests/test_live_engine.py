@@ -23,12 +23,12 @@ from repro.core.protocol import (  # noqa: E402
     ServerResultMsg,
 )
 from repro.core.proxy import Proxy  # noqa: E402
-from repro.engine import Engine, ScheduledEvent  # noqa: E402
+from repro.engine import Engine  # noqa: E402
 from repro.errors import SchedulingError  # noqa: E402
 from repro.instruments import Instruments  # noqa: E402
 from repro.live.clock import LiveClock  # noqa: E402
-from repro.live.engine import AsyncioEngine, LiveEvent  # noqa: E402
-from repro.sim import Simulator, Timer  # noqa: E402
+from repro.live.engine import AsyncioEngine  # noqa: E402
+from repro.sim import Event, Simulator, Timer  # noqa: E402
 from repro.types import NodeId, ProxyId, RequestId  # noqa: E402
 
 
@@ -53,8 +53,7 @@ def test_satisfies_engine_protocols():
         engine = AsyncioEngine(loop, LiveClock.start())
         assert isinstance(engine, Engine)
         event = engine.schedule(1.0, lambda: None, label="x")
-        assert isinstance(event, ScheduledEvent)
-        assert isinstance(event, LiveEvent)
+        assert isinstance(event, Event)
         event.cancel()
     finally:
         loop.close()
@@ -110,15 +109,17 @@ def test_cancel_prevents_firing_and_is_idempotent():
 
     _, event = run_live(0.05, setup)
     assert fired == []
-    assert event.cancelled and not event.fired
+    assert event.cancelled
 
 
 def test_cancel_after_firing_is_a_noop():
+    fired = []
+
     def setup(engine):
-        return engine.schedule(0.01, lambda: None, label="t")
+        return engine.schedule(0.01, fired.append, 1, label="t")
 
     _, event = run_live(0.05, setup)
-    assert event.fired
+    assert fired == [1]
     event.cancel()
     assert not event.cancelled  # fired wins; cancel after the fact is moot
 
@@ -147,6 +148,131 @@ def test_sim_timer_runs_on_the_live_engine():
 
     run_live(0.08, setup)
     assert fired == ["a"]
+
+
+# -- the asyncio driver -----------------------------------------------------
+
+
+class FrozenClock(LiveClock):
+    """A :class:`LiveClock` whose ``now()`` can be held still."""
+
+    frozen = None
+
+    def now(self):
+        return self.frozen if self.frozen is not None else super().now()
+
+
+def test_equal_deadlines_fire_in_schedule_order():
+    """The sim kernel's ``(time, seq)`` tie-break holds on the wall clock:
+    timers armed for one deadline fire in the order they were armed."""
+    loop = asyncio.new_event_loop()
+    try:
+        clock = FrozenClock.start()
+        engine = AsyncioEngine(loop, clock)
+        clock.frozen = clock.now()
+        loop.time = lambda: clock.epoch + clock.frozen
+        fired = []
+        for i in range(16):
+            engine.schedule(0.01, fired.append, i, label="tie")
+        del loop.time
+        clock.frozen = None
+        loop.run_until_complete(asyncio.sleep(0.05))
+        assert fired == list(range(16))
+    finally:
+        loop.close()
+
+
+def test_earlier_timer_fires_on_its_own_deadline():
+    fired = []
+
+    def setup(engine):
+        engine.schedule(0.5, fired.append, "late", label="late")
+        engine.schedule(0.01, fired.append, "early", label="early")
+
+    run_live(0.1, setup)
+    assert fired == ["early"]
+
+
+def test_cancelling_the_armed_head_keeps_later_timers():
+    fired = []
+
+    def setup(engine):
+        head = engine.schedule(0.01, fired.append, "head", label="head")
+        engine.schedule(0.02, fired.append, "next", label="next")
+        engine.schedule(0.03, fired.append, "last", label="last")
+        head.cancel()
+
+    run_live(0.08, setup)
+    assert fired == ["next", "last"]
+
+
+def test_raising_callback_is_reported_and_does_not_wedge_the_engine():
+    loop = asyncio.new_event_loop()
+    reported = []
+    loop.set_exception_handler(lambda _loop, ctx: reported.append(
+        ctx.get("exception")))
+    try:
+        clock = FrozenClock.start()
+        engine = AsyncioEngine(loop, clock)
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        clock.frozen = clock.now()  # boom and "same" share one deadline
+        engine.schedule(0.01, boom, label="boom")
+        engine.schedule(0.01, fired.append, "same", label="same")
+        clock.frozen = None
+        engine.schedule(0.03, fired.append, "later", label="later")
+        loop.run_until_complete(asyncio.sleep(0.08))
+        assert fired == ["same", "later"]
+        assert [type(e) for e in reported] == [RuntimeError]
+    finally:
+        loop.close()
+
+
+def test_engine_holds_at_most_one_asyncio_timer():
+    """A thousand armed timers cost one ``TimerHandle``, not a thousand."""
+    loop = asyncio.new_event_loop()
+    live = set()
+    peak = [0]
+    call_at = loop.call_at
+
+    class CountedHandle:
+        """A ``TimerHandle`` that knows whether it is still pending."""
+
+        _source_traceback = None
+
+        def __init__(self, when, callback, args, kwargs):
+            self._handle = call_at(when, self._run, callback, args, **kwargs)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+        def _run(self, callback, args):
+            live.discard(self)
+            callback(*args)
+
+        def cancel(self):
+            live.discard(self)
+            self._handle.cancel()
+
+    def counting_call_at(when, callback, *args, **kwargs):
+        if getattr(callback, "__module__", None) != AsyncioEngine.__module__:
+            return call_at(when, callback, *args, **kwargs)  # asyncio.sleep
+        return CountedHandle(when, callback, args, kwargs)
+
+    loop.call_at = counting_call_at
+    try:
+        engine = AsyncioEngine(loop, LiveClock.start())
+        fired = []
+        for i in range(1000):
+            engine.schedule(0.001 * (1000 - i) % 0.05, fired.append, i)
+        assert len(live) <= 1
+        loop.run_until_complete(asyncio.sleep(0.1))
+        assert len(fired) == 1000
+        assert peak[0] <= 1
+    finally:
+        loop.close()
 
 
 # -- proxy redelivery-timer symmetry (regression) ---------------------------
