@@ -69,7 +69,7 @@ def extract_breakdowns(world: "World") -> List[LatencyBreakdown]:
     admitted: Dict[str, float] = {}
     result_at_proxy: Dict[str, float] = {}
     delivered: Dict[str, float] = {}
-    for rec in recorder.records:
+    for rec in recorder:
         rid = str(rec.get("request_id", ""))
         if not rid:
             continue

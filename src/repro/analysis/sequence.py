@@ -43,7 +43,7 @@ def extract_chart(
     kind_filter = set(kinds) if kinds is not None else None
     participant_filter = set(participants) if participants is not None else None
     chart: List[ChartEntry] = []
-    for rec in recorder.records:
+    for rec in recorder:
         if rec.kind != "send":
             continue
         msg_kind = rec.get("msg", "")

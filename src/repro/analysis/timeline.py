@@ -86,7 +86,7 @@ def extract_timeline(
     send/recv rows (verbose)."""
     node_filter = set(nodes) if nodes is not None else None
     out: List[TimelineEvent] = []
-    for rec in recorder.records:
+    for rec in recorder:
         if rec.kind in ("send", "recv") and not include_network:
             continue
         if node_filter is not None and rec.node not in node_filter:

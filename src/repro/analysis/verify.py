@@ -96,7 +96,7 @@ def check_proxy_uniqueness_over_time(world: "World", report: VerificationReport)
     report.checked.append("proxy_uniqueness_over_time")
     open_proxies: Dict[str, Set[str]] = defaultdict(set)
     condemned: Set[tuple] = set()
-    for rec in world.recorder.records:
+    for rec in world.recorder:
         if rec.kind == "proxy_create":
             mh = rec.get("mh")
             for older in open_proxies[mh]:

@@ -32,7 +32,7 @@ import os
 import socket
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import WiredFaultSpec
 from ..engine import Engine
@@ -41,7 +41,7 @@ from ..hosts.mobile_host import MobileHost
 from ..instruments import Instruments
 from ..obs.spans import SpanBuilder, SpanReport
 from ..sim.rng import RngStreams
-from ..sim.tracing import TraceRecord, TraceRecorder
+from ..sim.tracing import TraceRecorder
 from ..types import CellId, NodeId, mss_id, server_id
 from ..verify.oracle import ExactlyOnceDelivery, NoLostResult, Oracle
 from .clock import LiveClock
@@ -51,6 +51,9 @@ from .node import ChildConfig, run_mss_process
 from .transport import LiveWirelessHostSide
 
 Address = Tuple[str, int]
+_Row = Tuple[float, str, str, Dict[str, Any]]
+#: The merged trace as parallel time / kind / node / fields lists.
+_Columns = Tuple[List[float], List[str], List[str], List[Dict[str, Any]]]
 
 
 @dataclass
@@ -130,20 +133,32 @@ def _bind_loopback() -> socket.socket:
     return sock
 
 
-def _load_child_trace(path: str) -> List[TraceRecord]:
-    records: List[TraceRecord] = []
-    if not os.path.exists(path):
-        return records
+def _load_child_trace(path: str, notes: List[str]) -> Iterator[_Row]:
+    """One child's JSONL rows.  A child terminated mid-dump leaves a cut
+    last line: the rows before it are kept, and a note says so."""
+    kept = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            records.append(TraceRecord(
-                time=row["time"], kind=row["kind"], node=row["node"],
-                fields=row.get("fields", {})))
-    return records
+            try:
+                row = json.loads(line)
+            except ValueError:
+                notes.append(f"truncated child trace {os.path.basename(path)}: "
+                             f"kept {kept} rows")
+                return
+            kept += 1
+            yield row["time"], row["kind"], row["node"], row.get("fields", {})
+
+
+def _extend(columns: _Columns, rows: Iterable[_Row]) -> None:
+    times, kinds, nodes, fields = columns
+    for time, kind, node, row_fields in rows:
+        times.append(time)
+        kinds.append(kind)
+        nodes.append(node)
+        fields.append(row_fields)
 
 
 class _Driver:
@@ -345,30 +360,27 @@ def _shutdown(driver_sock: socket.socket, addresses: Dict[str, Address],
 
 def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
            clock: LiveClock, notes: List[str]) -> ClusterResult:
-    merged: List[TraceRecord] = list(driver.recorder.records)
+    columns: _Columns = ([], [], [], [])
+    _extend(columns, driver.recorder.rows())
     for path in trace_paths:
         if not os.path.exists(path):
             # An idle station writes an empty file; a *missing* one means
             # the child died before its shutdown dump.
             notes.append(f"missing child trace {os.path.basename(path)}")
             continue
-        merged.extend(_load_child_trace(path))
-    merged.sort(key=lambda rec: rec.time)
+        _extend(columns, _load_child_trace(path, notes))
+    times, kinds, nodes, fields = columns
 
-    report = SpanBuilder.from_records(
-        rec for rec in merged if rec.kind in SpanBuilder.KINDS)
-
-    # Replay the merged trace through the location-independent checkers.
-    oracle = Oracle([ExactlyOnceDelivery(), NoLostResult()])
+    # Replay the merge (a stable sort by time: the driver's rows, then
+    # each child's) to the span builder and the location-independent
+    # checkers; the replay recorder hands each row to them as one view.
+    builder = SpanBuilder()
     replay = TraceRecorder()
-    oracle.attach(replay)
-    for rec in merged:
-        replay.record(rec.time, rec.kind, rec.node, **rec.fields)
+    replay.add_sink(builder.on_record, SpanBuilder.KINDS)
+    oracle = Oracle([ExactlyOnceDelivery(), NoLostResult()]).attach(replay)
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        replay.record(times[i], kinds[i], nodes[i], **fields[i])
     oracle.finish()
-
-    counts: Dict[str, int] = {}
-    for rec in merged:
-        counts[rec.kind] = counts.get(rec.kind, 0) + 1
 
     latencies: List[float] = []
     completed = 0
@@ -381,10 +393,10 @@ def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
         expected=spec.n_hosts * spec.requests_per_host,
         issued=issued,
         completed=completed,
-        report=report,
+        report=builder.report(),
         violations=[str(v) for v in oracle.violations],
         latencies=sorted(latencies),
-        counts=counts,
+        counts=replay.counts,
         wall_time=clock.now(),
         notes=notes,
     )

@@ -137,10 +137,13 @@ def message_from_obj(obj: Any) -> Message:
         raise CodecError(f"cannot rebuild {obj['k']!r}: {exc}") from None
 
 
+#: The byte-stable encoder, built once (``json.dumps`` builds one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_message(message: Message) -> bytes:
     """Byte-stable encoding (sorted keys, compact separators, UTF-8)."""
-    return json.dumps(message_to_obj(message), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(message_to_obj(message)).encode("utf-8")
 
 
 def decode_message(data: bytes) -> Message:
@@ -212,8 +215,7 @@ def frame_from_envelope(obj: Dict[str, Any]) -> Frame:
 
 def encode_envelope(obj: Dict[str, Any]) -> bytes:
     """Encode one transport envelope (``msg``/``ack``/``wmsg``/``ctrl``)."""
-    return json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def decode_envelope(data: bytes) -> Dict[str, Any]:

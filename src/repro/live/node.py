@@ -72,12 +72,11 @@ class ChildConfig:
 
 def dump_trace(recorder: TraceRecorder, path: str) -> None:
     """Write trace rows as JSONL for the driver-side merge."""
+    encode = json.JSONEncoder(default=str).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in recorder.records:
-            fh.write(json.dumps(
-                {"time": rec.time, "kind": rec.kind, "node": rec.node,
-                 "fields": rec.fields},
-                default=str) + "\n")
+        for time, kind, node, fields in recorder.rows():
+            fh.write(encode({"time": time, "kind": kind, "node": node,
+                             "fields": fields}) + "\n")
 
 
 class _ChildRuntime:

@@ -22,7 +22,12 @@ carry ``net``: ``wired``, ``wireless`` or ``local``):
 Sink contract: :meth:`TraceRecorder.add_sink` subscribes an online consumer
 (the oracle in :mod:`repro.verify`, a span builder) to every kept record or
 to the kept records of given kinds; each record is pushed, as it is
-produced, to the sinks of its kind in registration order.
+produced, to the sinks of its kind in registration order.  All sinks of
+one row get the same :class:`TraceRecord`; the recorder does not keep it.
+
+Storage: kept rows live in four columns (time, kind, node, fields), not as
+row objects, so a kept row adds nothing the cyclic collector tracks; readers
+get :class:`TraceRecord` views, or tuples from :meth:`TraceRecorder.rows`.
 """
 
 from __future__ import annotations
@@ -85,7 +90,11 @@ class TraceRecorder:
     ) -> None:
         self.enabled = enabled
         self._kinds = set(kinds) if kinds is not None else None
-        self._records: List[TraceRecord] = []
+        # The kept rows, one column per TraceRecord slot.
+        self._time: List[float] = []
+        self._kind: List[str] = []
+        self._node: List[str] = []
+        self._fields: List[Dict[str, Any]] = []
         self._sinks: List[Tuple[Sink, Optional[FrozenSet[str]]]] = []
         self._routes: Dict[str, Tuple[Sink, ...]] = {}  # kind -> its sinks, built on first use
         if sink is not None:
@@ -127,39 +136,53 @@ class TraceRecorder:
         if detail is not None and callable(detail):
             fields["detail"] = detail()
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        rec = TraceRecord(time, kind, node, fields)
-        self._records.append(rec)
+        self._time.append(time)
+        self._kind.append(kind)
+        self._node.append(node)
+        self._fields.append(fields)
         sinks = self._routes.get(kind)
         if sinks is None:
             sinks = self._routes[kind] = tuple(
                 sink for sink, kinds in self._sinks if kinds is None or kind in kinds)
-        for sink in sinks:
-            sink(rec)
+        if sinks:
+            rec = TraceRecord(time, kind, node, fields)
+            for sink in sinks:
+                sink(rec)
 
     @property
     def records(self) -> List[TraceRecord]:
-        return self._records
+        """A new list of views of the kept rows (equal to, but not the
+        objects the sinks got)."""
+        return list(self)
+
+    def rows(self, start: int = 0, stop: Optional[int] = None,
+             ) -> Iterator[Tuple[float, str, str, Dict[str, Any]]]:
+        """``(time, kind, node, fields)`` of the kept rows ``[start:stop]``."""
+        span = slice(start, stop)
+        return zip(self._time[span], self._kind[span], self._node[span],
+                   self._fields[span])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._time)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(TraceRecord, self._time, self._kind, self._node, self._fields)
 
     def filter(self, kind: Optional[str] = None, node: Optional[str] = None,
                **field_filters: Any) -> List[TraceRecord]:
         """Return records matching all given criteria."""
         out = []
-        for rec in self._records:
-            if kind is not None and rec.kind != kind:
+        for time, row_kind, row_node, fields in self.rows():
+            if kind is not None and row_kind != kind:
                 continue
-            if node is not None and rec.node != node:
+            if node is not None and row_node != node:
                 continue
-            if any(rec.get(k) != v for k, v in field_filters.items()):
+            if any(fields.get(k) != v for k, v in field_filters.items()):
                 continue
-            out.append(rec)
+            out.append(TraceRecord(time, row_kind, row_node, fields))
         return out
 
     def clear(self) -> None:
-        self._records.clear()
+        for column in (self._time, self._kind, self._node, self._fields):
+            column.clear()
         self.counts.clear()

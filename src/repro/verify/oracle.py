@@ -503,8 +503,8 @@ class Oracle:
         self.raise_immediately = raise_immediately
         self.violations: List[InvariantViolation] = []
         self._recorder: Optional[TraceRecorder] = None
-        # The rows seen while attached: _rows[_first:_end] (_end None: to date).
-        self._rows: List[TraceRecord] = []
+        # The rows seen while attached: _source's [_first:_end] (_end None: to date).
+        self._source: Optional[TraceRecorder] = None
         self._first = 0
         self._end: Optional[int] = None
         for checker in self.checkers:
@@ -519,14 +519,14 @@ class Oracle:
         for checker in self.checkers:
             recorder.add_sink(checker.on_record, checker.KINDS)
         self._recorder = recorder
-        self._rows, self._first, self._end = recorder.records, len(recorder), None
+        self._source, self._first, self._end = recorder, len(recorder), None
         return self
 
     def detach(self) -> None:
         if self._recorder is not None:
             for checker in self.checkers:
                 self._recorder.remove_sink(checker.on_record)
-            self._end = len(self._rows)
+            self._end = len(self._recorder)
             self._recorder = None
 
     def finish(self, time: Optional[float] = None) -> List[InvariantViolation]:
@@ -543,8 +543,11 @@ class Oracle:
 
     def window(self) -> List[TraceRecord]:
         """The last ``WINDOW`` rows recorded while attached."""
-        end = len(self._rows) if self._end is None else self._end
-        return self._rows[max(self._first, end - self.WINDOW):end]
+        if self._source is None:
+            return []
+        end = len(self._source) if self._end is None else self._end
+        rows = self._source.rows(max(self._first, end - self.WINDOW), end)
+        return [TraceRecord(*row) for row in rows]
 
     def report(self, violation: InvariantViolation) -> None:
         self.violations.append(violation)

@@ -12,13 +12,17 @@ transport alone, without a fork.
 
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.live.cluster import ClusterSpec, run_cluster  # noqa: E402
+from repro.live.clock import LiveClock  # noqa: E402
+from repro.live.cluster import ClusterSpec, _judge, run_cluster  # noqa: E402
 from repro.live.crossval import crossval_report  # noqa: E402
+from repro.live.node import dump_trace  # noqa: E402
+from repro.sim.tracing import TraceRecorder  # noqa: E402
 
 SPEC = ClusterSpec(seed=7, n_cells=2, n_hosts=2, requests_per_host=2,
                    wired_loss=0.05, request_gap=0.1, host_stagger=0.05,
@@ -70,3 +74,51 @@ def test_crossval_report_shows_parity(result):
     assert report["parity"]["live_span_accounted"]
     sim = report["sim"]
     assert sim["completed"] == result.issued
+
+
+# -- the judge alone, on hand-written traces ---------------------------------
+
+
+def _recorder(rows):
+    recorder = TraceRecorder()
+    for time, kind in rows:
+        recorder.record(time, kind, "n", msg_id=1)
+    return recorder
+
+
+def _dump_children(tmp_path, child_rows):
+    paths = []
+    for i, rows in enumerate(child_rows):
+        paths.append(tmp_path / f"trace_s{i}.jsonl")
+        dump_trace(_recorder(rows), str(paths[-1]))
+    return paths
+
+
+def _judge_traces(driver_rows, paths):
+    driver = SimpleNamespace(recorder=_recorder(driver_rows), clients={})
+    notes = []
+    result = _judge(ClusterSpec(), driver, [str(p) for p in paths],
+                    LiveClock.start(), notes)
+    return result, notes
+
+
+def test_judge_merges_equal_times_driver_first_then_children_in_order(tmp_path):
+    # Every row has its own kind, so ``counts`` lists the merge order.
+    paths = _dump_children(tmp_path, [
+        [(1.0, "a1"), (0.5, "a.5"), (1.0, "a1b")],
+        [(0.5, "b.5"), (1.0, "b1")],
+        [(1.0, "c1"), (0.25, "c.25")]])
+    result, notes = _judge_traces([(1.0, "d1"), (0.5, "d.5")], paths)
+    assert list(result.counts) == [
+        "c.25", "d.5", "a.5", "b.5", "d1", "a1", "a1b", "b1", "c1"]
+    assert notes == []
+
+
+def test_judge_keeps_the_rows_before_a_cut_last_line(tmp_path):
+    # A station terminated mid-dump leaves its last line cut short.
+    [path] = _dump_children(tmp_path, [[(1.0, "send"), (2.0, "recv"), (3.0, "deliver")]])
+    text = path.read_text()
+    path.write_text(text[:text.rindex("\n", 0, -1) + 12])
+    result, notes = _judge_traces([(0.5, "request")], [path])
+    assert result.counts == {"request": 1, "send": 1, "recv": 1}
+    assert notes == ["truncated child trace trace_s0.jsonl: kept 2 rows"]

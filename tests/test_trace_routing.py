@@ -1,7 +1,10 @@
-"""The recorder's sink contract: kind-routed sinks, registration order,
-subscriptions that change mid-run, and the one-object trace row."""
+"""The recorder's sink contract (kind-routed sinks, registration order,
+subscriptions that change mid-run, one shared object per row) and its
+column storage (no tracked object per kept row, every read path agrees)."""
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -91,15 +94,67 @@ def test_filtered_out_rows_reach_no_sink():
     assert [rec.kind for rec in seen] == ["deliver"]
 
 
-def test_every_sink_gets_the_kept_row_object():
+def test_every_sink_of_a_row_gets_one_shared_object():
     recorder = TraceRecorder()
     seen = []
     recorder.add_sink(seen.append)
     recorder.add_sink(seen.append, kinds={"send"})
     recorder.record(1.0, "send", "n", msg_id=7, detail=lambda: "d")
-    rec = recorder.records[0]
-    assert seen == [rec, rec] and seen[0] is rec and seen[1] is rec
-    assert rec.fields == {"msg_id": 7, "detail": "d"}
+    assert seen[0] is seen[1]
+    # The recorder keeps columns, not the object: a read gives an equal view.
+    assert recorder.records[0] == seen[0] and recorder.records[0] is not seen[0]
+    assert seen[0].fields == {"msg_id": 7, "detail": "d"}
+
+
+def test_a_row_without_sinks_builds_no_record(monkeypatch):
+    built = []
+    monkeypatch.setattr(TraceRecord, "__init__",
+                        lambda self, *args: built.append(args))
+    recorder = TraceRecorder()
+    recorder.add_sink(lambda rec: None, kinds={"deliver"})
+    recorder.record(1.0, "send", "n", msg_id=7)
+    assert built == [] and len(recorder) == 1
+    recorder.record(2.0, "deliver", "n")
+    assert len(built) == 1
+
+
+def test_kept_rows_add_nothing_the_collector_tracks():
+    recorder = TraceRecorder()
+    recorder.add_sink(lambda rec: None)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(10_000):
+        kind = ("send", "recv", "request")[i % 3]
+        if kind == "request":
+            recorder.record(float(i), kind, "mh:h0", request_id=f"h0-r{i}",
+                            service="app")
+        else:
+            recorder.record(float(i), kind, "mss:s1", net="wired", msg="request",
+                            msg_id=i, detail="request(h0-r1)")
+    assert len(gc.get_objects()) - before < 50 and len(recorder) == 10_000
+    assert not any(gc.is_tracked(fields) for *_, fields in recorder.rows())
+
+
+def test_every_read_path_agrees_on_a_mixed_trace():
+    recorder = TraceRecorder()
+    recorder.record(1.0, "send", "a", net="wired", msg_id=1)
+    recorder.record(1.0, "recv", "b", net="wired", msg_id=1)
+    recorder.record(2.5, "request", "a", request_id="a-r1",
+                    candidates=["cell0", "cell1"])      # a container value
+    recorder.record(3.0, "send", "b", net="wireless", msg_id=2)
+    rows = list(recorder.rows())
+    views = recorder.records
+    assert len(recorder) == len(rows) == len(views) == 4
+    assert views == list(recorder) == [TraceRecord(*row) for row in rows]
+    assert rows[2] == (2.5, "request", "a",
+                       {"request_id": "a-r1", "candidates": ["cell0", "cell1"]})
+    assert list(recorder.rows(1, 3)) == rows[1:3]
+    assert recorder.filter(kind="send") == [views[0], views[3]]
+    assert recorder.filter(node="b", net="wired") == [views[1]]
+    assert recorder.filter(candidates=["cell0", "cell1"]) == [views[2]]
+    assert recorder.counts == {"send": 2, "recv": 1, "request": 1}
+    recorder.clear()
+    assert len(recorder) == 0 and list(recorder.rows()) == [] and recorder.records == []
 
 
 def test_trace_record_equality_and_no_hashing():
