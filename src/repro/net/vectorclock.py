@@ -22,9 +22,9 @@ class VectorClock:
     ``heads`` is plain data beside the components, owned by
     :class:`repro.net.causal.CausalOrdering`: on a clock that layer has
     frozen it names the maximal stamps the clock is the pointwise max
-    of, which is what :meth:`missing` and :meth:`merged` work from.  It
-    is empty on every other clock and takes no part in ``==`` or
-    ``hash``.
+    of, which is what :meth:`missing`, :meth:`merged` and the layer's
+    inline probes work from.  It is empty on every other clock and
+    takes no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("_clock", "heads")

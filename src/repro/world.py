@@ -93,6 +93,8 @@ class World:
             else Instruments.disabled())
         self.directory = DirectoryService()
         self.cell_map = _build_cellmap(self.config)
+        # One station per cell, fixed here: resolve the sorted list once.
+        self._cells = self.cell_map.cells
 
         self._node_positions: Dict[NodeId, tuple] = {}
         self.wired = WiredNetwork(
@@ -147,7 +149,7 @@ class World:
             station_distance=(self._station_distance
                               if self.config.proxy_migrate_distance else None),
         )
-        for index, cell in enumerate(self.cell_map.cells):
+        for index, cell in enumerate(self._cells):
             station = mss_class(
                 self.sim, f"s{index}", cell,
                 self.wired, self.wireless, self.directory,
@@ -214,7 +216,7 @@ class World:
 
     @property
     def cells(self) -> List[CellId]:
-        return self.cell_map.cells
+        return list(self._cells)
 
     def station(self, cell: CellId) -> MobileSupportStation:
         try:

@@ -1,6 +1,7 @@
 """Hot-path guarantees: zero-cost tracing when disabled, the indexed
-causal drain delivering in exactly the order of the classic rescan, and
-the heads lemma holding at every comparison the causal layer makes."""
+causal drain delivering in exactly the order of the classic rescan, the
+heads lemma holding at every comparison the causal layer makes, and the
+novelty skip delivering exactly what the full table merge delivers."""
 
 from __future__ import annotations
 
@@ -210,36 +211,59 @@ def _random_traffic(seed: int, n_nodes: int, n_messages: int):
     return sends
 
 
-def _deliveries(layer: OrderingLayer, sends) -> List[tuple]:
+def _ops(sends, replay: bool) -> List[tuple]:
+    """The ``("send" | "arrive", i, src, dst)`` sequence of a plan: all
+    sends first, then the arrivals in arrival order; or, with *replay*,
+    in time order, each send after the arrivals that precede it, so
+    stamps carry what their sender had received and merged constraint
+    tables travel on."""
+    if not replay:
+        return ([("send", i, src, dst) for _, _, i, src, dst in sorted(sends)]
+                + [("arrive", i, src, dst)
+                   for _, i, src, dst in sorted((a, i, s, d)
+                                                for _, a, i, s, d in sends)])
+    events = [(t, 0, i, src, dst) for t, _, i, src, dst in sends]
+    events += [(a, 1, i, src, dst) for _, a, i, src, dst in sends]
+    return [("arrive" if is_arrival else "send", i, src, dst)
+            for _, is_arrival, i, src, dst in sorted(events)]
+
+
+def _interleaved_ops(seed: int, n_nodes: int, n_messages: int) -> List[tuple]:
+    """Sends interleaved with arrivals of random in-flight messages
+    (knowledge evolves between sends), like live request/response
+    traffic rather than batch replay."""
+    rng = random.Random(1000 + seed)
+    nodes = [NodeId(f"n{i}") for i in range(n_nodes)]
+    ops: List[tuple] = []
+    pending: List[tuple] = []
+    for i in range(n_messages):
+        src, dst = rng.choice(nodes), rng.choice(nodes)
+        ops.append(("send", i, src, dst))
+        pending.append(("arrive", i, src, dst))
+        while pending and rng.random() < 0.6:
+            ops.append(pending.pop(rng.randrange(len(pending))))
+    return ops + pending
+
+
+def _drive(layer: OrderingLayer, ops: List[tuple]) -> List[tuple]:
+    """Run *ops* through *layer*; return the ``(dst, tag)`` deliveries."""
     order: List[tuple] = []
-    arrivals = []
-    for send_time, arrival, i, src, dst in sorted(sends):
-        msg = _TrackedMsg(tag=f"m{i}")
-        stamped = layer.on_send(src, dst, msg)
-        arrivals.append((arrival, i, dst, stamped))
-    for _, _, dst, stamped in sorted(arrivals):
-        layer.on_arrival(dst, stamped,
-                         lambda m, _dst=dst: order.append((_dst, m.tag)))
+    in_flight: Dict[int, StampedMessage] = {}
+    for op, i, src, dst in ops:
+        if op == "send":
+            in_flight[i] = layer.on_send(src, dst, _TrackedMsg(tag=f"m{i}"))
+        else:
+            layer.on_arrival(dst, in_flight.pop(i),
+                             lambda m, _dst=dst: order.append((_dst, m.tag)))
     return order
+
+
+def _deliveries(layer: OrderingLayer, sends) -> List[tuple]:
+    return _drive(layer, _ops(sends, replay=False))
 
 
 def _replay(layer: OrderingLayer, sends) -> List[tuple]:
-    """Like :func:`_deliveries`, but in time order: each send happens
-    after the arrivals that precede it, so stamps carry what their
-    sender had received and merged constraint tables travel on."""
-    order: List[tuple] = []
-    events = [(send_time, 0, i, src, dst)
-              for send_time, _, i, src, dst in sends]
-    events += [(arrival, 1, i, src, dst)
-               for _, arrival, i, src, dst in sends]
-    in_flight: Dict[int, StampedMessage] = {}
-    for _, is_arrival, i, src, dst in sorted(events):
-        if is_arrival:
-            layer.on_arrival(dst, in_flight.pop(i),
-                             lambda m, _dst=dst: order.append((_dst, m.tag)))
-        else:
-            in_flight[i] = layer.on_send(src, dst, _TrackedMsg(tag=f"m{i}"))
-    return order
+    return _drive(layer, _ops(sends, replay=True))
 
 
 def test_indexed_drain_matches_rescan_order_under_stress():
@@ -258,36 +282,11 @@ def test_indexed_drain_matches_rescan_order_under_stress():
 
 
 def test_indexed_drain_interleaved_sends_and_arrivals():
-    # Sends interleaved with arrivals (knowledge evolves between sends),
-    # mimicking live request/response traffic rather than batch replay.
     for seed in range(10):
-        rng = random.Random(1000 + seed)
-        nodes = [NodeId(f"n{i}") for i in range(5)]
-        fast, reference = CausalOrdering(), _RescanCausalOrdering()
-        fast_order: List[tuple] = []
-        ref_order: List[tuple] = []
-        pending_fast: List[tuple] = []
-        pending_ref: List[tuple] = []
-        for i in range(200):
-            src, dst = rng.choice(nodes), rng.choice(nodes)
-            msg = _TrackedMsg(tag=f"m{i}")
-            pending_fast.append((dst, fast.on_send(src, dst, msg)))
-            pending_ref.append((dst, reference.on_send(src, dst, msg)))
-            while pending_fast and rng.random() < 0.6:
-                take = rng.randrange(len(pending_fast))
-                dst_f, stamped_f = pending_fast.pop(take)
-                dst_r, stamped_r = pending_ref.pop(take)
-                fast.on_arrival(dst_f, stamped_f,
-                                lambda m, _d=dst_f: fast_order.append((_d, m.tag)))
-                reference.on_arrival(dst_r, stamped_r,
-                                     lambda m, _d=dst_r: ref_order.append((_d, m.tag)))
-        for (dst_f, stamped_f), (dst_r, stamped_r) in zip(pending_fast, pending_ref):
-            fast.on_arrival(dst_f, stamped_f,
-                            lambda m, _d=dst_f: fast_order.append((_d, m.tag)))
-            reference.on_arrival(dst_r, stamped_r,
-                                 lambda m, _d=dst_r: ref_order.append((_d, m.tag)))
-        assert len(fast_order) == 200
-        assert fast_order == ref_order
+        ops = _interleaved_ops(seed, n_nodes=5, n_messages=200)
+        fast = _drive(CausalOrdering(), ops)
+        assert len(fast) == 200
+        assert fast == _drive(_RescanCausalOrdering(), ops)
 
 
 def test_held_count_and_retire_prune_state():
@@ -360,15 +359,18 @@ class _RecordingCausalOrdering(CausalOrdering):
 
 
 def _lemma_audit(monkeypatch):
-    """Wrap the two heads operations of ``VectorClock`` (as they are
-    when called) so that every comparison a ``_RecordingCausalOrdering``
-    makes is also made component-wise, and every frozen clock it
-    compares or builds is checked to be the pointwise max of its heads'
-    stamps.  Returns a factory for the layer and the tallies."""
+    """Wrap the two heads operations of ``VectorClock`` and the table
+    merge ``CausalOrdering._commit`` (as they are when called) so that
+    every dominance verdict a ``_RecordingCausalOrdering`` reaches —
+    through ``missing`` or inline in ``_commit`` — is also reached
+    component-wise, once, and every frozen clock it compares or builds is
+    checked to be the pointwise max of its heads' stamps.  Returns a
+    factory for the layer and the tallies."""
     layers: List[_RecordingCausalOrdering] = []
     tally: Counter = Counter()
     sound: Dict[int, VectorClock] = {}   # frozen clocks already checked
     real_missing, real_merged = VectorClock.missing, VectorClock.merged
+    real_commit = CausalOrdering._commit
 
     def check_frozen(clock: VectorClock) -> None:
         if id(clock) in sound:
@@ -379,6 +381,14 @@ def _lemma_audit(monkeypatch):
         assert clock == rebuilt, f"{clock!r} is not the max of {clock.heads}"
         sound[id(clock)] = clock          # kept alive: ids stay unique
         tally["max_heads"] = max(tally["max_heads"], len(clock.heads))
+
+    def verdict(clock: VectorClock, other: VectorClock) -> bool:
+        """``other <= clock`` from *other*'s heads, checked component-wise."""
+        reached = all(clock.get(sender) >= seq for sender, seq in other.heads)
+        assert reached == clock.dominates(other), (
+            f"heads {other.heads} of {other!r} against {clock!r}")
+        tally["compares"] += 1
+        return reached
 
     def missing(self: VectorClock, other: VectorClock):
         check_frozen(other)
@@ -398,6 +408,40 @@ def _lemma_audit(monkeypatch):
         tally["shared"] += bool(set(self.heads) & set(other.heads))
         return out
 
+    def commit(endpoint, node: NodeId, stamped: StampedMessage) -> List[str]:
+        """Run the shipped merge, then re-derive its outcome entry by
+        entry from component-wise verdicts: skip what the pre-delivery
+        knowledge covers (novelty), else adopt, keep or merge."""
+        known, dep = endpoint.knowledge.copy(), dict(endpoint.dep)
+        advanced = real_commit(endpoint, node, stamped)
+        expected = known.copy()
+        expected.merge(stamped.stamp)
+        assert endpoint.knowledge == expected
+        assert sorted(advanced) == sorted(
+            n for n in expected._clock if expected.get(n) > known.get(n))
+        for other, clock in stamped.constraints.items():
+            current, after = dep.get(other), endpoint.dep.get(other)
+            if current is clock:
+                assert after is clock
+                continue
+            check_frozen(clock)
+            vacuous = verdict(known, clock)
+            tally["novelty_skips"] += vacuous
+            if vacuous or other == node:
+                assert after is current, f"entry for {other} merged"
+                continue
+            if current is not None:
+                check_frozen(current)
+            if current is None or verdict(clock, current):
+                assert after is clock
+            elif verdict(current, clock):
+                assert after is current
+            else:
+                union = current.copy()
+                union.merge(clock)
+                assert after == union and after is not current
+        return advanced
+
     def make() -> _RecordingCausalOrdering:
         layers.append(_RecordingCausalOrdering())
         sound.clear()
@@ -405,6 +449,7 @@ def _lemma_audit(monkeypatch):
 
     monkeypatch.setattr(VectorClock, "missing", missing)
     monkeypatch.setattr(VectorClock, "merged", merged)
+    monkeypatch.setattr(CausalOrdering, "_commit", staticmethod(commit))
     return make, tally
 
 
@@ -452,6 +497,7 @@ def test_heads_verdict_equals_componentwise_at_every_comparison(monkeypatch):
     for sends in plans:
         assert len(_replay(make(), sends)) == len(sends)
     assert tally["compares"] > 300_000 and tally["merges"] > 20_000
+    assert tally["novelty_skips"] > 100_000   # vacuous entries left unmerged
     assert tally["shared"] > 1_000        # merges whose operands share a head
     assert tally["max_heads"] >= 8
 
@@ -510,15 +556,94 @@ def test_a_merge_that_drops_a_shared_head_is_caught(monkeypatch):
         _shared_head_merge(make())
 
 
+# -- the novelty skip against the full merge ----------------------------------
+
+
+class _FullMergeCausalOrdering(CausalOrdering):
+    """Reference: the shipped layer with the table merge it had before
+    the novelty skip — every entry of a delivered table is compared and
+    folded in.  Kept verbatim as the executable spec of the tables."""
+
+    @staticmethod
+    def _commit(endpoint, node: NodeId, stamped: StampedMessage) -> List[str]:
+        advanced = endpoint.knowledge.update_max(stamped.stamp)
+        dep = endpoint.dep
+        for other, clock in stamped.constraints.items():
+            if other == node:
+                continue
+            current = dep.get(other)
+            if current is None:
+                dep[other] = clock
+            elif current is not clock:
+                if clock.missing(current) is None:
+                    dep[other] = clock
+                elif current.missing(clock) is not None:
+                    dep[other] = current.merged(clock)
+        return advanced
+
+
+def _lockstep(ops: List[tuple], tally: Counter) -> None:
+    """Drive the shipped layer and the full-merge reference through the
+    same ops: same deliveries and hold-back after every arrival, and a
+    table entry differs only by what its destination already delivered."""
+    fast, full = CausalOrdering(), _FullMergeCausalOrdering()
+    got: Dict[str, List[tuple]] = {"fast": [], "full": []}
+    in_flight: Dict[int, tuple] = {}
+    for op, i, src, dst in ops:
+        if op == "send":
+            msg = _TrackedMsg(tag=f"m{i}")
+            in_flight[i] = (fast.on_send(src, dst, msg), full.on_send(src, dst, msg))
+            continue
+        for layer, stamped, key in zip((fast, full), in_flight.pop(i), got):
+            layer.on_arrival(dst, stamped,
+                             lambda m, _k=key: got[_k].append((dst, m.tag)))
+        assert got["fast"] == got["full"], f"delivery diverged at m{i}"
+        assert fast.held_count(dst) == full.held_count(dst)
+        mine, theirs = fast._endpoints[dst], full._endpoints[dst]
+        assert mine.knowledge == theirs.knowledge
+        assert set(mine.dep) <= set(theirs.dep)
+        for other, reference in theirs.dep.items():
+            shipped = mine.dep.get(other)
+            if shipped == reference:
+                continue
+            tally["differ"] += 1
+            # never more than the reference; the rest already delivered
+            assert shipped is None or reference.dominates(shipped)
+            endpoint = fast._endpoints.get(other)
+            delivered = endpoint.knowledge if endpoint else VectorClock()
+            for sender, seq in reference.heads:
+                assert ((shipped is not None and shipped.get(sender) >= seq)
+                        or delivered.get(sender) >= seq), (
+                    f"{dst} lost head {(sender, seq)} of its entry for {other}")
+    assert len(got["fast"]) == sum(op == "send" for op, *_ in ops)
+
+
+def test_novelty_skip_matches_the_full_merge_in_lockstep():
+    tally: Counter = Counter()
+    for seed in range(20):
+        sends = _random_traffic(seed, n_nodes=6, n_messages=120)
+        _lockstep(_ops(sends, replay=False), tally)
+        _lockstep(_ops(sends, replay=True), tally)
+    for sends in (_random_traffic(148, n_nodes=148, n_messages=1500),
+                  _city_traffic(12, side=12, hubs=4, n_messages=2500),
+                  _random_traffic(2, n_nodes=2, n_messages=200)):  # half self-sends
+        _lockstep(_ops(sends, replay=True), tally)
+    for seed in range(10):
+        _lockstep(_interleaved_ops(seed, n_nodes=5, n_messages=200), tally)
+    assert tally["differ"] > 0            # the tables do differ, vacuously
+
+
 def test_causal_layer_op_counts_on_a_pinned_148_node_plan(monkeypatch):
     # Comparing component by component, a delivery costs (table entries
     # compared) x (components per clock) probes: ~1 800 on this plan,
     # ~12 700 on sim-city.  From heads it is (entries compared) x (heads
-    # per clock): 166 here, 66 comparisons of mostly one or two heads.
+    # per clock), and entries the receiver already knows cost one probe
+    # per head to skip.
     sends = _random_traffic(148, n_nodes=148, n_messages=1500)
     calls: Counter = Counter()
     real = {name: getattr(VectorClock, name) for name in ("missing", "dominates")}
-    real_park = CausalOrdering._park
+    real_park, real_commit = CausalOrdering._park, CausalOrdering._commit
+    real_send = CausalOrdering.on_send
 
     def missing(self: VectorClock, other: VectorClock):
         calls["missing"] += 1
@@ -533,15 +658,36 @@ def test_causal_layer_op_counts_on_a_pinned_148_node_plan(monkeypatch):
         calls["parked"] += 1
         real_park(self, *args)
 
+    def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
+        stamped = real_send(self, src, dst, message)
+        calls["shipped"] += len(stamped.constraints)
+        return stamped
+
+    def commit(endpoint, node: NodeId, stamped: StampedMessage) -> List[str]:
+        # _commit probes inline, past missing(): per entry it reads, at
+        # most one probe per head for novelty, then for adopt and keep
+        # unless the receiver already knew the entry.
+        known = endpoint.knowledge
+        for other, clock in stamped.constraints.items():
+            current = endpoint.dep.get(other)
+            if current is not clock:
+                calls["probes"] += len(clock.heads)
+                if current is not None and any(
+                        known.get(s) < seq for s, seq in clock.heads):
+                    calls["probes"] += len(current.heads) + len(clock.heads)
+        return real_commit(endpoint, node, stamped)
+
     monkeypatch.setattr(VectorClock, "missing", missing)
     monkeypatch.setattr(VectorClock, "dominates", dominates)
     monkeypatch.setattr(CausalOrdering, "_park", park)
+    monkeypatch.setattr(CausalOrdering, "_commit", staticmethod(commit))
+    monkeypatch.setattr(CausalOrdering, "on_send", on_send)
     assert len(_replay(CausalOrdering(), sends)) == 1500
     # The only component-wise comparison left is _park's sanity check,
     # once per message held back; deliveries and table merges make none.
     assert calls["parked"] > 0
     assert calls["dominates"] == calls["parked"]
-    assert calls["missing"] > 50 * 1500          # the tables are not empty
+    assert calls["shipped"] >= 50 * 1500         # the tables are not empty
     assert calls["probes"] < 2 * 148 * 1500      # < 2N per delivered message
 
 

@@ -70,6 +70,16 @@ def test_world_builds_one_station_per_cell():
     assert len(world.station_ids()) == 5
 
 
+def test_world_cells_are_resolved_once_and_handed_out_as_copies():
+    world = make_world(topology="grid", grid_width=4, grid_height=3)
+    assert world.cells == world.cell_map.cells
+    assert list(world.stations) == world.cell_map.cells
+    handed_out = world.cells
+    handed_out.reverse()
+    handed_out.append("atlantis")
+    assert world.cells == world.cell_map.cells
+
+
 def test_world_grid_topology():
     world = make_world(topology="grid", grid_width=2, grid_height=3)
     assert len(world.stations) == 6
