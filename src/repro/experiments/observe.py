@@ -30,7 +30,7 @@ only the trailing wall-time line differs run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from ..instruments import Instruments
 from ..obs.registry import Histogram, HistogramFamily, MetricsHub
@@ -202,13 +202,3 @@ def render(result: ObserveResult) -> str:
     lines.append(f"  wall        {result.wall:.3f}s")
     return "\n".join(lines)
 
-
-def machine_summary(result: ObserveResult) -> Dict[str, Any]:
-    """Deterministic dict form of the headline numbers (for tests)."""
-    return {
-        "preset": result.preset.name,
-        "queries": result.queries,
-        "spans": result.report.summary(),
-        "stage_totals": stage_totals(result.report),
-        "accounted": result.accounted(),
-    }

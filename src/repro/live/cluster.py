@@ -13,25 +13,27 @@
 3. **Drive the workload.**  The driver process hosts the mobile hosts
    and their :class:`~repro.hosts.api.RdpClient`\\ s, issues the request
    schedule, performs the mid-run migration, and polls for quiescence.
-4. **Merge and gate.**  After shutdown it merges every process's trace
-   rows, reconstructs delivery spans (:class:`~repro.obs.spans
-   .SpanBuilder` — unchanged from the sim), and replays the merged
-   trace through the invariant oracle.  Only the location-independent
-   checkers run: :class:`~repro.verify.oracle.ExactlyOnceDelivery` and
-   :class:`~repro.verify.oracle.NoLostResult`.  Order-sensitive checkers
-   (causal wired order) would false-positive on a merged multi-process
-   trace, where cross-process timestamps are close but not causal.
+4. **Merge and gate.**  After shutdown it streams a time merge of every
+   process's trace rows through a span builder (:class:`~repro.obs.spans
+   .SpanBuilder` — unchanged from the sim) and the invariant oracle.
+   Only the location-independent checkers run: :class:`~repro.verify
+   .oracle.ExactlyOnceDelivery` and :class:`~repro.verify.oracle
+   .NoLostResult`.  Order-sensitive checkers (causal wired order) would
+   false-positive on a merged multi-process trace, where cross-process
+   timestamps are close but not causal.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import json
 import multiprocessing
 import os
 import socket
 import tempfile
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import WiredFaultSpec
@@ -52,8 +54,6 @@ from .transport import LiveWirelessHostSide
 
 Address = Tuple[str, int]
 _Row = Tuple[float, str, str, Dict[str, Any]]
-#: The merged trace as parallel time / kind / node / fields lists.
-_Columns = Tuple[List[float], List[str], List[str], List[Dict[str, Any]]]
 
 
 @dataclass
@@ -152,13 +152,17 @@ def _load_child_trace(path: str, notes: List[str]) -> Iterator[_Row]:
             yield row["time"], row["kind"], row["node"], row.get("fields", {})
 
 
-def _extend(columns: _Columns, rows: Iterable[_Row]) -> None:
-    times, kinds, nodes, fields = columns
-    for time, kind, node, row_fields in rows:
-        times.append(time)
-        kinds.append(kind)
-        nodes.append(node)
-        fields.append(row_fields)
+def _in_time_order(rows: Iterable[_Row], name: str,
+                   notes: List[str]) -> Iterator[_Row]:
+    """*rows* unchanged; notes the first row earlier than the one before
+    it (past that row, the merge of the streams is no longer a sort)."""
+    last, noted = float("-inf"), False
+    for n, row in enumerate(rows, 1):
+        if row[0] < last and not noted:
+            noted = True
+            notes.append(f"trace rows of {name} out of time order at row {n}")
+        last = row[0]
+        yield row
 
 
 class _Driver:
@@ -360,27 +364,29 @@ def _shutdown(driver_sock: socket.socket, addresses: Dict[str, Address],
 
 def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
            clock: LiveClock, notes: List[str]) -> ClusterResult:
-    columns: _Columns = ([], [], [], [])
-    _extend(columns, driver.recorder.rows())
+    streams = [_in_time_order(driver.recorder.rows(), "the driver", notes)]
     for path in trace_paths:
+        name = os.path.basename(path)
         if not os.path.exists(path):
             # An idle station writes an empty file; a *missing* one means
             # the child died before its shutdown dump.
-            notes.append(f"missing child trace {os.path.basename(path)}")
+            notes.append(f"missing child trace {name}")
             continue
-        _extend(columns, _load_child_trace(path, notes))
-    times, kinds, nodes, fields = columns
+        streams.append(_in_time_order(_load_child_trace(path, notes), name, notes))
 
-    # Replay the merge (a stable sort by time: the driver's rows, then
-    # each child's) to the span builder and the location-independent
-    # checkers; the replay recorder hands each row to them as one view.
+    # Each process records in clock order, so merging by time is a stable
+    # sort (ties: the driver, then the children in order) that holds one
+    # row per process; each row reaches the sinks as one view, then goes.
     builder = SpanBuilder()
     replay = TraceRecorder()
     replay.add_sink(builder.on_record, SpanBuilder.KINDS)
     oracle = Oracle([ExactlyOnceDelivery(), NoLostResult()]).attach(replay)
-    for i in sorted(range(len(times)), key=times.__getitem__):
-        replay.record(times[i], kinds[i], nodes[i], **fields[i])
-    oracle.finish()
+    counts: Dict[str, int] = {}
+    time = 0.0
+    for time, kind, node, fields in heapq.merge(*streams, key=itemgetter(0)):
+        counts[kind] = counts.get(kind, 0) + 1
+        replay.dispatch(time, kind, node, fields)
+    oracle.finish(time)
 
     latencies: List[float] = []
     completed = 0
@@ -396,7 +402,7 @@ def _judge(spec: ClusterSpec, driver: _Driver, trace_paths: List[str],
         report=builder.report(),
         violations=[str(v) for v in oracle.violations],
         latencies=sorted(latencies),
-        counts=replay.counts,
+        counts=counts,
         wall_time=clock.now(),
         notes=notes,
     )

@@ -107,9 +107,6 @@ class WiredFabric(Fabric):
         """Bring a crashed node back; delivery resumes on next arrival."""
         self._down.discard(node_id)
 
-    def is_down(self, node_id: NodeId) -> bool:
-        return node_id in self._down
-
     # -- counters and trace rows ------------------------------------------
 
     def _note_send(self, src: NodeId, dst: NodeId, message: Message) -> None:

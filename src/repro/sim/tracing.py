@@ -24,6 +24,7 @@ Sink contract: :meth:`TraceRecorder.add_sink` subscribes an online consumer
 to the kept records of given kinds; each record is pushed, as it is
 produced, to the sinks of its kind in registration order.  All sinks of
 one row get the same :class:`TraceRecord`; the recorder does not keep it.
+:meth:`TraceRecorder.dispatch` is that routing alone, for rows not to keep.
 
 Storage: kept rows live in four columns (time, kind, node, fields), not as
 row objects, so a kept row adds nothing the cyclic collector tracks; readers
@@ -140,6 +141,11 @@ class TraceRecorder:
         self._kind.append(kind)
         self._node.append(node)
         self._fields.append(fields)
+        self.dispatch(time, kind, node, fields)
+
+    def dispatch(self, time: float, kind: str, node: str,
+                 fields: Dict[str, Any]) -> None:
+        """Push one row to its kind's sinks; neither keep nor count it."""
         sinks = self._routes.get(kind)
         if sinks is None:
             sinks = self._routes[kind] = tuple(

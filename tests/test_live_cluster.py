@@ -11,7 +11,10 @@ transport alone, without a fork.
 """
 
 import pathlib
+import random
 import sys
+import tracemalloc
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -19,10 +22,13 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.live.clock import LiveClock  # noqa: E402
-from repro.live.cluster import ClusterSpec, _judge, run_cluster  # noqa: E402
+from repro.live.cluster import (  # noqa: E402
+    ClusterSpec, _judge, _load_child_trace, run_cluster)
 from repro.live.crossval import crossval_report  # noqa: E402
 from repro.live.node import dump_trace  # noqa: E402
+from repro.obs.spans import SpanBuilder  # noqa: E402
 from repro.sim.tracing import TraceRecorder  # noqa: E402
+from repro.verify.oracle import ExactlyOnceDelivery, NoLostResult, Oracle  # noqa: E402
 
 SPEC = ClusterSpec(seed=7, n_cells=2, n_hosts=2, requests_per_host=2,
                    wired_loss=0.05, request_gap=0.1, host_stagger=0.05,
@@ -80,9 +86,12 @@ def test_crossval_report_shows_parity(result):
 
 
 def _recorder(rows):
+    """A recorder holding *rows*: ``(time, kind)`` pairs (node ``n``, one
+    ``msg_id`` field) or full ``(time, kind, node, fields)`` rows."""
     recorder = TraceRecorder()
-    for time, kind in rows:
-        recorder.record(time, kind, "n", msg_id=1)
+    for time, kind, *rest in rows:
+        node, fields = rest if rest else ("n", {"msg_id": 1})
+        recorder.record(time, kind, node, **fields)
     return recorder
 
 
@@ -102,23 +111,141 @@ def _judge_traces(driver_rows, paths):
     return result, notes
 
 
+def _cut_last_line(path):
+    """What a station terminated mid-dump leaves: its last line cut short."""
+    text = path.read_text()
+    path.write_text(text[:text.rindex("\n", 0, -1) + 12])
+
+
 def test_judge_merges_equal_times_driver_first_then_children_in_order(tmp_path):
     # Every row has its own kind, so ``counts`` lists the merge order.
+    # Each stream is in time order, as every live process records; the
+    # ties at 0.5 and 1.0 span the driver and all three children.
     paths = _dump_children(tmp_path, [
-        [(1.0, "a1"), (0.5, "a.5"), (1.0, "a1b")],
+        [(0.5, "a.5"), (1.0, "a1"), (1.0, "a1b")],
         [(0.5, "b.5"), (1.0, "b1")],
-        [(1.0, "c1"), (0.25, "c.25")]])
-    result, notes = _judge_traces([(1.0, "d1"), (0.5, "d.5")], paths)
+        [(0.25, "c.25"), (1.0, "c1")]])
+    result, notes = _judge_traces([(0.5, "d.5"), (1.0, "d1")], paths)
     assert list(result.counts) == [
         "c.25", "d.5", "a.5", "b.5", "d1", "a1", "a1b", "b1", "c1"]
     assert notes == []
 
 
+def test_judge_notes_a_stream_out_of_time_order_once(tmp_path):
+    # Two steps back in trace_s1.jsonl: one note, at the first of them.
+    paths = _dump_children(tmp_path, [
+        [(0.5, "a.5"), (1.0, "a1")],
+        [(1.0, "b1"), (0.5, "b.5"), (0.25, "b.25"), (2.0, "b2")]])
+    result, notes = _judge_traces([(0.5, "d.5")], paths)
+    assert notes == ["trace rows of trace_s1.jsonl out of time order at row 2"]
+    assert sum(result.counts.values()) == 7
+    assert all(count == 1 for count in result.counts.values())
+
+
 def test_judge_keeps_the_rows_before_a_cut_last_line(tmp_path):
-    # A station terminated mid-dump leaves its last line cut short.
     [path] = _dump_children(tmp_path, [[(1.0, "send"), (2.0, "recv"), (3.0, "deliver")]])
-    text = path.read_text()
-    path.write_text(text[:text.rindex("\n", 0, -1) + 12])
+    _cut_last_line(path)
     result, notes = _judge_traces([(0.5, "request")], [path])
     assert result.counts == {"request": 1, "send": 1, "recv": 1}
     assert notes == ["truncated child trace trace_s0.jsonl: kept 2 rows"]
+
+
+# -- the streamed judge against the column + stable-sort judge it replaced ----
+
+
+def _reference_judge(driver_recorder, paths):
+    """The judge before it streamed: every row into four columns (driver
+    first, then each child), a stable sort of the row indices by time, and
+    a replay through a recorder that keeps and counts every row."""
+    notes = []
+    times, kinds, nodes, fields = [], [], [], []
+    streams = [driver_recorder.rows()]
+    streams += [_load_child_trace(str(path), notes) for path in paths]
+    for rows in streams:
+        for time, kind, node, row_fields in rows:
+            times.append(time)
+            kinds.append(kind)
+            nodes.append(node)
+            fields.append(row_fields)
+    builder = SpanBuilder()
+    replay = TraceRecorder()
+    replay.add_sink(builder.on_record, SpanBuilder.KINDS)
+    oracle = Oracle([ExactlyOnceDelivery(), NoLostResult()]).attach(replay)
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        replay.record(times[i], kinds[i], nodes[i], **fields[i])
+    oracle.finish()
+    return replay.counts, builder.report(), [str(v) for v in oracle.violations], notes
+
+
+_KINDS = ("request", "deliver", "proxy_admit", "proxy_ack", "retransmit",
+          "send", "recv", "drop", "handoff_done", "noise")
+_TIMES = (0.0, 0.25, 0.5, 1.0, 1.5)  # few, so ties across streams are common
+
+
+def _random_rows(rng, n):
+    """*n* time-ordered rows of the kinds the span builder and the two
+    checkers read, over a few request ids, so spans open and close,
+    sends pair with receives, and both checkers can fail."""
+    rows = []
+    for _ in range(n):
+        kind = rng.choice(_KINDS)
+        rid = f"r{rng.randrange(4)}"
+        fields = {"request_id": rid}
+        if kind in ("send", "recv", "drop"):
+            fields = {"net": rng.choice(("wired", "wireless")),
+                      "msg": rng.choice(("request", "server_result", "ack")),
+                      "msg_id": rng.randrange(3), "detail": f"request({rid})"}
+        elif kind == "handoff_done":
+            fields = {"mh": "h0", "duration": 0.25}
+        rows.append((rng.choice(_TIMES), kind, rng.choice(("h0", "h1", "s0")), fields))
+    rows.sort(key=itemgetter(0))  # stable: each stream stays in its own order
+    return rows
+
+
+def test_streamed_judge_equals_the_sorting_judge(tmp_path):
+    for seed in range(60):
+        rng = random.Random(seed)
+        case = tmp_path / f"case{seed}"
+        case.mkdir()
+        driver_rows = _random_rows(rng, rng.randrange(0, 20))
+        paths = _dump_children(case, [_random_rows(rng, rng.randrange(2, 30))
+                                      for _ in range(rng.randrange(1, 4))])
+        if seed == 0:
+            _cut_last_line(paths[-1])
+        result, notes = _judge_traces(driver_rows, paths)
+        counts, report, violations, ref_notes = _reference_judge(
+            _recorder(driver_rows), paths)
+        assert list(result.counts.items()) == list(counts.items()), seed
+        assert result.report == report, seed
+        assert result.violations == violations, seed
+        assert notes == ref_notes, seed
+        if seed == 0:
+            assert notes and notes[0].startswith("truncated child trace")
+
+
+def test_judge_memory_does_not_grow_with_the_trace(tmp_path):
+    """The judge holds one row per stream, not the run: judging 4x the rows
+    of a kind no sink reads must not take 4x the memory."""
+    handful = [(0.5, "request", "h0", {"request_id": "r1", "service": "app"}),
+               (1.5, "deliver", "h0", {"request_id": "r1"}),
+               (2.0, "request", "h1", {"request_id": "r2", "service": "app"})]
+
+    def judge_peak(n):
+        child = [(1.0 + k * 1e-4, "wired_retx", "s0", {"seq": k, "detail": "x" * 32})
+                 for k in range(n)]
+        (tmp_path / f"n{n}").mkdir()
+        paths = _dump_children(tmp_path / f"n{n}", [child, child])
+        driver = SimpleNamespace(recorder=_recorder(handful), clients={})
+        clock, notes = LiveClock.start(), []
+        tracemalloc.start()
+        try:
+            result = _judge(ClusterSpec(), driver, [str(p) for p in paths], clock, notes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.counts["wired_retx"] == 2 * n and len(result.violations) == 1
+        assert notes == []
+        return peak
+
+    small, large = judge_peak(2000), judge_peak(8000)
+    assert large < 1.5 * small, (small, large)
