@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..errors import ConfigError
 from ..instruments import Instruments
+from ..mobility.cellmap import bfs
 from ..net.directory import DirectoryService
 from ..net.latency import ConstantLatency, LatencyModel
 from ..net.wired import WiredNetwork
@@ -71,16 +70,17 @@ class TisNetwork:
                     raise ConfigError(f"region {region!r} assigned twice")
                 self.region_owner[region] = server_name
 
-        self.overlay = nx.Graph()
-        self.overlay.add_nodes_from(self.servers)
+        # Server -> neighbours in edge-insertion order (a dict as an ordered
+        # set): bfs breaks route ties by this order.
+        self.overlay: Dict[str, Dict[str, None]] = {name: {} for name in self.servers}
         for a, b in overlay_edges:
             if a not in self.servers or b not in self.servers:
                 raise ConfigError(f"overlay edge ({a!r}, {b!r}) names unknown server")
-            self.overlay.add_edge(a, b)
+            self.overlay[a][b] = self.overlay[b][a] = None
 
         for name, server in self.servers.items():
             server.neighbors = [self.servers[n].node_id
-                                for n in sorted(self.overlay.neighbors(name))]
+                                for n in sorted(self.overlay[name])]
 
         if use_routing:
             self._build_routes()
@@ -91,15 +91,11 @@ class TisNetwork:
 
     def _build_routes(self) -> None:
         """Per-region next-hop tables along overlay shortest paths."""
-        paths = dict(nx.all_pairs_shortest_path(self.overlay))
         for name, server in self.servers.items():
+            reached = bfs(self.overlay, name)
             for region, owner in self.region_owner.items():
-                if owner == name:
-                    continue
-                path = paths[name].get(owner)
-                if path is None or len(path) < 2:
-                    continue
-                server.routes[region] = self.servers[path[1]].node_id
+                if owner != name and owner in reached:
+                    server.routes[region] = self.servers[reached[owner][1]].node_id
 
     # -- accessors -----------------------------------------------------------------
 

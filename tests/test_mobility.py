@@ -73,20 +73,30 @@ def test_unknown_cell_raises():
         cmap.neighbors(CellId("nowhere"))
 
 
-def test_cells_and_neighbors_follow_a_graph_edited_after_construction():
-    # Only the sort key is memoised, never a sorted list: callers such as
-    # ring_topology edit cmap.graph after the CellMap exists.
-    cmap = line_topology(11)
-    assert cmap.cells[:3] == ["cell0", "cell1", "cell2"]
-    assert cmap.cells[-1] == "cell10"            # numeric, not lexical
-    assert cmap.neighbors(CellId("cell0")) == ["cell1"]
-    cmap.graph.add_edge(CellId("cell0"), CellId("cell10"))
-    cmap.graph.add_edge(CellId("cell0"), CellId("cell12"))   # a new cell
-    assert cmap.neighbors(CellId("cell0")) == ["cell1", "cell10", "cell12"]
-    assert cmap.cells[-2:] == ["cell10", "cell12"] and len(cmap) == 12
-    cmap.graph.remove_node(CellId("cell1"))
-    assert cmap.neighbors(CellId("cell0")) == ["cell10", "cell12"]
-    assert "cell1" not in cmap.cells
+def test_cells_and_neighbors_are_naturally_sorted_whatever_the_edge_order():
+    # cell10 is named before cell2, cell12 only in an edge, cell7 only
+    # as an isolated cell; the map sorts each once, at construction.
+    cmap = custom_topology([("cell10", "cell0"), ("cell0", "cell2"),
+                            ("cell12", "cell0"), ("cell2", "cell1")],
+                           isolated=["cell7"])
+    assert cmap.cells == ["cell0", "cell1", "cell2", "cell7", "cell10",
+                          "cell12"]
+    assert len(cmap) == 6 and "cell12" in cmap and "cell3" not in cmap
+    assert cmap.neighbors(CellId("cell0")) == ["cell2", "cell10", "cell12"]
+    assert cmap.neighbors(CellId("cell12")) == ["cell0"]
+    assert cmap.neighbors(CellId("cell7")) == []
+    assert ring_topology(11).neighbors(CellId("cell0")) == ["cell1", "cell10"]
+    assert line_topology(11).cells[-2:] == ["cell9", "cell10"]  # not lexical
+
+
+def test_distance_to_an_unreachable_cell_raises():
+    cmap = custom_topology([("a", "b")], isolated=["c"])
+    assert cmap.distance_hops(CellId("b"), CellId("a")) == 1
+    assert cmap.distance_hops(CellId("c"), CellId("c")) == 0
+    with pytest.raises(MobilityError):
+        cmap.distance_hops(CellId("a"), CellId("c"))
+    with pytest.raises(MobilityError):
+        cmap.distance_hops(CellId("a"), CellId("nowhere"))
 
 
 # -- residence times ------------------------------------------------------------

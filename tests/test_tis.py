@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.mobility.cellmap import bfs
 from repro.net.latency import ConstantLatency
 from repro.servers.tis_network import TisNetwork
 
@@ -185,3 +188,39 @@ def test_unknown_tis_operation(world):
     p = client.request("tis.tisA", {"op": "dance"})
     world.run_until_idle()
     assert "error" in p.result
+
+
+@pytest.mark.parametrize("edges, via", [
+    ([("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")], "B"),
+    ([("D", "A"), ("C", "D"), ("B", "C"), ("A", "B")], "D"),
+])
+def test_equal_length_routes_go_via_the_first_inserted_neighbor(world, edges, via):
+    tis = TisNetwork(world.sim, world.wired, world.directory,
+                     partitions={"A": ["ra"], "B": ["rb"], "C": ["rc"],
+                                 "D": ["rd"]},
+                     overlay_edges=edges)
+    a = tis.servers["A"]
+    assert a.routes["rc"] == tis.servers[via].node_id
+    assert a.neighbors == [tis.servers["B"].node_id, tis.servers["D"].node_id]
+
+
+def test_overlay_bfs_matches_networkx_shortest_paths():
+    nx = pytest.importorskip("networkx")
+    for seed in range(250):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(1, 12))]
+        edges = [(a, b) for a in nodes for b in nodes
+                 if a <= b and rng.random() < 0.35]
+        edges += rng.sample(edges, len(edges) // 4)   # repeats, either way round
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+        rng.shuffle(edges)
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        adjacency = {node: {} for node in nodes}
+        for a, b in edges:
+            graph.add_edge(a, b)
+            adjacency[a][b] = adjacency[b][a] = None
+        for source, paths in nx.all_pairs_shortest_path(graph):
+            expected = {target: (len(path) - 1, path[min(1, len(path) - 1)])
+                        for target, path in paths.items()}
+            assert bfs(adjacency, source) == expected, (seed, source, edges)
