@@ -29,7 +29,6 @@ Quickstart::
     assert pending.done
 """
 
-from . import presets
 from .config import LatencySpec, WiredFaultSpec, WorldConfig
 from .errors import ReproError
 from .instruments import Instruments
@@ -43,7 +42,6 @@ __all__ = [
     "ReproError",
     "WiredFaultSpec",
     "World",
-    "presets",
     "WorldConfig",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Analysis: metrics, statistics, sequence charts, invariant verification."""
+"""Analysis: metrics, statistics, sequence charts, timelines."""
 
 from .charts import curve, hbar_chart, sparkline
 from .latency import LatencyBreakdown, LatencyReport, extract_breakdowns, latency_report
@@ -16,7 +16,6 @@ from .stats import (
     stddev,
     summarize,
 )
-from .verify import VerificationReport, check_all
 
 __all__ = [
     "ChartEntry",
@@ -30,11 +29,9 @@ __all__ = [
     "sparkline",
     "Summary",
     "TimelineEvent",
-    "VerificationReport",
     "extract_timeline",
     "lane_summary",
     "render_timeline",
-    "check_all",
     "extract_chart",
     "histogram",
     "imbalance_ratio",

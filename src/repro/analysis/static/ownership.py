@@ -96,7 +96,6 @@ _PATH_RULES: Tuple[Tuple[str, str, Optional[str]], ...] = (
     # Composition roots and tooling run outside any shard.
     ("world.py", ROLE_HARNESS, None),
     ("config.py", ROLE_HARNESS, None),
-    ("presets.py", ROLE_HARNESS, None),
     ("instruments.py", ROLE_HARNESS, None),
     ("experiments/", ROLE_HARNESS, None),
     ("analysis/", ROLE_HARNESS, None),

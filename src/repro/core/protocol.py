@@ -110,6 +110,11 @@ class RequestMsg(Message):
         return f"request({self.request_id})"
 
 
+def is_subscription(payload: Any) -> bool:
+    """A request payload that opens a subscription (``subscribe: True``)."""
+    return isinstance(payload, dict) and payload.get("subscribe") is True
+
+
 @dataclass(slots=True, kw_only=True)
 class AckMsg(Message):
     """MH acknowledges the reception of one result."""

@@ -35,6 +35,7 @@ from .protocol import (
     ServerResultMsg,
     SubscriptionEndMsg,
     UpdateCurrentLocMsg,
+    is_subscription,
 )
 
 #: Bounce-retry backoff: base delay doubled per forward attempt, capped.
@@ -175,7 +176,7 @@ class Proxy:
             service=service,
             payload=payload,
             issued_at=self.sim.now,
-            is_subscription=self._is_subscription_request(payload),
+            is_subscription=is_subscription(payload),
         )
         self.requestlist[request_id] = record
         self.instr.metrics.incr("proxy_requests_admitted", node=self.host.node_id)
@@ -197,10 +198,6 @@ class Proxy:
             payload=payload,
             reply_to=self.ref,
         ))
-
-    @staticmethod
-    def _is_subscription_request(payload: Any) -> bool:
-        return isinstance(payload, dict) and payload.get("subscribe") is True
 
     def handle_server_result(self, msg: ServerResultMsg) -> None:
         record = self.requestlist.get(msg.request_id)

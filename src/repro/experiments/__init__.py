@@ -15,7 +15,6 @@ from .an11_triangle import TrianglePoint, run_an11, run_triangle
 from .an12_proxy_migration import run_an12, run_subscription_walk
 from .an13_mss_failures import FailureResult, run_an13, run_failures
 from .harness import Table, drain, dump_tables, settle_active
-from .sweep import sweep, sweep_table
 from .scenarios import (
     FIG3_EXPECTED_KINDS,
     FIG4_EXPECTED_KINDS,
@@ -75,6 +74,4 @@ __all__ = [
     "run_race",
     "run_reliability",
     "settle_active",
-    "sweep",
-    "sweep_table",
 ]

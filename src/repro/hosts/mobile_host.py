@@ -31,6 +31,7 @@ from ..core.protocol import (
     ReRegisterMsg,
     RequestMsg,
     WirelessResultMsg,
+    is_subscription,
 )
 from ..errors import ProtocolError
 from ..instruments import Instruments
@@ -359,8 +360,10 @@ class MobileHost:
             raise ProtocolError(f"{self.node_id} cannot send requests while {self.state}")
         rid = request_id or self.new_request_id()
         if self.instr.recorder.wants("request"):
+            # Only a subscription's row carries the flag (NoLostResult exempts it).
+            flag = {"subscription": True} if is_subscription(payload) else {}
             self.instr.recorder.record(self.sim.now, "request", self.node_id,
-                                       request_id=rid, service=service)
+                                       request_id=rid, service=service, **flag)
         msg = RequestMsg(mh=self.node_id, request_id=rid,
                          service=service, payload=payload)
         self.log.note_issued(rid, service, payload)

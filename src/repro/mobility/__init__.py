@@ -1,4 +1,4 @@
-"""Mobility substrate: cell topologies, mobility models, activity, traces."""
+"""Mobility substrate: cell topologies, mobility models, activity."""
 
 from .activity import ActivityProcess, exponential_durations, fixed_durations
 from .cellmap import (
@@ -13,36 +13,21 @@ from .driver import MobilityDriver
 from .models import (
     ExponentialResidence,
     FixedResidence,
-    FixedRoute,
-    HotspotMobility,
-    MarkovMobility,
     MobilityModel,
-    PlatoonMobility,
     RandomNeighborWalk,
     ResidenceTime,
     UniformResidence,
 )
-from .trace import ACTIVATE, DEACTIVATE, MIGRATE, MobilityTrace, TraceReplayer, TraceStep
 
 __all__ = [
-    "ACTIVATE",
     "ActivityProcess",
     "CellMap",
-    "DEACTIVATE",
     "ExponentialResidence",
     "FixedResidence",
-    "FixedRoute",
-    "HotspotMobility",
-    "MIGRATE",
-    "MarkovMobility",
     "MobilityDriver",
     "MobilityModel",
-    "MobilityTrace",
-    "PlatoonMobility",
     "RandomNeighborWalk",
     "ResidenceTime",
-    "TraceReplayer",
-    "TraceStep",
     "UniformResidence",
     "complete_topology",
     "custom_topology",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from ..errors import MobilityError
 from ..types import CellId
@@ -101,108 +101,3 @@ class RandomNeighborWalk(MobilityModel):
         if not neighbors:
             return None
         return rng.choice(neighbors)
-
-
-class MarkovMobility(MobilityModel):
-    """Explicit per-cell transition probabilities.
-
-    ``transitions[cell]`` maps target cell -> probability; probabilities
-    may sum to less than 1, the remainder meaning "stay".
-    """
-
-    def __init__(self, transitions: Dict[CellId, Dict[CellId, float]]) -> None:
-        for cell, row in transitions.items():
-            total = sum(row.values())
-            if total > 1.0 + 1e-9 or any(p < 0 for p in row.values()):
-                raise MobilityError(f"invalid transition row for {cell!r}: {row}")
-        self.transitions = transitions
-
-    def next_cell(self, current: CellId, rng: random.Random) -> Optional[CellId]:
-        row = self.transitions.get(current, {})
-        draw = rng.random()
-        acc = 0.0
-        for target, prob in sorted(row.items()):
-            acc += prob
-            if draw < acc:
-                return target
-        return None
-
-
-class HotspotMobility(MobilityModel):
-    """Random walk biased toward a hotspot cell.
-
-    With probability ``pull`` the host moves one hop toward the hotspot;
-    otherwise it walks to a uniform random neighbour.  Used by the load
-    balancing experiment (AN5): under Mobile IP the hotspot's home agents
-    stay wherever hosts started, while RDP proxies follow the crowd.
-    """
-
-    def __init__(self, cell_map: CellMap, hotspot: CellId, pull: float = 0.6) -> None:
-        if not 0.0 <= pull <= 1.0:
-            raise MobilityError(f"pull must be a probability, got {pull}")
-        if hotspot not in cell_map:
-            raise MobilityError(f"hotspot {hotspot!r} not in the cell map")
-        self.cell_map = cell_map
-        self.hotspot = hotspot
-        self.pull = pull
-
-    def next_cell(self, current: CellId, rng: random.Random) -> Optional[CellId]:
-        neighbors = self.cell_map.neighbors(current)
-        if not neighbors:
-            return None
-        if current != self.hotspot and rng.random() < self.pull:
-            best = min(
-                neighbors,
-                key=lambda c: (self.cell_map.distance_hops(c, self.hotspot), c),
-            )
-            return best
-        return rng.choice(neighbors)
-
-
-class PlatoonMobility(MobilityModel):
-    """Group mobility: followers trail a leader's cell.
-
-    Models the paper's car-pool / staff-vehicle narratives: one host (the
-    leader) moves by any model; followers, when asked for their next
-    cell, step one hop toward the leader's current cell (or stay if
-    already co-located).  Give each follower its own
-    :class:`PlatoonMobility` wrapping the shared leader handle.
-    """
-
-    def __init__(self, cell_map: CellMap, leader) -> None:
-        self.cell_map = cell_map
-        self.leader = leader  # anything with .current_cell
-
-    def next_cell(self, current: CellId, rng: random.Random) -> Optional[CellId]:
-        target = self.leader.current_cell
-        if target is None or target == current:
-            return None
-        if target in self.cell_map.neighbors(current):
-            return target
-        neighbors = self.cell_map.neighbors(current)
-        if not neighbors:
-            return None
-        return min(neighbors,
-                   key=lambda c: (self.cell_map.distance_hops(c, target), c))
-
-
-class FixedRoute(MobilityModel):
-    """Deterministic route through a sequence of cells (scenario replays).
-
-    After the final cell the host stays put (``next_cell`` returns None).
-    """
-
-    def __init__(self, route: Sequence[CellId]) -> None:
-        if not route:
-            raise MobilityError("route must contain at least one cell")
-        self.route = list(route)
-        self._index = 0
-
-    def next_cell(self, current: CellId, rng: random.Random) -> Optional[CellId]:
-        if self._index < len(self.route) and self.route[self._index] == current:
-            self._index += 1
-        if self._index >= len(self.route):
-            return None
-        target = self.route[self._index]
-        self._index += 1
-        return target

@@ -63,20 +63,6 @@ class OrderingLayer:
         message that becomes deliverable (possibly several)."""
         deliver(stamped.message)
 
-    def retire(self, node: NodeId) -> int:
-        """Forget all ordering state for a permanently detached endpoint.
-
-        Returns the number of held-back messages dropped with it.  Only
-        valid for endpoints that will never exchange messages again: a
-        later re-attach knows nothing of what the endpoint had received,
-        so in-flight stamps that still reference the retired endpoint
-        could block forever.  What the causal layer does keep is the
-        endpoint's send numbering: a re-created sender continues where
-        the retired one stopped, so receivers that remember its old
-        stamps still order its new ones.
-        """
-        return 0
-
 
 class RawOrdering(OrderingLayer):
     """No ordering guarantee: messages delivered in arrival order, which
@@ -122,15 +108,6 @@ class FifoOrdering(OrderingLayer):
             expected += 1
         self._next_deliver[channel] = expected
 
-    def retire(self, node: NodeId) -> int:
-        dropped = 0
-        for channel in [c for c in self._held if node in c]:
-            dropped += len(self._held.pop(channel))
-        for counters in (self._next_send, self._next_deliver):
-            for channel in [c for c in counters if node in c]:
-                del counters[channel]
-        return dropped
-
 
 class _CausalEndpoint:
     """Per-endpoint SES state plus the indexed hold-back buffer."""
@@ -175,9 +152,9 @@ class CausalOrdering(OrderingLayer):
       Woken candidates are processed in arrival order, which reproduces
       the delivery order of the classic rescan-from-start drain.
     * **Heads lemma.**  A stamp is its sender's knowledge plus
-      ``{sender: seq}``, named ``(sender, seq)`` and issued once
-      (``retire`` keeps the numbering).  For any clock ``A`` this layer
-      builds — knowledge, stamp or merged constraint —
+      ``{sender: seq}``, named ``(sender, seq)`` and issued once.  For
+      any clock ``A`` this layer builds — knowledge, stamp or merged
+      constraint —
       ``A >= stamp(s, c)`` iff ``A[s] >= c``.  Sketch: ``A`` is a max of
       stamps, so one of them, ``T``, has ``T[s] >= c``.  Either ``T`` is
       a later stamp of ``s``, and a node's stamps only grow because its
@@ -205,23 +182,18 @@ class CausalOrdering(OrderingLayer):
       deliverability, wake-ups and delivery order are the full merge's.
       On ``sim-city`` a delivered table has ~137 entries: ~72 are the
       receiver's own objects, ~30 vacuous (0.42 would have changed the
-      full merge's table), ~34 change it.  ``retire`` voids the lemma
-      for the retired node, as its contract says.
+      full merge's table), ~34 change it.
     """
 
     name = "causal"
 
     def __init__(self) -> None:
         self._endpoints: Dict[NodeId, _CausalEndpoint] = {}
-        # retired node -> its last send number, so a stamp identity
-        # (sender, seq) is never issued twice
-        self._retired_sent: Dict[NodeId, int] = {}
 
     def _endpoint(self, node: NodeId) -> _CausalEndpoint:
         endpoint = self._endpoints.get(node)
         if endpoint is None:
             endpoint = self._endpoints[node] = _CausalEndpoint()
-            endpoint.sent = self._retired_sent.pop(node, 0)
         return endpoint
 
     def on_send(self, src: NodeId, dst: NodeId, message: Message) -> StampedMessage:
@@ -328,21 +300,6 @@ class CausalOrdering(OrderingLayer):
                     dep[other] = current.merged(clock)
                     break
         return endpoint.knowledge.update_max(stamped.stamp)
-
-    def held_count(self, node: NodeId) -> int:
-        """Number of messages currently buffered for *node* (for tests)."""
-        endpoint = self._endpoints.get(node)
-        return endpoint.held if endpoint is not None else 0
-
-    def retire(self, node: NodeId) -> int:
-        endpoint = self._endpoints.pop(node, None)
-        dropped = 0
-        if endpoint is not None:
-            dropped = endpoint.held
-            self._retired_sent[node] = endpoint.sent
-        for other in self._endpoints.values():
-            other.dep.pop(node, None)
-        return dropped
 
 
 def make_ordering(name: str) -> OrderingLayer:

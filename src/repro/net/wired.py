@@ -203,24 +203,6 @@ class WiredNetwork(WiredFabric):
                                               rng=link_rng, window=window,
                                               max_batch=max_batch)
 
-    def detach(self, node_id: NodeId) -> None:
-        """Permanently remove a static node and prune its ordering state.
-
-        Messages still in flight to the node raise on delivery; held-back
-        causal state referencing it is dropped so long sweeps that cycle
-        through many endpoints don't grow without bound.  Re-attaching the
-        same id later starts it with nothing received and, under causal
-        ordering, its send numbering continued (see
-        :meth:`OrderingLayer.retire`, also for the caveat on in-flight
-        stamps).
-        """
-        self._nodes.pop(node_id, None)
-        self._deliver_cbs.pop(node_id, None)
-        self.ordering.retire(node_id)
-
-    def knows(self, node_id: NodeId) -> bool:
-        return node_id in self._nodes
-
     def station_ids(self) -> List[NodeId]:
         """All attached Mobile Support Stations, sorted (page broadcasts)."""
         return sorted(n for n in self._nodes if is_mss(n))

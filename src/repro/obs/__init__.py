@@ -1,6 +1,6 @@
 """Unified observability: typed metrics, delivery spans, exporters.
 
-The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
+The subsystem has three parts (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.registry` — the deterministic typed metrics hub
   (:class:`MetricsHub` with counter/gauge/histogram families, label
@@ -9,9 +9,7 @@ The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
   delivery span per client request from trace records (online sink or
   post-hoc);
 * :mod:`repro.obs.export` — Prometheus text exposition and canonical
-  JSON snapshot renderers;
-* :mod:`repro.obs.scrape` — :class:`ScrapeProcess`, a sim-time periodic
-  snapshotter producing a deterministic time series.
+  JSON snapshot renderers.
 
 The legacy :class:`repro.net.monitor.NetworkMonitor` and
 :class:`repro.analysis.metrics.MetricsRegistry` are compatibility
@@ -30,7 +28,6 @@ from .registry import (
     LATENCY_BUCKETS,
     MetricsHub,
 )
-from .scrape import ScrapeProcess
 from .spans import DeliverySpan, Hop, SpanBuilder, SpanReport
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "Hop",
     "LATENCY_BUCKETS",
     "MetricsHub",
-    "ScrapeProcess",
     "SpanBuilder",
     "SpanReport",
     "digest",

@@ -10,8 +10,8 @@ The Prometheus renderer follows the text exposition format 0.0.4:
 ``# HELP``/``# TYPE`` headers, ``_bucket{le="..."}`` cumulative
 histogram series with a ``+Inf`` bucket, and ``_sum``/``_count``
 companions.  Timestamps are deliberately omitted — sim-time is not
-wall-time; the scrape process (:mod:`repro.obs.scrape`) carries
-simulated time in the JSON snapshots instead.
+wall-time; :func:`snapshot` carries the caller's simulated time in
+the JSON instead.
 """
 
 from __future__ import annotations

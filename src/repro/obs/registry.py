@@ -17,7 +17,7 @@ Design constraints, in order:
   identical simulations produce identical hub contents, and exports
   iterate in sorted order so snapshots are byte-stable run over run.
   Timestamps, where they appear, are *simulated* time supplied by the
-  caller (see :mod:`repro.obs.scrape`).
+  caller.
 * **One probe per count.**  ``family.labels(...)`` probes ``children``
   with the caller's own argument tuple; a hit — every call after a label
   set's first, when the values are strings — costs that one dict lookup,

@@ -16,9 +16,9 @@ connected to peer servers through an overlay (built by
   TTL-bounded flooding when no routing tables are configured);
 * ``update``    — routed to the owner, which bumps the version, replicates
   to overlay neighbours and fires matching subscriptions;
-* ``subscribe`` — registered at the owner; the subscriber is notified
-  through its RDP proxy whenever the region's level changes by at least
-  the subscribed threshold.
+* ``subscribe`` — sent to the region's owner and registered there; the
+  subscriber is notified through its RDP proxy whenever the region's
+  level changes by at least the subscribed threshold.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Set
 from ..core.protocol import ServerRequestMsg
 from ..net.message import Message
 from ..sim import Timer
-from ..types import NodeId, ProxyRef, RequestId
+from ..types import NodeId, RequestId
 from .base import AppServer
 from .subscription import SubscriptionRegistry
 
@@ -114,21 +114,6 @@ class TisReplicateMsg(Message):
         return f"tis_replicate({self.region})"
 
 
-@dataclass(slots=True, kw_only=True)
-class TisSubscribeMsg(Message):
-    """Registers a remote client's subscription at the region owner."""
-
-    kind: ClassVar[str] = "tis_subscribe"
-    subscription_id: RequestId
-    region: str
-    threshold: float
-    proxy_mss: NodeId
-    proxy_id: str
-
-    def describe(self) -> str:
-        return f"tis_subscribe({self.region})"
-
-
 @dataclass
 class _PendingOp:
     """A client request waiting for the overlay to answer."""
@@ -137,21 +122,6 @@ class _PendingOp:
     region: str
     timer: Optional[Timer] = None
     answered: bool = False
-
-
-@dataclass
-class _PendingRoute:
-    """A scatter-gather route query awaiting per-region answers."""
-
-    request: ServerRequestMsg
-    regions: List[str]
-    reports: Dict[str, Optional[Dict[str, Any]]] = field(default_factory=dict)
-    timer: Optional[Timer] = None
-    answered: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return len(self.reports) == len(self.regions)
 
 
 class TrafficInfoServer(AppServer):
@@ -174,8 +144,6 @@ class TrafficInfoServer(AppServer):
         self.flood_ttl = flood_ttl
         self.subs = SubscriptionRegistry(self.node_id, self.wired)
         self._pending: Dict[int, _PendingOp] = {}
-        self._pending_routes: Dict[int, _PendingRoute] = {}
-        self._route_legs: Dict[int, tuple] = {}  # leg op_id -> (route, region)
         # Per-instance so op ids are stable across repeated same-seed runs
         # in one process; uniqueness is only needed per origin server.
         self._op_ids = itertools.count(1)
@@ -194,8 +162,6 @@ class TrafficInfoServer(AppServer):
             self._op_query(message, payload)
         elif op == "update":
             self._op_update(message, payload)
-        elif op == "route":
-            self._op_route(message, payload)
         else:
             self.reply(message, {"error": f"unknown TIS operation {op!r}"})
 
@@ -299,107 +265,14 @@ class TrafficInfoServer(AppServer):
         self.wired.send(self.node_id, next_hop, update)
         return True
 
-    # -- route queries (scatter-gather across owners) ------------------------
-
-    def _op_route(self, message: ServerRequestMsg,
-                  payload: Dict[str, Any]) -> None:
-        """Aggregate congestion along a route of regions.
-
-        The paper's "queries ... may involve complex searches,
-        interactions and processing within the TIS network": the entry
-        server answers local regions from its store/cache and launches
-        one overlay lookup per remote region, replying once every leg is
-        accounted for (or the timeout fires).
-        """
-        regions = [str(r) for r in payload.get("regions", [])]
-        if not regions:
-            self.reply(message, {"error": "route query needs regions"})
-            return
-        route = _PendingRoute(request=message, regions=regions)
-        route_id = next(self._op_ids)
-        self._pending_routes[route_id] = route
-        self.instr.metrics.incr("tis_route_queries", node=self.node_id)
-        for region in regions:
-            local = self.store.get(region) or self._fresh_cached(region)
-            if local is not None:
-                route.reports[region] = local.as_payload()
-                continue
-            op_id = next(self._op_ids)
-            self._route_legs[op_id] = (route_id, region)
-            lookup = TisLookupMsg(op_id=op_id, region=region,
-                                  origin=self.node_id, ttl=self.flood_ttl,
-                                  visited=(self.node_id,))
-            if not self._forward_lookup(lookup):
-                route.reports[region] = None
-        if route.complete:
-            self._finish_route(route_id)
-            return
-        timer = Timer(self.sim, lambda: self._route_timed_out(route_id),
-                      label="tis:route-timeout")
-        timer.restart(self.lookup_timeout)
-        route.timer = timer
-
-    def _route_leg_answered(self, op_id: int,
-                            report: Optional[Dict[str, Any]]) -> bool:
-        leg = self._route_legs.pop(op_id, None)
-        if leg is None:
-            return False
-        route_id, region = leg
-        route = self._pending_routes.get(route_id)
-        if route is None or route.answered:
-            return True
-        route.reports.setdefault(region, report)
-        if route.complete:
-            self._finish_route(route_id)
-        return True
-
-    def _route_timed_out(self, route_id: int) -> None:
-        route = self._pending_routes.get(route_id)
-        if route is None:
-            return
-        for region in route.regions:
-            route.reports.setdefault(region, None)
-        self._finish_route(route_id)
-
-    def _finish_route(self, route_id: int) -> None:
-        route = self._pending_routes.pop(route_id, None)
-        if route is None or route.answered:
-            return
-        route.answered = True
-        if route.timer is not None:
-            route.timer.cancel()
-        legs = [route.reports.get(region) for region in route.regions]
-        known = [leg for leg in legs if leg is not None]
-        worst = max((leg["level"] for leg in known), default=None)
-        self.reply(route.request, {
-            "ok": True,
-            "regions": route.regions,
-            "legs": legs,
-            "worst_level": worst,
-            "unknown": [region for region in route.regions
-                        if route.reports.get(region) is None],
-        })
-
     def _op_subscribe(self, message: ServerRequestMsg, payload: Dict[str, Any]) -> None:
         region = payload.get("region", "")
         threshold = float(payload.get("threshold", 1.0))
         assert message.reply_to is not None
-        if region in self.regions:
-            self._register_subscription(message.request_id, region, threshold,
-                                        message.reply_to)
-            return
-        owner_hop = self.routes.get(region)
-        if owner_hop is None:
+        if region not in self.regions:
             self.reply(message, {"error": "region not found", "region": region})
             return
-        self.wired.send(self.node_id, owner_hop, TisSubscribeMsg(
-            subscription_id=message.request_id, region=region,
-            threshold=threshold, proxy_mss=message.reply_to.mss,
-            proxy_id=str(message.reply_to.proxy_id)))
-
-    def _register_subscription(self, subscription_id: RequestId, region: str,
-                               threshold: float, proxy: ProxyRef) -> None:
-        entry = self.subs.open(subscription_id, proxy,
+        entry = self.subs.open(message.request_id, message.reply_to,
                                params={"region": region, "threshold": threshold})
         report = self.store.get(region)
         entry.last_value = report.level if report else 0.0
@@ -455,8 +328,7 @@ class TrafficInfoServer(AppServer):
                     level=report["level"],
                     version=report["version"],
                     updated_at=report["updated_at"]))
-            if not self._route_leg_answered(message.op_id, report):
-                self._finish_lookup(message.op_id, report)
+            self._finish_lookup(message.op_id, report)
         elif isinstance(message, TisUpdateMsg):
             self._on_update_msg(message)
         elif isinstance(message, TisUpdateAckMsg):
@@ -468,8 +340,6 @@ class TrafficInfoServer(AppServer):
             self._install_cache(TrafficReport(
                 region=message.region, level=report["level"],
                 version=report["version"], updated_at=report["updated_at"]))
-        elif isinstance(message, TisSubscribeMsg):
-            self._on_subscribe_msg(message)
         else:
             super().handle_other(message)
 
@@ -496,23 +366,3 @@ class TrafficInfoServer(AppServer):
             return
         if not self._forward_update(message):
             pass  # undeliverable; the origin's timeout answers the client
-
-    def _on_subscribe_msg(self, message: TisSubscribeMsg) -> None:
-        from ..types import ProxyId
-
-        if message.region not in self.regions:
-            # Not ours: keep forwarding along the overlay toward the owner.
-            next_hop = self.routes.get(message.region)
-            if next_hop is not None:
-                self.wired.send(self.node_id, next_hop, TisSubscribeMsg(
-                    subscription_id=message.subscription_id,
-                    region=message.region, threshold=message.threshold,
-                    proxy_mss=message.proxy_mss, proxy_id=message.proxy_id))
-            else:
-                self.instr.metrics.incr("tis_subscriptions_undeliverable",
-                                        node=self.node_id)
-            return
-        proxy = ProxyRef(mss=message.proxy_mss,
-                         proxy_id=ProxyId(message.proxy_id))
-        self._register_subscription(message.subscription_id, message.region,
-                                    message.threshold, proxy)

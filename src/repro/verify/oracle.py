@@ -10,8 +10,7 @@ and keeps just enough state to decide one protocol guarantee:
   (checked at :meth:`Oracle.finish`, i.e. after the run was driven to
   quiescence);
 * :class:`SingleProxyPerSeries` — a superseded proxy never admits another
-  request, and every superseded proxy is eventually deleted (the online
-  counterpart of ``analysis.verify.check_proxy_uniqueness_over_time``);
+  request, and every superseded proxy is eventually deleted;
 * :class:`SafeProxyDeletion` — a proxy is only deleted once every request
   it admitted has been acknowledged (Section 3.3's del-pref / RKpR /
   del-proxy guarantee); custody transfers (``proxy_move``) re-home the
@@ -119,7 +118,12 @@ class ExactlyOnceDelivery(InvariantChecker):
 
 class NoLostResult(InvariantChecker):
     """Every issued request is eventually delivered (liveness; checked at
-    ``finish`` — only meaningful once the run was driven to quiescence)."""
+    ``finish`` — only meaningful once the run was driven to quiescence).
+
+    A subscription's own id (its ``request`` row carries
+    ``subscription=True``) is exempt: it completes only when the server
+    closes the subscription, so an open one is not a lost result.  Its end
+    result, once a proxy holds it, is :class:`NoCustodyLeak`'s to audit."""
 
     name = "no_lost_result"
     KINDS = frozenset({"request", "deliver"})
@@ -130,8 +134,9 @@ class NoLostResult(InvariantChecker):
 
     def on_record(self, rec: TraceRecord) -> None:
         if rec.kind == "request":
-            key = (rec.node, str(rec.get("request_id")))
-            self._pending.setdefault(key, rec.time)
+            if not rec.get("subscription"):
+                key = (rec.node, str(rec.get("request_id")))
+                self._pending.setdefault(key, rec.time)
         elif rec.kind == "deliver":
             self._pending.pop((rec.node, str(rec.get("request_id"))), None)
 

@@ -1,4 +1,4 @@
-"""Mobility traces: record and replay migration/activity schedules.
+"""Mobility traces for tests: record and replay migration/activity schedules.
 
 Property-based tests generate arbitrary :class:`MobilityTrace` objects and
 replay them against the protocol to check delivery invariants under any
@@ -8,11 +8,11 @@ interleaving of migrations and inactivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol
 
-from ..errors import MobilityError
-from ..sim import Simulator
-from ..types import CellId, MhState
+from repro.errors import MobilityError
+from repro.sim import Simulator
+from repro.types import CellId, MhState
 
 MIGRATE = "migrate"
 ACTIVATE = "activate"

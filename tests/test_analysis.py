@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.metrics import MetricsRegistry
 from repro.analysis.sequence import (
     extract_chart,
     kinds_in_order,
@@ -21,12 +22,11 @@ from repro.analysis.stats import (
     stddev,
     summarize,
 )
-from repro.analysis.verify import VerificationReport, check_all
-from repro.errors import VerificationError
 from repro.net.latency import ConstantLatency
 from repro.sim import TraceRecorder
 
 from tests.conftest import make_world
+from tests.invariants import assert_invariants, attach_oracle, check_proxy_reachability
 
 
 # -- stats ------------------------------------------------------------------------
@@ -127,46 +127,49 @@ def test_subsequence_present():
     assert not subsequence_present(hay, ["a", "z"])
 
 
-# -- verification -------------------------------------------------------------------
+# -- end-of-run invariants (the oracle plus the two world-state checks) ----------------
 
-def test_check_all_passes_on_clean_world(world):
+def test_invariants_hold_on_clean_world(world):
+    oracle = attach_oracle(world)
     world.add_server("echo")
     client = world.add_host("m", world.cells[0])
     client.request("echo", 1)
     world.run_until_idle()
-    report = check_all(world, expect_quiescent=True, expect_no_proxies=True)
-    assert report.ok, report.violations
-    assert "at_least_once" in report.checked
-    report.raise_if_failed()  # no-op
+    assert_invariants(world, oracle)
+    assert not any(proxy.requestlist for station in world.stations.values()
+                   for proxy in station.proxies.values())
 
 
 def test_check_detects_incomplete_requests(world):
     from repro.servers.echo import ManualServer
 
+    oracle = attach_oracle(world)
     world.add_server("manual", ManualServer)
     client = world.add_host("m", world.cells[0])
     client.request("manual", 1)
     world.run(until=1.0)
-    report = check_all(world, expect_quiescent=True)
-    assert not report.ok
-    assert any("never completed" in v for v in report.violations)
-    with pytest.raises(VerificationError):
-        report.raise_if_failed()
+    violations = oracle.finish()
+    assert [v.invariant for v in violations] == ["no_lost_result"]
+    assert "was never delivered" in violations[0].detail
 
 
 def test_check_detects_lingering_proxies(world):
+    """A request stuck at its proxy: the proxy still holds it at the end,
+    which the oracle reports as the lost result it is."""
     from repro.servers.echo import ManualServer
 
+    oracle = attach_oracle(world)
     world.add_server("manual", ManualServer)
     client = world.add_host("m", world.cells[0])
     client.request("manual", 1)
     world.run(until=1.0)
-    report = check_all(world, expect_quiescent=False, expect_no_proxies=True)
-    assert not report.ok
-    assert any("pending requests" in v for v in report.violations)
+    station = world.station(world.cells[0])
+    assert any(proxy.requestlist for proxy in station.proxies.values())
+    assert any(v.invariant == "no_lost_result" for v in oracle.finish())
 
 
 def test_check_passes_under_heavy_migration(world):
+    oracle = attach_oracle(world)
     world.add_server("slow", service_time=ConstantLatency(2.0))
     client = world.add_host("m", world.cells[0])
     host = world.hosts["m"]
@@ -174,14 +177,74 @@ def test_check_passes_under_heavy_migration(world):
     for i, t in enumerate((0.5, 1.0, 1.5, 2.0, 2.5)):
         world.sim.schedule(t, host.migrate_to, world.cells[(i + 1) % 3])
     world.run_until_idle()
-    report = check_all(world, expect_quiescent=True, expect_no_proxies=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
+    assert not any(proxy.requestlist for station in world.stations.values()
+                   for proxy in station.proxies.values())
 
 
-def test_verification_report_accumulates():
-    report = VerificationReport()
-    assert report.ok
-    report.fail("x")
-    report.fail("y")
-    assert not report.ok
-    assert report.violations == ["x", "y"]
+# -- metrics registry and sequence filters -----------------------------------
+
+def test_metrics_series_and_per_node():
+    metrics = MetricsRegistry()
+    metrics.incr("hits", node="n1")
+    metrics.incr("hits", amount=2, node="n2")
+    metrics.observe("lat", 1.0)
+    metrics.observe("lat", 3.0)
+    assert metrics.count("hits") == 3
+    assert metrics.node_count("n1", "hits") == 1
+    assert metrics.per_node("hits") == {"n1": 1, "n2": 2}
+    assert metrics.mean("lat") == 2.0
+    assert metrics.mean("missing") == 0.0
+    assert metrics.samples("lat") == [1.0, 3.0]
+    snap = metrics.snapshot()
+    assert snap["hits"] == 3
+    metrics.clear()
+    assert metrics.count("hits") == 0
+    # Cleared, not detached: the next increment counts from zero and is
+    # what the hub exports.
+    metrics.incr("hits", node="n1")
+    assert metrics.count("hits") == 1
+    assert metrics.hub.counter_total("rdp_hits_total") == 1
+    assert metrics.hub.get("rdp_hits_total").items()[0][0] == ("n1",)
+
+
+def test_extract_chart_mh_filter():
+    rec = TraceRecorder()
+    rec.record(1.0, "send", "mss:a", msg="dereg", dst="mss:b",
+               detail="dereg(mh:x,#1)")
+    rec.record(2.0, "send", "mss:a", msg="dereg", dst="mss:b",
+               detail="dereg(mh:y,#1)")
+    rec.record(3.0, "send", "mh:x", msg="request", dst="mss:a",
+               detail="request(r)")
+    chart = extract_chart(rec, mh="mh:x")
+    assert len(chart) == 2  # the dereg mentioning mh:x + the uplink from mh:x
+
+
+def test_proxy_reachability_detects_stranded_state(world):
+    """Manually strand a busy proxy: the invariant must fire."""
+    from repro.servers.echo import ManualServer
+
+    world.add_server("manual", ManualServer)
+    client = world.add_host("m", world.cells[0])
+    client.request("manual", 1)
+    world.run(until=1.0)
+    station = world.station(world.cells[0])
+    # Cut the pref while the proxy still has pending work.
+    pref = station.pref_of(world.hosts["m"].node_id)
+    pref.ref = None
+    violations = check_proxy_reachability(world)
+    assert violations and "referenced by no pref" in violations[0]
+
+
+def test_proxy_reachability_ignores_mid_handoff(world):
+    """A busy proxy whose MH is between registrations is not stranded."""
+    from repro.servers.echo import ManualServer
+
+    world.add_server("manual", ManualServer)
+    client = world.add_host("m", world.cells[0])
+    client.request("manual", 1)
+    world.run(until=1.0)
+    station = world.station(world.cells[0])
+    mh = world.hosts["m"].node_id
+    station.entries[mh].pref = None   # simulate the hand-off gap
+    assert check_proxy_reachability(world) == []

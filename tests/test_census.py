@@ -1,0 +1,106 @@
+"""The reachability census (``tools/census.py``) on a synthetic package.
+
+One traced run of a tiny program covers what the census must get right:
+a called and an uncalled function, a def nested in an uncalled def
+(counted once, inside its parent), stubs (counted zero), a decorated def
+(matched by its first decorator's line), a dunder (listed, not gated) and
+a function reached only in a forked child.  The last test keeps the
+census's artefact list in step with the CI workflow.
+"""
+
+from __future__ import annotations
+
+import textwrap
+
+from tools import census
+
+MODULE = '''
+import multiprocessing
+
+
+def called():
+    return 1
+
+
+def uncalled():
+    def nested():
+        return 2
+    return nested()
+
+
+def stub():
+    """Docstring only."""
+
+
+def stub_raise():
+    raise NotImplementedError("abstract")
+
+
+class Thing:
+    def __repr__(self):
+        return "thing"
+
+    @staticmethod
+    def decorated():
+        return 3
+
+
+def parent_called():
+    def nested_uncalled():
+        return 4
+    return 5
+
+
+def in_child():
+    return 6
+
+
+def run():
+    called()
+    Thing.decorated()
+    parent_called()
+    child = multiprocessing.get_context("fork").Process(target=in_child)
+    child.start()
+    child.join(30)
+    assert child.exitcode == 0
+'''
+
+
+def test_census_of_a_synthetic_package(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(textwrap.dedent(MODULE))
+    (tmp_path / "main.py").write_text("import pkg.mod\n\npkg.mod.run()\n")
+    into = tmp_path / "trace"
+    into.mkdir()
+
+    done = census.trace_run(["main.py"], into, cwd=tmp_path, pythonpath=tmp_path)
+    assert done.returncode == 0, done.stderr
+    dead = census.uncalled(census.units_of(package),
+                           census.reached(into, package))
+
+    by_key = {unit.key: unit for unit in dead}
+    assert sorted(by_key) == [
+        "pkg/mod.py::Thing.__repr__",
+        "pkg/mod.py::parent_called.<locals>.nested_uncalled",
+        "pkg/mod.py::uncalled",
+    ]
+    assert by_key["pkg/mod.py::uncalled"].lines == 4  # nested def inside
+    assert not by_key["pkg/mod.py::Thing.__repr__"].gated
+    assert census.gate(dead, {"uncalled": {}}) == [
+        "pkg/mod.py::uncalled (4 lines)",
+        "pkg/mod.py::parent_called.<locals>.nested_uncalled (2 lines)",
+    ]
+    assert census.gate(dead, {"uncalled": {u.key: u.lines for u in dead}}) == []
+
+
+def test_every_ci_experiments_command_is_a_census_artefact():
+    text = census.CI_YML.read_text()
+    assert len(census.ci_commands(text)) >= 15
+    assert census.missing_from_census(text) == []
+
+
+def test_an_unlisted_ci_command_is_reported():
+    text = "run: PYTHONPATH=src python -m repro.experiments fuzz --seeds 7 --out x\n"
+    assert census.missing_from_census(text) == [("fuzz", "--seeds", "7")]

@@ -16,7 +16,7 @@ from repro.experiments.an4_overhead import run_overhead
 from repro.experiments.an5_load_balance import run_policy
 from repro.experiments.an6_causal_ablation import run_ordering
 from repro.experiments.an7_handoff_cost import run_protocol
-from repro.experiments.harness import Table, drain
+from repro.experiments.harness import Table, drain, dump_tables
 from repro.errors import ReproError
 
 
@@ -132,3 +132,23 @@ def test_drain_raises_when_impossible():
     client.request("manual", 1)
     with pytest.raises(ReproError):
         drain(world, max_rounds=2)
+
+
+# -- harness tables --------------------------------------------------------------
+
+def test_table_csv_rendering():
+    table = Table(title="T", columns=["name", "value"])
+    table.add_row("plain", 1.23456789)
+    table.add_row("with,comma", 'say "hi"')
+    csv = table.to_csv()
+    lines = csv.splitlines()
+    assert lines[0] == "name,value"
+    assert lines[1] == "plain,1.23457"
+    assert lines[2] == '"with,comma","say ""hi"""'
+
+
+def test_dump_tables_joins():
+    t1 = Table(title="A", columns=["x"])
+    t2 = Table(title="B", columns=["y"])
+    text = dump_tables([t1, t2])
+    assert "A" in text and "B" in text and "\n\n" in text

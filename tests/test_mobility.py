@@ -12,9 +12,6 @@ from repro.mobility import (
     CellMap,
     ExponentialResidence,
     FixedResidence,
-    FixedRoute,
-    HotspotMobility,
-    MarkovMobility,
     MobilityDriver,
     RandomNeighborWalk,
     UniformResidence,
@@ -26,6 +23,16 @@ from repro.mobility import (
     ring_topology,
 )
 from repro.types import CellId, MhState
+
+from tests.conftest import make_world
+from tests.mobility_trace import (
+    ACTIVATE,
+    DEACTIVATE,
+    MIGRATE,
+    MobilityTrace,
+    TraceReplayer,
+    TraceStep,
+)
 
 
 # -- topologies ---------------------------------------------------------------
@@ -134,40 +141,6 @@ def test_random_walk_stays_on_edges():
         assert target in ("cell0", "cell2")
 
 
-def test_markov_transitions_respect_probabilities():
-    model = MarkovMobility({CellId("a"): {CellId("b"): 1.0}})
-    assert model.next_cell(CellId("a"), random.Random(0)) == "b"
-
-
-def test_markov_stay_probability():
-    model = MarkovMobility({CellId("a"): {CellId("b"): 0.0}})
-    assert model.next_cell(CellId("a"), random.Random(0)) is None
-
-
-def test_markov_invalid_row():
-    with pytest.raises(MobilityError):
-        MarkovMobility({CellId("a"): {CellId("b"): 1.5}})
-
-
-def test_hotspot_pull_moves_toward_hotspot():
-    cmap = line_topology(5)
-    model = HotspotMobility(cmap, CellId("cell4"), pull=1.0)
-    assert model.next_cell(CellId("cell1"), random.Random(0)) == "cell2"
-
-
-def test_hotspot_requires_known_cell():
-    with pytest.raises(MobilityError):
-        HotspotMobility(line_topology(2), CellId("ghost"))
-
-
-def test_fixed_route_follows_and_stops():
-    route = FixedRoute([CellId("cell0"), CellId("cell1"), CellId("cell2")])
-    rng = random.Random(0)
-    assert route.next_cell(CellId("cell0"), rng) == "cell1"
-    assert route.next_cell(CellId("cell1"), rng) == "cell2"
-    assert route.next_cell(CellId("cell2"), rng) is None
-
-
 # -- driver and activity --------------------------------------------------------------
 
 class _FakeHost:
@@ -236,3 +209,42 @@ def test_activity_stop(sim):
     proc.stop()
     sim.run(until=10.0)
     assert host.state is MhState.INACTIVE  # frozen where it stopped
+
+
+# -- mobility trace replay -------------------------------------------------------
+
+def test_trace_step_validation():
+    with pytest.raises(MobilityError):
+        TraceStep(time=1.0, event="teleport")
+    with pytest.raises(MobilityError):
+        TraceStep(time=1.0, event=MIGRATE)  # needs a cell
+    with pytest.raises(MobilityError):
+        TraceStep(time=-1.0, event=ACTIVATE)
+
+
+def test_trace_sorted_and_len():
+    trace = MobilityTrace().add(5.0, ACTIVATE).add(1.0, DEACTIVATE)
+    ordered = trace.sorted()
+    assert [s.time for s in ordered.steps] == [1.0, 5.0]
+    assert len(trace) == 2
+
+
+def test_replayer_applies_and_skips():
+    world = make_world()
+    world.add_host("m", world.cells[0])
+    world.run_until_idle()
+    host = world.hosts["m"]
+    trace = (MobilityTrace()
+             .add(1.0, MIGRATE, cell=world.cells[1])
+             .add(1.5, MIGRATE, cell=world.cells[1])   # same cell -> skipped
+             .add(2.0, ACTIVATE)                        # already active -> skipped
+             .add(3.0, DEACTIVATE)
+             .add(4.0, DEACTIVATE)                      # already off -> skipped
+             .add(5.0, ACTIVATE))
+    replayer = TraceReplayer(world.sim, host, trace)
+    replayer.start()
+    world.run_until_idle()
+    assert replayer.applied == 3
+    assert replayer.skipped == 3
+    assert host.current_cell == world.cells[1]
+    assert host.state is MhState.ACTIVE

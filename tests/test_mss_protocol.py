@@ -208,3 +208,43 @@ def test_mss_counts_load_per_message(world):
     world.run_until_idle()
     s0 = world.station(world.cells[0])
     assert world.metrics.node_count(s0.node_id, "mss_messages_processed") > 0
+
+
+# -- edge handlers ---------------------------------------------------------------
+
+def test_leave_with_pending_proxy_counted(world):
+    world.add_server("manual", ManualServer)
+    client = world.add_host("m", world.cells[0])
+    host = world.hosts["m"]
+    client.request("manual", 1)
+    world.run(until=1.0)
+    # Force the violation: bypass the client-side guard.
+    from repro.core.protocol import LeaveMsg
+    world.wireless.uplink(host, LeaveMsg(mh=host.node_id))
+    world.run(until=2.0)
+    assert world.metrics.count("mh_left_with_pending") == 1
+
+
+def test_unhandled_wired_message_counted(world):
+    from repro.core.protocol import ServerAckMsg
+
+    station = world.station(world.cells[0])
+    server = world.add_server("echo")
+    # A server-bound message delivered to an MSS has no handler there.
+    world.wired.send(server.node_id, station.node_id,
+                     ServerAckMsg(request_id="r1"))
+    world.run_until_idle()
+    assert world.metrics.count("mss_unhandled_messages") == 1
+
+
+def test_duplicate_join_confirms_again(world):
+    world.add_host("m", world.cells[0])
+    world.run_until_idle()
+    host = world.hosts["m"]
+    from repro.core.protocol import JoinMsg
+
+    world.wireless.uplink(host, JoinMsg(mh=host.node_id, seq=host._reg_seq))
+    world.run_until_idle()
+    assert host.registered  # re-confirmed, no state change
+    station = world.station(world.cells[0])
+    assert station.pref_of(host.node_id) is not None

@@ -237,3 +237,36 @@ def test_normal_latency_truncated():
     rng = random.Random(3)
     samples = [model.sample(rng) for _ in range(300)]
     assert all(s >= 0.001 for s in samples)
+
+
+# -- payload size model and registry ---------------------------------------------
+
+@pytest.mark.parametrize("value,expected", [
+    (None, 0),
+    (True, 1),
+    (7, 8),
+    (1.5, 8),
+    ("abc", 3),
+    (b"abcd", 4),
+])
+def test_payload_size_scalars(value, expected):
+    assert _payload_size(value) == expected
+
+
+def test_payload_size_containers():
+    assert _payload_size([1, 2]) == 16 + 8
+    assert _payload_size({"k": "vv"}) == 1 + 2
+
+
+def test_message_registry_is_complete():
+    registry = Message.registry()
+    # Every protocol kind plus the TIS overlay and ordered-multicast kinds.
+    for kind in ("join", "leave", "greet", "registered", "request", "ack",
+                 "wireless_result", "dereg", "deregack", "update_currentloc",
+                 "forwarded_request", "result_forward", "del_pref_notice",
+                 "ack_forward", "create_proxy", "proxy_created", "proxy_gone",
+                 "server_request", "server_result", "server_ack",
+                 "notification", "subscription_end", "tis_lookup",
+                 "tis_lookup_reply", "tis_update", "tis_update_ack",
+                 "tis_replicate", "itcp_chased_result"):
+        assert kind in registry, kind

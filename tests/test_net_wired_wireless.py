@@ -11,10 +11,11 @@ from repro.errors import NetworkError, UnknownNodeError
 from repro.instruments import Instruments
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message
+from repro.net.monitor import NetworkMonitor
 from repro.net.wired import WiredNetwork
 from repro.net.wireless import WirelessChannel
 from repro.sim import Simulator
-from repro.types import CellId, MhState, NodeId
+from repro.types import CellId, MhState, NodeId, mh_id
 
 
 @dataclass(slots=True, kw_only=True)
@@ -205,3 +206,27 @@ def test_unknown_cell_station_lookup(sim):
     chan = WirelessChannel(sim)
     with pytest.raises(UnknownNodeError):
         chan.station_of(CellId("nowhere"))
+
+
+# -- monitor ---------------------------------------------------------------------
+
+def test_monitor_kind_histogram_and_drops():
+    from repro.core.protocol import AckMsg, RequestMsg
+    from repro.types import RequestId
+
+    monitor = NetworkMonitor()
+    req = RequestMsg(mh=mh_id("m"), request_id=RequestId("r"), service="s")
+    req.src, req.dst = NodeId("a"), NodeId("b")
+    ack = AckMsg(mh=mh_id("m"), request_id=RequestId("r"), delivery_id=1)
+    ack.src, ack.dst = NodeId("b"), NodeId("a")
+    monitor.on_send("wireless", req)
+    monitor.on_send("wireless", ack)
+    monitor.on_deliver("wireless", req)
+    monitor.on_drop("wireless", ack, "loss")
+    hist = monitor.kind_histogram()
+    assert hist == {"request": 1, "ack": 1}
+    assert monitor.total_messages() == 2
+    assert monitor.drops() == 1 and monitor.drops("loss") == 1
+    assert monitor.drops("not_in_cell") == 0
+    assert monitor.load_of(NodeId("a")) == 1       # sent the request
+    assert monitor.load_of(NodeId("b")) == 2       # sent the ack + received

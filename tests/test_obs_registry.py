@@ -11,13 +11,11 @@ from repro.obs import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
     MetricsHub,
-    ScrapeProcess,
     digest,
     json_text,
     prometheus_text,
     snapshot,
 )
-from repro.sim import Simulator
 from repro.types import NodeId
 
 
@@ -224,31 +222,3 @@ def test_digest_collapses_node_labels():
     assert out["rdp_load_total"] == 10  # per-node family -> total only
     assert out["rdp_kinds_total"] == {"wired,request": 2}
     assert out["rdp_lat"] == {"count": 1, "sum": 0.25}
-
-
-# -- scrape -------------------------------------------------------------------
-
-
-def test_scrape_process_snapshots_on_sim_time():
-    sim = Simulator()
-    hub = MetricsHub()
-    counter = hub.counter("rdp_ticks_total")
-    scrape = ScrapeProcess(sim, hub, period=1.0)
-    scrape.start()
-    sim.schedule(0.5, counter.inc)
-    sim.schedule(2.5, counter.inc)
-    sim.run(until=3.5)
-    scrape.stop()
-    assert not scrape.running
-    times = [snap["sim_time"] for snap in scrape.snapshots]
-    assert times == [1.0, 2.0, 3.0]
-    values = [
-        snap["families"]["rdp_ticks_total"]["samples"][0]["value"]
-        for snap in scrape.snapshots
-    ]
-    assert values == [1, 1, 2]
-
-
-def test_scrape_rejects_bad_period():
-    with pytest.raises(ConfigError):
-        ScrapeProcess(Simulator(), MetricsHub(), period=0.0)

@@ -25,6 +25,8 @@ from repro.obs.registry import CounterFamily, MetricFamily
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId
 
+from tests.test_net_causal import held
+
 
 @dataclass(slots=True, kw_only=True)
 class _TrackedMsg(Message):
@@ -289,57 +291,6 @@ def test_indexed_drain_interleaved_sends_and_arrivals():
         assert fast == _drive(_RescanCausalOrdering(), ops)
 
 
-def test_held_count_and_retire_prune_state():
-    layer = CausalOrdering()
-    a, b, c = NodeId("a"), NodeId("b"), NodeId("c")
-    layer.on_send(a, b, _TrackedMsg(tag="first"))  # stamp never arrives
-    second = layer.on_send(a, b, _TrackedMsg(tag="second"))
-    got: List[str] = []
-    layer.on_arrival(b, second, lambda m: got.append(m.tag))
-    assert got == [] and layer.held_count(b) == 1  # held: first not seen yet
-    assert layer.retire(b) == 1  # drops the held message with the endpoint
-    assert layer.held_count(b) == 0
-    # a's constraint table no longer references the retired endpoint...
-    stamped = layer.on_send(a, c, _TrackedMsg(tag="third"))
-    assert b not in stamped.constraints
-    # ...and a re-created endpoint starts fresh: new sends deliver.
-    refreshed = layer.on_send(a, b, _TrackedMsg(tag="fresh"))
-    layer.on_arrival(b, refreshed, lambda m: got.append(m.tag))
-    assert got == ["fresh"]
-
-
-def test_retired_sender_continues_its_send_numbering():
-    # A re-created endpoint that restarted at 1 would reissue b:1, b:2 to
-    # a receiver that remembers b:3, which then sees nothing to wait for.
-    layer = CausalOrdering()
-    a, b = NodeId("a"), NodeId("b")
-    got: List[str] = []
-    for i in range(3):
-        layer.on_arrival(a, layer.on_send(b, a, _TrackedMsg(tag=f"old{i}")),
-                         lambda m: got.append(m.tag))
-    layer.retire(b)
-    first = layer.on_send(b, a, _TrackedMsg(tag="new0"))
-    second = layer.on_send(b, a, _TrackedMsg(tag="new1"))
-    assert second.stamp.get(b) == 5
-    layer.on_arrival(a, second, lambda m: got.append(m.tag))
-    assert got == ["old0", "old1", "old2"] and layer.held_count(a) == 1
-    layer.on_arrival(a, first, lambda m: got.append(m.tag))
-    assert got[3:] == ["new0", "new1"] and layer.held_count(a) == 0
-
-
-def test_wired_detach_retires_ordering_state(sim):
-    net = WiredNetwork(sim, latency=ConstantLatency(0.01),
-                       recorder=TraceRecorder(enabled=False))
-    a, b = _StaticNode("a"), _StaticNode("b")
-    net.attach(a)
-    net.attach(b)
-    net.send(a.node_id, b.node_id, _TrackedMsg(tag="w1"))
-    sim.run()
-    net.detach(b.node_id)
-    assert not net.knows(b.node_id)
-    assert net.ordering.retire(b.node_id) == 0  # idempotent, already pruned
-
-
 # -- the heads lemma, checked where the layer uses it -------------------------
 
 
@@ -526,7 +477,7 @@ def _shared_head_merge(layer: CausalOrdering) -> List[str]:
     arrive(d, to_d[b])
     arrive(d, to_d[c])
     arrive(d, z_to_d)
-    assert got[-1] == "c->d" and layer.held_count(d) == 1   # waits for a
+    assert got[-1] == "c->d" and held(layer, d) == 1   # waits for a
     arrive(d, to_d[a])
     return got[-2:]
 
@@ -598,7 +549,7 @@ def _lockstep(ops: List[tuple], tally: Counter) -> None:
             layer.on_arrival(dst, stamped,
                              lambda m, _k=key: got[_k].append((dst, m.tag)))
         assert got["fast"] == got["full"], f"delivery diverged at m{i}"
-        assert fast.held_count(dst) == full.held_count(dst)
+        assert held(fast, dst) == held(full, dst)
         mine, theirs = fast._endpoints[dst], full._endpoints[dst]
         assert mine.knowledge == theirs.knowledge
         assert set(mine.dep) <= set(theirs.dep)

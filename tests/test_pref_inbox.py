@@ -177,3 +177,16 @@ def test_raising_handler_does_not_wedge_queue(sim):
     inbox.push(_request())
     sim.run()
     assert len(handled) == 3
+
+
+def test_inbox_custom_priority_fn(sim):
+    handled = []
+    # Invert the default: requests beat acks.
+    inbox = Inbox(sim, lambda m: handled.append(m.kind), proc_delay=0.1,
+                  priority_fn=lambda m: 0 if m.kind == "request" else 1)
+    blocker = AckMsg(mh=NodeId("mh:m"), request_id=RequestId("r0"), delivery_id=0)
+    inbox.push(blocker)
+    inbox.push(AckMsg(mh=NodeId("mh:m"), request_id=RequestId("r1"), delivery_id=1))
+    inbox.push(RequestMsg(mh=NodeId("mh:m"), request_id=RequestId("r2"), service="s"))
+    sim.run()
+    assert handled == ["ack", "request", "ack"]

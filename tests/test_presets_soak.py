@@ -1,26 +1,111 @@
-"""Preset configs plus the kitchen-sink soak test."""
+"""Canned world configurations plus the kitchen-sink soak test.
+
+The builders below are the setups that recur across the paper's
+experiments; each returns a fresh :class:`~repro.config.WorldConfig`.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import World
-from repro.analysis.verify import check_all
+from repro.config import LatencySpec, WorldConfig
 from repro.experiments.harness import drain
 from repro.mobility.activity import ActivityProcess
 from repro.mobility.models import ExponentialResidence, RandomNeighborWalk
 from repro.net.latency import ExponentialLatency
-from repro.presets import (
-    city_grid,
-    everything_on,
-    lossy_field_trial,
-    metro_area,
-    narrowband,
-    paper_default,
-)
 from repro.servers.echo import EchoServer
 from repro.sim import PeriodicProcess
 from repro.types import MhState
+
+from tests.invariants import assert_invariants, attach_oracle
+
+
+def paper_default(n_cells: int = 3, seed: int = 0) -> WorldConfig:
+    """The setup of the paper's figures: a handful of cells, reliable
+    radio, constant latencies, causal wired order."""
+    return WorldConfig(
+        seed=seed,
+        n_cells=n_cells,
+        topology="line",
+        wired_latency=LatencySpec(kind="constant", mean=0.010),
+        wireless_latency=LatencySpec(kind="constant", mean=0.005),
+    )
+
+
+def city_grid(width: int = 4, height: int = 4, seed: int = 0) -> WorldConfig:
+    """A SIDAM-style city: grid of cells, jittery wired core, slightly
+    lossy radio."""
+    return WorldConfig(
+        seed=seed,
+        topology="grid",
+        grid_width=width,
+        grid_height=height,
+        wired_latency=LatencySpec(kind="exponential", mean=0.012),
+        wireless_latency=LatencySpec(kind="constant", mean=0.005),
+        wireless_loss=0.01,
+    )
+
+
+def lossy_field_trial(n_cells: int = 6, seed: int = 0) -> WorldConfig:
+    """The AN1 regime: ring of cells, 5% radio loss, exponential wired
+    latency — the environment RDP's reliability claims target."""
+    return WorldConfig(
+        seed=seed,
+        n_cells=n_cells,
+        topology="ring",
+        wired_latency=LatencySpec(kind="exponential", mean=0.010),
+        wireless_latency=LatencySpec(kind="constant", mean=0.005),
+        wireless_loss=0.05,
+    )
+
+
+def narrowband(n_cells: int = 4, bandwidth_bps: float = 64_000,
+               seed: int = 0) -> WorldConfig:
+    """Early-cellular conditions: a shared 64 kbps medium per cell."""
+    return WorldConfig(
+        seed=seed,
+        n_cells=n_cells,
+        topology="ring",
+        wired_latency=LatencySpec(kind="constant", mean=0.010),
+        wireless_latency=LatencySpec(kind="constant", mean=0.008),
+        wireless_bandwidth_bps=bandwidth_bps,
+    )
+
+
+def metro_area(n_cells: int = 12, seed: int = 0) -> WorldConfig:
+    """A long line of cells with distance-proportional wired latency and
+    the proxy-migration extension armed — the AN11/AN12 geography."""
+    return WorldConfig(
+        seed=seed,
+        n_cells=n_cells,
+        topology="line",
+        wired_latency=LatencySpec(kind="constant", mean=0.002),
+        wireless_latency=LatencySpec(kind="constant", mean=0.003),
+        wired_distance_delay=0.010,
+        proxy_migrate_distance=3.0,
+    )
+
+
+def everything_on(seed: int = 0) -> WorldConfig:
+    """The kitchen sink: every optional mechanism enabled at once —
+    queueing MSSs, lossy narrowband radio, retention, proxy migration,
+    distance latency.  Used by the soak test."""
+    return WorldConfig(
+        seed=seed,
+        topology="grid",
+        grid_width=4,
+        grid_height=4,
+        wired_latency=LatencySpec(kind="exponential", mean=0.008),
+        wireless_latency=LatencySpec(kind="uniform", mean=0.006, spread=0.004),
+        wireless_loss=0.03,
+        wireless_bandwidth_bps=512_000,
+        wired_distance_delay=0.004,
+        proc_delay=0.002,
+        ack_delay=0.004,
+        retain_results=True,
+        proxy_migrate_distance=2.5,
+    )
 
 
 @pytest.mark.parametrize("builder", [
@@ -47,6 +132,7 @@ def test_everything_on_soak():
     """Every optional mechanism at once, under a mixed workload: the
     protocol invariants and full delivery must still hold."""
     world = World(everything_on(seed=13))
+    oracle = attach_oracle(world)
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=0.4, floor=0.05))
     walk = RandomNeighborWalk(world.cell_map)
@@ -88,8 +174,7 @@ def test_everything_on_soak():
     done = sum(len(c.completed) for c in world.clients.values())
     assert total > 50
     assert done == total, f"{total - done} requests lost"
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
     # Every optional mechanism actually exercised:
     metrics = world.metrics
     assert metrics.count("handoffs_completed") > 0

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.verify import check_all
 from repro.experiments.harness import drain
 from repro.net.latency import ConstantLatency
 from repro.servers.echo import EchoServer
 
 from tests.conftest import make_world
+from tests.invariants import assert_invariants, attach_oracle
 
 
 @pytest.mark.parametrize("proc_delay", [0.0, 0.002, 0.01])
@@ -31,6 +31,7 @@ def test_request_roundtrip_under_proc_delay(proc_delay):
 @pytest.mark.parametrize("proc_delay", [0.002, 0.01])
 def test_migration_during_queueing(proc_delay):
     world = make_world(proc_delay=proc_delay)
+    oracle = attach_oracle(world)
     world.add_server("slow", EchoServer, service_time=ConstantLatency(1.0))
     client = world.add_host("m", world.cells[0])
     host = world.hosts["m"]
@@ -39,8 +40,8 @@ def test_migration_during_queueing(proc_delay):
     world.sim.schedule(1.05, host.migrate_to, world.cells[2])
     world.run_until_idle()
     assert list(client.requests.values())[0].done
-    report = check_all(world, expect_quiescent=True, expect_no_proxies=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
+    assert world.live_proxy_count() == 0
 
 
 def test_proc_delay_inflates_latency():
@@ -58,6 +59,7 @@ def test_proc_delay_inflates_latency():
 
 def test_burst_under_queueing_all_delivered():
     world = make_world(proc_delay=0.004)
+    oracle = attach_oracle(world)
     world.add_server("echo")
     clients = [world.add_host(f"m{i}", world.cells[i % 3], retry_interval=3.0)
                for i in range(5)]
@@ -66,5 +68,4 @@ def test_burst_under_queueing_all_delivered():
     world.run(until=30.0)
     drain(world)
     assert all(p.done for p in pendings)
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)

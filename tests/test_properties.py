@@ -19,10 +19,8 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.verify import check_all
 from repro.config import LatencySpec, WorldConfig
 from repro.experiments.harness import drain
-from repro.mobility.trace import ACTIVATE, DEACTIVATE, MIGRATE, MobilityTrace, TraceReplayer
 from repro.net.causal import CausalOrdering
 from repro.net.message import Message
 from repro.net.vectorclock import VectorClock
@@ -30,6 +28,9 @@ from repro.servers.echo import EchoServer
 from repro.net.latency import ConstantLatency
 from repro.types import NodeId
 from repro.world import World
+
+from tests.invariants import assert_invariants, attach_oracle
+from tests.mobility_trace import ACTIVATE, DEACTIVATE, MIGRATE, MobilityTrace, TraceReplayer
 
 N_CELLS = 4
 
@@ -63,6 +64,7 @@ def _build_world(seed: int) -> World:
 def test_delivery_invariants_under_arbitrary_mobility(schedule, request_times,
                                                       seed):
     world = _build_world(seed)
+    oracle = attach_oracle(world)
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.4))
     client = world.add_host("m", world.cells[0], retry_interval=3.0)
     host = world.hosts["m"]
@@ -91,8 +93,7 @@ def test_delivery_invariants_under_arbitrary_mobility(schedule, request_times,
     per_request = Counter(rid for _, rid, _ in host.deliveries)
     assert all(count == 1 for count in per_request.values())
     # Structural invariants.
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
 
 
 @settings(max_examples=30, deadline=None)

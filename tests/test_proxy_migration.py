@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.verify import check_all
 from repro.config import LatencySpec, WorldConfig
 from repro.net.latency import ConstantLatency
 from repro.servers.echo import EchoServer, ManualServer
 from repro.servers.multicast import GroupServer
 from repro.world import World
+
+from tests.invariants import assert_invariants, attach_oracle
 
 
 def migration_world(distance=3.0, n_cells=8, **overrides):
@@ -113,6 +114,7 @@ def test_unacked_result_resent_from_new_home():
 
 def test_custody_invariants_hold_with_migration():
     world = migration_world()
+    oracle = attach_oracle(world)
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.3))
     client = world.add_host("m", world.cells[0], retry_interval=2.0)
     host = world.hosts["m"]
@@ -125,8 +127,7 @@ def test_custody_invariants_hold_with_migration():
         world.run(until=world.sim.now + 0.8)
     world.run(until=world.sim.now + 10.0)
     assert all(p.done for p in client.requests.values())
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
 
 
 def test_migrate_request_for_vanished_proxy_is_answered():

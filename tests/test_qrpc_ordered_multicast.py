@@ -169,3 +169,44 @@ def test_ordered_multicast_leave(world):
     world.run_until_idle()
     assert p2.result["members"] == 0
     assert ma.delivered == []
+
+
+def test_qrpc_outbox_skips_completed(world):
+    world.add_server("echo")
+    client = world.add_host("m", world.cells[0], join=False)
+    qclient = QueuedRpcClient(client.host)
+    host = client.host
+    host.join(world.cells[0])
+    world.run_until_idle()
+    host.deactivate()
+    p = qclient.request("echo", 1)
+    # Simulate an out-of-band completion before the flush.
+    p.completed_at = world.sim.now
+    host.activate()
+    world.run_until_idle()
+    assert world.metrics.count("qrpc_flushed") == 0
+
+
+def test_ordered_multicast_with_proxy_migration():
+    """A roaming ordered-group member whose proxy migrates mid-stream
+    still observes the exact sequence."""
+    world = make_world(n_cells=8, proxy_migrate_distance=3.0)
+    server = world.add_server("og", OrderedGroupServer)
+    member = world.add_host("member", world.cells[0])
+    sender = world.add_host("sender", world.cells[4])
+    host = world.hosts["member"]
+    membership = join_ordered_group(member, "og", "g")
+    world.run(until=1.0)
+
+    for i in range(7):
+        sender.request("og", {"op": "omcast", "group": "g", "data": i})
+        world.run(until=world.sim.now + 0.5)
+        if i < 7 - 1:
+            host.migrate_to(world.cells[i + 1])
+            world.run(until=world.sim.now + 0.5)
+
+    world.run(until=world.sim.now + 15.0)
+    assert world.metrics.count("proxies_moved_in") >= 1
+    assert world.metrics.count("subscriptions_relocated") >= 1
+    assert membership.delivered == list(range(7))
+    assert membership.holdback_depth == 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sequence import subsequence_present
-from repro.analysis.verify import check_all
 from repro.experiments.scenarios import (
     FIG3_EXPECTED_KINDS,
     FIG4_EXPECTED_KINDS,
@@ -13,6 +12,8 @@ from repro.experiments.scenarios import (
     run_fig3,
     run_fig4,
 )
+
+from tests.invariants import assert_invariants
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +49,7 @@ def test_fig1_all_proxies_retired(fig1):
 
 
 def test_fig1_invariants(fig1):
-    report = check_all(fig1.world, expect_quiescent=True,
-                       expect_no_proxies=True)
-    assert report.ok, report.violations
+    assert_invariants(fig1.world)
 
 
 # -- Figure 3 -----------------------------------------------------------------
@@ -76,9 +75,7 @@ def test_fig3_no_duplicate_deliveries(fig3):
 
 
 def test_fig3_invariants(fig3):
-    report = check_all(fig3.world, expect_quiescent=True,
-                       expect_no_proxies=True)
-    assert report.ok, report.violations
+    assert_invariants(fig3.world)
 
 
 # -- Figure 4 -----------------------------------------------------------------
@@ -117,6 +114,4 @@ def test_fig4_results_b_c_forwarded_without_del_pref(fig4):
 
 
 def test_fig4_invariants(fig4):
-    report = check_all(fig4.world, expect_quiescent=True,
-                       expect_no_proxies=True)
-    assert report.ok, report.violations
+    assert_invariants(fig4.world)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.instruments import Instruments
 from repro.sim import RngStreams, TraceRecorder
 
 
@@ -116,3 +117,18 @@ def test_recorder_clear():
     rec.record(1.0, "send", "n1")
     rec.clear()
     assert len(rec) == 0 and rec.counts == {}
+
+
+# -- instruments -----------------------------------------------------------------
+
+def test_instruments_default_records():
+    instr = Instruments()
+    instr.recorder.record(1.0, "x", "n")
+    assert len(instr.recorder) == 1
+
+
+def test_instruments_disabled_records_nothing():
+    instr = Instruments.disabled()
+    instr.recorder.record(1.0, "x", "n")
+    assert len(instr.recorder) == 0
+    assert instr.recorder.counts == {}

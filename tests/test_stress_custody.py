@@ -12,7 +12,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.verify import check_all
 from repro.config import LatencySpec, WorldConfig
 from repro.experiments.harness import drain
 from repro.net.latency import ConstantLatency
@@ -20,6 +19,7 @@ from repro.servers.echo import EchoServer
 from repro.world import World
 
 from tests.conftest import make_world
+from tests.invariants import assert_invariants, attach_oracle
 
 
 def _bounce_world(proc_delay: float = 0.0, ordering: str = "causal",
@@ -39,6 +39,7 @@ def test_rapid_bounce_storm_deterministic():
     """A scripted storm: 40 migrations at 3ms intervals (hand-off takes
     ~25ms), bouncing back and forth, with a slow request pending."""
     world = _bounce_world()
+    oracle = attach_oracle(world)
     world.add_server("slow", EchoServer, service_time=ConstantLatency(2.0))
     client = world.add_host("m", world.cells[0], retry_interval=2.0)
     host = world.hosts["m"]
@@ -51,12 +52,12 @@ def test_rapid_bounce_storm_deterministic():
     drain(world)
     assert host.registered
     assert list(client.requests.values())[0].done
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
 
 
 def test_bounce_storm_with_busy_stations():
     world = _bounce_world(proc_delay=0.006)
+    oracle = attach_oracle(world)
     world.add_server("slow", EchoServer, service_time=ConstantLatency(1.0))
     client = world.add_host("m", world.cells[0], retry_interval=2.0)
     host = world.hosts["m"]
@@ -67,8 +68,7 @@ def test_bounce_storm_with_busy_stations():
     world.run(until=60.0)
     drain(world)
     assert list(client.requests.values())[0].done
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
 
 
 @settings(max_examples=25, deadline=None,
@@ -86,6 +86,7 @@ def test_custody_survives_arbitrary_bounce_schedules(gaps, cells, proc_delay,
     """Arbitrary sub-hand-off-latency migration schedules: the pref must
     follow the MH, requests complete, custody never forks."""
     world = _bounce_world(proc_delay=proc_delay, seed=seed)
+    oracle = attach_oracle(world)
     world.add_server("slow", EchoServer, service_time=ConstantLatency(0.8))
     client = world.add_host("m", world.cells[0], retry_interval=2.0)
     host = world.hosts["m"]
@@ -104,12 +105,12 @@ def test_custody_survives_arbitrary_bounce_schedules(gaps, cells, proc_delay,
     owners = [s for s in world.stations.values()
               if s.pref_of(host.node_id) is not None]
     assert len(owners) == 1
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)
 
 
 def test_many_hosts_bouncing_together():
     world = _bounce_world(seed=3)
+    oracle = attach_oracle(world)
     world.add_server("slow", EchoServer, service_time=ConstantLatency(1.5))
     clients = []
     for i in range(6):
@@ -127,5 +128,4 @@ def test_many_hosts_bouncing_together():
     drain(world)
     for client in clients:
         assert all(p.done for p in client.requests.values())
-    report = check_all(world, expect_quiescent=True)
-    assert report.ok, report.violations
+    assert_invariants(world, oracle)

@@ -64,3 +64,23 @@ def test_render_and_summary():
     summary = lane_summary(events)
     assert summary["mh:m"] >= 2
     assert render_timeline([], title="empty").endswith("(no events)")
+
+
+def test_timeline_reports_crash_and_move():
+    world = make_world(n_cells=8, proxy_migrate_distance=3.0)
+    from repro.analysis.timeline import extract_timeline
+    from repro.servers.multicast import GroupServer
+
+    world.add_server("groups", GroupServer)
+    client = world.add_host("m", world.cells[0])
+    host = world.hosts["m"]
+    client.subscribe("groups", {"group": "g"})
+    world.run(until=1.0)
+    for i in range(1, 6):
+        host.migrate_to(world.cells[i])
+        world.run(until=world.sim.now + 1.0)
+    world.station(world.cells[0]).crash_and_restart()
+    world.run(until=world.sim.now + 1.0)
+    texts = [e.text for e in extract_timeline(world.recorder)]
+    assert any(t.startswith("proxy_move") for t in texts)
+    assert any("CRASH" in t for t in texts)

@@ -154,19 +154,6 @@ def test_subscription_on_owned_region(world):
     assert not sub.active
 
 
-def test_subscription_on_remote_region_registered_at_owner(world):
-    tis = _build_tis(world)
-    client = world.add_host("m", world.cells[0])
-    sub = client.subscribe("tis.tisA", {"region": "r5", "threshold": 1.0})
-    world.run(until=1.0)
-    assert len(tis.servers["tisC"].subs) == 1
-    tis.apply_external_update("r5", 4.0)
-    world.run(until=2.0)
-    assert len(sub.notifications) == 1
-    tis.servers["tisC"].end_subscription(sub.request_id)
-    world.run_until_idle()
-
-
 def test_subscriber_receives_despite_migration(world):
     tis = _build_tis(world)
     client = world.add_host("m", world.cells[0])

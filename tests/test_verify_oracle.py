@@ -73,6 +73,39 @@ class TestNoLostResult:
         # Liveness: nothing fires before finish.
         assert run_synthetic(NoLostResult(), rows, finish=False) == []
 
+    def test_open_subscription_is_not_a_lost_result(self):
+        """A subscription's own id completes only when the server closes
+        it: left open at the end of a run, it is no violation."""
+        from repro.servers.multicast import GroupServer
+
+        world = make_world()
+        oracle = Oracle().attach(world.recorder)
+        world.add_server("groups", GroupServer)
+        client = world.add_host("m", world.cells[0])
+        sub = client.subscribe("groups", {"group": "g"})
+        world.run_until_idle()
+        assert sub.active
+        assert world.recorder.filter(kind="request")[0].get("subscription") is True
+        assert oracle.finish() == []
+
+    def test_lost_request_beside_an_open_subscription_still_flagged(self):
+        from repro.servers.echo import ManualServer
+        from repro.servers.multicast import GroupServer
+
+        world = make_world()
+        oracle = Oracle().attach(world.recorder)
+        world.add_server("groups", GroupServer)
+        world.add_server("manual", ManualServer)
+        client = world.add_host("m", world.cells[0])
+        client.subscribe("groups", {"group": "g"})
+        stuck = client.request("manual", 1)
+        world.run_until_idle()
+        violations = oracle.finish()
+        assert [v.invariant for v in violations] == ["no_lost_result"]
+        assert str(stuck.request_id) in violations[0].detail
+        assert "subscription" not in world.recorder.filter(
+            kind="request", request_id=stuck.request_id)[0].fields
+
 
 class TestSingleProxyPerSeries:
     def test_successor_then_cleanup_is_clean(self):

@@ -143,3 +143,23 @@ def test_run_until_idle_stops_mobility():
     world.run(until=2.5)
     world.run_until_idle()  # would never return if mobility kept running
     assert not driver._running
+
+
+def test_duplicate_host_name_rejected(world):
+    world.add_host("m", world.cells[0])
+    with pytest.raises(ConfigError):
+        world.add_host("m", world.cells[1])
+
+
+def test_duplicate_server_name_rejected(world):
+    world.add_server("echo")
+    with pytest.raises(ConfigError):
+        world.add_server("echo")
+
+
+def test_grid_config_validation():
+    with pytest.raises(ConfigError):
+        WorldConfig(topology="grid", grid_width=0)
+    with pytest.raises(ConfigError):
+        WorldConfig(topology="ring", n_cells=2)
+    WorldConfig(topology="ring", n_cells=3)  # boundary is fine
