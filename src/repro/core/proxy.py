@@ -21,6 +21,7 @@ from typing import Any, Dict, Optional, Protocol, Set
 from ..errors import ProxyError
 from ..instruments import Instruments
 from ..engine import Engine
+from ..sim.process import Retrier, retry_policy
 from ..types import NodeId, ProxyId, ProxyRef, RequestId
 from .protocol import (
     AckForwardMsg,
@@ -37,19 +38,6 @@ from .protocol import (
     UpdateCurrentLocMsg,
     is_subscription,
 )
-
-#: Bounce-retry backoff: base delay doubled per forward attempt, capped.
-#: Long enough for a crashed respMss to come back and the MH to
-#: re-register; short enough to beat the client's end-to-end retry.
-_BOUNCE_RETRY_BASE = 0.5
-_BOUNCE_RETRY_CAP = 8.0
-
-#: Cap on the exponential growth of the ack-timeout redelivery delay.
-#: Kept small: each redelivery is one more chance for the wireless ack
-#: uplink to survive, and an unacked result must converge within a
-#: bounded drain window rather than back off past it.
-_ACK_TIMEOUT_CAP_FACTOR = 4
-
 
 class ProxyHost(Protocol):
     """What the proxy needs from its hosting MSS."""
@@ -107,13 +95,6 @@ class Proxy:
         self.proxy_id = proxy_id
         self.instr = instruments
         self.send_server_acks = send_server_acks
-        # When set, a forwarded result that is not acknowledged within the
-        # timeout is re-forwarded (exponential backoff).  Off by default:
-        # the paper's proxy is purely event-driven, and on a reliable
-        # fabric every orphan is healed by the next update_currentloc.
-        # Fault-injected worlds need it — an MSS crash can destroy the
-        # pref whose location update the proxy is waiting for.
-        self.ack_timeout = ack_timeout
         # Bound on result custody: a held result older than this is
         # discarded with an explicit custody_expired trace instead of
         # leaking silently.  None (the default) keeps custody forever —
@@ -125,9 +106,24 @@ class Proxy:
             currentloc if currentloc is not None else host.node_id)
         self.requestlist: Dict[RequestId, RequestRecord] = {}
         self.completed: Set[RequestId] = set()
-        self._bounce_retries: Set[RequestId] = set()
-        self._bounce_timers: Dict[RequestId, Any] = {}
-        self._ack_timers: Dict[RequestId, Any] = {}
+        # With an ack timeout, a forwarded result that is not acknowledged
+        # in time is re-forwarded, the delay doubling per forward up to
+        # 4x: an unacked result must converge within a bounded drain
+        # window rather than back off past it.  Off by default: the
+        # paper's proxy is purely event-driven, and on a reliable fabric
+        # every orphan is healed by the next update_currentloc; an MSS
+        # crash can destroy the pref whose location update the proxy is
+        # waiting for.
+        self._ack_retry = Retrier(
+            sim, retry_policy(ack_timeout,
+                              None if ack_timeout is None else 4 * ack_timeout),
+            self._ack_timeout_fired, "proxy:ack-timeout")
+        # One redelivery timer per request, shared by bounce handling and
+        # transport failures: 0.5 s doubled per forward, capped at 8 s.
+        # Long enough for a crashed respMss to come back and the MH to
+        # re-register; short enough to beat the client's end-to-end retry.
+        self._bounce_retry = Retrier(sim, retry_policy(0.5, 8.0),
+                                     self._bounce_retry_fired, "proxy:bounce-retry")
         self._custody_timers: Dict[RequestId, Any] = {}
         self.deleted = False
         self.created_at = sim.now
@@ -263,11 +259,11 @@ class Proxy:
         """
         record = self.requestlist.get(msg.request_id)
         if (self.deleted or record is None or not record.result_received
-                or msg.request_id in self._bounce_retries):
+                or msg.request_id in self._bounce_retry):
             self.instr.metrics.incr("proxy_stale_bounces")
             return
         self.instr.metrics.incr("proxy_bounce_retries", node=self.host.node_id)
-        self._schedule_redelivery(msg.request_id, record)
+        self._bounce_retry.arm(msg.request_id, attempt=record.forward_count + 1)
 
     def on_delivery_failure(self, request_id: RequestId) -> None:
         """The wired transport exhausted its retry budget on a forwarded
@@ -280,25 +276,13 @@ class Proxy:
         once connectivity returns."""
         record = self.requestlist.get(request_id)
         if (self.deleted or record is None or not record.result_received
-                or request_id in self._bounce_retries):
+                or request_id in self._bounce_retry):
             return
         self.instr.metrics.incr("proxy_transport_failures",
                                 node=self.host.node_id)
-        self._schedule_redelivery(request_id, record)
+        self._bounce_retry.arm(request_id, attempt=record.forward_count + 1)
 
-    def _schedule_redelivery(self, request_id: RequestId,
-                             record: RequestRecord) -> None:
-        """One deterministic exponential-backoff redelivery timer per
-        request (shared by bounce handling and transport failures)."""
-        self._bounce_retries.add(request_id)
-        delay = min(_BOUNCE_RETRY_CAP,
-                    _BOUNCE_RETRY_BASE * (2 ** min(record.forward_count, 6)))
-        self._bounce_timers[request_id] = self.sim.schedule(
-            delay, self._bounce_retry, request_id, label="proxy:bounce-retry")
-
-    def _bounce_retry(self, request_id: RequestId) -> None:
-        self._bounce_retries.discard(request_id)
-        self._bounce_timers.pop(request_id, None)
+    def _bounce_retry_fired(self, request_id: RequestId, _attempt: int) -> None:
         record = self.requestlist.get(request_id)
         if self.deleted or record is None or not record.result_received:
             return  # acked (or the proxy died) while we waited
@@ -314,13 +298,11 @@ class Proxy:
         if record is None:
             self.instr.metrics.incr("proxy_duplicate_acks")
         else:
-            timer = self._ack_timers.pop(msg.request_id, None)
-            if timer is not None:
-                timer.cancel()
+            self._ack_retry.cancel(msg.request_id)
             custody_timer = self._custody_timers.pop(msg.request_id, None)
             if custody_timer is not None:
                 custody_timer.cancel()
-            self._cancel_redelivery(msg.request_id)
+            self._bounce_retry.cancel(msg.request_id)
             if record.custody_since is not None:
                 self._obs_custody_age.observe(self.sim.now - record.custody_since)
             self.completed.add(msg.request_id)
@@ -391,10 +373,8 @@ class Proxy:
         if self.deleted or record is None or not record.result_received:
             return
         del self.requestlist[request_id]
-        timer = self._ack_timers.pop(request_id, None)
-        if timer is not None:
-            timer.cancel()
-        self._cancel_redelivery(request_id)
+        self._ack_retry.cancel(request_id)
+        self._bounce_retry.cancel(request_id)
         age = self.sim.now - (record.custody_since or self.created_at)
         self._obs_custody_age.observe(age)
         self.instr.metrics.incr("proxy_custody_expired", node=self.host.node_id)
@@ -427,53 +407,24 @@ class Proxy:
             del_pref=del_pref,
             retransmission=retransmission,
         ))
-        self._arm_ack_timer(record)
+        self._ack_retry.arm(record.request_id, attempt=record.forward_count)
 
-    def _arm_ack_timer(self, record: RequestRecord) -> None:
-        if self.ack_timeout is None:
-            return
-        old = self._ack_timers.pop(record.request_id, None)
-        if old is not None:
-            old.cancel()
-        delay = self.ack_timeout * min(_ACK_TIMEOUT_CAP_FACTOR,
-                                       2 ** max(0, record.forward_count - 1))
-        self._ack_timers[record.request_id] = self.sim.schedule(
-            delay, self._ack_timeout_fired, record.request_id,
-            label="proxy:ack-timeout")
-
-    def _ack_timeout_fired(self, request_id: RequestId) -> None:
-        self._ack_timers.pop(request_id, None)
+    def _ack_timeout_fired(self, request_id: RequestId, _attempt: int) -> None:
         record = self.requestlist.get(request_id)
         if self.deleted or record is None or not record.result_received:
             return  # acked (or the proxy died) in the meantime
         self.instr.metrics.incr("proxy_ack_timeouts", node=self.host.node_id)
         self._forward_result(record, retransmission=True)
 
-    def _cancel_ack_timers(self) -> None:
-        for timer in self._ack_timers.values():
-            timer.cancel()
-        self._ack_timers.clear()
+    def _cancel_timers(self) -> None:
+        """Disarm every timer of a dead proxy: under a wall-clock engine a
+        stale one keeps the event loop alive and fires after the proxy's
+        state moved on, where the simulator's callbacks merely re-check."""
+        self._ack_retry.cancel_all()
         for timer in self._custody_timers.values():
             timer.cancel()
         self._custody_timers.clear()
-        for timer in self._bounce_timers.values():
-            timer.cancel()
-        self._bounce_timers.clear()
-        self._bounce_retries.clear()
-
-    def _cancel_redelivery(self, request_id: RequestId) -> None:
-        """Disarm a pending bounce/transport redelivery for one request.
-
-        Symmetric with the ack/custody timers: under the simulator a
-        stale redelivery event was harmless (the ``_bounce_retry`` guard
-        re-checks the record), but under a wall-clock engine an
-        uncancelled timer keeps the event loop alive and fires after the
-        proxy's state moved on — cancellation semantics must be
-        identical under both engines."""
-        self._bounce_retries.discard(request_id)
-        timer = self._bounce_timers.pop(request_id, None)
-        if timer is not None:
-            timer.cancel()
+        self._bounce_retry.cancel_all()
 
     def _maybe_signal_last_pending(self) -> None:
         """Figure 4's special message: when an Ack leaves exactly one
@@ -539,13 +490,13 @@ class Proxy:
     def mark_migrated(self) -> None:
         """The old host calls this after exporting: the object is dead."""
         self.deleted = True
-        self._cancel_ack_timers()
+        self._cancel_timers()
 
     def _delete(self) -> None:
         if self.deleted:
             return
         self.deleted = True
-        self._cancel_ack_timers()
+        self._cancel_timers()
         self.instr.metrics.incr("proxies_deleted", node=self.host.node_id)
         self.instr.metrics.observe("proxy_lifetime", self.sim.now - self.created_at)
         self.instr.recorder.record(self.sim.now, "proxy_delete", self.host.node_id,

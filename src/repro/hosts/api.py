@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ProtocolError
-from ..sim import Timer
+from ..sim.process import Retrier, retry_policy
 from ..types import RequestId
 from .mobile_host import MobileHost
 
@@ -75,10 +75,11 @@ class RdpClient:
     def __init__(self, host: MobileHost,
                  retry_interval: Optional[float] = None) -> None:
         self.host = host
-        self.retry_interval = retry_interval
         self.requests: Dict[RequestId, PendingRequest] = {}
         self.subscriptions: Dict[RequestId, Subscription] = {}
-        self._retry_timers: Dict[RequestId, Timer] = {}
+        # Per-request retries at the fixed retry_interval, forever.
+        self._retries = Retrier(self.host.sim, retry_policy(retry_interval),
+                                self._retry, "client:retry")
         host.result_listeners.append(self._on_result)
 
     # -- issuing ----------------------------------------------------------------
@@ -92,10 +93,7 @@ class RdpClient:
         if on_result is not None:
             pending.callbacks.append(on_result)
         self.requests[rid] = pending
-        if self.retry_interval is not None:
-            timer = Timer(self.host.sim, lambda: self._retry(rid), label="client:retry")
-            timer.restart(self.retry_interval)
-            self._retry_timers[rid] = timer
+        self._retries.arm(rid)
         return pending
 
     def subscribe(self, service: str, params: Optional[dict] = None,
@@ -111,13 +109,12 @@ class RdpClient:
         self.subscriptions[rid] = sub
         return sub
 
-    def _retry(self, rid: RequestId) -> None:
+    def _retry(self, rid: RequestId, _attempt: int) -> bool:
         pending = self.requests.get(rid)
-        timer = self._retry_timers.get(rid)
-        if pending is None or pending.done or timer is None:
-            return
+        if pending is None or pending.done:
+            return False
         self.host.resend_request(rid, pending.service, pending.payload)
-        timer.restart(self.retry_interval)
+        return True
 
     # -- demultiplexing ------------------------------------------------------------
 
@@ -143,17 +140,13 @@ class RdpClient:
         pending.results.append(payload)
         if pending.completed_at is None:
             pending.completed_at = self.host.sim.now
-            timer = self._retry_timers.pop(request_id, None)
-            if timer is not None:
-                timer.cancel()
+            self._retries.cancel(request_id)
             for callback in list(pending.callbacks):
                 callback(payload)
 
     def cancel_retries(self) -> None:
         """Stop all retry timers (e.g. when a harness winds a run down)."""
-        for timer in self._retry_timers.values():
-            timer.cancel()
-        self._retry_timers.clear()
+        self._retries.cancel_all()
 
     # -- observation ------------------------------------------------------------------
 

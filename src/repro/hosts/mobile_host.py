@@ -38,7 +38,7 @@ from ..instruments import Instruments
 from ..net.message import Message
 from ..net.wireless import WirelessChannel
 from ..engine import Engine
-from ..sim import Timer
+from ..sim.process import Retrier, retry_policy
 from ..types import CellId, MhState, NodeId, RequestId, mh_id
 from .clientlog import ClientLog
 
@@ -61,11 +61,6 @@ class MobileHost:
         self.node_id = mh_id(name)
         self.wireless = wireless
         self.instr = instruments or Instruments.disabled()
-        self.greet_retry_interval = greet_retry_interval
-        # When set, registration retries back off exponentially (doubling
-        # per attempt) up to this cap — bounded pressure on a blacked-out
-        # cell.  None keeps the legacy fixed interval.
-        self.greet_backoff_cap = greet_backoff_cap
         self.ack_delay = ack_delay
 
         self.state: MhState = MhState.LEFT
@@ -87,8 +82,6 @@ class MobileHost:
         # Registration incarnation: bumped for each new announcement;
         # retransmissions of the same announcement reuse it.
         self._reg_seq = 0
-        # Retransmissions of the current announcement (drives backoff).
-        self._reg_retries = 0
         self._announcement: Tuple[Optional[NodeId], tuple, int] = (None, (), 0)
         # Durable log: survives crash() where everything below does not.
         self.log = ClientLog()
@@ -97,7 +90,14 @@ class MobileHost:
         self._unacked: Set[RequestId] = set()
         self._queued_requests: List[RequestMsg] = []
         self._pending_ack_events: List[Any] = []
-        self._greet_timer = Timer(sim, self._retry_registration, label="mh:greet-retry")
+        # Retransmissions of the current announcement, keyed by this
+        # host.  With a backoff cap the interval doubles per attempt up
+        # to the cap — bounded pressure on a blacked-out cell, yet
+        # bounded recovery latency after the blackout; without one it
+        # stays fixed; an interval <= 0 turns the retries off.
+        self._greet_retry = Retrier(
+            sim, retry_policy(greet_retry_interval, greet_backoff_cap),
+            self._retry_registration, "mh:greet-retry")
         self.result_listeners: List[Callable[[RequestId, Any], None]] = []
         self.registration_listeners: List[Callable[[], None]] = []
         self.deliveries: List[Tuple[float, RequestId, Any]] = []
@@ -138,7 +138,7 @@ class MobileHost:
         self.wireless.uplink(self, LeaveMsg(mh=self.node_id))
         self.state = MhState.LEFT
         self.registered = False
-        self._greet_timer.cancel()
+        self._greet_retry.cancel(self.node_id)
         self.instr.recorder.record(self.sim.now, "leave", self.node_id)
 
     def migrate_to(self, cell: CellId) -> None:
@@ -171,7 +171,7 @@ class MobileHost:
             raise ProtocolError(f"{self.node_id} cannot deactivate while {self.state}")
         self.state = MhState.INACTIVE
         self.registered = False
-        self._greet_timer.cancel()
+        self._greet_retry.cancel(self.node_id)
         self._drop_pending_acks()
         self.instr.recorder.record(self.sim.now, "deactivate", self.node_id,
                                    cell=self.current_cell)
@@ -198,7 +198,7 @@ class MobileHost:
             raise ProtocolError(f"{self.node_id} cannot doze while {self.state}")
         self.state = MhState.DOZING
         self.registered = False
-        self._greet_timer.cancel()
+        self._greet_retry.cancel(self.node_id)
         self._drop_pending_acks()
         self.instr.recorder.record(self.sim.now, "mh_doze", self.node_id,
                                    cell=self.current_cell)
@@ -229,12 +229,11 @@ class MobileHost:
         self._confirmed_mss = None
         self._announce_history = []
         self._reg_seq = 0
-        self._reg_retries = 0
         self._announcement = (None, (), 0)
         self._seen_deliveries = set()
         self._delivered_requests = set()
         self._queued_requests = []
-        self._greet_timer.cancel()
+        self._greet_retry.cancel(self.node_id)
         for event in self._pending_ack_events:
             event.cancel()
         self._pending_ack_events = []
@@ -304,7 +303,6 @@ class MobileHost:
                 candidates.append(node)
         self._announcement = (self._announced_mss, tuple(candidates[:3]),
                               self._reg_seq)
-        self._reg_retries = 0
         self.log.note_registration(self._reg_seq)
         station = self.wireless.station_of(self.current_cell)
         self._announced_mss = station.node_id
@@ -313,10 +311,9 @@ class MobileHost:
         # Write-ahead: flash knows the greet target before the radio does.
         self.log.note_announced(station.node_id)
         self._transmit_registration()
+        self._greet_retry.arm(self.node_id)
 
     def _transmit_registration(self) -> None:
-        if self.state is not MhState.ACTIVE or self.current_cell is None:
-            return
         old_mss, candidates, seq = self._announcement
         if old_mss is None:
             self.wireless.uplink(self, JoinMsg(mh=self.node_id, seq=seq))
@@ -324,29 +321,14 @@ class MobileHost:
             self.wireless.uplink(self, GreetMsg(
                 mh=self.node_id, old_mss=old_mss, seq=seq,
                 old_candidates=candidates))
-        if self.greet_retry_interval > 0:
-            self._greet_timer.restart(self._retry_interval())
 
-    def _retry_interval(self) -> float:
-        """Delay until the next registration retransmission.
-
-        Fixed at ``greet_retry_interval`` historically; with a backoff
-        cap the interval doubles per attempt and saturates at the cap,
-        so a blacked-out cell sees bounded greet pressure but recovery
-        latency after the blackout stays bounded too.
-        """
-        if self.greet_backoff_cap is None:
-            return self.greet_retry_interval
-        interval = self.greet_retry_interval * (2 ** min(self._reg_retries, 16))
-        return min(self.greet_backoff_cap, interval)
-
-    def _retry_registration(self) -> None:
+    def _retry_registration(self, _key: NodeId, _attempt: int) -> bool:
         """Retransmit the *same* incarnation until confirmed."""
         if self.registered or self.state is not MhState.ACTIVE:
-            return
-        self._reg_retries += 1
+            return False
         self.instr.metrics.incr("mh_registration_retries", node=self.node_id)
         self._transmit_registration()
+        return True
 
     # -- requests -------------------------------------------------------------------
 
@@ -408,6 +390,7 @@ class MobileHost:
             # `old` pointer and fake a reactivation at the new cell,
             # bypassing the hand-off.
             self._transmit_registration()
+            self._greet_retry.restart(self.node_id)
             return
         self.registered = False
         self._send_registration()
@@ -422,8 +405,7 @@ class MobileHost:
         self.resp_mss = message.src
         self._confirmed_mss = message.src
         self.log.note_confirmed(message.src)
-        self._reg_retries = 0
-        self._greet_timer.cancel()
+        self._greet_retry.cancel(self.node_id)
         queued, self._queued_requests = self._queued_requests, []
         for msg in queued:
             self.wireless.uplink(self, msg)

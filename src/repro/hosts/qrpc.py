@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from ..sim import Timer
 from ..types import MhState, RequestId
 from .api import PendingRequest, RdpClient
 from .mobile_host import MobileHost
@@ -61,9 +60,4 @@ class QueuedRpcClient(RdpClient):
             self.host.send_request(pending.service, pending.payload,
                                    request_id=rid)
             self.host.instr.metrics.incr("qrpc_flushed", node=self.host.node_id)
-            if self.retry_interval is not None:
-                timer = Timer(self.host.sim,
-                              lambda rid=rid: self._retry(rid),
-                              label="qrpc:retry")
-                timer.restart(self.retry_interval)
-                self._retry_timers[rid] = timer
+            self._retries.arm(rid, label="qrpc:retry")

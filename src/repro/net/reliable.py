@@ -61,6 +61,7 @@ from ..engine import Engine
 from ..errors import ConfigError
 from ..obs.registry import LATENCY_BUCKETS, Counter
 from ..sim.event import Event
+from ..sim.process import RetryPolicy
 from ..types import NodeId
 from .causal import StampedMessage
 from .message import Message
@@ -74,59 +75,6 @@ Channel = Tuple[NodeId, NodeId]
 #: the frame is presumed lost and retransmitted without waiting for its
 #: timer (the classic TCP heuristic, applied per link frame).
 DUPACK_THRESHOLD = 3
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retransmission schedule limits: budget, clamps and jitter.
-
-    For :class:`LegacyReliableLink` this is the complete schedule —
-    attempt *n* (1-based) waits ``timeout * backoff**(n-1)`` seconds.
-    For the selective-repeat :class:`ReliableLink` the wait comes from
-    the per-link :class:`RtoEstimator` instead; ``timeout`` seeds the
-    estimator's initial RTO, ``min_timeout``/``max_timeout`` clamp it
-    and ``backoff`` is the Karn timeout-doubling factor.
-
-    Every armed delay is stretched by a deterministic jitter factor in
-    ``[1, 1 + jitter]`` drawn from the link's seeded stream (jitter
-    keeps synchronized retransmit storms apart without breaking replay)
-    and then clamped so the jittered delay never exceeds
-    ``max_timeout``.  After ``max_retries`` retransmissions
-    (``max_retries + 1`` transmissions total) a frame is abandoned and
-    a :class:`DeliveryFailure` is surfaced.
-    """
-
-    timeout: float = 0.25
-    backoff: float = 2.0
-    max_timeout: float = 8.0
-    jitter: float = 0.1
-    max_retries: int = 20
-    min_timeout: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0 or self.max_timeout < self.timeout:
-            raise ConfigError(f"bad retry timeouts in {self!r}")
-        if not 0 < self.min_timeout <= self.max_timeout:
-            raise ConfigError(f"bad min_timeout in {self!r}")
-        if self.backoff < 1.0:
-            raise ConfigError(f"backoff {self.backoff!r} must be >= 1")
-        if self.jitter < 0:
-            raise ConfigError(f"negative jitter {self.jitter!r}")
-        if self.max_retries < 0:
-            raise ConfigError(f"negative retry budget {self.max_retries!r}")
-
-    def timeout_for(self, attempt: int, draw: float) -> float:
-        """Timeout before retransmitting transmission *attempt* (1-based);
-        *draw* is a uniform [0, 1) sample from the link's stream.  The
-        documented ``max_timeout`` cap applies to the *jittered* delay
-        (clamping before jitter let delays overshoot the cap)."""
-        base = min(self.max_timeout, self.timeout * self.backoff ** (attempt - 1))
-        return min(self.max_timeout, base * (1.0 + self.jitter * draw))
-
-    def jittered(self, delay: float, draw: float) -> float:
-        """Apply the policy's jitter + cap to an externally computed
-        delay (the adaptive transport's RTO)."""
-        return min(self.max_timeout, delay * (1.0 + self.jitter * draw))
 
 
 class RtoEstimator:

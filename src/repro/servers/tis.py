@@ -29,7 +29,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Set
 
 from ..core.protocol import ServerRequestMsg
 from ..net.message import Message
-from ..sim import Timer
+from ..sim.event import Event
 from ..types import NodeId, RequestId
 from .base import AppServer
 from .subscription import SubscriptionRegistry
@@ -120,7 +120,7 @@ class _PendingOp:
 
     request: ServerRequestMsg
     region: str
-    timer: Optional[Timer] = None
+    timer: Optional[Event] = None
     answered: bool = False
 
 
@@ -200,10 +200,9 @@ class TrafficInfoServer(AppServer):
         if not self._forward_lookup(lookup):
             self._finish_lookup(op_id, None)
             return
-        timer = Timer(self.sim, lambda: self._lookup_timed_out(op_id),
-                      label="tis:lookup-timeout")
-        timer.restart(self.lookup_timeout)
-        pending.timer = timer
+        pending.timer = self.sim.schedule(self.lookup_timeout,
+                                          self._lookup_timed_out, op_id,
+                                          label="tis:lookup-timeout")
 
     def _forward_lookup(self, lookup: TisLookupMsg) -> bool:
         """Route toward the owner, or flood; False when nowhere to go."""
@@ -253,10 +252,9 @@ class TrafficInfoServer(AppServer):
         if not self._forward_update(update):
             self._finish_lookup(op_id, None)
             return
-        timer = Timer(self.sim, lambda: self._lookup_timed_out(op_id),
-                      label="tis:update-timeout")
-        timer.restart(self.lookup_timeout)
-        self._pending[op_id].timer = timer
+        self._pending[op_id].timer = self.sim.schedule(
+            self.lookup_timeout, self._lookup_timed_out, op_id,
+            label="tis:update-timeout")
 
     def _forward_update(self, update: TisUpdateMsg) -> bool:
         next_hop = self.routes.get(update.region)

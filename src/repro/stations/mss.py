@@ -58,7 +58,7 @@ from ..net.message import Message
 from ..net.wired import WiredNetwork
 from ..net.wireless import WirelessChannel
 from ..engine import Engine
-from ..sim.event import Event
+from ..sim.process import Retrier, retry_policy
 from ..types import (CellId, MhState, NodeId, ProxyId, ProxyRef, RequestId,
                      mss_id)
 from .inbox import Inbox
@@ -153,7 +153,7 @@ class MhEntry:
 
     __slots__ = ("pref", "reg_seq", "incoming", "surrendered", "migrating",
                  "deferred_deregs", "creation_queue", "retained",
-                 "deferred_update", "redeliveries", "failures", "probe")
+                 "deferred_update", "failures")
 
     def __init__(self) -> None:
         # Local (registered here) exactly while there is a pref; reg_seq
@@ -172,29 +172,8 @@ class MhEntry:
         # held back until the retained results are acknowledged.
         self.retained: Optional[Dict[RequestId, WirelessResultMsg]] = None
         self.deferred_update: Optional[ProxyRef] = None
-        # Wireless-leg redelivery per request: [frame, attempts, event]
-        # (None when there is none).
-        self.redeliveries: Optional[Dict[RequestId, list]] = None
         # The seq of each failed custody chase since the last registration.
         self.failures: Tuple[int, ...] = ()
-        self.probe: Optional[Event] = None  # the hand-off probe
-
-    def pop_redelivery(self, request_id: RequestId) -> Optional[list]:
-        pending = (self.redeliveries.pop(request_id, None)
-                   if self.redeliveries else None)
-        if not self.redeliveries:
-            self.redeliveries = None
-        return pending
-
-    def cancel_redeliveries(self) -> None:
-        for pending in (self.redeliveries or {}).values():
-            pending[2].cancel()
-        self.redeliveries = None
-
-    def cancel_timers(self) -> None:
-        if self.probe is not None:
-            self.probe.cancel()
-        self.cancel_redeliveries()
 
 
 class MobileSupportStation:
@@ -224,6 +203,17 @@ class MobileSupportStation:
         self.placement = self.config.placement or CurrentCellPlacement()
 
         self.entries: Dict[NodeId, MhEntry] = {}
+        # Wireless-leg redelivery, keyed (mh, request id), and the
+        # hand-off probe, keyed mh.
+        redeliver = self.config.wireless_ack_timeout
+        self._redelivery = Retrier(
+            sim, retry_policy(redeliver,
+                              None if redeliver is None else 4 * redeliver,
+                              self.config.wireless_redelivery_attempts),
+            self._wireless_redeliver, "mss:wl-redeliver")
+        self._probe = Retrier(
+            sim, retry_policy(self.config.handoff_probe_interval),
+            self._handoff_probe, "mss:handoff-probe")
         self.proxies: Dict[ProxyId, Proxy] = {}
         # Forwarding stubs left behind for proxies that moved away.
         self._proxy_stubs: Dict[ProxyId, ProxyRef] = {}
@@ -432,12 +422,14 @@ class MobileSupportStation:
                                    mh=mh, seq=seq, how=how)
         self._downlink(mh, RegisteredMsg(mh=mh, seq=seq))
 
-    def _unregister(self, entry: MhEntry) -> Pref:
+    def _unregister(self, mh: NodeId, entry: MhEntry) -> Pref:
         """Drop the registration; returns the pref (empty when none)."""
         pref = entry.pref or Pref()
         entry.pref = None
         entry.reg_seq = -1
-        entry.cancel_redeliveries()
+        for key in self._redelivery:
+            if key[0] == mh:
+                self._redelivery.cancel(key)
         return pref
 
     def _on_join(self, msg: JoinMsg) -> None:
@@ -452,7 +444,7 @@ class MobileSupportStation:
 
     def _on_leave(self, msg: LeaveMsg) -> None:
         entry = self.entries.get(msg.mh)
-        if entry is not None and self._unregister(entry).has_proxy:
+        if entry is not None and self._unregister(msg.mh, entry).has_proxy:
             # Assumption 6 says an MH only leaves once everything is
             # acknowledged; count violations instead of crashing.
             self.instr.metrics.incr("mh_left_with_pending", node=self.node_id)
@@ -515,7 +507,11 @@ class MobileSupportStation:
         record.outstanding.add(seq)
         record.fallbacks = fallbacks
         self._wired_send(target, DeregMsg(mh=mh, seq=seq))
-        self._schedule_handoff_probe(mh, entry)   # a no-op while one is armed
+        # At most one live probe chain per MH, whatever churn the
+        # acquisition record goes through — per-record chains would
+        # accumulate under heavy hand-off load.
+        if mh not in self._probe:
+            self._probe.arm(mh)
 
     def _on_reactivation_greet(self, mh: NodeId, seq: int,
                                fallbacks: tuple = ()) -> None:
@@ -554,7 +550,7 @@ class MobileSupportStation:
                     mh=mh, request_id=message.request_id,
                     delivery_id=message.delivery_id, payload=message.payload)
                 self._downlink(mh, frame)
-                self._arm_wireless_redelivery(entry, frame)
+                self._redelivery.arm((mh, frame.request_id), frame)
             entry.deferred_update = ref
             self.sim.schedule(self.config.retain_update_fallback,
                               self._flush_deferred_update, mh,
@@ -572,29 +568,19 @@ class MobileSupportStation:
         if entry.pref is not None:
             self._send_update_currentloc(mh, ref)
 
-    def _schedule_handoff_probe(self, mh: NodeId, entry: MhEntry) -> None:
-        # At most one live chain per MH, whatever churn the acquisition
-        # record goes through — per-record chains would accumulate under
-        # heavy hand-off load.
-        if entry.probe is None:
-            entry.probe = self.sim.schedule(self.config.handoff_probe_interval,
-                                            self._handoff_probe, mh,
-                                            label="mss:handoff-probe")
-
-    def _handoff_probe(self, mh: NodeId) -> None:
+    def _handoff_probe(self, mh: NodeId, _attempt: int) -> bool:
         """Liveness for acquisitions: a peer that crashed loses deferred
         deregs, so an unanswered dereg is retransmitted (idempotent: the
-        target either surrenders or answers not-found)."""
-        entry = self.entries[mh]   # a crash cancels the probe with the entry
-        entry.probe = None
-        record = entry.incoming
+        target either surrenders or answers not-found).  The probe runs
+        until the acquisition is over."""
+        record = self.entries[mh].incoming  # a crash cancels the probes
         if record is None:
-            return
+            return False
         if record.outstanding:
             self.instr.metrics.incr("handoff_probes", node=self.node_id)
             self._wired_send(record.old_mss,
                              DeregMsg(mh=mh, seq=record.seq))
-        self._schedule_handoff_probe(mh, entry)
+        return True
 
     def _send_update_currentloc(self, mh: NodeId, ref: ProxyRef) -> None:
         self.instr.metrics.incr("update_currentloc_sent", node=self.node_id)
@@ -677,7 +663,7 @@ class MobileSupportStation:
         entry.retained = None
         entry.deferred_update = None
         extra_bytes = self._handoff_extra_bytes(mh)
-        pref = self._unregister(entry)
+        pref = self._unregister(mh, entry)
         # From now on, Acks from this MH are ignored (paper, Section 3.1).
         entry.surrendered = True
         payload = PrefPayload(ref=pref.ref, rkpr=pref.rkpr)
@@ -942,8 +928,8 @@ class MobileSupportStation:
         proxy-gone bounces, client retries, the reliable wired link) can
         and cannot absorb when that assumption is broken.
 
-        Every per-MH entry (with its probe and redelivery timers), every
-        proxy and every forwarding stub is lost.  While down the station
+        Every per-MH entry, probe and redelivery timer, every proxy and
+        every forwarding stub is lost.  While down the station
         drops every wired/wireless arrival and sends nothing; frames
         addressed to it on a reliable fabric are retransmitted by their
         senders across the outage.  Idempotent.
@@ -956,8 +942,8 @@ class MobileSupportStation:
         self.instr.metrics.incr("mss_crashes", node=self.node_id)
         self.instr.recorder.record(self.sim.now, "mss_crash", self.node_id,
                                    inbox_dropped=dropped)
-        for entry in self.entries.values():
-            entry.cancel_timers()
+        self._probe.cancel_all()
+        self._redelivery.cancel_all()
         self.entries.clear()
         self.proxies.clear()
         self._proxy_stubs.clear()
@@ -1083,61 +1069,37 @@ class MobileSupportStation:
             return
         self._downlink(mh, wireless_result)
         if not foreign:
-            self._arm_wireless_redelivery(entry, wireless_result)
+            self._redelivery.arm((mh, msg.request_id), wireless_result)
 
     # -- wireless-leg redelivery ------------------------------------------------
 
-    def _arm_wireless_redelivery(self, entry: MhEntry,
-                                 message: WirelessResultMsg) -> None:
-        """Watch one downlinked result until its Ack comes back.
+    def _wireless_redeliver(self, key: Tuple[NodeId, RequestId], attempt: int,
+                            message: WirelessResultMsg) -> bool:
+        """Re-downlink a result whose Ack has not come back.
 
         The respMss covers radio fades locally: the proxy's end-to-end
         ``proxy_ack_timeout`` still backstops everything, but it is slow
         by design (it crosses the wired fabric); this loop retries the
         one hop that actually failed.  Backoff doubles per attempt,
-        capped at 4x the base timeout, with a bounded attempt budget.
+        capped at 4x the base timeout, with a bounded attempt budget
+        after which the proxy's end-to-end timeout takes over.  A fresh
+        forward supersedes the old frame (new delivery id) and restarts
+        the local schedule.
         """
-        if self.config.wireless_ack_timeout is None:
-            return
-        if entry.redeliveries is None:
-            entry.redeliveries = {}
-        pending = entry.redeliveries.get(message.request_id)
-        if pending is not None:
-            # A fresh forward supersedes the old frame (new delivery id)
-            # and restarts the local schedule.
-            pending[2].cancel()
-        event = self.sim.schedule(self.config.wireless_ack_timeout,
-                                  self._wireless_redeliver, message.mh,
-                                  message.request_id,
-                                  label="mss:wl-redeliver")
-        entry.redeliveries[message.request_id] = [message, 0, event]
-
-    def _wireless_redeliver(self, mh: NodeId, request_id: RequestId) -> None:
-        # An armed timer always has its record: acks, hand-offs and
-        # crashes cancel the timer when they drop the record.
+        mh, request_id = key
+        # An armed timer always has its entry: only a crash drops
+        # entries, and it cancels every timer.
         entry = self.entries[mh]
-        message, attempts, _event = pending = entry.redeliveries[request_id]
         if entry.pref is None or request_id not in entry.pref.outstanding:
-            # Acked, handed off, or gone: nothing left to redeliver.
-            entry.pop_redelivery(request_id)
-            return
-        attempts += 1
-        pending[1] = attempts
+            return False  # acked, handed off, or gone
         # The metrics bridge exports this as rdp_wireless_redeliveries_total.
         self.instr.metrics.incr("wireless_redeliveries", node=self.node_id)
         if self.instr.recorder.wants("wireless_redelivery"):
             self.instr.recorder.record(
                 self.sim.now, "wireless_redelivery", self.node_id,
-                mh=mh, request_id=request_id, attempt=attempts)
+                mh=mh, request_id=request_id, attempt=attempt)
         self._downlink(mh, message)
-        if attempts >= self.config.wireless_redelivery_attempts:
-            # Budget exhausted: the proxy's end-to-end timeout takes over.
-            entry.pop_redelivery(request_id)
-            return
-        base = self.config.wireless_ack_timeout
-        delay = min(base * (2 ** attempts), 4 * base)
-        pending[2] = self.sim.schedule(delay, self._wireless_redeliver, mh,
-                                       request_id, label="mss:wl-redeliver")
+        return True
 
     def _host_in_cell(self, mh: NodeId) -> bool:
         """Radio-level knowledge: is the MH physically in our cell?"""
@@ -1199,9 +1161,7 @@ class MobileSupportStation:
             return
         pref = entry.pref
         pref.outstanding.discard(msg.request_id)
-        pending = entry.pop_redelivery(msg.request_id)
-        if pending is not None:
-            pending[2].cancel()
+        self._redelivery.cancel((mh, msg.request_id))
         retained = entry.retained
         if retained is not None:
             retained.pop(msg.request_id, None)

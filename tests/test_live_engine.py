@@ -3,7 +3,7 @@
 Protocol entities program against :class:`repro.engine.Engine`; these
 tests pin that :class:`repro.live.engine.AsyncioEngine` is observably
 interchangeable with :class:`repro.sim.Simulator` — same negative-delay
-error, same cancellation semantics, same :class:`repro.sim.Timer`
+error, same cancellation semantics, same :class:`repro.sim.Retrier`
 behaviour — and regression-test the proxy redelivery-timer symmetry that
 only *matters* under a wall-clock engine (an uncancelled timer there
 fires for real after the proxy's state moved on).
@@ -28,7 +28,8 @@ from repro.errors import SchedulingError  # noqa: E402
 from repro.instruments import Instruments  # noqa: E402
 from repro.live.clock import LiveClock  # noqa: E402
 from repro.live.engine import AsyncioEngine  # noqa: E402
-from repro.sim import Event, Simulator, Timer  # noqa: E402
+from repro.sim import Event, Retrier, Simulator  # noqa: E402
+from repro.sim.process import retry_policy  # noqa: E402
 from repro.types import NodeId, ProxyId, RequestId  # noqa: E402
 
 
@@ -133,21 +134,22 @@ def test_now_advances_with_wall_time():
 
 
 def test_sim_timer_runs_on_the_live_engine():
-    """:class:`repro.sim.Timer` (restart/cancel) must work unchanged —
-    the MSS, MH and client retry logic all build on it."""
+    """:class:`repro.sim.Retrier` (arm/cancel) must work unchanged — the
+    MSS, proxy, MH and client retry loops all build on it."""
     fired = []
 
     def setup(engine):
-        timer = Timer(engine, lambda: fired.append("a"), label="t")
-        timer.restart(0.01)
-        timer.restart(0.02)  # restart supersedes the armed event
-        cancelled = Timer(engine, lambda: fired.append("b"), label="t2")
-        cancelled.restart(0.01)
-        cancelled.cancel()
-        return timer
+        retrier = Retrier(engine, retry_policy(0.01, 0.02),
+                          lambda key, attempt: fired.append((key, attempt)),
+                          "t")
+        retrier.arm("a")
+        retrier.arm("a", attempt=2)  # re-arming supersedes the armed event
+        retrier.arm("b")
+        retrier.cancel("b")
+        return retrier
 
     run_live(0.08, setup)
-    assert fired == ["a"]
+    assert fired == [("a", 2)]
 
 
 # -- the asyncio driver -----------------------------------------------------
@@ -310,23 +312,21 @@ def _bounce_then_ack(engine):
         request_id=rid, proxy_id=proxy.proxy_id, payload="ok"))
     proxy.handle_result_bounce(ResultBounceMsg(
         mh=proxy.mh, proxy_id=proxy.proxy_id, request_id=rid))
-    assert rid in proxy._bounce_timers, "bounce did not arm a timer"
-    timer = proxy._bounce_timers[rid]
+    assert rid in proxy._bounce_retry, "bounce did not arm a timer"
     record = proxy.requestlist[rid]
     proxy.handle_ack_forward(AckForwardMsg(
         mh=proxy.mh, proxy_id=proxy.proxy_id, request_id=rid,
         delivery_id=record.delivery_id, del_proxy=False))
-    return proxy, host, timer, rid
+    return proxy, host, rid
 
 
 def test_ack_cancels_bounce_timer_under_the_simulator():
     sim = Simulator()
-    proxy, host, timer, rid = _bounce_then_ack(sim)
-    assert not proxy._bounce_timers
-    assert rid not in proxy._bounce_retries
-    assert timer.cancelled
+    proxy, host, rid = _bounce_then_ack(sim)
+    assert rid not in proxy._bounce_retry
+    assert sim.peek_next_time() is None, "the bounce timer is still armed"
     forwards_before = len(host.sent)
-    sim.run(until=20.0)  # past _BOUNCE_RETRY_CAP
+    sim.run(until=20.0)  # past the bounce policy's 8 s cap
     assert len(host.sent) == forwards_before, (
         "a cancelled redelivery timer still fired")
     assert not host.paged
@@ -339,10 +339,10 @@ def test_ack_cancels_bounce_timer_under_the_live_engine():
     loop = asyncio.new_event_loop()
     try:
         engine = AsyncioEngine(loop, LiveClock.start())
-        proxy, host, timer, rid = _bounce_then_ack(engine)
-        assert not proxy._bounce_timers
-        assert rid not in proxy._bounce_retries
-        assert timer.cancelled
+        proxy, host, rid = _bounce_then_ack(engine)
+        assert rid not in proxy._bounce_retry
+        assert engine.kernel.peek_next_time() is None, (
+            "the bounce timer would keep the event loop alive")
         forwards_before = len(host.sent)
         # Run the loop past the minimum bounce delay; a leaked timer
         # would fire here (delay for forward_count=1 is 1.0s, so give
@@ -366,7 +366,7 @@ def test_proxy_delete_clears_bounce_timers():
         request_id=rid, proxy_id=proxy.proxy_id, payload="ok"))
     proxy.handle_result_bounce(ResultBounceMsg(
         mh=proxy.mh, proxy_id=proxy.proxy_id, request_id=rid))
-    timer = proxy._bounce_timers[rid]
-    proxy._cancel_ack_timers()
-    assert timer.cancelled
-    assert not proxy._bounce_timers and not proxy._bounce_retries
+    assert rid in proxy._bounce_retry
+    proxy.mark_migrated()
+    assert not list(proxy._bounce_retry)
+    assert sim.peek_next_time() is None

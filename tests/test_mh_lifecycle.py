@@ -227,17 +227,20 @@ def test_registration_backoff_capped_under_blacked_out_cell():
         blackouts=(("cell0", 0.0, 20.0),)))
     world.add_host("m", world.cells[0])
     host = world.hosts["m"]
-    world.run(until=19.0)
-    assert not host.registered
-    retries_in_the_dark = world.instruments.metrics.count(
-        "mh_registration_retries")
-    # Capped doubling (1+2+4+8+8...) fits ~5 retries in 19 s; the legacy
-    # fixed 1 s timer would have burnt 18.
-    assert 3 <= retries_in_the_dark <= 7
+    retry_times = []
+    for step in range(1, 91):  # 0.5 s steps up to 45 s
+        world.run(until=step * 0.5)
+        if world.instruments.metrics.count(
+                "mh_registration_retries") > len(retry_times):
+            retry_times.append(world.sim.now)
+        if world.sim.now == 19.0:
+            assert not host.registered
+            # Capped doubling (1+2+4+8+8...) fits ~5 retries in 19 s;
+            # the legacy fixed 1 s timer would have burnt 18.
+            assert 3 <= len(retry_times) <= 7
     # The interval saturates at the auto cap (8 x greet_retry_interval).
-    assert host.greet_backoff_cap == pytest.approx(8.0)
-    assert host._retry_interval() <= host.greet_backoff_cap
-    world.run(until=45.0)
+    gaps = [b - a for a, b in zip(retry_times, retry_times[1:])]
+    assert gaps == [2.0, 4.0, 8.0, 8.0]
     assert host.registered
     registrations = [r for r in
                      world.instruments.recorder.filter(kind="register")

@@ -1,62 +1,12 @@
-"""Tests for timers and periodic processes."""
+"""Tests for retriers and periodic processes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim import PeriodicProcess, Timer
-
-
-def test_timer_fires_after_delay(sim):
-    out = []
-    timer = Timer(sim, lambda: out.append(sim.now))
-    timer.restart(2.0)
-    sim.run()
-    assert out == [2.0]
-
-
-def test_timer_restart_supersedes_previous(sim):
-    out = []
-    timer = Timer(sim, lambda: out.append(sim.now))
-    timer.restart(2.0)
-    timer.restart(5.0)
-    sim.run()
-    assert out == [5.0]
-
-
-def test_timer_cancel(sim):
-    out = []
-    timer = Timer(sim, lambda: out.append(sim.now))
-    timer.restart(1.0)
-    timer.cancel()
-    sim.run()
-    assert out == []
-    assert not timer.armed
-
-
-def test_timer_armed_property(sim):
-    timer = Timer(sim, lambda: None)
-    assert not timer.armed
-    timer.restart(1.0)
-    assert timer.armed
-    sim.run()
-    assert not timer.armed
-
-
-def test_timer_can_rearm_from_callback(sim):
-    fires = []
-    timer = Timer(sim, lambda: None)
-
-    def tick():
-        fires.append(sim.now)
-        if len(fires) < 3:
-            timer.restart(1.0)
-
-    timer._callback = tick
-    timer.restart(1.0)
-    sim.run()
-    assert fires == [1.0, 2.0, 3.0]
+from repro.sim import PeriodicProcess, Retrier
+from repro.sim.process import retry_policy
 
 
 def test_periodic_fixed_interval(sim):
@@ -107,3 +57,112 @@ def test_periodic_variable_period(sim):
     proc.start()
     sim.run(until=10.0)
     assert out == [1.0, 3.0, 7.0]
+
+
+# -- Retrier -------------------------------------------------------------------
+
+
+def _retrier(sim, policy, keep_going=True):
+    """A retrier that logs (time, key, attempt, args) per firing."""
+    fired = []
+
+    def retry(key, attempt, *args):
+        fired.append((sim.now, key, attempt, args))
+        return keep_going
+
+    return Retrier(sim, policy, retry, "test:retry"), fired
+
+
+def test_retrier_backs_off_until_the_budget_is_spent(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0, 4.0, budget=4))
+    retrier.arm("k", "frame")
+    sim.run()
+    # Waits 1, 2, 4, 4 (capped): four retries, then the budget is spent.
+    assert fired == [(1.0, "k", 1, ("frame",)), (3.0, "k", 2, ("frame",)),
+                     (7.0, "k", 3, ("frame",)), (11.0, "k", 4, ("frame",))]
+    assert "k" not in retrier
+
+
+def test_retrier_stops_when_the_owner_says_done(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0), keep_going=False)
+    retrier.arm("k")
+    sim.run()
+    assert [t for t, *_ in fired] == [1.0]
+    assert "k" not in retrier
+
+
+def test_retrier_rearm_supersedes(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0, 8.0), keep_going=False)
+    retrier.arm("k")
+    retrier.arm("k", attempt=3)  # the owner's own attempt count
+    sim.run()
+    assert fired == [(4.0, "k", 3, ())]
+    assert sim.events_executed == 1
+
+
+def test_retrier_restart_keeps_the_attempt(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0, 8.0), keep_going=False)
+    retrier.arm("k", attempt=2)   # due at 2.0
+    sim.run(until=1.5)
+    retrier.restart("k")          # same attempt, from now: due at 3.5
+    retrier.restart("absent")     # a no-op
+    sim.run()
+    assert fired == [(3.5, "k", 2, ())]
+
+
+def test_retrier_cancel_and_cancel_all(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0))
+    for key in ("a", "b", "c"):
+        retrier.arm(key)
+    retrier.cancel("b")
+    retrier.cancel("b")  # idempotent
+    assert sorted(retrier) == ["a", "c"]
+    retrier.cancel_all()
+    assert list(retrier) == []
+    sim.run()
+    assert fired == []
+    assert sim.peek_next_time() is None
+
+
+def test_retrier_equal_deadlines_fire_in_arm_order(sim):
+    retrier, fired = _retrier(sim, retry_policy(1.0), keep_going=False)
+    for key in ("z", "a", "m"):
+        retrier.arm(key)
+    sim.run()
+    assert [key for _, key, *_ in fired] == ["z", "a", "m"]
+
+
+def test_retrier_label_names_the_whole_chain(sim):
+    retrier, _ = _retrier(sim, retry_policy(1.0, budget=2))
+    retrier.arm("k", label="other:retry")
+    labels = []
+    schedule = sim.schedule
+
+    def spy(delay, callback, *args, label=""):
+        labels.append(label)
+        return schedule(delay, callback, *args, label=label)
+
+    sim.schedule = spy
+    sim.run()
+    assert labels == ["other:retry"]
+
+
+def test_retrier_off_arms_nothing(sim):
+    retrier, fired = _retrier(sim, retry_policy(None))
+    retrier.arm("k")
+    assert "k" not in retrier
+    sim.run()
+    assert fired == [] and sim.events_executed == 0
+
+
+def test_retry_policy_accepts_every_loop_value():
+    # Off stays off; tiny bases below RetryPolicy's default min_timeout
+    # and caps below the base still build valid jitter-free policies.
+    assert retry_policy(None) is None
+    assert retry_policy(0.0) is None and retry_policy(-1.0) is None
+    tiny = retry_policy(0.004, 0.016, budget=6)
+    assert [tiny.timeout_for(n, 0.0) for n in (1, 2, 3, 4)] == [
+        0.004, 0.008, 0.016, 0.016]
+    assert retry_policy(1.0, 0.5).timeout_for(1, 0.0) == 0.5
+    assert retry_policy(5.0).timeout_for(10_000, 0.0) == 5.0
+    assert retry_policy(1.0, 2.0) is retry_policy(1.0, 2.0)

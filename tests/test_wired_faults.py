@@ -185,6 +185,22 @@ def test_retry_policy_jitter_never_exceeds_cap():
     assert deep.jittered(1.0, 0.5) == pytest.approx(1.05)
 
 
+def test_retry_policy_delay_stops_at_the_cap_past_float_range():
+    # Regression: backoff ** (attempt - 1) overflowed past attempt ~1025,
+    # so a LegacyReliableLink with a large budget crashed the run during
+    # a long partition.  Every attempt that did not overflow keeps its
+    # exact float.
+    policy = RetryPolicy(max_retries=5000)
+    assert policy.timeout_for(1100, 0.5) == policy.max_timeout
+    assert policy.timeout_for(5000, 0.0) == policy.max_timeout
+    for attempt in range(1, 1025):
+        for draw in (0.0, 0.5):
+            base = min(policy.max_timeout,
+                       policy.timeout * policy.backoff ** (attempt - 1))
+            assert policy.timeout_for(attempt, draw) == min(
+                policy.max_timeout, base * (1.0 + policy.jitter * draw))
+
+
 def test_retry_policy_validation():
     with pytest.raises(ConfigError):
         RetryPolicy(timeout=0.0)
