@@ -179,12 +179,12 @@ class ItcpLikeMss(MobileSupportStation):
                 mh=msg.mh, request_id=stored.request_id,
                 delivery_id=stored.delivery_id, payload=stored.payload))
 
-    def _on_reactivation_greet(self, mh: NodeId, seq: int,
-                               fallbacks: tuple = ()) -> None:
-        super()._on_reactivation_greet(mh, seq, fallbacks)
+    def _on_greet(self, msg: GreetMsg) -> None:
+        super()._on_greet(msg)
+        mh = msg.mh
         image = self.images.get(mh)
-        if image is None:
-            return
+        if msg.old_mss != self.node_id or image is None:
+            return  # only a reactivation here redelivers the image
         for stored in list(image.unacked_results.values()):
             self.instr.metrics.incr("itcp_redeliveries", node=self.node_id)
             self._downlink(mh, WirelessResultMsg(

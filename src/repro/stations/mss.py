@@ -18,6 +18,7 @@ An MSS is a reliable static host that (paper, Sections 2-3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
 
 from ..core.placement import CurrentCellPlacement, PlacementPolicy
@@ -125,8 +126,8 @@ class MssConfig:
 
 @dataclass
 class _IncomingHandoff:
-    old_mss: NodeId
-    started_at: float
+    old_mss: NodeId = NodeId("")   # the current chase target
+    started_at: float = 0.0
     seq: int = 0
     # Seqs of dereg requests sent and not yet answered.  The acquisition
     # is only abandoned once every one of them has been answered
@@ -149,7 +150,8 @@ class MhEntry:
 
     The fields overlap rather than encode one exclusive state (a join can
     register an MH mid-acquisition; a surrendered MH can be re-acquired):
-    docs/PROTOCOL.md §3 tabulates how the hand-off messages act on them."""
+    :func:`handoff_row` reads them to pick the row of docs/PROTOCOL.md §3
+    that a hand-off message lands in."""
 
     __slots__ = ("pref", "reg_seq", "incoming", "surrendered", "migrating",
                  "deferred_deregs", "creation_queue", "retained",
@@ -174,6 +176,150 @@ class MhEntry:
         self.deferred_update: Optional[ProxyRef] = None
         # The seq of each failed custody chase since the last registration.
         self.failures: Tuple[int, ...] = ()
+
+
+class Row(Enum):
+    """The rows of docs/PROTOCOL.md §3's hand-off table, which states
+    each row's condition and action.  ``counters`` is the row's
+    ``Counted`` cell, bumped in that order; the value is the row's
+    number, so rows with equal counters stay distinct members."""
+
+    counters: Tuple[str, ...]
+
+    def __new__(cls, *counters: str) -> "Row":
+        row = object.__new__(cls)
+        row._value_ = len(cls.__members__) + 1
+        row.counters = counters
+        return row
+
+    GREET_DUPLICATE = ("duplicate_greets",)
+    GREET_BOUNCE = ("bounce_re_registrations",)
+    GREET_ACQUIRING_DUPLICATE = ("duplicate_greets",)
+    GREET_RESTART = ("handoffs_restarted",)
+    GREET_START = ("handoffs_started",)
+    REACTIVATE_DUPLICATE = ("duplicate_greets",)
+    REACTIVATE = ("reactivations",)
+    REACTIVATE_ACQUIRING = ("reactivation_of_unknown_mh", "duplicate_greets")
+    REACTIVATE_CHASE = ("reactivation_of_unknown_mh", "handoffs_started")
+    REACTIVATE_IN_PLACE = ("reactivation_of_unknown_mh", "reactivations")
+    JOIN_DUPLICATE = ()
+    JOIN_NEWER = ()
+    JOIN = ("mh_joins",)
+    DEREG_STALE = ("stale_deregs_rejected",)
+    DEREG_DEFER_CREATING = ("deregs_deferred",)
+    DEREG_SURRENDER = ("handoffs_out",)
+    DEREG_STALE_ACQUIRING = ("stale_deregs_rejected",)
+    DEREG_DEFER_ACQUIRING = ("deregs_deferred",)
+    DEREG_PROBE_DUPLICATE = ("dereg_probe_duplicates",)
+    DEREG_UNKNOWN = ("deregs_for_unknown_mh",)
+    NOT_FOUND_STALE = ("stale_deregacks",)
+    NOT_FOUND_WAITING = ("deregack_negative_waiting",)
+    NOT_FOUND_FALLBACK = ("handoff_fallback_deregs",)
+    NOT_FOUND_SERVE = ("handoffs_aborted",)
+    NOT_FOUND_BLIND = ("handoffs_aborted", "blind_re_registrations")
+    NOT_FOUND_REFUSE = ("handoffs_aborted",)
+    FOUND_LATE = ("late_deregacks_ignored",)
+    FOUND_FORK = ("stale_custody_forks_dropped",)
+    FOUND = ("handoffs_completed",)
+    PROXY_CREATED = ()
+    PROXY_CREATED_ABSENT = ("proxy_created_for_absent_mh",)
+    ACK_IGNORED = ("acks_ignored_after_dereg",)
+    ACK_ACQUIRING = ("acks_from_unknown_mh",)
+    ACK_UNKNOWN = ("acks_from_unknown_mh",)
+    ACK_FOREIGN = ("acks_forwarded",)
+    ACK_NO_PROXY = ("acks_without_pref",)
+    ACK_FORWARD = ("acks_forwarded",)
+    PROBE = ("handoff_probes",)
+    PROBE_END = ()
+    DEFERRED_EXPIRED = ("deferred_deregs_expired",)
+    DEFERRED_ANSWERED = ()
+
+
+def _custody_candidates(msg: GreetMsg, here: NodeId) -> tuple:
+    """The stations besides *here* and ``old_mss`` that may hold the MH."""
+    return tuple(node for node in msg.old_candidates
+                 if node != here and node != msg.old_mss)
+
+
+def handoff_row(entry: Optional[MhEntry], msg: object, here: NodeId,
+                in_cell: bool = False) -> Row:
+    """The §3 row that *msg* lands in at station *here*, whose *entry*
+    for the MH is None when it has none.  *msg* is a greet, join, dereg,
+    deregack, proxy_created or ack, a deferred ``(requester, seq)`` dereg
+    whose TTL ran out, or None for the hand-off probe.  *in_cell* is
+    radio-level knowledge that the MH is in the cell."""
+    local = entry is not None and entry.pref is not None
+    record = entry.incoming if entry is not None else None
+    if isinstance(msg, AckMsg):
+        if entry is not None and entry.surrendered:
+            return Row.ACK_IGNORED
+        if not local:
+            return Row.ACK_UNKNOWN if record is None else Row.ACK_ACQUIRING
+        if msg.request_id in entry.pref.foreign:
+            return Row.ACK_FOREIGN
+        return Row.ACK_NO_PROXY if entry.pref.ref is None else Row.ACK_FORWARD
+    if isinstance(msg, GreetMsg):  # a greet always makes an entry
+        if msg.old_mss == here:
+            if msg.seq <= entry.reg_seq:
+                return Row.REACTIVATE_DUPLICATE
+            if local:
+                return Row.REACTIVATE
+            if record is not None:
+                return Row.REACTIVATE_ACQUIRING
+            if _custody_candidates(msg, here):
+                return Row.REACTIVATE_CHASE
+            return Row.REACTIVATE_IN_PLACE
+        if local:
+            return (Row.GREET_DUPLICATE if msg.seq <= entry.reg_seq
+                    else Row.GREET_BOUNCE)
+        if record is None:
+            return Row.GREET_START
+        return (Row.GREET_ACQUIRING_DUPLICATE if msg.seq <= record.seq
+                else Row.GREET_RESTART)
+    if isinstance(msg, JoinMsg):
+        if not local:
+            return Row.JOIN
+        return Row.JOIN_DUPLICATE if msg.seq <= entry.reg_seq else Row.JOIN_NEWER
+    if isinstance(msg, DeregMsg):
+        if local:
+            if msg.seq <= entry.reg_seq:
+                return Row.DEREG_STALE
+            if not entry.pref.creating:
+                return Row.DEREG_SURRENDER
+            defer = Row.DEREG_DEFER_CREATING
+        elif record is not None:
+            if msg.seq <= record.seq:
+                return Row.DEREG_STALE_ACQUIRING
+            defer = Row.DEREG_DEFER_ACQUIRING
+        else:
+            return Row.DEREG_UNKNOWN
+        if (msg.src, msg.seq) in entry.deferred_deregs:
+            return Row.DEREG_PROBE_DUPLICATE
+        return defer
+    if isinstance(msg, DeregAckMsg):
+        if msg.found:
+            if local:
+                return Row.FOUND_LATE
+            return Row.FOUND_FORK if record is None else Row.FOUND
+        if record is None:
+            return Row.NOT_FOUND_STALE
+        if not record.outstanding <= {msg.seq}:
+            return Row.NOT_FOUND_WAITING
+        if record.fallbacks:
+            return Row.NOT_FOUND_FALLBACK
+        if local:
+            return Row.NOT_FOUND_SERVE
+        if ((record.register_on_failure or record.seq in entry.failures)
+                and in_cell):
+            return Row.NOT_FOUND_BLIND
+        return Row.NOT_FOUND_REFUSE
+    if isinstance(msg, ProxyCreatedMsg):
+        return Row.PROXY_CREATED if local else Row.PROXY_CREATED_ABSENT
+    if isinstance(msg, tuple):
+        if entry is not None and msg in entry.deferred_deregs:
+            return Row.DEFERRED_EXPIRED
+        return Row.DEFERRED_ANSWERED
+    return Row.PROBE_END if record is None else Row.PROBE
 
 
 class MobileSupportStation:
@@ -432,15 +578,20 @@ class MobileSupportStation:
                 self._redelivery.cancel(key)
         return pref
 
+    def _row(self, entry: Optional[MhEntry], msg: object,
+             in_cell: bool = False) -> Row:
+        """:func:`handoff_row`, counted: where every row's counters go up."""
+        row = handoff_row(entry, msg, self.node_id, in_cell)
+        for name in row.counters:
+            self.instr.metrics.incr(name, node=self.node_id)
+        return row
+
     def _on_join(self, msg: JoinMsg) -> None:
-        entry = self._local(msg.mh)
-        if entry is not None and msg.seq <= entry.reg_seq:
-            # Join retransmission: confirm again.
+        entry = self.entries.get(msg.mh)
+        if self._row(entry, msg) is Row.JOIN_DUPLICATE:
             self._downlink(msg.mh, RegisteredMsg(mh=msg.mh, seq=entry.reg_seq))
-            return
-        self._register(msg.mh, msg.seq, how="join")
-        if entry is None:
-            self.instr.metrics.incr("mh_joins", node=self.node_id)
+        else:
+            self._register(msg.mh, msg.seq, how="join")
 
     def _on_leave(self, msg: LeaveMsg) -> None:
         entry = self.entries.get(msg.mh)
@@ -452,92 +603,50 @@ class MobileSupportStation:
         self.instr.recorder.record(self.sim.now, "deregister", self.node_id,
                                    mh=msg.mh, how="leave")
 
-    def _greet_fallbacks(self, msg: GreetMsg) -> tuple:
-        return tuple(node for node in msg.old_candidates
-                     if node != self.node_id and node != msg.old_mss)
-
     def _on_greet(self, msg: GreetMsg) -> None:
         mh = msg.mh
-        if msg.old_mss == self.node_id:
-            self._on_reactivation_greet(mh, msg.seq,
-                                        self._greet_fallbacks(msg))
-            return
         entry = self._entry(mh)
-        if entry.pref is not None:
-            if msg.seq <= entry.reg_seq:
-                # Greet retransmission after a completed hand-off: confirm.
-                self._downlink(mh, RegisteredMsg(mh=mh, seq=entry.reg_seq))
-                self.instr.metrics.incr("duplicate_greets", node=self.node_id)
-                return
-            # The MH left us for old_mss and came straight back before
-            # that hand-off reached us: we still own the state, so simply
-            # re-register under the new incarnation.  The superseded
-            # hand-off's dereg will be rejected as stale when it arrives.
+        row = self._row(entry, msg)
+        if row is Row.GREET_DUPLICATE or row is Row.REACTIVATE_DUPLICATE:
+            self._downlink(mh, RegisteredMsg(mh=mh, seq=entry.reg_seq))
+        elif row is Row.GREET_BOUNCE:
             self._register(mh, msg.seq, how="bounce")
-            self.instr.metrics.incr("bounce_re_registrations", node=self.node_id)
             if entry.pref.ref is not None:
                 self._send_update_currentloc(mh, entry.pref.ref)
             self._flush_deferred_deregs(mh)
-            return
-        if entry.incoming is None:
-            self.instr.recorder.record(self.sim.now, "handoff_start",
-                                       self.node_id, mh=mh, old=msg.old_mss)
-        elif msg.seq <= entry.incoming.seq:
-            self.instr.metrics.incr("duplicate_greets", node=self.node_id)
-            return
-        self._acquire(mh, entry, msg.old_mss, msg.seq,
-                      self._greet_fallbacks(msg))
+        elif row is Row.GREET_START or row is Row.GREET_RESTART:
+            if row is Row.GREET_START:
+                self.instr.recorder.record(self.sim.now, "handoff_start",
+                                           self.node_id, mh=mh, old=msg.old_mss)
+            self._acquire(mh, entry, msg.old_mss, msg.seq,
+                          _custody_candidates(msg, self.node_id))
+        elif row is Row.REACTIVATE_CHASE:
+            target, *fallbacks = _custody_candidates(msg, self.node_id)
+            self._acquire(mh, entry, target, msg.seq, tuple(fallbacks),
+                          register_on_failure=True)
+        elif row is Row.REACTIVATE or row is Row.REACTIVATE_IN_PLACE:
+            self._reactivate(mh, entry, msg.seq)
 
     def _acquire(self, mh: NodeId, entry: MhEntry, target: NodeId, seq: int,
                  fallbacks: tuple, register_on_failure: bool = False) -> None:
-        """Ask *target* for *mh*'s state under incarnation *seq*."""
-        record = entry.incoming
-        if record is None:
-            record = entry.incoming = _IncomingHandoff(
-                old_mss=target, started_at=self.sim.now,
+        """Ask *target* for *mh*'s state under incarnation *seq*; a
+        restart keeps the earlier deregs outstanding."""
+        if entry.incoming is None:
+            entry.incoming = _IncomingHandoff(
                 register_on_failure=register_on_failure)
-            self.instr.metrics.incr("handoffs_started", node=self.node_id)
-        else:
-            # The MH re-entered our cell (a newer incarnation) while we
-            # were still acquiring it: restart the hand-off toward the
-            # MH's latest previous station, keeping the unanswered dereg
-            # bookkeeping of earlier attempts.
-            self.instr.metrics.incr("handoffs_restarted", node=self.node_id)
+        record = entry.incoming
         record.old_mss, record.seq, record.started_at = target, seq, self.sim.now
         record.outstanding.add(seq)
         record.fallbacks = fallbacks
         self._wired_send(target, DeregMsg(mh=mh, seq=seq))
-        # At most one live probe chain per MH, whatever churn the
-        # acquisition record goes through — per-record chains would
-        # accumulate under heavy hand-off load.
+        # One probe chain per MH: per-record chains would pile up.
         if mh not in self._probe:
             self._probe.arm(mh)
 
-    def _on_reactivation_greet(self, mh: NodeId, seq: int,
-                               fallbacks: tuple = ()) -> None:
-        """Greet with old == self: reactivation in the same cell (no
-        hand-off), but the proxy must re-send unacknowledged results —
-        unless we retained them locally (footnote 3)."""
-        entry = self._entry(mh)
-        if seq <= entry.reg_seq:
-            self._downlink(mh, RegisteredMsg(mh=mh, seq=entry.reg_seq))
-            self.instr.metrics.incr("duplicate_greets", node=self.node_id)
-            return
-        if entry.pref is None:
-            self.instr.metrics.incr("reactivation_of_unknown_mh", node=self.node_id)
-            if entry.incoming is not None:
-                self.instr.metrics.incr("duplicate_greets", node=self.node_id)
-                return
-            if fallbacks:
-                # The MH believes we are its respMss but custody moved on
-                # without its knowledge (its confirmation was lost):
-                # fetch the state from the candidate owner instead of
-                # registering blind with an empty pref.
-                self._acquire(mh, entry, fallbacks[0], seq, fallbacks[1:],
-                              register_on_failure=True)
-                return
+    def _reactivate(self, mh: NodeId, entry: MhEntry, seq: int) -> None:
+        """Register a reactivated MH in place; the proxy must re-send
+        unacknowledged results — unless we retained them (footnote 3)."""
         self._register(mh, seq, how="reactivate")
-        self.instr.metrics.incr("reactivations", node=self.node_id)
         ref = entry.pref.ref
         if ref is not None and entry.retained:
             # Redeliver locally first and hold the location update back
@@ -570,16 +679,12 @@ class MobileSupportStation:
 
     def _handoff_probe(self, mh: NodeId, _attempt: int) -> bool:
         """Liveness for acquisitions: a peer that crashed loses deferred
-        deregs, so an unanswered dereg is retransmitted (idempotent: the
-        target either surrenders or answers not-found).  The probe runs
-        until the acquisition is over."""
-        record = self.entries[mh].incoming  # a crash cancels the probes
-        if record is None:
+        deregs, so the dereg is re-sent until the acquisition is over."""
+        entry = self.entries[mh]  # a crash cancels the probes
+        if self._row(entry, None) is Row.PROBE_END:
             return False
-        if record.outstanding:
-            self.instr.metrics.incr("handoff_probes", node=self.node_id)
-            self._wired_send(record.old_mss,
-                             DeregMsg(mh=mh, seq=record.seq))
+        record = entry.incoming
+        self._wired_send(record.old_mss, DeregMsg(mh=mh, seq=record.seq))
         return True
 
     def _send_update_currentloc(self, mh: NodeId, ref: ProxyRef) -> None:
@@ -590,207 +695,110 @@ class MobileSupportStation:
     # -- hand-off protocol ----------------------------------------------------
 
     def _on_dereg(self, msg: DeregMsg) -> None:
-        requester = msg.src
+        """A peer asks for the MH's state; served deferred deregs come
+        back through here as if they had just arrived."""
+        mh, requester, seq = msg.mh, msg.src, msg.seq
         assert requester is not None
-        self._do_deregister(msg.mh, requester, msg.seq)
-
-    def _do_deregister(self, mh: NodeId, requester: NodeId, seq: int) -> None:
         entry = self.entries.get(mh)
-        if entry is not None and entry.pref is not None:
-            if seq <= entry.reg_seq:
-                # The MH re-registered here since that greet: the
-                # requested hand-off is stale — refuse, keep the state.
-                self.instr.metrics.incr("stale_deregs_rejected", node=self.node_id)
-                self._refuse(mh, requester, seq)
-                return
-            if entry.pref.creating:
-                # A remote proxy creation is in flight; hand over once the
-                # pref has an address so it cannot be lost.
-                self._defer_dereg(mh, entry, requester, seq)
-                return
-            self._surrender(mh, entry, requester, seq)
-            return
-        record = entry.incoming if entry is not None else None
-        if record is not None:
-            if seq <= record.seq:
-                self.instr.metrics.incr("stale_deregs_rejected", node=self.node_id)
-                self._refuse(mh, requester, seq)
-                return
-            # The MH moved past us before our own acquisition finished;
-            # serve the transfer as soon as it completes.
-            self._defer_dereg(mh, entry, requester, seq)
-            return
-        self.instr.metrics.incr("deregs_for_unknown_mh", node=self.node_id)
-        self._refuse(mh, requester, seq)
+        row = self._row(entry, msg)
+        if row is Row.DEREG_SURRENDER:
+            # Retained results are droppable residue: the proxy re-sends
+            # via the new MSS's update (RDP's hand-off stays pref-only).
+            entry.retained = None
+            entry.deferred_update = None
+            extra_bytes = self._handoff_extra_bytes(mh)
+            pref = self._unregister(mh, entry)
+            # From now on, Acks from this MH are ignored (paper, Section 3.1).
+            entry.surrendered = True
+            payload = PrefPayload(ref=pref.ref, rkpr=pref.rkpr)
+            self._wired_send(requester, DeregAckMsg(
+                mh=mh, seq=seq, found=True, pref=payload,
+                extra_state_bytes=extra_bytes))
+            self.instr.recorder.record(self.sim.now, "handoff_out",
+                                       self.node_id, mh=mh, to=requester)
+        elif row is Row.DEREG_DEFER_CREATING or row is Row.DEREG_DEFER_ACQUIRING:
+            # The TTL breaks deferral cycles among superseded hand-offs
+            # (A waits on B's queue while B waits on A's).
+            waiting = (requester, seq)
+            entry.deferred_deregs += (waiting,)
+            self.sim.schedule(2 * self.config.handoff_probe_interval,
+                              self._expire_deferred_dereg, mh, waiting,
+                              label="mss:defer-ttl")
+        elif row is not Row.DEREG_PROBE_DUPLICATE:
+            self._refuse(mh, requester, seq)
 
     def _refuse(self, mh: NodeId, requester: NodeId, seq: int) -> None:
         self._wired_send(requester, DeregAckMsg(mh=mh, seq=seq, found=False))
 
-    def _defer_dereg(self, mh: NodeId, entry: MhEntry, requester: NodeId,
-                     seq: int) -> None:
-        """Queue a hand-off request for later service, deduplicating
-        probe retransmissions of the same (requester, seq).
-
-        Deferred entries expire with a not-found answer: restarted
-        acquisitions can weave deferral *cycles* among superseded
-        hand-offs (A waits on B's queue while B waits on A's), and an
-        expiry is what guarantees every dereg is eventually answered.
-        """
-        if (requester, seq) in entry.deferred_deregs:
-            self.instr.metrics.incr("dereg_probe_duplicates", node=self.node_id)
-            return
-        entry.deferred_deregs += ((requester, seq),)
-        self.instr.metrics.incr("deregs_deferred", node=self.node_id)
-        self.sim.schedule(2 * self.config.handoff_probe_interval,
-                          self._expire_deferred_dereg, mh, requester, seq,
-                          label="mss:defer-ttl")
-
-    def _expire_deferred_dereg(self, mh: NodeId, requester: NodeId,
-                               seq: int) -> None:
+    def _expire_deferred_dereg(self, mh: NodeId, waiting: Tuple[NodeId, int]) -> None:
         entry = self.entries.get(mh)
-        if entry is None or (requester, seq) not in entry.deferred_deregs:
-            return
-        entry.deferred_deregs = tuple(waiting for waiting in entry.deferred_deregs
-                                      if waiting != (requester, seq))
-        self.instr.metrics.incr("deferred_deregs_expired", node=self.node_id)
-        self._refuse(mh, requester, seq)
-
-    def _surrender(self, mh: NodeId, entry: MhEntry, requester: NodeId,
-                   seq: int) -> None:
-        """Hand the MH's state to *requester* (the actual de-registration)."""
-        # Retained results are droppable residue: the proxy re-sends via
-        # the new MSS's update (RDP's hand-off stays pref-only).
-        entry.retained = None
-        entry.deferred_update = None
-        extra_bytes = self._handoff_extra_bytes(mh)
-        pref = self._unregister(mh, entry)
-        # From now on, Acks from this MH are ignored (paper, Section 3.1).
-        entry.surrendered = True
-        payload = PrefPayload(ref=pref.ref, rkpr=pref.rkpr)
-        self._wired_send(requester, DeregAckMsg(
-            mh=mh, seq=seq, found=True, pref=payload,
-            extra_state_bytes=extra_bytes))
-        self.instr.recorder.record(self.sim.now, "handoff_out", self.node_id,
-                                   mh=mh, to=requester)
-        self.instr.metrics.incr("handoffs_out", node=self.node_id)
+        if self._row(entry, waiting) is Row.DEFERRED_EXPIRED:
+            entry.deferred_deregs = tuple(other for other in entry.deferred_deregs
+                                          if other != waiting)
+            self._refuse(mh, *waiting)
 
     def _handoff_extra_bytes(self, mh: NodeId) -> int:
-        """Extra per-MH state shipped during hand-off.
-
-        RDP hands over only the pref (paper, Section 5: "except for the
-        proxy reference ... no other residue need be kept").  The
-        I-TCP-style baseline overrides this.
-        """
+        """Extra per-MH state a hand-off ships: none, as RDP hands over
+        only the pref (paper, Section 5: "except for the proxy reference
+        ... no other residue need be kept"); the I-TCP baseline ships more."""
         return 0
 
     def _on_deregack(self, msg: DeregAckMsg) -> None:
         mh = msg.mh
         entry = self.entries.get(mh)
+        row = self._row(entry, msg, self._host_in_cell(mh))
         record = entry.incoming if entry is not None else None
-        if not msg.found:
-            if record is None:
-                self.instr.metrics.incr("stale_deregacks", node=self.node_id)
-                return
+        if record is not None:
             record.outstanding.discard(msg.seq)
-            if record.outstanding:
-                # Another dereg of ours is still unanswered; ownership may
-                # yet arrive — keep the acquisition open.
-                self.instr.metrics.incr("deregack_negative_waiting",
-                                        node=self.node_id)
-                return
-            if record.fallbacks:
-                # The announced station never had the state (its greet
-                # was lost); chase the MH's last confirmed owner instead.
-                target, record.fallbacks = record.fallbacks[0], record.fallbacks[1:]
-                record.old_mss = target   # current chase target
-                record.outstanding.add(record.seq)
-                self.instr.metrics.incr("handoff_fallback_deregs",
-                                        node=self.node_id)
-                self._wired_send(target, DeregMsg(mh=mh, seq=record.seq))
-                return
+        if row is Row.FOUND:
             entry.incoming = None
-            self.instr.metrics.incr("handoffs_aborted", node=self.node_id)
-            entry.failures += (record.seq,)
-            if entry.pref is not None:
-                # Re-registered locally in the meantime (reactivation):
-                # we can serve the queue from our own state.
-                self._flush_deferred_deregs(mh)
-            elif ((record.register_on_failure
-                   or entry.failures.count(record.seq) >= 2)
-                  and self._host_in_cell(mh)):
-                # Nobody answered across a full chase (twice, for normal
-                # greets) and the MH is physically here: the state is
-                # presumed destroyed (MSS crash) — register it fresh.
-                # The in-cell check keeps superseded chases of an MH that
-                # moved on (and is registered elsewhere) from forking the
-                # registration.
-                self.instr.metrics.incr("blind_re_registrations",
-                                        node=self.node_id)
-                self._register(mh, record.seq, how="blind")
-                self._flush_deferred_deregs(mh)
-            else:
-                self._reject_deferred_deregs(mh, entry)
-            return
-        if entry is not None and entry.pref is not None:
-            # We already own newer state for this MH (bounce or
-            # reactivation re-registration); the late deregack carries an
-            # older fork of the custody chain — installing it would
-            # resurrect stale proxy references.
-            if record is not None:
-                record.outstanding.discard(msg.seq)
-                if not record.outstanding:
-                    entry.incoming = None
-            self.instr.metrics.incr("late_deregacks_ignored", node=self.node_id)
+            pref = entry.pref = Pref(ref=msg.pref.ref, rkpr=msg.pref.rkpr)
+            self._register(mh, max(record.seq, msg.seq), how="handoff")
+            self._install_handoff_state(msg)
+            duration = self.sim.now - record.started_at
+            self.instr.metrics.observe("handoff_duration", duration)
+            self.instr.recorder.record(
+                self.sim.now, "handoff_done", self.node_id,
+                mh=mh, old=record.old_mss, duration=duration,
+                proxy_id=(pref.ref.proxy_id if pref.ref else None))
+            if pref.ref is not None:
+                self._send_update_currentloc(mh, pref.ref)
             self._flush_deferred_deregs(mh)
-            return
-        if record is None:
-            # With per-acquisition response tracking, a found=True reply
-            # without an open acquisition can only be a *second* surrender
-            # — a stale fork of the custody chain (the live pref moved on
-            # through us already).  Installing it would resurrect dead
-            # proxy references.
-            self.instr.metrics.incr("stale_custody_forks_dropped",
-                                    node=self.node_id)
-            return
-        entry.incoming = None
-        pref = entry.pref = Pref(ref=msg.pref.ref, rkpr=msg.pref.rkpr)
-        self._register(mh, max(record.seq, msg.seq), how="handoff")
-        self._install_handoff_state(msg)
-        duration = self.sim.now - record.started_at
-        self.instr.metrics.observe("handoff_duration", duration)
-        self.instr.recorder.record(
-            self.sim.now, "handoff_done", self.node_id,
-            mh=mh, old=record.old_mss, duration=duration,
-            proxy_id=(pref.ref.proxy_id if pref.ref else None))
-        self.instr.metrics.incr("handoffs_completed", node=self.node_id)
-        if pref.ref is not None:
-            self._send_update_currentloc(mh, pref.ref)
-        self._flush_deferred_deregs(mh)
-        self._maybe_migrate_proxy(mh)
+            self._maybe_migrate_proxy(mh)
+        elif row is Row.FOUND_LATE:
+            if record is not None and not record.outstanding:
+                entry.incoming = None
+            self._flush_deferred_deregs(mh)
+        elif row is Row.NOT_FOUND_FALLBACK:
+            record.old_mss, *fallbacks = record.fallbacks
+            record.fallbacks = tuple(fallbacks)
+            record.outstanding.add(record.seq)
+            self._wired_send(record.old_mss, DeregMsg(mh=mh, seq=record.seq))
+        elif row in (Row.NOT_FOUND_SERVE, Row.NOT_FOUND_BLIND,
+                     Row.NOT_FOUND_REFUSE):
+            entry.incoming = None
+            entry.failures += (record.seq,)
+            if row is Row.NOT_FOUND_BLIND:
+                self._register(mh, record.seq, how="blind")
+            if row is Row.NOT_FOUND_REFUSE:
+                waiting, entry.deferred_deregs = entry.deferred_deregs, ()
+                for requester, seq in waiting:
+                    self._refuse(mh, requester, seq)
+            else:
+                self._flush_deferred_deregs(mh)
 
     def _install_handoff_state(self, msg: DeregAckMsg) -> None:
         """Hook: baselines that ship more than the pref install it here."""
 
     def _flush_deferred_deregs(self, mh: NodeId) -> None:
-        """Serve every deferred hand-off request for *mh*.
-
-        All entries must be answered: stale ones get rejected, the live
-        one receives the state, and anything queued behind a surrender is
-        told "not found" so the requester aborts (the MH has moved on and
-        its greet retries re-drive the chase).  Leaving an entry queued
-        forever deadlocks the custody chain.
-        """
+        """Serve *mh*'s deferred deregs as if they had just arrived: each
+        must be answered, or the custody chain deadlocks."""
         entry = self.entries[mh]
         while (entry.deferred_deregs and entry.incoming is None
                and not (entry.pref is not None and entry.pref.creating)):
             (requester, seq), *waiting = entry.deferred_deregs
             entry.deferred_deregs = tuple(waiting)
-            self._do_deregister(mh, requester, seq)
-
-    def _reject_deferred_deregs(self, mh: NodeId, entry: MhEntry) -> None:
-        waiting, entry.deferred_deregs = entry.deferred_deregs, ()
-        for requester, seq in waiting:
-            self._refuse(mh, requester, seq)
+            self._on_dereg(DeregMsg(mh=mh, seq=seq, src=requester))
 
     # -- requests -------------------------------------------------------------
 
@@ -984,11 +992,8 @@ class MobileSupportStation:
 
     def _on_proxy_created(self, msg: ProxyCreatedMsg) -> None:
         mh = msg.mh
-        entry = self._local(mh)
-        if entry is None:
-            # The MH migrated away while the remote creation was in
-            # flight; the deferred dereg path should have prevented this.
-            self.instr.metrics.incr("proxy_created_for_absent_mh", node=self.node_id)
+        entry = self.entries.get(mh)
+        if self._row(entry, msg) is Row.PROXY_CREATED_ABSENT:
             return
         entry.pref.ref = msg.ref
         entry.pref.creating = False
@@ -1148,16 +1153,15 @@ class MobileSupportStation:
     def _on_ack(self, msg: AckMsg) -> None:
         mh = msg.mh
         entry = self.entries.get(mh)
-        if entry is not None and entry.surrendered:
-            # The hand-off transfer was already served; this Ack is dead
-            # (paper, Section 3.1) — the proxy will retransmit instead.
-            self.instr.metrics.incr("acks_ignored_after_dereg", node=self.node_id)
+        row = self._row(entry, msg)
+        if row is Row.ACK_IGNORED:
+            # Dead since we served the hand-off (paper, Section 3.1): the
+            # proxy will retransmit instead.
             self.instr.recorder.record(self.sim.now, "ack_ignored", self.node_id,
                                        mh=mh, request_id=msg.request_id)
-            return
-        if entry is None or entry.pref is None:
-            self.instr.metrics.incr("acks_from_unknown_mh", node=self.node_id)
+        elif row is Row.ACK_UNKNOWN:
             self._maybe_nack_registration(mh)
+        if row in (Row.ACK_IGNORED, Row.ACK_UNKNOWN, Row.ACK_ACQUIRING):
             return
         pref = entry.pref
         pref.outstanding.discard(msg.request_id)
@@ -1172,27 +1176,20 @@ class MobileSupportStation:
                 # proxy (causal order) sees the Acks first.
                 self.sim.schedule(0.0, self._flush_deferred_update, mh,
                                   label="mss:retain-release")
-        foreign = pref.foreign.pop(msg.request_id, None)
-        if foreign is not None:
-            # Ack for a delivery forwarded by a proxy that does not own
-            # this pref (see _on_result_forward).  Route it straight back
-            # with removal permission: a proxy in that position has no
-            # future here, and its own live-requests guard protects it if
-            # more of its deliveries are still unacknowledged.
-            self.instr.metrics.incr("acks_forwarded", node=self.node_id)
-            self._wired_send(foreign.mss, AckForwardMsg(
-                mh=mh, proxy_id=foreign.proxy_id,
-                request_id=msg.request_id, delivery_id=msg.delivery_id,
-                del_proxy=True))
-            return
-        if pref.ref is None:
-            self.instr.metrics.incr("acks_without_pref", node=self.node_id)
-            return
-        ref = pref.ref
-        del_proxy = bool(pref.rkpr and not pref.outstanding and not pref.creating)
-        if del_proxy:
-            pref.clear_proxy()
-        self.instr.metrics.incr("acks_forwarded", node=self.node_id)
+        if row is Row.ACK_FOREIGN:
+            # A delivery forwarded by a proxy that does not own this pref
+            # (see _on_result_forward) is acked straight back with removal
+            # permission: a proxy in that position has no future here, and
+            # its own live-requests guard protects it if more of its
+            # deliveries are still unacknowledged.
+            ref, del_proxy = pref.foreign.pop(msg.request_id), True
+        elif row is Row.ACK_FORWARD:
+            ref = pref.ref
+            del_proxy = bool(pref.rkpr and not pref.outstanding and not pref.creating)
+            if del_proxy:
+                pref.clear_proxy()
+        else:
+            return  # no proxy to forward to
         self._wired_send(ref.mss, AckForwardMsg(
             mh=mh, proxy_id=ref.proxy_id,
             request_id=msg.request_id, delivery_id=msg.delivery_id,

@@ -17,6 +17,7 @@ from repro.experiments.an5_load_balance import run_policy
 from repro.experiments.an6_causal_ablation import run_ordering
 from repro.experiments.an7_handoff_cost import run_protocol
 from repro.experiments.harness import Table, drain, dump_tables
+from repro.config import WorldConfig
 from repro.errors import ReproError
 
 
@@ -107,6 +108,15 @@ def test_an6_app_duplicates_zero_for_all_orderings():
                               seed=4)
         assert result.app_duplicates == 0
         assert result.delivered == result.requests
+
+
+def test_an6_default_world_is_causally_ordered():
+    """AN6's workload on the ordering ``WorldConfig`` ships with gives
+    the causal result: 5 duplicate transmissions at seed 4, where FIFO
+    gives 12 (every AN6 run otherwise names its ordering explicitly)."""
+    result = run_ordering(WorldConfig().ordering, seed=4)
+    assert result.delivered == result.requests
+    assert result.duplicate_transmissions == 5
 
 
 # -- AN7 ----------------------------------------------------------------------

@@ -1,24 +1,28 @@
 """Characterisation of the MSS hand-off: the state x message table of
 docs/PROTOCOL.md §3, one row per test case.
 
-Each row drives station ``s0`` of a three-cell world into a state with
+Each case drives station ``s0`` of a three-cell world into a state with
 synthetic messages only (join, greet, dereg, deregack, a remote proxy
 creation), then delivers one more message — or lets the clock run — and
 asserts exactly what ``s0`` sent on the wired and wireless links, which
-of its counters moved and which trace rows it left.  Outgoing messages
-are captured, not transmitted, so no peer ever answers.  Nothing here
-reads the station's per-MH state, so the table pins behaviour, not
-layout: it holds for any representation of that state.
+of its counters moved, which trace rows it left and which
+:class:`~repro.stations.mss.Row` each of its ``handoff_row`` calls
+returned (recorded by wrapping the classifier).  Outgoing messages are
+captured, not transmitted, so no peer ever answers.  Nothing here reads
+the station's per-MH state, so the table pins behaviour, not layout.
 
 The states overlap (a surrendered MH can be re-acquired, a join can
-register an MH whose acquisition is still open); the rows named
-"overlap" are those cases.
+register an MH whose acquisition is still open); the cases named
+"overlap" are those.  The last tests check that the cases reach every
+``Row`` and that docs/PROTOCOL.md §3 states the same rows and counters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from pathlib import Path
+from typing import Callable, Dict, List, Optional
 
 import pytest
 
@@ -26,16 +30,21 @@ from repro.core.protocol import (
     AckMsg,
     DeregAckMsg,
     DeregMsg,
+    ForwardedRequestMsg,
     GreetMsg,
     JoinMsg,
     PrefPayload,
     ProxyCreatedMsg,
     RequestMsg,
+    ResultForwardMsg,
 )
+from repro.stations import mss
+from repro.stations.mss import Row
 from repro.types import NodeId, ProxyId, ProxyRef
 from tests.conftest import make_world
 
 MH = NodeId("mh:x")
+CLASSIFY = mss.handoff_row
 IGNORED_COUNTERS = {"mss_messages_processed"}
 
 
@@ -52,7 +61,7 @@ class _RemotePlacement:
 class Station:
     """Station ``s0`` with its outgoing traffic captured."""
 
-    def __init__(self) -> None:
+    def __init__(self, monkeypatch: Optional[pytest.MonkeyPatch] = None) -> None:
         self.world = make_world()
         self.s0, self.s1, self.s2 = (self.world.station(cell)
                                      for cell in self.world.cells)
@@ -60,8 +69,17 @@ class Station:
                       self.s2.node_id: "s2", MH: "mh"}
         self.sent: List[str] = []
         self.times: List[float] = []   # when each entry of `sent` left
+        self.hits: List[Row] = []      # s0's rows, given a monkeypatch
         self.s0._wired_send = self._capture
         self.s0._downlink = self._capture
+        if monkeypatch is not None:
+            monkeypatch.setattr(mss, "handoff_row", self._classify)
+
+    def _classify(self, entry, msg, here, in_cell=False) -> Row:
+        row = CLASSIFY(entry, msg, here, in_cell)
+        if here == self.s0.node_id:
+            self.hits.append(row)
+        return row
 
     def _capture(self, dst: NodeId, msg) -> None:
         self.sent.append(self._render(dst, msg))
@@ -110,6 +128,10 @@ class Station:
     def ack(self, request_id: str = "r1") -> None:
         self.deliver(AckMsg(mh=MH, request_id=request_id, delivery_id=1))
 
+    def result_forward(self, proxy: str, request_id: str) -> None:
+        self.deliver(ResultForwardMsg(mh=MH, proxy_ref=self.ref(proxy),
+                                      request_id=request_id, delivery_id=1))
+
     def run(self, until: float) -> None:
         self.world.run(until=until)
 
@@ -135,6 +157,16 @@ class Station:
         self.s0.placement = _RemotePlacement(self.node("s1"))
         self.deliver(RequestMsg(mh=MH, request_id="r1", service="echo"))
 
+    def foreign_delivery(self) -> None:
+        """Local at #3, its local proxy serving r1; pxZ@s2 delivered r9."""
+        self.join(3)
+        self.deliver(RequestMsg(mh=MH, request_id="r1", service="echo"))
+        (proxy_id,) = self.s0.proxies   # created here by that request
+        self.deliver(ForwardedRequestMsg(mh=MH, proxy_id=proxy_id,
+                                         request_id="r1", service="echo"),
+                     "s0")
+        self.result_forward("pxZ", "r9")
+
     # -- observation ----------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
@@ -155,10 +187,11 @@ class Station:
 
 
 @dataclass
-class Row:
+class Case:
     name: str
     setup: Callable[[Station], None]
     act: Callable[[Station], None]
+    hits: List[Row]
     sent: List[str] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
     rows: List[str] = field(default_factory=list)
@@ -180,160 +213,204 @@ UPDATE_PXA = "s2 update_currentloc proxy_id=pxA"
 
 TABLE = [
     # -- greet from a neighbour cell (old_mss != self) -----------------------
-    Row("greet/local/old seq: confirm again",
+    Case("greet/local/old seq: confirm again",
         lambda s: s.join(3), lambda s: s.greet("s1", 3),
+        hits=[Row.GREET_DUPLICATE],
         sent=[REGISTERED.format(3)], counts={"duplicate_greets": 1}),
-    Row("greet/local/newer seq: bounce re-registration",
+    Case("greet/local/newer seq: bounce re-registration",
         lambda s: s.local_with_proxy(3), lambda s: s.greet("s1", 5),
+        hits=[Row.GREET_BOUNCE],
         sent=[REGISTERED.format(5), UPDATE_PXA],
         counts={"bounce_re_registrations": 1, "update_currentloc_sent": 1},
         rows=["register how=bounce mh=mh seq=5"]),
-    Row("greet/acquiring/old seq: duplicate",
+    Case("greet/acquiring/old seq: duplicate",
         lambda s: s.greet("s1", 3), lambda s: s.greet("s2", 3),
+        hits=[Row.GREET_ACQUIRING_DUPLICATE],
         counts={"duplicate_greets": 1}),
-    Row("greet/acquiring/newer seq: restart toward the new old station",
+    Case("greet/acquiring/newer seq: restart toward the new old station",
         lambda s: s.greet("s1", 3), lambda s: s.greet("s2", 4),
+        hits=[Row.GREET_RESTART],
         sent=["s2 dereg seq=4"], counts={"handoffs_restarted": 1}),
-    Row("greet/unknown: start the acquisition",
+    Case("greet/unknown: start the acquisition",
         _nothing, lambda s: s.greet("s1", 3),
+        hits=[Row.GREET_START],
         sent=["s1 dereg seq=3"], counts={"handoffs_started": 1},
         rows=["handoff_start mh=mh old=s1"]),
-    Row("greet/surrendered: start the acquisition",
+    Case("greet/surrendered: start the acquisition",
         lambda s: s.surrendered(), lambda s: s.greet("s1", 6),
+        hits=[Row.GREET_START],
         sent=["s1 dereg seq=6"], counts={"handoffs_started": 1},
         rows=["handoff_start mh=mh old=s1"]),
 
     # -- greet naming ourselves (reactivation) --------------------------------
-    Row("reactivate/local/old seq: confirm again",
+    Case("reactivate/local/old seq: confirm again",
         lambda s: s.join(3), lambda s: s.greet("s0", 3),
+        hits=[Row.REACTIVATE_DUPLICATE],
         sent=[REGISTERED.format(3)], counts={"duplicate_greets": 1}),
-    Row("reactivate/local/newer seq: re-register, update the proxy",
+    Case("reactivate/local/newer seq: re-register, update the proxy",
         lambda s: s.local_with_proxy(3), lambda s: s.greet("s0", 4),
+        hits=[Row.REACTIVATE],
         sent=[REGISTERED.format(4), UPDATE_PXA],
         counts={"reactivations": 1, "update_currentloc_sent": 1},
         rows=["register how=reactivate mh=mh seq=4"]),
-    Row("reactivate/unknown/candidates: chase them, register on failure",
+    Case("reactivate/unknown/candidates: chase them, register on failure",
         _nothing, lambda s: s.greet("s0", 3, candidates=("s1",)),
+        hits=[Row.REACTIVATE_CHASE],
         sent=["s1 dereg seq=3"],
         counts={"reactivation_of_unknown_mh": 1, "handoffs_started": 1}),
-    Row("reactivate/acquiring: duplicate",
+    Case("reactivate/acquiring: duplicate",
         lambda s: s.greet("s1", 3),
         lambda s: s.greet("s0", 4, candidates=("s2",)),
+        hits=[Row.REACTIVATE_ACQUIRING],
         counts={"reactivation_of_unknown_mh": 1, "duplicate_greets": 1}),
-    Row("reactivate/unknown/no candidates: register in place",
+    Case("reactivate/unknown/no candidates: register in place",
         _nothing, lambda s: s.greet("s0", 3),
+        hits=[Row.REACTIVATE_IN_PLACE],
         sent=[REGISTERED.format(3)],
         counts={"reactivation_of_unknown_mh": 1, "reactivations": 1},
         rows=["register how=reactivate mh=mh seq=3"]),
 
     # -- dereg (a peer asks for the MH's state) -------------------------------
-    Row("dereg/local/seq <= reg seq: refuse",
+    Case("dereg/local/seq <= reg seq: refuse",
         lambda s: s.join(3), lambda s: s.dereg("s1", 3),
+        hits=[Row.DEREG_STALE],
         sent=["s1 deregack seq=3 found=False"],
         counts={"stale_deregs_rejected": 1}),
-    Row("dereg/local/creating: defer",
+    Case("dereg/local/creating: defer",
         lambda s: s.creating(), lambda s: s.dereg("s1", 4),
+        hits=[Row.DEREG_DEFER_CREATING],
         counts={"deregs_deferred": 1}),
-    Row("dereg/local: surrender the pref",
+    Case("dereg/local: surrender the pref",
         lambda s: s.local_with_proxy(3), lambda s: s.dereg("s1", 4),
+        hits=[Row.DEREG_SURRENDER],
         sent=["s1 deregack seq=4 found=True pref=pxA"],
         counts={"handoffs_out": 1}, rows=["handoff_out mh=mh to=s1"]),
-    Row("dereg/acquiring/old seq: refuse",
+    Case("dereg/acquiring/old seq: refuse",
         lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 3),
+        hits=[Row.DEREG_STALE_ACQUIRING],
         sent=["s2 deregack seq=3 found=False"],
         counts={"stale_deregs_rejected": 1}),
-    Row("dereg/acquiring/newer seq: defer",
+    Case("dereg/acquiring/newer seq: defer",
         lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4),
+        hits=[Row.DEREG_DEFER_ACQUIRING],
         counts={"deregs_deferred": 1}),
-    Row("dereg/deferred again (a probe): deduplicate",
+    Case("dereg/deferred again (a probe): deduplicate",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4)),
         lambda s: s.dereg("s2", 4),
+        hits=[Row.DEREG_PROBE_DUPLICATE],
         counts={"dereg_probe_duplicates": 1}),
-    Row("dereg/unknown: not found",
+    Case("dereg/unknown: not found",
         _nothing, lambda s: s.dereg("s1", 3),
+        hits=[Row.DEREG_UNKNOWN],
         sent=["s1 deregack seq=3 found=False"],
         counts={"deregs_for_unknown_mh": 1}),
-    Row("dereg/surrendered: not found",
+    Case("dereg/surrendered: not found",
         lambda s: s.surrendered(), lambda s: s.dereg("s2", 5),
+        hits=[Row.DEREG_UNKNOWN],
         sent=["s2 deregack seq=5 found=False"],
         counts={"deregs_for_unknown_mh": 1}),
-    Row("proxy created/deferred dereg waiting: surrender the new pref",
+    Case("proxy created/deferred dereg waiting: surrender the new pref",
         _seq(lambda s: s.creating(), lambda s: s.dereg("s1", 4)),
         lambda s: s.deliver(ProxyCreatedMsg(mh=MH, ref=s.ref("pxB", "s1"))),
+        hits=[Row.PROXY_CREATED, Row.DEREG_SURRENDER],
         sent=["s1 deregack seq=4 found=True pref=pxB"],
         counts={"handoffs_out": 1}, rows=["handoff_out mh=mh to=s1"]),
+    Case("proxy created/not local: dropped",
+        _nothing,
+        lambda s: s.deliver(ProxyCreatedMsg(mh=MH, ref=s.ref("pxB", "s1"))),
+        hits=[Row.PROXY_CREATED_ABSENT],
+        counts={"proxy_created_for_absent_mh": 1}),
 
     # -- timers -----------------------------------------------------------------
-    Row("probe/acquiring: re-send the unanswered dereg",
+    Case("probe/acquiring: re-send the unanswered dereg",
         lambda s: s.greet("s1", 3), lambda s: s.run(until=5.0),
+        hits=[Row.PROBE],
         sent=["s1 dereg seq=3"], counts={"handoff_probes": 1}),
-    Row("probe/acquisition closed: silent",
-        lambda s: s.local_with_proxy(3), lambda s: s.run(until=5.0)),
-    Row("deferred dereg TTL (2 probe intervals): not found",
+    Case("probe/acquisition closed: silent",
+        lambda s: s.local_with_proxy(3), lambda s: s.run(until=5.0),
+        hits=[Row.PROBE_END]),
+    Case("deferred dereg TTL (2 probe intervals): not found",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4)),
         lambda s: s.run(until=10.0),
+        hits=[Row.PROBE, Row.DEFERRED_EXPIRED, Row.PROBE],
         sent=["s1 dereg seq=3", "s2 deregack seq=4 found=False",
               "s1 dereg seq=3"],
         counts={"handoff_probes": 2, "deferred_deregs_expired": 1}),
+    Case("deferred dereg TTL/already answered: silent",
+        _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4),
+             lambda s: s.deregack("s1", 3, True, "pxA")),
+        lambda s: s.run(until=10.0),
+        hits=[Row.PROBE_END, Row.DEFERRED_ANSWERED]),
 
     # -- deregack found=False -------------------------------------------------
-    Row("not found/no acquisition: stale",
+    Case("not found/no acquisition: stale",
         _nothing, lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_STALE],
         counts={"stale_deregacks": 1}),
-    Row("not found/another dereg outstanding: keep waiting",
+    Case("not found/another dereg outstanding: keep waiting",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.greet("s2", 4)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_WAITING],
         counts={"deregack_negative_waiting": 1}),
-    Row("not found/fallbacks left: chase the next candidate",
+    Case("not found/fallbacks left: chase the next candidate",
         lambda s: s.greet("s1", 3, candidates=("s2",)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_FALLBACK],
         sent=["s2 dereg seq=3"], counts={"handoff_fallback_deregs": 1}),
-    Row("not found/last answer: abort, refuse the deferred deregs",
+    Case("not found/last answer: abort, refuse the deferred deregs",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_REFUSE],
         sent=["s2 deregack seq=4 found=False"],
         counts={"handoffs_aborted": 1}),
-    Row("not found/second failure, MH in cell: blind registration",
+    Case("not found/second failure, MH in cell: blind registration",
         _seq(lambda s: s.in_cell(), lambda s: s.greet("s1", 3),
              lambda s: s.deregack("s1", 3, False), lambda s: s.greet("s1", 3)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_BLIND],
         sent=[REGISTERED.format(3)],
         counts={"handoffs_aborted": 1, "blind_re_registrations": 1},
         rows=["register how=blind mh=mh seq=3"]),
-    Row("not found/second failure, MH elsewhere: abort",
+    Case("not found/second failure, MH elsewhere: abort",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.deregack("s1", 3, False),
              lambda s: s.greet("s1", 3)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_REFUSE],
         counts={"handoffs_aborted": 1}),
-    Row("not found/failures count per seq: a new seq starts at one",
+    Case("not found/failures count per seq: a new seq starts at one",
         _seq(lambda s: s.in_cell(), lambda s: s.greet("s1", 3),
              lambda s: s.deregack("s1", 3, False), lambda s: s.greet("s1", 4)),
         lambda s: s.deregack("s1", 4, False),
+        hits=[Row.NOT_FOUND_REFUSE],
         counts={"handoffs_aborted": 1}),
-    Row("not found/reactivation chase, MH in cell: blind registration",
+    Case("not found/reactivation chase, MH in cell: blind registration",
         _seq(lambda s: s.in_cell(),
              lambda s: s.greet("s0", 3, candidates=("s1",))),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_BLIND],
         sent=[REGISTERED.format(3)],
         counts={"handoffs_aborted": 1, "blind_re_registrations": 1},
         rows=["register how=blind mh=mh seq=3"]),
-    Row("overlap/not found while local (joined meanwhile): serve deferred",
+    Case("overlap/not found while local (joined meanwhile): serve deferred",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4),
              lambda s: s.join(5)),
         lambda s: s.deregack("s1", 3, False),
+        hits=[Row.NOT_FOUND_SERVE, Row.DEREG_STALE],
         sent=["s2 deregack seq=4 found=False"],
         counts={"handoffs_aborted": 1, "stale_deregs_rejected": 1}),
 
     # -- deregack found=True ----------------------------------------------------
-    Row("found/acquiring: complete the hand-off",
+    Case("found/acquiring: complete the hand-off",
         lambda s: s.greet("s1", 3), lambda s: s.deregack("s1", 3, True, "pxA"),
+        hits=[Row.FOUND],
         sent=[REGISTERED.format(3), UPDATE_PXA],
         counts={"handoffs_completed": 1, "update_currentloc_sent": 1},
         rows=["register how=handoff mh=mh seq=3",
               "handoff_done duration=0.0 mh=mh old=s1 proxy_id=pxA"]),
-    Row("found/acquiring, deferred dereg waiting: complete, then surrender",
+    Case("found/acquiring, deferred dereg waiting: complete, then surrender",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.dereg("s2", 4)),
         lambda s: s.deregack("s1", 3, True, "pxA"),
+        hits=[Row.FOUND, Row.DEREG_SURRENDER],
         sent=[REGISTERED.format(3), UPDATE_PXA,
               "s2 deregack seq=4 found=True pref=pxA"],
         counts={"handoffs_completed": 1, "update_currentloc_sent": 1,
@@ -341,67 +418,135 @@ TABLE = [
         rows=["register how=handoff mh=mh seq=3",
               "handoff_done duration=0.0 mh=mh old=s1 proxy_id=pxA",
               "handoff_out mh=mh to=s2"]),
-    Row("found/no acquisition: stale custody fork dropped",
+    Case("found/no acquisition: stale custody fork dropped",
         _nothing, lambda s: s.deregack("s1", 3, True, "pxA"),
+        hits=[Row.FOUND_FORK],
         counts={"stale_custody_forks_dropped": 1}),
-    Row("overlap/found while local (joined meanwhile): late, ignored",
+    Case("overlap/found while local (joined meanwhile): late, ignored",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.join(5)),
         lambda s: s.deregack("s1", 3, True, "pxA"),
+        hits=[Row.FOUND_LATE],
         counts={"late_deregacks_ignored": 1}),
-    Row("overlap/found again while local, acquisition closed: late, ignored",
+    Case("overlap/found again while local, acquisition closed: late, ignored",
         _seq(lambda s: s.greet("s1", 3), lambda s: s.join(5),
              lambda s: s.deregack("s1", 3, True, "pxA")),
         lambda s: s.deregack("s1", 3, True, "pxA"),
+        hits=[Row.FOUND_LATE],
         counts={"late_deregacks_ignored": 1}),
-    Row("overlap/found while surrendered and re-acquiring: complete",
+    Case("overlap/found while surrendered and re-acquiring: complete",
         _seq(lambda s: s.surrendered(), lambda s: s.greet("s1", 6)),
         lambda s: s.deregack("s1", 6, True, "pxA"),
+        hits=[Row.FOUND],
         sent=[REGISTERED.format(6), UPDATE_PXA],
         counts={"handoffs_completed": 1, "update_currentloc_sent": 1},
         rows=["register how=handoff mh=mh seq=6",
               "handoff_done duration=0.0 mh=mh old=s1 proxy_id=pxA"]),
 
     # -- join ---------------------------------------------------------------------
-    Row("join/local/old seq: confirm again",
+    Case("join/local/old seq: confirm again",
         lambda s: s.join(3), lambda s: s.join(3),
+        hits=[Row.JOIN_DUPLICATE],
         sent=[REGISTERED.format(3)]),
-    Row("overlap/join while acquiring: register, acquisition stays open",
+    Case("join/local/newer seq: register again",
+        lambda s: s.join(3), lambda s: s.join(5),
+        hits=[Row.JOIN_NEWER],
+        sent=[REGISTERED.format(5)],
+        rows=["register how=join mh=mh seq=5"]),
+    Case("overlap/join while acquiring: register, acquisition stays open",
         lambda s: s.greet("s1", 3), lambda s: s.join(5),
+        hits=[Row.JOIN],
         sent=[REGISTERED.format(5)], counts={"mh_joins": 1},
         rows=["register how=join mh=mh seq=5"]),
 
     # -- ack ------------------------------------------------------------------------
-    Row("ack/surrendered: ignored (paper, Section 3.1)",
+    Case("ack/surrendered: ignored (paper, Section 3.1)",
         lambda s: s.surrendered(), lambda s: s.ack(),
+        hits=[Row.ACK_IGNORED],
         counts={"acks_ignored_after_dereg": 1},
         rows=["ack_ignored mh=mh request_id=r1"]),
-    Row("overlap/ack while surrendered and re-acquiring: still ignored",
+    Case("overlap/ack while surrendered and re-acquiring: still ignored",
         _seq(lambda s: s.surrendered(), lambda s: s.greet("s1", 6)),
         lambda s: s.ack(),
+        hits=[Row.ACK_IGNORED],
         counts={"acks_ignored_after_dereg": 1},
         rows=["ack_ignored mh=mh request_id=r1"]),
-    Row("ack/unknown: nack the registration",
+    Case("ack/unknown: nack the registration",
         _nothing, lambda s: s.ack(),
+        hits=[Row.ACK_UNKNOWN],
         sent=["mh reregister"],
         counts={"acks_from_unknown_mh": 1, "registration_nacks": 1}),
-    Row("ack/acquiring: unknown, but no nack",
+    Case("ack/acquiring: unknown, but no nack",
         lambda s: s.greet("s1", 3), lambda s: s.ack(),
+        hits=[Row.ACK_ACQUIRING],
         counts={"acks_from_unknown_mh": 1}),
+    Case("ack/local: forward to the proxy",
+        lambda s: s.local_with_proxy(3), lambda s: s.ack(),
+        hits=[Row.ACK_FORWARD],
+        sent=["s2 ack_forward proxy_id=pxA request_id=r1"],
+        counts={"acks_forwarded": 1}),
+    Case("ack/local, no proxy: dropped",
+        lambda s: s.join(3), lambda s: s.ack(),
+        hits=[Row.ACK_NO_PROXY],
+        counts={"acks_without_pref": 1}),
+    Case("ack/local, foreign delivery: back to its proxy",
+        lambda s: s.foreign_delivery(), lambda s: s.ack("r9"),
+        hits=[Row.ACK_FOREIGN],
+        sent=["s2 ack_forward proxy_id=pxZ request_id=r9"],
+        counts={"acks_forwarded": 1}),
 ]
 
 
-@pytest.mark.parametrize("row", TABLE, ids=[row.name for row in TABLE])
-def test_handoff_table_row(row: Row) -> None:
-    s = Station()
-    row.setup(s)
+@pytest.mark.parametrize("case", TABLE, ids=[case.name for case in TABLE])
+def test_handoff_table_row(case: Case, monkeypatch: pytest.MonkeyPatch) -> None:
+    s = Station(monkeypatch)
+    case.setup(s)
     s.sent.clear()
     s.times.clear()
+    s.hits.clear()
     before = s.counters()
     first_row = len(s.world.recorder.records)
-    row.act(s)
+    case.act(s)
     after = s.counters()
     moved = {name: after[name] - before.get(name, 0) for name in after
              if after[name] != before.get(name, 0)}
-    assert s.sent == row.sent
-    assert moved == row.counts
-    assert s.rows(first_row) == row.rows
+    assert s.hits == case.hits
+    assert s.sent == case.sent
+    assert moved == case.counts
+    assert s.rows(first_row) == case.rows
+
+
+def test_cases_reach_every_row() -> None:
+    reached = {row for case in TABLE for row in case.hits}
+    assert [row for row in Row if row not in reached] == []
+
+
+def _doc_table() -> List[List[str]]:
+    """The cells of docs/PROTOCOL.md's hand-off table, one list per row."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "PROTOCOL.md"
+    lines = doc.read_text().split("### The hand-off as a state", 1)[1].splitlines()
+    rows = [line for line in lines[:lines.index("## 4. Proxy life-cycle "
+                                                 "(Section 3.3, Figure 2)")]
+            if line.startswith("|")]
+    header = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    assert header == ["Message", "State at this station", "Row", "Action",
+                      "Counted"]
+    return [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in rows[2:]]
+
+
+def test_doc_table_states_every_row_once_with_its_counters() -> None:
+    counted: Dict[str, tuple] = {}
+    for cells in _doc_table():
+        name = cells[2].strip("`")
+        assert name not in counted, f"{name} is stated twice"
+        counted[name] = tuple(re.findall(r"`(\w+)`", cells[4]))
+    assert sorted(counted) == sorted(row.name for row in Row)
+    for row in Row:
+        assert counted[row.name] == row.counters, row
+
+
+def test_row_counters_are_bumped_only_through_the_classifier() -> None:
+    """No hand-placed increment of a table counter is left in the MSS."""
+    source = Path(mss.__file__).read_text()
+    placed = set(re.findall(r'metrics\.incr\(\s*"(\w+)"', source))
+    assert placed & {name for row in Row for name in row.counters} == set()
