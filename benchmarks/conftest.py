@@ -1,9 +1,10 @@
 """Benchmark fixtures.
 
-Every benchmark regenerates one paper artifact (figure scenario or
-Section-5 claim).  Each one both *prints* its reproduced table and writes
-it under ``benchmarks/results/`` so the evidence survives the run; the
-pytest-benchmark timings measure the cost of regenerating the artifact.
+The paper's figures and Section-5 claims are regenerated and checked by
+``python -m repro.experiments report``; the pytest-benchmark files here
+time the SIDAM macro workload and kernel micro-loops.  ``save_table``
+both *prints* a reproduced table and writes it under
+``benchmarks/results/`` so the evidence survives the run.
 """
 
 from __future__ import annotations

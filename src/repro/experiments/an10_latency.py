@@ -17,11 +17,10 @@ from typing import List, Optional
 
 from ..analysis.latency import LatencyReport, latency_report
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
-from .harness import Table, drain
+from .harness import Table, drain, start_chains
 
 
 @dataclass
@@ -49,23 +48,7 @@ def run_latency_point(
     world = World(config)
     world.add_server("echo", EchoServer,
                      service_time=ConstantLatency(service_time))
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(mean_residence)
-
-    def make_chain(client):
-        def chain(_payload=None) -> None:
-            if len(client.requests) >= requests_per_host:
-                return
-            client.request("echo", len(client.requests), on_result=chain)
-        return chain
-
-    for i in range(n_hosts):
-        name = f"mh{i}"
-        client = world.add_host(name, world.cells[i % len(world.cells)],
-                                retry_interval=5.0)
-        world.add_mobility(name, walk, residence)
-        world.sim.schedule(0.1, make_chain(client))
-
+    start_chains(world, n_hosts, requests_per_host, mean_residence)
     world.run(until=max(600.0, mean_residence * requests_per_host * 10))
     drain(world)
     return LatencyPoint(
@@ -93,4 +76,11 @@ def run_an10(residences: Optional[List[float]] = None, seed: int = 0,
     table.notes.append(
         "admission and service stay flat; the delivery segment absorbs "
         "the mobility cost (one update round per missed forward)")
+    count, service, delivery = (
+        [row[i] for row in table.rows] for i in (1, 3, 4))
+    table.check("every residence completes as many requests",
+                len(set(count)) == 1)
+    table.check("mean service varies < 0.05 s", max(service) - min(service) < 0.05)
+    table.check("delivery is slower at the shortest residence than at the "
+                "longest", delivery[0] > delivery[-1])
     return table

@@ -16,21 +16,14 @@ function of distance from home.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
+from ..analysis.stats import percentile
 from ..config import LatencySpec, WorldConfig
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
 from .harness import Table
-
-
-@dataclass
-class TrianglePoint:
-    placement: str
-    hops_from_home: int
-    mean_latency: float
 
 
 def run_triangle(placement: str, hops: List[int], n_cells: int = 12,
@@ -72,8 +65,6 @@ def run_triangle(placement: str, hops: List[int], n_cells: int = 12,
         latencies[hop] = samples
     world.run_until_idle()
     # Median: individual samples can be inflated by a hand-off race.
-    from ..analysis.stats import percentile
-
     return {hop: percentile(vals, 50) for hop, vals in latencies.items() if vals}
 
 
@@ -92,4 +83,9 @@ def run_an11(hops: List[int] | None = None, seed: int = 0, **kwargs) -> Table:
     table.notes.append(
         "static home rendezvous pays distance-proportional detours; the "
         "dynamic proxy stays near the request series")
+    home_latency, ratio = [r[1] for r in table.rows], [r[3] for r in table.rows]
+    table.check("at home the two placements tie", ratio[0] == 1)
+    table.check("home latency grows with distance",
+                home_latency == sorted(home_latency))
+    table.check("home placement is > 2x slower at the far end", ratio[-1] > 2)
     return table

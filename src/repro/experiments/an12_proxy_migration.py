@@ -20,7 +20,7 @@ delivery latency by distance, migration off vs on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..config import LatencySpec, WorldConfig
 from ..servers.multicast import GroupServer
@@ -90,4 +90,9 @@ def run_an12(seed: int = 0, **kwargs) -> Table:
     table.notes.append(
         "a pinned proxy re-creates the triangle for long-lived "
         "subscriptions; migration keeps the rendezvous near the user")
+    pinned, moving, ratio = ([r[i] for r in table.rows] for i in (1, 2, 3))
+    table.check("pinned latency grows with distance", pinned == sorted(pinned))
+    table.check("pinned latency grows > 1.5x", pinned[-1] > pinned[0] * 1.5)
+    table.check("migrating stays below pinned's far end", max(moving) < pinned[-1])
+    table.check("pinned / migrating > 1.5 at the far end", ratio[-1] > 1.5)
     return table

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ExponentialLatency
 from ..servers.echo import EchoServer
 from ..sim import PeriodicProcess
-from ..types import MhState
 from ..world import World
-from .harness import settle_active
+from .harness import (
+    Table, random_walk, request_totals, run_workload, start_issuer)
 
 
 @dataclass
@@ -60,8 +59,6 @@ def run_failures(
     world = World(config)
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=0.8, floor=0.2))
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(12.0)
 
     processes: List[PeriodicProcess] = []
     issue_until = duration * 0.8
@@ -70,19 +67,10 @@ def run_failures(
         name = f"mh{i}"
         client = world.add_host(name, world.cells[i % n_cells],
                                 retry_interval=retry)
-        world.add_mobility(name, walk, residence)
-        rng = world.rng.stream(f"an13.{name}")
-
-        def issue(client=client) -> None:
-            if world.sim.now > issue_until:
-                return
-            if client.host.state is MhState.ACTIVE:
-                client.request("echo", len(client.requests))
-        proc = PeriodicProcess(world.sim, issue,
-                               lambda rng=rng: rng.expovariate(1.0 / 8.0),
-                               label="an13:issue")
-        proc.start()
-        processes.append(proc)
+        random_walk(world, name, 12.0)
+        processes.append(start_issuer(
+            world, client, world.rng.stream(f"an13.{name}"), 8.0,
+            issue_until, "an13:issue"))
 
     crashes = [0]
     if crash_interval is not None:
@@ -105,29 +93,23 @@ def run_failures(
         crasher.start()
         processes.append(crasher)
 
-    world.run(until=duration)
-    for proc in processes:
-        proc.stop()
-    for driver in world.drivers:
-        driver.stop()
-    settle_active(world)
+    run_workload(world, duration, processes)
     # Bounded settle: with crashes and no retries some requests are
     # unrecoverable by design, so "drain until empty" may never finish.
     world.sim.run(until=world.sim.now + 120.0)
 
+    requests, delivered = request_totals(world)
     return FailureResult(
         crash_interval=crash_interval,
         client_retry=client_retry,
-        requests=sum(len(c.requests) for c in world.clients.values()),
-        delivered=sum(len(c.completed) for c in world.clients.values()),
+        requests=requests,
+        delivered=delivered,
         crashes=crashes[0],
         nacks=world.metrics.count("registration_nacks"),
     )
 
 
-def run_an13(seed: int = 0, **kwargs):
-    from .harness import Table
-
+def run_an13(seed: int = 0, **kwargs) -> Table:
     table = Table(
         title="AN13 (exploration): delivery under MSS crash/restart "
               "(paper assumption 2 broken)",
@@ -145,4 +127,10 @@ def run_an13(seed: int = 0, **kwargs):
     table.notes.append(
         "without end-to-end retry, requests whose proxy died with its MSS "
         "are unrecoverable — the reason for the paper's assumption 2")
+    ratio = {(row[0], row[1]): row[5] for row in table.rows}
+    retry, no_retry = ratio[(20.0, "on")], ratio[(20.0, "off")]
+    table.check("without crashes all is delivered", ratio[("never", "off")] == 1)
+    table.check("crashes every 20 s: retry raises the ratio", retry > no_retry)
+    table.check("crashes every 20 s: retry delivers > 95%", retry > 0.95)
+    table.check("crashes every 20 s: no retry loses requests", no_retry < 1)
     return table

@@ -19,22 +19,26 @@ a fraction of messages.  We compare three protocols:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Union
 
 from ..baselines.direct import DirectDeliveryMss
 from ..baselines.itcp_like import ItcpLikeMss
 from ..config import LatencySpec, WorldConfig
 from ..errors import ConfigError
 from ..mobility.activity import ActivityProcess
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ExponentialLatency
 from ..servers.echo import EchoServer
 from ..sim import PeriodicProcess
+from ..stations.mss import MobileSupportStation
 from ..types import MhState
 from ..world import World
-from .harness import Table, drain, outstanding_requests, settle_active
+from .harness import (
+    Table, drain, outstanding_requests, random_walk, request_totals,
+    run_workload, settle_active, start_issuer)
 
-PROTOCOLS = ("rdp", "itcp", "direct")
+MSS_CLASSES = {"rdp": MobileSupportStation, "itcp": ItcpLikeMss,
+               "direct": DirectDeliveryMss}
+PROTOCOLS = tuple(MSS_CLASSES)
 
 
 @dataclass
@@ -51,16 +55,6 @@ class ReliabilityResult:
     @property
     def delivery_ratio(self) -> float:
         return self.delivered / self.requests if self.requests else 1.0
-
-
-def _mss_class(protocol: str):
-    if protocol == "rdp":
-        return None
-    if protocol == "itcp":
-        return ItcpLikeMss
-    if protocol == "direct":
-        return DirectDeliveryMss
-    raise ConfigError(f"unknown protocol {protocol!r}")
 
 
 def run_reliability(
@@ -83,16 +77,14 @@ def run_reliability(
         wireless_latency=LatencySpec(kind="constant", mean=0.005),
         trace=False,
     )
-    mss_class = _mss_class(protocol)
-    world = World(config) if mss_class is None else World(config, mss_class=mss_class)
+    if protocol not in MSS_CLASSES:
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    world = World(config, mss_class=MSS_CLASSES[protocol])
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=1.0, floor=0.2))
 
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(mean_residence)
     issue_until = duration * 0.8
-    processes: List[PeriodicProcess] = []
-    activities: List[ActivityProcess] = []
+    processes: List[Union[PeriodicProcess, ActivityProcess]] = []
 
     # Reliable *request sending* is out of RDP's scope (the paper pairs it
     # with QRPC-style client retries, Section 4): give the reliable
@@ -104,21 +96,11 @@ def run_reliability(
         name = f"mh{i}"
         cell = world.cells[i % len(world.cells)]
         client = world.add_host(name, cell, retry_interval=retry)
-        world.add_mobility(name, walk, residence)
-
-        rng = world.rng.stream(f"workload.{name}")
-        def issue(client=client, rng=rng) -> None:
-            host = client.host
-            if world.sim.now > issue_until:
-                return
-            if host.state is not MhState.ACTIVE:
-                return
-            client.request("echo", {"seq": len(client.requests)})
-        proc = PeriodicProcess(world.sim, issue,
-                               lambda rng=rng: rng.expovariate(1.0 / mean_interarrival),
-                               label="an1:issue")
-        proc.start()
-        processes.append(proc)
+        random_walk(world, name, mean_residence)
+        processes.append(start_issuer(
+            world, client, world.rng.stream(f"workload.{name}"),
+            mean_interarrival, issue_until, "an1:issue",
+            payload=lambda n: {"seq": n}))
 
         act_rng = world.rng.stream(f"activity.{name}")
         activity = ActivityProcess(
@@ -126,16 +108,9 @@ def run_reliability(
             on_duration=lambda r=act_rng: r.expovariate(1.0 / 40.0),
             off_duration=lambda r=act_rng: r.expovariate(1.0 / 8.0))
         activity.start()
-        activities.append(activity)
+        processes.append(activity)
 
-    world.run(until=duration)
-    for proc in processes:
-        proc.stop()
-    for activity in activities:
-        activity.stop()
-    for driver in world.drivers:
-        driver.stop()
-    settle_active(world)
+    run_workload(world, duration, processes)
     world.sim.run_until_idle()
 
     rounds = 0
@@ -155,8 +130,7 @@ def run_reliability(
             world.sim.run_until_idle()
             rounds += 1
 
-    requests = sum(len(c.requests) for c in world.clients.values())
-    delivered = sum(len(c.completed) for c in world.clients.values())
+    requests, delivered = request_totals(world)
     duplicates = sum(h.duplicate_deliveries for h in world.hosts.values())
     return ReliabilityResult(
         protocol=protocol,
@@ -176,11 +150,16 @@ def run_an1(seed: int = 0, **kwargs) -> Table:
         columns=["protocol", "requests", "delivered", "ratio",
                  "retransmissions", "dup transmissions", "drain rounds"],
     )
+    ratio = {}
     for protocol in PROTOCOLS:
         result = run_reliability(protocol=protocol, seed=seed, **kwargs)
+        ratio[protocol] = result.delivery_ratio
         table.add_row(result.protocol, result.requests, result.delivered,
                       result.delivery_ratio, result.retransmissions,
                       result.duplicate_transmissions, result.drain_rounds)
     table.notes.append(
         "paper: RDP delivers every result eventually; best-effort does not")
+    table.check("rdp delivers every result", ratio["rdp"] == 1)
+    table.check("itcp delivers every result", ratio["itcp"] == 1)
+    table.check("best-effort loses results", ratio["direct"] < 1)
     return table

@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..analysis.charts import curve
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
-from .harness import Table, drain
+from .harness import Table, drain, request_totals, start_chains
 
 T_WIRED = 0.050
 T_WIRELESS = 0.025
@@ -69,35 +69,11 @@ def run_point(
     )
     world = World(config)
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.2))
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(mean_residence)
-
-    # Each host keeps exactly one request in flight: the next is issued
-    # as soon as the previous result arrives (callback chain), so every
-    # result forward races against mobility.
-    def make_chain(client):
-        def chain(_payload=None) -> None:
-            if len(client.requests) >= requests_per_host:
-                return
-            client.request("echo", len(client.requests), on_result=chain)
-        return chain
-
-    # Client retries cover reliable *request* sending (QRPC's role in the
-    # paper's system, Section 4): in the deep sub-threshold regime a
-    # request uplinked during a hand-off can be dropped before reaching
-    # any proxy, which RDP by design does not recover from.
-    for i in range(n_hosts):
-        name = f"mh{i}"
-        client = world.add_host(name, world.cells[i % len(world.cells)],
-                                retry_interval=5.0)
-        world.add_mobility(name, walk, residence)
-        world.sim.schedule(0.1, make_chain(client))
-
+    start_chains(world, n_hosts, requests_per_host, mean_residence)
     world.run(until=mean_residence * requests_per_host * 50 + 1000)
     drain(world)
 
-    requests = sum(len(c.requests) for c in world.clients.values())
-    delivered = sum(len(c.completed) for c in world.clients.values())
+    requests, delivered = request_totals(world)
     return ThresholdPoint(
         mean_residence=mean_residence,
         requests=requests,
@@ -121,8 +97,10 @@ def run_an3(residences: Optional[List[float]] = None, seed: int = 0,
         columns=["mean residence (s)", "residence/threshold", "requests",
                  "retransmissions", "rate", "predicted miss prob"],
     )
+    rates = []
     for mean_residence in residences:
         point = run_point(mean_residence, seed=seed, **kwargs)
+        rates.append(point.retransmission_rate)
         table.add_row(
             point.mean_residence,
             point.mean_residence / THRESHOLD,
@@ -133,4 +111,10 @@ def run_an3(residences: Optional[List[float]] = None, seed: int = 0,
         )
     table.notes.append(
         "paper: retransmissions only when residence < t_wired + t_wireless")
+    table.charts.append(curve(
+        [(row[0], row[4]) for row in table.rows], log_x=True,
+        title="retransmission rate vs residence (log x)"))
+    table.check("rate > 5 at the shortest residence", rates[0] > 5.0)
+    table.check("rate < 0.2 at the longest residence", rates[-1] < 0.2)
+    table.check("rate falls > 20-fold across the sweep", rates[0] > rates[-1] * 20)
     return table

@@ -116,4 +116,7 @@ def run_an4(seed: int = 0, **kwargs) -> Table:
                   "only when proxy is remote", "-")
     table.add_row("requests routed via proxy (local)",
                   result.local_dispatches, "free when co-located", "-")
+    table.check("one update_currentloc per migration or reactivation",
+                result.update_bound_holds)
+    table.check("one extra Ack per acknowledged result", result.ack_bound_holds)
     return table

@@ -23,17 +23,16 @@ message load, Jain's fairness index and the max/mean imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
+from ..analysis.charts import hbar_chart
 from ..analysis.stats import imbalance_ratio, jain_fairness
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ExponentialLatency
 from ..servers.echo import EchoServer
-from ..sim import PeriodicProcess
-from ..types import MhState
 from ..world import World
-from .harness import Table, drain
+from .harness import (
+    Table, drain, random_walk, request_totals, run_workload, start_issuer)
 
 POLICIES = ("home", "current", "least_loaded")
 
@@ -74,39 +73,22 @@ def run_policy(
     world = World(config)
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=0.5, floor=0.1))
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(mean_residence)
     home_cell = world.cells[0]
 
-    processes: List[PeriodicProcess] = []
-    issue_until = duration * 0.9
+    processes = []
     for i in range(n_hosts):
         name = f"mh{i}"
         client = world.add_host(name, home_cell, retry_interval=5.0)
-        world.add_mobility(name, walk, residence)
-        rng = world.rng.stream(f"workload.{name}")
+        random_walk(world, name, mean_residence)
+        processes.append(start_issuer(
+            world, client, world.rng.stream(f"workload.{name}"),
+            mean_interarrival, duration * 0.9, "an5:issue",
+            payload=lambda n: {"n": n}))
 
-        def issue(client=client) -> None:
-            if world.sim.now > issue_until:
-                return
-            if client.host.state is not MhState.ACTIVE:
-                return
-            client.request("echo", {"n": len(client.requests)})
-        proc = PeriodicProcess(
-            world.sim, issue,
-            lambda rng=rng: rng.expovariate(1.0 / mean_interarrival),
-            label="an5:issue")
-        proc.start()
-        processes.append(proc)
-
-    world.run(until=duration)
-    for proc in processes:
-        proc.stop()
-    if policy != "home":
-        drain(world)
-    else:
-        # Permanent rendezvous points never retire; just settle deliveries.
-        drain(world)
+    run_workload(world, duration, processes)
+    # Home placement's permanent rendezvous points never retire; the
+    # drain only settles deliveries.
+    drain(world)
 
     station_ids = world.station_ids()
     load = {node: world.metrics.node_count(node, "mss_messages_processed")
@@ -117,7 +99,7 @@ def run_policy(
     total = sum(loads) or 1
     return LoadBalanceResult(
         policy=policy,
-        requests=sum(len(c.requests) for c in world.clients.values()),
+        requests=request_totals(world)[0],
         per_mss_load=load,
         per_mss_proxies=proxies,
         fairness=jain_fairness(loads),
@@ -132,8 +114,9 @@ def run_an5(seed: int = 0, **kwargs) -> Table:
         columns=["policy", "requests", "Jain fairness", "max/mean load",
                  "hottest MSS share", "proxies at hottest"],
     )
-    for policy in POLICIES:
-        result = run_policy(policy, seed=seed, **kwargs)
+    results = {policy: run_policy(policy, seed=seed, **kwargs)
+               for policy in POLICIES}
+    for result in results.values():
         hottest = max(result.per_mss_load, key=result.per_mss_load.get)
         table.add_row(result.policy, result.requests, result.fairness,
                       result.imbalance, result.hottest_share,
@@ -141,4 +124,12 @@ def run_an5(seed: int = 0, **kwargs) -> Table:
     table.notes.append(
         "paper: static home agents concentrate load; RDP's dynamic proxy "
         "placement spreads it")
+    table.charts.append(hbar_chart({row[0]: row[4] for row in table.rows},
+                                   title="hottest-MSS share of total load"))
+    home, current, least = (results[policy] for policy in POLICIES)
+    table.check("current is fairer than home", current.fairness > home.fairness)
+    table.check("least_loaded is as fair as current",
+                least.fairness >= current.fairness)
+    table.check("home's hottest MSS carries > 3x a fair share",
+                home.hottest_share > 3 / len(home.per_mss_load))
     return table

@@ -20,15 +20,14 @@ detection, assumption 5).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List
 
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
-from .harness import Table, drain
+from .harness import Table, drain, request_totals, seed_totals, start_chains
 
 ORDERINGS = ("causal", "fifo", "raw")
 
@@ -40,7 +39,6 @@ class AblationResult:
     delivered: int
     duplicate_transmissions: int
     retransmissions: int
-    stale_proxy_messages: int
     app_duplicates: int
 
 
@@ -67,41 +65,21 @@ def run_ordering(
     )
     world = World(config)
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.3))
-    walk = RandomNeighborWalk(world.cell_map)
-    residence = ExponentialResidence(mean_residence)
-
-    def make_chain(client):
-        def chain(_payload=None) -> None:
-            if len(client.requests) >= requests_per_host:
-                return
-            client.request("echo", len(client.requests), on_result=chain)
-        return chain
-
-    for i in range(n_hosts):
-        name = f"mh{i}"
-        client = world.add_host(name, world.cells[i % len(world.cells)],
-                                retry_interval=5.0)
-        world.add_mobility(name, walk, residence)
-        world.sim.schedule(0.1, make_chain(client))
-
+    start_chains(world, n_hosts, requests_per_host, mean_residence)
     world.run(until=600.0)
     drain(world)
 
     hosts = world.hosts.values()
-    per_request_counts = []
-    app_duplicates = 0
-    for host in hosts:
-        seen = {}
-        for _, rid, _ in host.deliveries:
-            seen[rid] = seen.get(rid, 0) + 1
-        app_duplicates += sum(c - 1 for c in seen.values() if c > 1)
+    app_duplicates = sum(
+        count - 1 for host in hosts
+        for count in Counter(rid for _, rid, _ in host.deliveries).values())
+    requests, delivered = request_totals(world)
     return AblationResult(
         ordering=ordering,
-        requests=sum(len(c.requests) for c in world.clients.values()),
-        delivered=sum(len(c.completed) for c in world.clients.values()),
+        requests=requests,
+        delivered=delivered,
         duplicate_transmissions=sum(h.duplicate_deliveries for h in hosts),
         retransmissions=world.metrics.count("proxy_retransmissions"),
-        stale_proxy_messages=world.metrics.count("stale_proxy_messages"),
         app_duplicates=app_duplicates,
     )
 
@@ -116,17 +94,20 @@ def run_an6(seeds: int = 6, **kwargs) -> Table:
         columns=["ordering", "requests", "delivered", "retransmissions",
                  "dup transmissions", "app duplicates"],
     )
+    fields = ("requests", "delivered", "retransmissions",
+              "duplicate_transmissions", "app_duplicates")
     for ordering in ORDERINGS:
-        totals = [0, 0, 0, 0, 0]
-        for seed in range(seeds):
-            result = run_ordering(ordering, seed=seed, **kwargs)
-            totals[0] += result.requests
-            totals[1] += result.delivered
-            totals[2] += result.retransmissions
-            totals[3] += result.duplicate_transmissions
-            totals[4] += result.app_duplicates
-        table.add_row(ordering, *totals)
+        table.add_row(ordering, *seed_totals(
+            lambda seed: run_ordering(ordering, seed=seed, **kwargs),
+            seeds, fields))
     table.notes.append(
         "app duplicates must stay 0 (MH duplicate detection); duplicate "
         "transmissions grow as ordering weakens")
+    causal, fifo, raw = table.rows
+    table.check("no duplicate reaches the application",
+                all(row[5] == 0 for row in table.rows))
+    table.check("every request is delivered",
+                all(row[1] == row[2] for row in table.rows))
+    table.check("causal dup transmissions <= fifo's", causal[4] <= fifo[4])
+    table.check("causal dup transmissions < raw's", causal[4] < raw[4])
     return table

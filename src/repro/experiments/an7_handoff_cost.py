@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..baselines.itcp_like import ItcpLikeMss
 from ..config import LatencySpec, WorldConfig
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
-from .harness import Table, drain
+from .an1_reliability import MSS_CLASSES
+from .harness import Table, drain, request_totals
 
 PROTOCOLS = ("rdp", "itcp")
 
@@ -56,8 +56,7 @@ def run_protocol(
         ack_delay=0.5,  # results pile up unacknowledged between hops
         trace=False,
     )
-    world = (World(config) if protocol == "rdp"
-             else World(config, mss_class=ItcpLikeMss))
+    world = World(config, mss_class=MSS_CLASSES[protocol])
     world.add_server("blob", EchoServer, service_time=ConstantLatency(0.2))
 
     blob = "x" * payload_bytes
@@ -88,7 +87,7 @@ def run_protocol(
         deregack_bytes_total=total_bytes,
         deregack_bytes_mean=total_bytes / handoffs if handoffs else 0.0,
         forwarding_pointers=pointers,
-        delivered=sum(len(c.completed) for c in world.clients.values()),
+        delivered=request_totals(world)[1],
     )
 
 
@@ -99,12 +98,18 @@ def run_an7(seed: int = 0, **kwargs) -> Table:
                  "bytes per handoff", "forwarding-pointer residue",
                  "results delivered"],
     )
-    for protocol in PROTOCOLS:
-        result = run_protocol(protocol, seed=seed, **kwargs)
+    rdp, itcp = (run_protocol(protocol, seed=seed, **kwargs)
+                 for protocol in PROTOCOLS)
+    for result in (rdp, itcp):
         table.add_row(result.protocol, result.handoffs,
                       result.deregack_bytes_total, result.deregack_bytes_mean,
                       result.forwarding_pointers, result.delivered)
     table.notes.append(
         "paper: RDP hands over only the pref; no forwarding pointers or "
         "result copies remain at old MSSs")
+    table.check("rdp leaves no residue", rdp.forwarding_pointers == 0)
+    table.check("itcp leaves forwarding pointers", itcp.forwarding_pointers > 0)
+    table.check("itcp ships > 10x rdp's bytes per hand-off",
+                itcp.deregack_bytes_mean > 10 * rdp.deregack_bytes_mean)
+    table.check("both deliver as many results", rdp.delivered == itcp.delivered)
     return table

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import LatencySpec, WorldConfig
-from ..mobility.models import ExponentialResidence, RandomNeighborWalk
+from ..mobility.models import RandomNeighborWalk
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer
 from ..world import World
-from .harness import Table, drain
+from .harness import Table, drain, request_chain, request_totals, seed_totals
 
 
 @dataclass
@@ -61,22 +61,19 @@ def run_priority(
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.15))
     walk = RandomNeighborWalk(world.cell_map)
 
-    # Each host chains requests and migrates immediately after every
-    # delivery, so the Ack and the next hand-off always race through the
-    # (busy) old MSS.
-    def make_chain(client, host, rng):
-        def chain(_payload=None) -> None:
+    # Each host chains requests and migrates right after every delivery,
+    # so the Ack and the next hand-off always race through the (busy) old
+    # MSS.
+    def migrate_soon(host, rng):
+        def hop() -> None:
             target = walk.next_cell(host.current_cell, rng)
             if target is not None:
-                world.sim.schedule(0.001, _migrate, target)
-            if len(client.requests) >= requests_per_host:
-                return
-            client.request("echo", len(client.requests), on_result=chain)
+                world.sim.schedule(0.001, migrate, target)
 
-        def _migrate(target) -> None:
+        def migrate(target) -> None:
             if host.state.value == "active":
                 host.migrate_to(target)
-        return chain
+        return hop
 
     for i in range(n_hosts):
         name = f"mh{i}"
@@ -84,15 +81,17 @@ def run_priority(
                                 retry_interval=5.0)
         host = world.hosts[name]
         rng = world.rng.stream(f"an8.{name}")
-        world.sim.schedule(0.1 + 0.01 * i, make_chain(client, host, rng))
+        world.sim.schedule(0.1 + 0.01 * i, request_chain(
+            client, requests_per_host, before=migrate_soon(host, rng)))
 
     world.run(until=600.0)
     drain(world)
 
+    requests, delivered = request_totals(world)
     return AckPriorityResult(
         ack_priority=ack_priority,
-        requests=sum(len(c.requests) for c in world.clients.values()),
-        delivered=sum(len(c.completed) for c in world.clients.values()),
+        requests=requests,
+        delivered=delivered,
         retransmissions=world.metrics.count("proxy_retransmissions"),
         duplicate_transmissions=sum(h.duplicate_deliveries
                                     for h in world.hosts.values()),
@@ -106,17 +105,17 @@ def run_an8(seeds: int = 4, **kwargs) -> Table:
         columns=["ack priority", "requests", "delivered", "retransmissions",
                  "dup transmissions", "acks ignored"],
     )
+    fields = ("requests", "delivered", "retransmissions",
+              "duplicate_transmissions", "acks_ignored")
     for priority in (True, False):
-        totals = [0, 0, 0, 0, 0]
-        for seed in range(seeds):
-            r = run_priority(priority, seed=seed, **kwargs)
-            totals[0] += r.requests
-            totals[1] += r.delivered
-            totals[2] += r.retransmissions
-            totals[3] += r.duplicate_transmissions
-            totals[4] += r.acks_ignored
-        table.add_row("on" if priority else "off", *totals)
+        table.add_row("on" if priority else "off", *seed_totals(
+            lambda seed: run_priority(priority, seed=seed, **kwargs),
+            seeds, fields))
     table.notes.append(
         "paper 3.1: the priority avoids re-sending already-acknowledged "
         "results to the new cell")
+    on, off = table.rows
+    table.check("every request is delivered", on[2] == on[1] and off[2] == off[1])
+    table.check("priority on ignores fewer Acks", on[5] < off[5])
+    table.check("priority on transmits fewer duplicates", on[4] < off[4])
     return table

@@ -15,16 +15,16 @@ wired retransmission disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from ..config import LatencySpec, WorldConfig
 from ..mobility.activity import ActivityProcess
 from ..net.latency import ExponentialLatency
 from ..servers.echo import EchoServer
 from ..sim import PeriodicProcess
-from ..types import MhState
 from ..world import World
-from .harness import Table, drain
+from .harness import (
+    Table, drain, request_totals, run_workload, seed_totals, start_issuer)
 
 
 @dataclass
@@ -57,26 +57,16 @@ def run_retention(
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=3.0, floor=1.0))
 
-    processes: List = []
+    processes: List[Union[PeriodicProcess, ActivityProcess]] = []
     for i in range(n_hosts):
         name = f"mh{i}"
         client = world.add_host(name, world.cells[i % len(world.cells)],
                                 retry_interval=8.0)
         host = world.hosts[name]
         rng = world.rng.stream(f"an9.{name}")
-
         # Issue, then nap before the (slow) result can arrive.
-        def issue(client=client, host=host) -> None:
-            if world.sim.now > duration * 0.8:
-                return
-            if host.state is MhState.ACTIVE:
-                client.request("echo", len(client.requests))
-        proc = PeriodicProcess(world.sim, issue,
-                               lambda rng=rng: rng.expovariate(1.0 / 15.0),
-                               label="an9:issue")
-        proc.start()
-        processes.append(proc)
-
+        processes.append(start_issuer(world, client, rng, 15.0,
+                                      duration * 0.8, "an9:issue"))
         activity = ActivityProcess(
             world.sim, host,
             on_duration=lambda rng=rng: rng.expovariate(1.0 / 4.0),
@@ -84,15 +74,14 @@ def run_retention(
         activity.start()
         processes.append(activity)
 
-    world.run(until=duration)
-    for proc in processes:
-        proc.stop()
+    run_workload(world, duration, processes)
     drain(world)
 
+    requests, delivered = request_totals(world)
     return RetentionResult(
         retention=retention,
-        requests=sum(len(c.requests) for c in world.clients.values()),
-        delivered=sum(len(c.completed) for c in world.clients.values()),
+        requests=requests,
+        delivered=delivered,
         proxy_retransmissions=world.metrics.count("proxy_retransmissions"),
         retained=world.metrics.count("results_retained"),
         redeliveries=world.metrics.count("retained_redeliveries"),
@@ -107,18 +96,19 @@ def run_an9(seeds: int = 3, **kwargs) -> Table:
                  "proxy retransmissions", "results retained",
                  "local redeliveries", "wired result forwards"],
     )
+    fields = ("requests", "delivered", "proxy_retransmissions", "retained",
+              "redeliveries", "wired_result_forwards")
     for retention in (False, True):
-        totals = [0, 0, 0, 0, 0, 0]
-        for seed in range(seeds):
-            r = run_retention(retention, seed=seed, **kwargs)
-            totals[0] += r.requests
-            totals[1] += r.delivered
-            totals[2] += r.proxy_retransmissions
-            totals[3] += r.retained
-            totals[4] += r.redeliveries
-            totals[5] += r.wired_result_forwards
-        table.add_row("on" if retention else "off", *totals)
+        table.add_row("on" if retention else "off", *seed_totals(
+            lambda seed: run_retention(retention, seed=seed, **kwargs),
+            seeds, fields))
     table.notes.append(
         "footnote 3: retention saves the proxy's wired retransmission for "
         "results that found the MH asleep")
+    off, on = table.rows
+    table.check("both runs issue the same requests", on[1] == off[1])
+    table.check("every request is delivered", on[2] == on[1] and off[2] == off[1])
+    table.check("retention cuts proxy retransmissions > 5x", on[3] < off[3] / 5)
+    table.check("retention keeps some results", on[4] > 0)
+    table.check(">= 90% of retained results redeliver locally", on[5] >= on[4] * 0.9)
     return table

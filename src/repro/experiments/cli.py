@@ -7,7 +7,9 @@ Regenerate any (or every) paper artifact from the shell::
     python -m repro.experiments run all --out results/
 
 Each experiment prints its table; ``--out DIR`` additionally writes one
-``<id>.txt`` per experiment.
+``<id>.txt`` per experiment.  Every experiment states the paper's claims
+as checks on its own output: ``run`` and ``report`` exit 1 and name each
+claim that does not hold, after writing their output.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import argparse
 import pathlib
 import re
 import sys
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple, Union
 
-from ..analysis.charts import curve, hbar_chart
-from ..analysis.sequence import render_chart
 from .an1_reliability import run_an1
 from .an2_exactly_once import run_an2
 from .an3_retransmission import run_an3
@@ -33,7 +33,8 @@ from .an10_latency import run_an10
 from .an11_triangle import run_an11
 from .an12_proxy_migration import run_an12
 from .an13_mss_failures import run_an13
-from .scenarios import run_fig1, run_fig3, run_fig4
+from .harness import Table
+from .scenarios import ScenarioResult, run_fig1, run_fig3, run_fig4
 from ..errors import ConfigError
 from ..verify import fuzz as fuzz_mod
 from . import bench as bench_mod
@@ -43,78 +44,60 @@ from . import observe as observe_mod
 from ._timing import wall_clock
 
 
-def _fig1_text() -> str:
-    result = run_fig1()
-    lines = ["FIG1: 3 MSSs, 5 MHs, roaming query + mcast(1,4,5)",
-             "=" * 48]
-    lines += [f"{key}: {value}" for key, value in result.facts.items()]
-    return "\n".join(lines)
+class Experiment(NamedTuple):
+    """One registry entry: what the experiment shows, and how to run it.
+
+    *run* returns a :class:`~.harness.Table` or a
+    :class:`~.scenarios.ScenarioResult`: both have ``render()`` and the
+    ``checks`` that state the paper's claims over what was rendered.
+    """
+
+    description: str
+    run: Callable[[], Union[Table, ScenarioResult]]
 
 
-def _fig3_text() -> str:
-    result = run_fig3()
-    return render_chart(result.chart,
-                        title="FIG3: single request, two migrations")
-
-
-def _fig4_text() -> str:
-    result = run_fig4()
-    return render_chart(result.chart,
-                        title="FIG4: multiple requests, RKpR machinery")
-
-
-def _an3_text() -> str:
-    table = run_an3()
-    points = [(row[0], row[4]) for row in table.rows]
-    plot = curve(points, title="retransmission rate vs residence (log x)",
-                 log_x=True)
-    return table.render() + "\n\n" + plot
-
-
-def _an5_text() -> str:
-    table = run_an5()
-    bars = hbar_chart({row[0]: row[4] for row in table.rows},
-                      title="hottest-MSS share of total load")
-    return table.render() + "\n\n" + bars
-
-
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig1": _fig1_text,
-    "fig3": _fig3_text,
-    "fig4": _fig4_text,
-    "an1": lambda: run_an1().render(),
-    "an2": lambda: run_an2().render(),
-    "an3": _an3_text,
-    "an4": lambda: run_an4().render(),
-    "an5": _an5_text,
-    "an6": lambda: run_an6().render(),
-    "an7": lambda: run_an7().render(),
-    "an8": lambda: run_an8().render(),
-    "an9": lambda: run_an9().render(),
-    "an10": lambda: run_an10().render(),
-    "an11": lambda: run_an11().render(),
-    "an12": lambda: run_an12().render(),
-    "an13": lambda: run_an13().render(),
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment(
+        "Figure 1 — topology scenario: roaming query + multicast", run_fig1),
+    "fig3": Experiment("Figure 3 — single-request message sequence", run_fig3),
+    "fig4": Experiment("Figure 4 — multiple-request flag machinery", run_fig4),
+    "an1": Experiment(
+        "delivery reliability: rdp vs itcp vs best-effort", run_an1),
+    "an2": Experiment("exactly-once and the ack-then-migrate race", run_an2),
+    "an3": Experiment(
+        "retransmission threshold (t_wired + t_wireless)", run_an3),
+    "an4": Experiment("message overhead bound (Section 5)", run_an4),
+    "an5": Experiment("load balancing: placement policies", run_an5),
+    "an6": Experiment("causal-order ablation", run_an6),
+    "an7": Experiment("hand-off state-transfer cost vs I-TCP style", run_an7),
+    "an8": Experiment("ack-priority ablation (Section 3.1)", run_an8),
+    "an9": Experiment("footnote-3 result retention", run_an9),
+    "an10": Experiment(
+        "latency decomposition vs mobility rate (extension)", run_an10),
+    "an11": Experiment(
+        "triangle-routing latency vs distance from home (extension)", run_an11),
+    "an12": Experiment(
+        "proxy migration for long-lived subscriptions (extension)", run_an12),
+    "an13": Experiment(
+        "delivery under MSS crash/restart (assumption-2 exploration)", run_an13),
 }
 
-DESCRIPTIONS = {
-    "fig1": "Figure 1 — topology scenario: roaming query + multicast",
-    "fig3": "Figure 3 — single-request message sequence",
-    "fig4": "Figure 4 — multiple-request flag machinery",
-    "an1": "delivery reliability: rdp vs itcp vs best-effort",
-    "an2": "exactly-once and the ack-then-migrate race",
-    "an3": "retransmission threshold (t_wired + t_wireless)",
-    "an4": "message overhead bound (Section 5)",
-    "an5": "load balancing: placement policies",
-    "an6": "causal-order ablation",
-    "an7": "hand-off state-transfer cost vs I-TCP style",
-    "an8": "ack-priority ablation (Section 3.1)",
-    "an9": "footnote-3 result retention",
-    "an10": "latency decomposition vs mobility rate (extension)",
-    "an11": "triangle-routing latency vs distance from home (extension)",
-    "an12": "proxy migration for long-lived subscriptions (extension)",
-    "an13": "delivery under MSS crash/restart (assumption-2 exploration)",
-}
+
+def regenerate(ids: List[str], false_claims: List[str]
+               ) -> Iterator[Tuple[str, str, float]]:
+    """Run each experiment in turn, yielding (id, text, wall seconds).
+
+    The statement of every check that does not hold is appended to
+    *false_claims* as ``"<id>: <statement>"``.
+    """
+    for exp_id in ids:
+        started = wall_clock()
+        result = EXPERIMENTS[exp_id].run()
+        text = result.render()
+        elapsed = wall_clock() - started
+        false_claims.extend(f"{exp_id}: {check.statement}"
+                            for check in result.checks if not check.holds)
+        yield exp_id, text, elapsed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,13 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
 _SECTION_RE = re.compile(r"^## (\S+) — ", re.MULTILINE)
 
 
-def write_report(ids: List[str], out: pathlib.Path) -> str:
-    """Run the given experiments and render a Markdown report.
+def write_report(ids: List[str], out: pathlib.Path) -> List[str]:
+    """Run the given experiments and write a Markdown report to *out*.
 
     A full run writes the whole file.  A subset of the ids, when *out*
     exists, is spliced into it: a regenerated section replaces the
     section of the same id where it stands (an id the file lacks is
-    appended) and every other section is kept as it is.
+    appended) and every other section is kept as it is.  Returns the
+    claims that do not hold (see :func:`regenerate`).
     """
     sections: Dict[str, str] = {}
     if out.exists() and set(ids) != set(EXPERIMENTS):
@@ -263,21 +247,18 @@ def write_report(ids: List[str], out: pathlib.Path) -> str:
         for mark, end in zip(marks, ends):
             section = kept[mark.start():end].rstrip("\n") + "\n"
             sections[mark.group(1)] = section
-    for exp_id in ids:
-        started = wall_clock()
-        text = EXPERIMENTS[exp_id]()
-        elapsed = wall_clock() - started
+    false_claims: List[str] = []
+    for exp_id, text, elapsed in regenerate(ids, false_claims):
         sections[exp_id] = (
-            f"## {exp_id} — {DESCRIPTIONS[exp_id]}\n\n"
+            f"## {exp_id} — {EXPERIMENTS[exp_id].description}\n\n"
             f"```\n{text}\n```\n\n"
             f"_regenerated in {elapsed:.1f}s_\n")
-    body = (
+    out.write_text(
         "# RDP reproduction report\n\n"
         "Regenerated artifacts of *RDP: A Result Delivery Protocol for "
         "Mobile Computing* (ICDCS 2000).  See EXPERIMENTS.md for the "
         "paper-claim-by-claim comparison.\n\n" + "\n".join(sections.values()))
-    out.write_text(body)
-    return body
+    return false_claims
 
 
 def run_fuzz(args: argparse.Namespace) -> int:
@@ -452,21 +433,14 @@ def run_analyze(args: argparse.Namespace) -> int:
 def main(argv: List[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for exp_id in EXPERIMENTS:
-            print(f"{exp_id:<6} {DESCRIPTIONS[exp_id]}")
+        for exp_id, experiment in EXPERIMENTS.items():
+            print(f"{exp_id:<6} {experiment.description}")
         return 0
-    if args.command == "fuzz":
-        return run_fuzz(args)
-    if args.command == "bench":
-        return run_bench(args)
-    if args.command == "observe":
-        return run_observe(args)
-    if args.command == "chaos":
-        return run_chaos(args)
-    if args.command == "live":
-        return live_mod.run_live(args)
-    if args.command == "analyze":
-        return run_analyze(args)
+    commands: Dict[str, Callable[[argparse.Namespace], int]] = {
+        "fuzz": run_fuzz, "bench": run_bench, "observe": run_observe,
+        "chaos": run_chaos, "live": live_mod.run_live, "analyze": run_analyze}
+    if args.command in commands:
+        return commands[args.command](args)
 
     ids = list(EXPERIMENTS) if not args.ids or "all" in args.ids else args.ids
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -474,20 +448,20 @@ def main(argv: List[str] | None = None) -> int:
         print(f"unknown experiment ids: {', '.join(unknown)}", file=sys.stderr)
         return 2
     if args.command == "report":
-        write_report(ids, args.out)
+        false_claims = write_report(ids, args.out)
         print(f"wrote {args.out} ({len(ids)} experiments)")
-        return 0
-    for exp_id in ids:
-        started = wall_clock()
-        text = EXPERIMENTS[exp_id]()
-        elapsed = wall_clock() - started
-        print(text)
-        print(f"[{exp_id} regenerated in {elapsed:.1f}s]")
-        print()
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / f"{exp_id}.txt").write_text(text + "\n")
-    return 0
+    else:
+        false_claims = []
+        for exp_id, text, elapsed in regenerate(ids, false_claims):
+            print(text)
+            print(f"[{exp_id} regenerated in {elapsed:.1f}s]")
+            print()
+            if args.out is not None:
+                args.out.mkdir(parents=True, exist_ok=True)
+                (args.out / f"{exp_id}.txt").write_text(text + "\n")
+    for claim in false_claims:
+        print(f"claim does not hold: {claim}", file=sys.stderr)
+    return 1 if false_claims else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

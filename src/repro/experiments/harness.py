@@ -1,18 +1,25 @@
 """Shared experiment plumbing.
 
-Helpers used by every experiment module: driving a world to delivery
-quiescence (repeated inactivity/activation rounds stand in for the
-paper's "periods of inactivity and any number of migrations" that
-eventually trigger redelivery), and plain-text table formatting for the
-benchmark reports.
+Helpers used by every experiment module: the workloads several of them
+share (a per-host periodic issuer, chained requests), driving a world to
+delivery quiescence (repeated inactivity/activation rounds stand in for
+the paper's "periods of inactivity and any number of migrations" that
+eventually trigger redelivery), and the plain-text table each experiment
+builds, with the paper's claims recorded as checks on it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union)
 
 from ..errors import ReproError
+from ..hosts.api import RdpClient
+from ..mobility.activity import ActivityProcess
+from ..mobility.models import ExponentialResidence, RandomNeighborWalk
+from ..sim import PeriodicProcess
 from ..types import MhState
 from ..world import World
 
@@ -27,6 +34,93 @@ def settle_active(world: World) -> None:
 def outstanding_requests(world: World) -> int:
     """Client requests without a result yet, across the whole world."""
     return sum(len(client.outstanding) for client in world.clients.values())
+
+
+def random_walk(world: World, name: str, mean_residence: float) -> None:
+    """Walk host *name* to random neighbour cells, exponential residence."""
+    world.add_mobility(name, RandomNeighborWalk(world.cell_map),
+                       ExponentialResidence(mean_residence))
+
+
+def run_workload(world: World, until: float,
+                 processes: Iterable[Union[PeriodicProcess, ActivityProcess]]
+                 ) -> None:
+    """Run to *until*, then stop the workload and mobility, wake all hosts."""
+    world.run(until=until)
+    for proc in processes:
+        proc.stop()
+    for driver in world.drivers:
+        driver.stop()
+    settle_active(world)
+
+
+def request_totals(world: World) -> Tuple[int, int]:
+    """(requests issued, requests completed) across every client."""
+    clients = world.clients.values()
+    return (sum(len(c.requests) for c in clients),
+            sum(len(c.completed) for c in clients))
+
+
+def seed_totals(run: Callable[[int], Any], seeds: int,
+                fields: Sequence[str]) -> List[int]:
+    """Sum the named fields of ``run(seed)`` over ``range(seeds)``."""
+    results = [run(seed) for seed in range(seeds)]
+    return [sum(getattr(r, name) for r in results) for name in fields]
+
+
+def start_issuer(world: World, client: RdpClient, rng: random.Random,
+                 mean_interarrival: float, until: float, label: str,
+                 payload: Callable[[int], Any] = lambda n: n
+                 ) -> PeriodicProcess:
+    """Issue echo requests from *client* at exponential intervals.
+
+    A request goes out only while the host is active and up to sim time
+    *until*; its payload is ``payload(requests issued so far)``.
+    """
+    def issue() -> None:
+        if world.sim.now > until:
+            return
+        if client.host.state is MhState.ACTIVE:
+            client.request("echo", payload(len(client.requests)))
+    proc = PeriodicProcess(
+        world.sim, issue, lambda: rng.expovariate(1.0 / mean_interarrival),
+        label=label)
+    proc.start()
+    return proc
+
+
+def request_chain(client: RdpClient, limit: int,
+                  before: Optional[Callable[[], None]] = None
+                  ) -> Callable[..., None]:
+    """A result callback keeping one echo request of *client* in flight.
+
+    Each call (the first one starts the chain) runs *before*, then issues
+    the next request unless *limit* have been issued.
+    """
+    def chain(_payload: Any = None) -> None:
+        if before is not None:
+            before()
+        if len(client.requests) >= limit:
+            return
+        client.request("echo", len(client.requests), on_result=chain)
+    return chain
+
+
+def start_chains(world: World, n_hosts: int, requests_per_host: int,
+                 mean_residence: float) -> None:
+    """Random-walking hosts, each chaining *requests_per_host* requests.
+
+    Every result forward races against mobility.  Client retries cover
+    reliable *request* sending (QRPC's role in the paper's system,
+    Section 4): a request uplinked during a hand-off can be dropped
+    before reaching any proxy, which RDP by design does not recover.
+    """
+    for i in range(n_hosts):
+        name = f"mh{i}"
+        client = world.add_host(name, world.cells[i % len(world.cells)],
+                                retry_interval=5.0)
+        random_walk(world, name, mean_residence)
+        world.sim.schedule(0.1, request_chain(client, requests_per_host))
 
 
 def drain(world: World, max_rounds: int = 60, round_window: float = 30.0) -> int:
@@ -66,6 +160,13 @@ def drain(world: World, max_rounds: int = 60, round_window: float = 30.0) -> int
     return rounds
 
 
+class Check(NamedTuple):
+    """One paper claim, stated over an experiment's own output."""
+
+    statement: str
+    holds: bool
+
+
 @dataclass
 class Table:
     """A printable experiment table (one per paper artifact)."""
@@ -74,6 +175,8 @@ class Table:
     columns: Sequence[str]
     rows: List[Sequence[Any]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    charts: List[str] = field(default_factory=list)
+    checks: List[Check] = field(default_factory=list)
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.columns):
@@ -81,42 +184,20 @@ class Table:
                 f"row has {len(values)} values for {len(self.columns)} columns")
         self.rows.append(values)
 
+    def check(self, statement: str, holds: bool) -> None:
+        """Record whether a claim holds; never raises and never renders
+        (``run`` and ``report`` exit 1 on a false one)."""
+        self.checks.append(Check(statement, bool(holds)))
+
     def render(self) -> str:
-        def fmt(value: Any) -> str:
-            if isinstance(value, float):
-                return f"{value:.4g}"
-            return str(value)
-
         header = [str(c) for c in self.columns]
-        body = [[fmt(v) for v in row] for row in self.rows]
-        widths = [len(h) for h in header]
-        for row in body:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [self.title, "=" * len(self.title)]
-        lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in body:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+        body = [[f"{v:.4g}" if isinstance(v, float) else str(v) for v in row]
+                for row in self.rows]
+        widths = [max(map(len, column)) for column in zip(header, *body)]
 
-    def to_csv(self) -> str:
-        """Comma-separated rendering (quotes fields containing commas)."""
-        def fmt(value: Any) -> str:
-            text = f"{value:.6g}" if isinstance(value, float) else str(value)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            return text
-
-        lines = [",".join(fmt(c) for c in self.columns)]
-        lines.extend(",".join(fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def dump_tables(tables: Iterable[Table]) -> str:
-    return "\n\n".join(t.render() for t in tables)
+        def line(cells: Sequence[str]) -> str:
+            return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths))
+        lines = [self.title, "=" * len(self.title), line(header),
+                 line(["-" * w for w in widths]), *map(line, body),
+                 *(f"note: {note}" for note in self.notes)]
+        return "\n\n".join(["\n".join(lines), *self.charts])

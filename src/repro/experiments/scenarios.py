@@ -16,15 +16,18 @@ the interleavings are exactly the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..analysis.sequence import ChartEntry, extract_chart, kinds_in_order
+from ..analysis.sequence import (
+    ChartEntry, extract_chart, kinds_in_order, render_chart,
+    subsequence_present)
 from ..config import LatencySpec, WorldConfig
 from ..net.latency import ConstantLatency
 from ..servers.echo import EchoServer, ManualServer
 from ..servers.multicast import GroupServer
 from ..types import RequestId
 from ..world import World
+from .harness import Check
 
 WIRED = 0.010
 WIRELESS = 0.005
@@ -46,12 +49,22 @@ class ScenarioResult:
     """Outcome of one scripted scenario."""
 
     world: World
+    title: str = ""
     chart: List[ChartEntry] = field(default_factory=list)
     request_ids: Dict[str, RequestId] = field(default_factory=dict)
     facts: Dict[str, object] = field(default_factory=dict)
+    checks: List[Check] = field(default_factory=list)
 
     def kinds(self) -> List[str]:
         return kinds_in_order(self.chart)
+
+    def render(self) -> str:
+        """The message chart under the title; Figure 1, which has no
+        chart, lists its facts."""
+        if self.chart:
+            return render_chart(self.chart, title=self.title)
+        return "\n".join([self.title, "=" * 48] + [
+            f"{key}: {value}" for key, value in self.facts.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +116,8 @@ def run_fig1() -> ScenarioResult:
     world.run_until_idle()
     assert all(p.done for p in flush)
 
-    result = ScenarioResult(world=world)
+    result = ScenarioResult(
+        world=world, title="FIG1: 3 MSSs, 5 MHs, roaming query + mcast(1,4,5)")
     result.request_ids = {k: p.request_id for k, p in issued.items()}
     result.facts = {
         "query_done": issued["query"].done,
@@ -116,6 +130,13 @@ def run_fig1() -> ScenarioResult:
         "mh1_final_cell": world.hosts["mh1"].current_cell,
         "live_proxies": world.live_proxy_count(),
     }
+    facts = result.facts
+    result.checks = [
+        Check("the roaming query completes", bool(facts["query_done"])),
+        Check("mcast reaches mh1, mh4, mh5",
+              facts["mcast_receivers"] == ["mh1", "mh4", "mh5"]),
+        Check("no proxy outlives the run", facts["live_proxies"] == 0),
+    ]
     return result
 
 
@@ -165,6 +186,7 @@ def run_fig3() -> ScenarioResult:
     pending = issued["req"]
     chart = extract_chart(world.recorder, kinds=set(FIG3_EXPECTED_KINDS))
     result = ScenarioResult(world=world, chart=chart,
+                            title="FIG3: single request, two migrations",
                             request_ids={"req": pending.request_id})
     result.facts = {
         "done": pending.done,
@@ -175,6 +197,12 @@ def run_fig3() -> ScenarioResult:
         "live_proxies": world.live_proxy_count(),
         "proxies_created": world.metrics.count("proxies_created"),
     }
+    result.checks = [
+        Check("Figure 3's message sequence occurs",
+              subsequence_present(result.kinds(), FIG3_EXPECTED_KINDS)),
+        Check("one retransmission", result.facts["retransmissions"] == 1),
+        Check("no proxy outlives the run", result.facts["live_proxies"] == 0),
+    ]
     return result
 
 
@@ -237,6 +265,7 @@ def run_fig4() -> ScenarioResult:
     chart = extract_chart(world.recorder, kinds=set(FIG4_EXPECTED_KINDS))
     result = ScenarioResult(
         world=world, chart=chart,
+        title="FIG4: multiple requests, RKpR machinery",
         request_ids={k: p.request_id for k, p in issued.items()})
     result.facts = {
         "all_done": all(p.done for p in issued.values()),
@@ -246,4 +275,10 @@ def run_fig4() -> ScenarioResult:
         "live_proxies": world.live_proxy_count(),
         "duplicates_at_mh": host.duplicate_deliveries,
     }
+    result.checks = [
+        Check("Figure 4's message sequence occurs",
+              subsequence_present(result.kinds(), FIG4_EXPECTED_KINDS)),
+        Check("one del-pref notice", result.facts["del_pref_notices"] == 1),
+        Check("no proxy outlives the run", result.facts["live_proxies"] == 0),
+    ]
     return result

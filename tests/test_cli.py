@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cli import DESCRIPTIONS, EXPERIMENTS, main
-
-
-def test_every_experiment_has_a_description():
-    assert set(EXPERIMENTS) == set(DESCRIPTIONS)
+from repro.experiments import cli
+from repro.experiments.cli import EXPERIMENTS, main
+from repro.experiments.harness import Table
 
 
 def test_list_command(capsys):
@@ -76,6 +74,25 @@ def test_report_of_a_subset_splices_into_an_existing_file(tmp_path, capsys):
     assert grown[:2] + [grown[3]] == [head, fig3, an2 + "\n"]  # + separator
     assert grown[4].startswith("fig4 ") and len(grown) == 5
     assert out.read_text().endswith("s_\n")
+
+
+def test_report_exits_1_on_a_false_claim_after_writing(
+        tmp_path, capsys, monkeypatch):
+    def false_an4() -> Table:
+        table = Table(title="AN4: stand-in", columns=["x"])
+        table.add_row(1)
+        table.check("the stand-in bound holds", False)
+        table.check("a true claim is not named", True)
+        return table
+
+    monkeypatch.setitem(EXPERIMENTS, "an4", cli.Experiment(
+        EXPERIMENTS["an4"].description, false_an4))
+    out = tmp_path / "mini.md"
+    assert main(["report", "an4", "--out", str(out)]) == 1
+    assert "AN4: stand-in" in out.read_text()
+    err = capsys.readouterr().err
+    assert "an4: the stand-in bound holds" in err
+    assert "a true claim" not in err
 
 
 def test_bench_smoke_writes_schema_and_is_deterministic(tmp_path, capsys):
