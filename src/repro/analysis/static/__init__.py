@@ -14,48 +14,31 @@ Entry points: :func:`run_analysis` (programmatic),
 """
 
 from .baseline import (
-    BaselineComparison,
     compare,
     load_baseline,
     load_justifications,
     save_baseline,
     unjustified,
 )
-from .dataflow import CallGraph, ClassIndex, Inferred, TypeEnv
-from .engine import RULES, AnalysisResult, rule_ids, run_analysis
-from .model import Finding, SourceFile, SourceTree, Suppression
-from .ownership import FileClassification, classify_path
-from .protocol_model import ProtocolModel, build_protocol_model
-from .report import render_findings, render_json, render_result, render_sarif
-from .shard_rules import SHARD_RULES, run_shard_rules
+from .engine import RULES, rule_ids, run_analysis
+from .model import SourceTree
+from .ownership import classify_path
+from .protocol_model import build_protocol_model
+from .report import render_json, render_result, render_sarif
 
 __all__ = [
-    "AnalysisResult",
-    "BaselineComparison",
-    "CallGraph",
-    "ClassIndex",
-    "FileClassification",
-    "Finding",
-    "Inferred",
-    "ProtocolModel",
     "RULES",
-    "SHARD_RULES",
-    "SourceFile",
     "SourceTree",
-    "Suppression",
-    "TypeEnv",
     "build_protocol_model",
     "classify_path",
     "compare",
     "load_baseline",
     "load_justifications",
-    "render_findings",
     "render_json",
     "render_result",
     "render_sarif",
     "rule_ids",
     "run_analysis",
-    "run_shard_rules",
     "save_baseline",
     "unjustified",
 ]

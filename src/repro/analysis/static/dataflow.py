@@ -1,10 +1,11 @@
 """Dataflow engine: class index, type inference, attribute-aware calls.
 
-The protocol passes (PR 2) resolve calls by bare name, which is enough
-to chase ack obligations but far too coarse to reason about *which
-object* a statement touches.  The shard-safety rules (:mod:`.shard_rules`)
-need exactly that, so this module adds three capabilities on top of the
-parsed :class:`~repro.analysis.static.model.SourceTree`:
+The protocol passes resolve calls by bare name, which is enough to
+chase ack obligations but far too coarse to reason about *which object*
+a statement touches.  The shard-safety rules (:mod:`.shard_rules`) need
+exactly that, so this module adds three capabilities to the program
+model (:class:`~repro.analysis.static.model.SourceTree`, which builds
+the class index and one type environment per function, once):
 
 * a **class index** over the whole tree: for every class, the attribute
   types and method return types recoverable from annotations (constructor
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .model import SourceFile, SourceTree
+from .model import SourceFile, SourceTree, base_name
 from .ownership import BOUNDARY_CLASSES, classify_path
 
 #: Dict-like accessors that yield one element of a container.
@@ -63,24 +64,16 @@ class Inferred:
 
 def parse_annotation(node: Optional[ast.expr]) -> Optional[Inferred]:
     """Best-effort class name from an annotation expression."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Name):
-        return Inferred(node.id)
-    if isinstance(node, ast.Attribute):
-        return Inferred(node.attr)
+    name = base_name(node)
+    if name is not None:
+        return Inferred(name)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         try:
             return parse_annotation(ast.parse(node.value, mode="eval").body)
         except SyntaxError:
             return None
     if isinstance(node, ast.Subscript):
-        head = node.value
-        name = None
-        if isinstance(head, ast.Name):
-            name = head.id
-        elif isinstance(head, ast.Attribute):
-            name = head.attr
+        name = base_name(node.value)
         args: List[ast.expr] = []
         if isinstance(node.slice, ast.Tuple):
             args = list(node.slice.elts)
@@ -122,19 +115,11 @@ class ClassInfo:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
 
 
-def _base_names(node: ast.ClassDef) -> Tuple[str, ...]:
-    names: List[str] = []
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return tuple(names)
-
-
-def _collect_class(node: ast.ClassDef, rel: str) -> ClassInfo:
-    info = ClassInfo(name=node.name, rel=rel, node=node,
-                     bases=_base_names(node))
+def _collect_class(tree: SourceTree, node: ast.ClassDef,
+                   rel: str) -> ClassInfo:
+    bases = tuple(name for name in map(base_name, node.bases)
+                  if name is not None)
+    info = ClassInfo(name=node.name, rel=rel, node=node, bases=bases)
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             inferred = parse_annotation(stmt.annotation)
@@ -151,7 +136,7 @@ def _collect_class(node: ast.ClassDef, rel: str) -> ClassInfo:
             inferred = parse_annotation(arg.annotation)
             if inferred is not None:
                 params[arg.arg] = inferred
-        for stmt in ast.walk(method):
+        for stmt in tree.walk(method):
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
             annotation: Optional[ast.expr] = None
@@ -182,9 +167,8 @@ class ClassIndex:
     def __init__(self, tree: SourceTree) -> None:
         self.classes: Dict[str, ClassInfo] = {}
         for src in tree:
-            for node in ast.walk(src.tree):
-                if isinstance(node, ast.ClassDef):
-                    self.classes[node.name] = _collect_class(node, src.rel)
+            for node in src.nodes(ast.ClassDef):
+                self.classes[node.name] = _collect_class(tree, node, src.rel)
 
     def mro(self, name: str) -> List[ClassInfo]:
         """The known ancestor chain (self first), cycle-safe."""
@@ -240,11 +224,12 @@ class ClassIndex:
 
 
 class TypeEnv:
-    """Inferred classes of local names inside one function."""
+    """Inferred classes of local names inside one function (built by
+    :meth:`SourceTree.type_env`, once per function)."""
 
-    def __init__(self, index: ClassIndex, func: ast.FunctionDef,
+    def __init__(self, tree: SourceTree, func: ast.FunctionDef,
                  enclosing_class: Optional[str] = None) -> None:
-        self.index = index
+        self.index = tree.class_index
         self.vars: Dict[str, Inferred] = {}
         if enclosing_class is not None:
             self.vars["self"] = Inferred(enclosing_class)
@@ -255,9 +240,12 @@ class TypeEnv:
                 self.vars[arg.arg] = inferred
         # Bounded fixpoint over assignments so chains (a = self.d.get(k);
         # b = a) resolve without statement ordering bookkeeping.
+        bindings = [node for node in tree.walk(func) if isinstance(
+            node, (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.For,
+                   ast.comprehension))]
         for _ in range(3):
             changed = False
-            for node in ast.walk(func):
+            for node in bindings:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                         and isinstance(node.targets[0], ast.Name):
                     changed |= self._bind(node.targets[0].id,
@@ -348,34 +336,41 @@ class TypeEnv:
 GraphKey = Tuple[str, str]
 
 
+def functions(src: SourceFile) -> Iterator[Tuple[ast.FunctionDef,
+                                                 Optional[str], str]]:
+    """(function node, enclosing class name, qualname) of every
+    module-level function and method of a module-level class."""
+    for node in src.tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node, None, node.name
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    yield stmt, node.name, f"{node.name}.{stmt.name}"
+
+
 class CallGraph:
     """Attribute-aware call graph over a whole tree."""
 
-    def __init__(self, tree: SourceTree, index: ClassIndex) -> None:
-        self.index = index
+    def __init__(self, tree: SourceTree) -> None:
+        self.tree = tree
+        self.index = tree.class_index
         self.edges: Dict[GraphKey, Set[GraphKey]] = {}
         self.nodes: Set[GraphKey] = set()
         for src in tree:
-            self._add_file(src)
-
-    def _add_file(self, src: SourceFile) -> None:
-        for node in src.tree.body:
-            if isinstance(node, ast.FunctionDef):
-                self._add_function(src, node, None)
-            elif isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.FunctionDef):
-                        self._add_function(src, stmt, node.name)
+            module_functions = {n.name for n in src.tree.body
+                                if isinstance(n, ast.FunctionDef)}
+            for func, cls, qual in functions(src):
+                self._add_function(src, func, cls, qual, module_functions)
 
     def _add_function(self, src: SourceFile, func: ast.FunctionDef,
-                      cls: Optional[str]) -> None:
-        key: GraphKey = (src.rel, f"{cls}.{func.name}" if cls else func.name)
+                      cls: Optional[str], qual: str,
+                      module_functions: Set[str]) -> None:
+        key: GraphKey = (src.rel, qual)
         self.nodes.add(key)
         targets = self.edges.setdefault(key, set())
-        env = TypeEnv(self.index, func, enclosing_class=cls)
-        module_functions = {n.name for n in src.tree.body
-                            if isinstance(n, ast.FunctionDef)}
-        for call in ast.walk(func):
+        env = self.tree.type_env(func, cls)
+        for call in self.tree.walk(func):
             if not isinstance(call, ast.Call):
                 continue
             callee = call.func
@@ -404,20 +399,18 @@ class CallGraph:
             frontier.extend(self.edges.get(current, ()))
         return seen
 
-    def handler_roots(self, tree: SourceTree) -> Set[GraphKey]:
+    def handler_roots(self) -> Set[GraphKey]:
         """Methods of classes living in component or channel files: the
         code that runs inside a shard at simulation time."""
         roots: Set[GraphKey] = set()
-        for src in tree:
+        for src in self.tree:
             role = classify_path(src.rel).role
             if role not in ("component", "channel"):
                 continue
-            for node in ast.walk(src.tree):
-                if isinstance(node, ast.ClassDef):
-                    for stmt in node.body:
-                        if isinstance(stmt, ast.FunctionDef):
-                            roots.add((src.rel,
-                                       f"{node.name}.{stmt.name}"))
+            for node in src.nodes(ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        roots.add((src.rel, f"{node.name}.{stmt.name}"))
         return roots
 
 

@@ -34,9 +34,9 @@ exemption honest on its side by routing all wall-clock reads through
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple, TypeGuard
 
-from .model import Finding, SourceFile, SourceTree
+from .model import Finding, SourceFile, SourceTree, base_name
 
 _WALLCLOCK_CALLS = {
     ("time", "time"), ("time", "time_ns"), ("time", "monotonic"),
@@ -79,39 +79,22 @@ def _dotted(node: ast.expr) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _module_aliases(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, Tuple[str, str]]]:
-    """(module alias -> module name, bare name -> (module, original name))."""
-    modules: Dict[str, str] = {}
-    names: Dict[str, Tuple[str, str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                modules[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module is not None:
-            for alias in node.names:
-                names[alias.asname or alias.name] = (node.module, alias.name)
-    return modules, names
-
-
 def rule_wallclock(tree: SourceTree) -> List[Finding]:
     """DET001: wall-clock access in simulator code."""
     findings: List[Finding] = []
     for src in tree:
         if _exempt(src):
             continue
-        modules, names = _module_aliases(src.tree)
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in src.nodes(ast.Call):
             target: Optional[Tuple[str, str]] = None
             dotted = _dotted(node.func)
             if dotted is not None and len(dotted) >= 2:
-                head = modules.get(dotted[0], dotted[0]).split(".")[-1]
+                head = src.modules.get(dotted[0], dotted[0]).split(".")[-1]
                 target = (dotted[-2] if len(dotted) > 2 else head, dotted[-1])
             elif isinstance(node.func, ast.Name):
-                origin = names.get(node.func.id)
-                if origin is not None:
-                    target = (origin[0].split(".")[-1], origin[1])
+                module, name = src.names.get(node.func.id, (None, ""))
+                if module is not None:
+                    target = (module.split(".")[-1], name)
             if target in _WALLCLOCK_CALLS:
                 findings.append(src.finding(
                     "DET001", node.lineno,
@@ -128,12 +111,9 @@ def rule_unseeded_random(tree: SourceTree) -> List[Finding]:
     for src in tree:
         if _exempt(src):
             continue
-        modules, names = _module_aliases(src.tree)
-        random_aliases = {alias for alias, mod in modules.items()
+        random_aliases = {alias for alias, mod in src.modules.items()
                           if mod == "random"}
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in src.nodes(ast.Call):
             if (isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in random_aliases):
@@ -152,7 +132,7 @@ def rule_unseeded_random(tree: SourceTree) -> List[Finding]:
                         "clock",
                         "pass an explicit seed or use RngStreams"))
             elif isinstance(node.func, ast.Name):
-                origin = names.get(node.func.id)
+                origin = src.names.get(node.func.id)
                 if origin == ("random", "Random") and not node.args \
                         and not node.keywords:
                     findings.append(src.finding(
@@ -170,37 +150,20 @@ def rule_unseeded_random(tree: SourceTree) -> List[Finding]:
     return findings
 
 
-def _enclosing_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    return parents
-
-
 def rule_id_hash(tree: SourceTree) -> List[Finding]:
     """DET003: id()/hash() values leaking into behaviour."""
     findings: List[Finding] = []
     for src in tree:
         if _exempt(src):
             continue
-        parents = _enclosing_map(src.tree)
-
-        def _inside_dunder_hash(node: ast.AST) -> bool:
-            cursor: Optional[ast.AST] = node
-            while cursor is not None:
-                if (isinstance(cursor, ast.FunctionDef)
-                        and cursor.name in ("__hash__", "__eq__")):
-                    return True
-                cursor = parents.get(cursor)
-            return False
-
-        for node in ast.walk(src.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
+        for node in src.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Name)
                     and node.func.id in ("id", "hash")):
                 continue
-            if node.func.id == "hash" and _inside_dunder_hash(node):
+            if node.func.id == "hash" and any(
+                    isinstance(up, ast.FunctionDef)
+                    and up.name in ("__hash__", "__eq__")
+                    for up in src.ancestors(node)):
                 continue  # defining __hash__ in terms of hash() is fine
             findings.append(src.finding(
                 "DET003", node.lineno,
@@ -210,81 +173,60 @@ def rule_id_hash(tree: SourceTree) -> List[Finding]:
     return findings
 
 
-class _SetAttrCollector(ast.NodeVisitor):
-    """Attributes of a class that are known to hold sets."""
+_SET_TYPES = ("Set", "set", "FrozenSet", "frozenset", "MutableSet")
 
-    def __init__(self) -> None:
-        self.set_attrs: Set[str] = set()
 
-    @staticmethod
-    def _is_set_annotation(node: Optional[ast.expr]) -> bool:
-        if node is None:
-            return False
-        name = None
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value.split("[")[0].strip()
-        return name in ("Set", "set", "FrozenSet", "frozenset", "MutableSet")
+def _is_set_annotation(node: Optional[ast.expr]) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.split("[")[0].strip() in _SET_TYPES
+    return base_name(node) in _SET_TYPES
 
-    @staticmethod
-    def _is_set_value(node: Optional[ast.expr]) -> bool:
-        if isinstance(node, ast.Set):
+
+def _is_set_value(node: Optional[ast.expr]) -> bool:
+    if isinstance(node, ast.Set):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("set", "frozenset"):
             return True
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id in (
-                    "set", "frozenset"):
-                return True
-            # dataclasses.field(default_factory=set)
-            if isinstance(node.func, ast.Name) and node.func.id == "field":
-                for kw in node.keywords:
-                    if (kw.arg == "default_factory"
-                            and isinstance(kw.value, ast.Name)
-                            and kw.value.id in ("set", "frozenset")):
-                        return True
-        return False
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        target = node.target
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            name = target.attr
-        if name is not None and (self._is_set_annotation(node.annotation)
-                                 or self._is_set_value(node.value)):
-            self.set_attrs.add(name)
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._is_set_value(node.value):
-            for target in node.targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    self.set_attrs.add(target.attr)
-        self.generic_visit(node)
-
-
-def _loop_has_effects(loop: ast.For) -> bool:
-    for node in ast.walk(loop):
-        if node is loop:
-            continue
-        if isinstance(node, ast.Call):
-            name = None
-            if isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                name = node.func.id
-            if name in _EFFECT_CALLS:
-                return True
+        # dataclasses.field(default_factory=set)
+        if node.func.id == "field":
+            for kw in node.keywords:
+                if (kw.arg == "default_factory"
+                        and isinstance(kw.value, ast.Name)
+                        and kw.value.id in ("set", "frozenset")):
+                    return True
     return False
+
+
+def _is_self_attr(node: ast.expr) -> TypeGuard[ast.Attribute]:
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _set_attrs(src: SourceFile) -> Set[str]:
+    """Names bound to a set anywhere in the file: annotated names and
+    ``self`` attributes, and ``self`` attributes assigned a set value."""
+    found: Set[str] = set()
+    for node in src.nodes(ast.AnnAssign):
+        target = node.target
+        name = target.id if isinstance(target, ast.Name) else (
+            target.attr if _is_self_attr(target) else None)
+        if name is not None and (_is_set_annotation(node.annotation)
+                                 or _is_set_value(node.value)):
+            found.add(name)
+    for assign in src.nodes(ast.Assign):
+        if _is_set_value(assign.value):
+            found.update(target.attr for target in assign.targets
+                         if _is_self_attr(target))
+    return found
+
+
+def _loop_has_effects(tree: SourceTree, loop: ast.For) -> bool:
+    return any(isinstance(node, ast.Call)
+               and base_name(node.func) in _EFFECT_CALLS
+               for node in tree.walk(loop) if node is not loop)
 
 
 def rule_set_iteration(tree: SourceTree) -> List[Finding]:
@@ -296,41 +238,30 @@ def rule_set_iteration(tree: SourceTree) -> List[Finding]:
         # Per-file over-approximation: any attribute name bound to a set
         # anywhere in the file counts.  Locals bound to ``set()`` or set
         # literals are tracked per enclosing function.
-        collector = _SetAttrCollector()
-        collector.visit(src.tree)
-        set_attrs = collector.set_attrs
-
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
+        set_attrs = _set_attrs(src)
+        for func in src.nodes(ast.FunctionDef):
+            body = tree.walk(func)
             local_sets: Set[str] = set()
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Assign):
-                    if (_SetAttrCollector._is_set_value(stmt.value)
-                            or isinstance(stmt.value, ast.SetComp)):
-                        for target in stmt.targets:
-                            if isinstance(target, ast.Name):
-                                local_sets.add(target.id)
-            for loop in ast.walk(node):
+            for stmt in body:
+                if isinstance(stmt, ast.Assign) and (
+                        _is_set_value(stmt.value)
+                        or isinstance(stmt.value, ast.SetComp)):
+                    local_sets.update(target.id for target in stmt.targets
+                                      if isinstance(target, ast.Name))
+            for loop in body:
                 if not isinstance(loop, ast.For):
                     continue
                 iter_expr = loop.iter
-                is_set = False
-                if isinstance(iter_expr, (ast.Set, ast.SetComp)):
-                    is_set = True
-                elif (isinstance(iter_expr, ast.Call)
+                is_set = (
+                    isinstance(iter_expr, (ast.Set, ast.SetComp))
+                    or (isinstance(iter_expr, ast.Call)
                         and isinstance(iter_expr.func, ast.Name)
-                        and iter_expr.func.id in ("set", "frozenset")):
-                    is_set = True
-                elif (isinstance(iter_expr, ast.Name)
-                        and iter_expr.id in local_sets):
-                    is_set = True
-                elif (isinstance(iter_expr, ast.Attribute)
-                        and isinstance(iter_expr.value, ast.Name)
-                        and iter_expr.value.id == "self"
-                        and iter_expr.attr in set_attrs):
-                    is_set = True
-                if is_set and _loop_has_effects(loop):
+                        and iter_expr.func.id in ("set", "frozenset"))
+                    or (isinstance(iter_expr, ast.Name)
+                        and iter_expr.id in local_sets)
+                    or (_is_self_attr(iter_expr)
+                        and iter_expr.attr in set_attrs))
+                if is_set and _loop_has_effects(tree, loop):
                     findings.append(src.finding(
                         "DET004", loop.lineno,
                         "iteration over a set drives sends/records/"

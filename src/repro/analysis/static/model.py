@@ -1,11 +1,15 @@
-"""Shared data model of the static analyzer.
+"""The one program model every rule family reads.
 
 A run parses every ``*.py`` file under one root directory into a
-:class:`SourceTree`, collects ``# repro: allow[...]`` suppressions, and
-hands the tree to the rule passes (:mod:`.protocol_rules`,
-:mod:`.determinism_rules`).  Findings are plain values: rule id, file,
-line, message, fix hint — everything the reporter and the baseline
-ratchet need.
+:class:`SourceTree`.  Each :class:`SourceFile` is walked once at parse
+time, which yields its node-by-type index (in ``ast.walk`` order), its
+parent map and its import tables; the tree adds the whole-tree facts
+(the :class:`~.dataflow.ClassIndex`, one :class:`~.dataflow.TypeEnv` per
+function, memoised subtree walks), each built on first use.  The rule
+passes (:mod:`.protocol_rules`, :mod:`.determinism_rules`,
+:mod:`.shard_rules`) only read this model.  Findings are plain values:
+rule id, file, line, message, fix hint — everything the reporter and
+the baseline ratchet need.
 """
 
 from __future__ import annotations
@@ -14,9 +18,17 @@ import ast
 import io
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
+                    List, Optional, Tuple, Type, TypeVar, cast)
+
+if TYPE_CHECKING:
+    from .dataflow import ClassIndex, TypeEnv
+
+_T = TypeVar("_T")
+_N = TypeVar("_N", bound=ast.AST)
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")
 
@@ -25,6 +37,8 @@ def _comment_suppressions(rel: str, text: str) -> List["Suppression"]:
     """Suppressions from real ``#`` comments only (tokenized, so the
     syntax can be *mentioned* in docstrings without tripping SUP001)."""
     found: List[Suppression] = []
+    if _ALLOW_RE.search(text) is None:
+        return found  # no comment can match either: skip tokenizing
     try:
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         for tok in tokens:
@@ -72,9 +86,19 @@ class Suppression:
     used: bool = False
 
 
+def base_name(node: Optional[ast.AST]) -> Optional[str]:
+    """The last name of ``a`` or ``a.b.c``, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 @dataclass
 class SourceFile:
-    """One parsed source file plus its suppression comments."""
+    """One parsed source file: its AST, its suppression comments, and
+    the facts one walk of the AST gives."""
 
     path: Path
     rel: str
@@ -82,15 +106,57 @@ class SourceFile:
     lines: List[str]
     tree: ast.Module
     suppressions: List[Suppression] = field(default_factory=list)
+    #: Every node in ``ast.walk`` order.
+    walked: List[ast.AST] = field(default_factory=list)
+    #: Node type -> the nodes of exactly that type, in ``ast.walk`` order.
+    by_type: Dict[Type[ast.AST], List[ast.AST]] = field(default_factory=dict)
+    parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
+    #: ``import a.b as m``: local module alias -> module name.
+    modules: Dict[str, str] = field(default_factory=dict)
+    #: ``from m import n as k``: local name -> (module, original name);
+    #: the module is None for ``from . import n``.
+    names: Dict[str, Tuple[Optional[str], str]] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: Path, root: Path) -> "SourceFile":
         text = path.read_text(encoding="utf-8")
         rel = path.relative_to(root).as_posix()
-        lines = text.splitlines()
-        tree = ast.parse(text, filename=str(path))
-        return cls(path=path, rel=rel, text=text, lines=lines, tree=tree,
-                   suppressions=_comment_suppressions(rel, text))
+        src = cls(path=path, rel=rel, text=text, lines=text.splitlines(),
+                  tree=ast.parse(text, filename=str(path)),
+                  suppressions=_comment_suppressions(rel, text))
+        todo: Deque[ast.AST] = deque([src.tree])  # ast.walk's order
+        while todo:
+            node = todo.popleft()
+            src.walked.append(node)
+            src.by_type.setdefault(type(node), []).append(node)
+            for child in ast.iter_child_nodes(node):
+                src.parents[child] = node
+                todo.append(child)
+        for imp in src.nodes(ast.Import):
+            for alias in imp.names:
+                src.modules[alias.asname or alias.name] = alias.name
+        for imp in src.nodes(ast.ImportFrom):
+            for alias in imp.names:
+                src.names[alias.asname or alias.name] = (imp.module,
+                                                         alias.name)
+        return src
+
+    def nodes(self, node_type: Type[_N]) -> List[_N]:
+        """The nodes of exactly this type, in ``ast.walk`` order."""
+        return cast(List[_N], self.by_type.get(node_type, []))
+
+    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
+        """*node*, its parent, and so on up to the module."""
+        cursor: Optional[ast.AST] = node
+        while cursor is not None:
+            yield cursor
+            cursor = self.parents.get(cursor)
+
+    def original_name(self, name: str) -> str:
+        """The imported name a local alias stands for, else *name*
+        (``from .message import Message as _Message``)."""
+        origin = self.names.get(name)
+        return origin[1] if origin is not None else name
 
     def context_of(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -105,11 +171,37 @@ class SourceFile:
 
 @dataclass
 class SourceTree:
-    """Every parseable python file under one root directory."""
+    """Every parseable python file under one root directory, plus the
+    whole-tree facts the rules share, each built once on first use."""
 
     root: Path
     files: List[SourceFile]
     unparseable: List[Tuple[str, str]] = field(default_factory=list)
+    _memo: Dict[Tuple[str, int], Any] = field(default_factory=dict,
+                                              repr=False)
+
+    def _once(self, what: str, node: Any, build: Callable[[], _T]) -> _T:
+        # In-process memo key only; the value never reaches output.
+        key = (what, id(node))  # repro: allow[DET003]
+        if key not in self._memo:
+            self._memo[key] = build()
+        return cast(_T, self._memo[key])
+
+    @property
+    def class_index(self) -> "ClassIndex":
+        from . import dataflow
+        return self._once("classes", self, lambda: dataflow.ClassIndex(self))
+
+    def type_env(self, func: ast.FunctionDef,
+                 enclosing_class: Optional[str]) -> "TypeEnv":
+        """The one :class:`~.dataflow.TypeEnv` of *func*."""
+        from . import dataflow
+        return self._once("env", func, lambda: dataflow.TypeEnv(
+            self, func, enclosing_class))
+
+    def walk(self, node: ast.AST) -> List[ast.AST]:
+        """``list(ast.walk(node))`` for a subtree, computed once."""
+        return self._once("walk", node, lambda: list(ast.walk(node)))
 
     @classmethod
     def load(cls, root: Path) -> "SourceTree":

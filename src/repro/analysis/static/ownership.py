@@ -64,10 +64,6 @@ class FileClassification:
     role: str
     component: Optional[str] = None  # set iff role == ROLE_COMPONENT
 
-    @property
-    def is_component(self) -> bool:
-        return self.role == ROLE_COMPONENT
-
 
 #: Ordered (prefix, role, component) rules; first match wins.  Paths are
 #: relative to the scan root (the ``repro`` package) with posix

@@ -1,6 +1,7 @@
 """Whole-tree protocol extraction.
 
-Walks every file's AST once and produces a :class:`ProtocolModel`:
+Reads every file's node index (:mod:`.model`) and produces a
+:class:`ProtocolModel`:
 
 * every :class:`~repro.net.message.Message` subclass with its ``kind``
   string and resolved field/method surface (inheritance followed through
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .model import SourceFile, SourceTree
+from .model import SourceFile, SourceTree, base_name
 
 #: Fields every message inherits from the Message root.
 BASE_MESSAGE_FIELDS = {"msg_id", "src", "dst", "kind"}
@@ -153,35 +154,11 @@ class ProtocolModel:
 # extraction
 # --------------------------------------------------------------------------
 
-def _base_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local alias -> original imported name (``Message as _Message``)."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = alias.name
-    return aliases
-
-
 def _annotation_name(node: Optional[ast.expr]) -> Optional[str]:
     """Class name out of a parameter annotation (incl. string form)."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value.strip("'\"").split(".")[-1]
-    return None
+    return base_name(node)
 
 
 @dataclass
@@ -195,13 +172,12 @@ class _RawClass:
     methods: Set[str]
 
 
-def _scan_class(node: ast.ClassDef, rel: str,
-                aliases: Dict[str, str]) -> _RawClass:
+def _scan_class(node: ast.ClassDef, src: SourceFile) -> _RawClass:
     bases = []
     for base in node.bases:
-        name = _base_name(base)
+        name = base_name(base)
         if name is not None:
-            bases.append(aliases.get(name, name))
+            bases.append(src.original_name(name))
     kind: Optional[str] = None
     own_fields: Set[str] = set()
     methods: Set[str] = set()
@@ -225,7 +201,7 @@ def _scan_class(node: ast.ClassDef, rel: str,
                         own_fields.add(target.id)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.add(stmt.name)
-    return _RawClass(name=node.name, rel=rel, line=node.lineno,
+    return _RawClass(name=node.name, rel=src.rel, line=node.lineno,
                      bases=tuple(bases), kind=kind,
                      own_fields=own_fields, methods=methods)
 
@@ -270,35 +246,31 @@ def _message_closure(raw: Dict[str, _RawClass]) -> Dict[str, MessageClass]:
     return classes
 
 
-class _FunctionScanner(ast.NodeVisitor):
-    """Collects refs and message constructions inside one function body."""
-
-    def __init__(self, class_names: Set[str], aliases: Dict[str, str]) -> None:
-        self.class_names = class_names
-        self.aliases = aliases
-        self.refs: Set[str] = set()
-        self.constructs: Set[str] = set()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = _base_name(node.func)
-        if name is not None:
-            resolved = self.aliases.get(name, name)
-            if resolved in self.class_names:
-                self.constructs.add(resolved)
-            else:
-                self.refs.add(name)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.refs.add(node.attr)
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # Nested defs are separate functions; skip their bodies here.
-        self.refs.add(node.name)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+def _scan_function(node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+                   src: SourceFile, class_names: Set[str]) -> FunctionInfo:
+    """The refs and message constructions inside one function body."""
+    info = FunctionInfo(name=node.name, rel=src.rel, line=node.lineno,
+                        node=node)
+    todo: List[ast.AST] = list(node.body)
+    while todo:
+        child = todo.pop()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Nested defs are separate functions; skip their bodies here.
+            info.refs.add(child.name)
+            continue
+        if isinstance(child, ast.Call):
+            name = base_name(child.func)
+            if name is not None:
+                resolved = src.original_name(name)
+                if resolved in class_names:
+                    info.constructs.add(resolved)
+                else:
+                    info.refs.add(name)
+        elif isinstance(child, ast.Attribute) \
+                and isinstance(child.ctx, ast.Load):
+            info.refs.add(child.attr)
+        todo.extend(ast.iter_child_nodes(child))
+    return info
 
 
 def _self_method_refs(body: List[ast.stmt]) -> Set[str]:
@@ -313,7 +285,7 @@ def _self_method_refs(body: List[ast.stmt]) -> Set[str]:
     return refs
 
 
-def _isinstance_classes(test: ast.expr, aliases: Dict[str, str],
+def _isinstance_classes(test: ast.expr, src: SourceFile,
                         class_names: Set[str]) -> List[Tuple[str, int]]:
     """Message classes named by isinstance() calls inside a test expr."""
     found: List[Tuple[str, int]] = []
@@ -324,98 +296,75 @@ def _isinstance_classes(test: ast.expr, aliases: Dict[str, str],
             names = (list(spec.elts)
                      if isinstance(spec, ast.Tuple) else [spec])
             for name_node in names:
-                name = _base_name(name_node)
+                name = base_name(name_node)
                 if name is None:
                     continue
-                resolved = aliases.get(name, name)
+                resolved = src.original_name(name)
                 if resolved in class_names:
                     found.append((resolved, node.lineno))
     return found
 
 
+def _enclosing_function(src: SourceFile, node: ast.AST) -> Set[str]:
+    """The name of the innermost function around *node*, as a set."""
+    for up in src.ancestors(node):
+        if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return {up.name}
+    return set()
+
+
 def _scan_file(src: SourceFile, class_names: Set[str],
                known_kinds: Set[str], model: ProtocolModel) -> None:
-    aliases = _import_aliases(src.tree)
-
     # Function table (methods resolved by bare name).
-    for node in ast.walk(src.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scanner = _FunctionScanner(class_names, aliases)
-            for stmt in node.body:
-                scanner.visit(stmt)
-            info = FunctionInfo(name=node.name, rel=src.rel, line=node.lineno,
-                                node=node, refs=scanner.refs,
-                                constructs=scanner.constructs)
-            model.functions.setdefault(node.name, []).append(info)
-            for site in _annotation_handler_sites(node, src.rel, aliases,
-                                                  class_names):
-                model.handlers.append(site)
+    for node in src.walked:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        model.functions.setdefault(node.name, []).append(
+            _scan_function(node, src, class_names))
+        model.handlers.extend(
+            _annotation_handler_sites(node, src, class_names))
 
     # Send sites, dispatch dicts, isinstance tests, kind comparisons.
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(src.tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-
-    def _enclosing_function(node: ast.AST) -> Optional[str]:
-        cursor: Optional[ast.AST] = node
-        while cursor is not None:
-            if isinstance(cursor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cursor.name
-            cursor = parents.get(cursor)
-        return None
-
-    for node in ast.walk(src.tree):
+    for node in src.walked:
         if isinstance(node, ast.Call):
-            name = _base_name(node.func)
+            name = base_name(node.func)
             if name is not None:
-                resolved = aliases.get(name, name)
+                resolved = src.original_name(name)
                 if resolved in class_names:
                     model.sends.append(SendSite(cls=resolved, rel=src.rel,
                                                 line=node.lineno))
-        if isinstance(node, ast.Dict):
+        elif isinstance(node, ast.Dict):
             for key, value in zip(node.keys, node.values):
-                if key is None:
+                key_name = base_name(key)
+                if key is None or key_name is None:
                     continue
-                key_name = _base_name(key)
-                if key_name is None:
-                    continue
-                resolved = aliases.get(key_name, key_name)
+                resolved = src.original_name(key_name)
                 if resolved not in class_names:
                     continue
-                funcs: Set[str] = set()
-                value_name = _base_name(value)
-                if value_name is not None:
-                    funcs.add(value_name)
+                value_name = base_name(value)
                 model.handlers.append(HandlerSite(
                     cls=resolved, kind=None, rel=src.rel, line=key.lineno,
-                    via="dict", funcs=funcs))
-        if isinstance(node, ast.If):
-            for resolved, lineno in _isinstance_classes(node.test, aliases,
+                    via="dict",
+                    funcs={value_name} if value_name is not None else set()))
+        elif isinstance(node, ast.If):
+            for resolved, lineno in _isinstance_classes(node.test, src,
                                                         class_names):
-                funcs = _self_method_refs(node.body)
-                enclosing = _enclosing_function(node)
-                if enclosing is not None:
-                    funcs.add(enclosing)
                 model.handlers.append(HandlerSite(
                     cls=resolved, kind=None, rel=src.rel, line=lineno,
-                    via="isinstance", funcs=funcs))
-        if isinstance(node, ast.Compare) and len(node.comparators) == 1:
+                    via="isinstance", funcs=(_self_method_refs(node.body)
+                                             | _enclosing_function(src, node))))
+        elif isinstance(node, ast.Compare) and len(node.comparators) == 1:
             left, right = node.left, node.comparators[0]
-            sides = [(left, right), (right, left)]
-            for attr_side, const_side in sides:
+            for attr_side, const_side in ((left, right), (right, left)):
                 if (isinstance(attr_side, ast.Attribute)
                         and attr_side.attr == "kind"
                         and isinstance(const_side, ast.Constant)
                         and isinstance(const_side.value, str)
                         and const_side.value in known_kinds):
-                    funcs = set()
-                    enclosing = _enclosing_function(node)
-                    if enclosing is not None:
-                        funcs.add(enclosing)
                     model.handlers.append(HandlerSite(
                         cls=None, kind=const_side.value, rel=src.rel,
-                        line=node.lineno, via="kind-compare", funcs=funcs))
+                        line=node.lineno, via="kind-compare",
+                        funcs=_enclosing_function(src, node)))
                     break
 
 
@@ -423,9 +372,9 @@ def _scan_file(src: SourceFile, class_names: Set[str],
 _HANDLER_NAME_PREFIXES = ("on_", "_on_", "handle", "_handle")
 
 
-def _annotation_handler_sites(node: ast.FunctionDef, rel: str,
-                              aliases: Dict[str, str],
-                              class_names: Set[str]) -> List[HandlerSite]:
+def _annotation_handler_sites(
+        node: Union[ast.FunctionDef, ast.AsyncFunctionDef], src: SourceFile,
+        class_names: Set[str]) -> List[HandlerSite]:
     if not node.name.startswith(_HANDLER_NAME_PREFIXES):
         return []
     sites: List[HandlerSite] = []
@@ -433,10 +382,10 @@ def _annotation_handler_sites(node: ast.FunctionDef, rel: str,
         ann = _annotation_name(arg.annotation)
         if ann is None:
             continue
-        resolved = aliases.get(ann, ann)
+        resolved = src.original_name(ann)
         if resolved in class_names and resolved != ROOT_CLASS:
             sites.append(HandlerSite(
-                cls=resolved, kind=None, rel=rel, line=node.lineno,
+                cls=resolved, kind=None, rel=src.rel, line=node.lineno,
                 via="annotation", funcs={node.name}))
     return sites
 
@@ -445,13 +394,11 @@ def build_protocol_model(tree: SourceTree) -> ProtocolModel:
     """Extract the protocol model from a parsed source tree."""
     raw: Dict[str, _RawClass] = {}
     for src in tree:
-        aliases = _import_aliases(src.tree)
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ClassDef):
-                cls = _scan_class(node, src.rel, aliases)
-                # First definition wins (duplicate class names across
-                # modules are rare and reported by the dup-kind rule).
-                raw.setdefault(cls.name, cls)
+        for node in src.nodes(ast.ClassDef):
+            cls = _scan_class(node, src)
+            # First definition wins (duplicate class names across
+            # modules are rare and reported by the dup-kind rule).
+            raw.setdefault(cls.name, cls)
     model = ProtocolModel(classes=_message_closure(raw))
     class_names = set(model.classes)
     known_kinds = {c.kind for c in model.classes.values()

@@ -40,11 +40,10 @@ inference and call graph in :mod:`.dataflow`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .dataflow import CallGraph, ClassIndex, GraphKey, TypeEnv
-from .model import Finding, SourceFile, SourceTree
+from .dataflow import CallGraph, ClassIndex, GraphKey, TypeEnv, functions
+from .model import Finding, SourceFile, SourceTree, base_name
 from .ownership import (
     ALLOWED_REFS,
     HOSTED_BY,
@@ -66,69 +65,24 @@ _MUTATOR_CALLS = _STORE_CALLS | {
 _SHARD_ROLES = (ROLE_COMPONENT, ROLE_CHANNEL, ROLE_KERNEL)
 
 
-@dataclass
-class ShardContext:
-    """Per-tree caches shared by every SHD rule."""
-
-    tree: SourceTree
-    index: ClassIndex
-    graph: Optional[CallGraph] = None
-    _envs: Dict[int, TypeEnv] = field(default_factory=dict)
-
-    def env(self, func: ast.FunctionDef,
-            enclosing_class: Optional[str]) -> TypeEnv:
-        # In-process memo key only; the value never reaches output.
-        key = id(func)  # repro: allow[DET003]
-        if key not in self._envs:
-            self._envs[key] = TypeEnv(self.index, func, enclosing_class)
-        return self._envs[key]
-
-    def call_graph(self) -> CallGraph:
-        if self.graph is None:
-            self.graph = CallGraph(self.tree, self.index)
-        return self.graph
-
-
-def _context(tree: SourceTree) -> ShardContext:
-    cached = getattr(tree, "_shard_context", None)
-    if isinstance(cached, ShardContext):
-        return cached
-    ctx = ShardContext(tree=tree, index=ClassIndex(tree))
-    setattr(tree, "_shard_context", ctx)
-    return ctx
-
-
-def _functions(src: SourceFile) -> Iterator[Tuple[ast.FunctionDef,
-                                                  Optional[str], str]]:
-    """(function node, enclosing class name, qualname) per file."""
-    for node in src.tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node, None, node.name
-        elif isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, ast.FunctionDef):
-                    yield stmt, node.name, f"{node.name}.{stmt.name}"
-
-
-def _boundary_of(ctx: ShardContext, env: TypeEnv,
-                 expr: Optional[ast.expr]) -> Optional[str]:
+def _boundary_of(env: TypeEnv, expr: Optional[ast.expr]) -> Optional[str]:
     """The shard component of *expr*'s inferred type, or None."""
     inferred = env.infer(expr)
     if inferred is None or inferred.container:
         return None
-    return ctx.index.boundary_component(inferred.cls)
+    return env.index.boundary_component(inferred.cls)
 
 
 def _is_self(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Name) and expr.id == "self"
 
 
-def _sanctioned_ref(ctx: ShardContext, enclosing_class: Optional[str],
+def _sanctioned_ref(index: ClassIndex, enclosing_class: Optional[str],
                     attr: str) -> bool:
     """Is (this class or an ancestor, attr) a declared co-location?"""
     if enclosing_class is None:
         return False
-    for info in ctx.index.mro(enclosing_class):
+    for info in index.mro(enclosing_class):
         if (info.name, attr) in ALLOWED_REFS:
             return True
     return (enclosing_class, attr) in ALLOWED_REFS
@@ -154,14 +108,13 @@ def _write_targets(node: ast.stmt) -> Iterator[ast.Attribute]:
 
 def rule_foreign_write(tree: SourceTree) -> List[Finding]:
     """SHD001: attribute write through a boundary-typed expression."""
-    ctx = _context(tree)
     findings: List[Finding] = []
     for src in tree:
         if classify_path(src.rel).role not in _SHARD_ROLES:
             continue
-        for func, cls, _qual in _functions(src):
-            env = ctx.env(func, cls)
-            for stmt in ast.walk(func):
+        for func, cls, _qual in functions(src):
+            env = tree.type_env(func, cls)
+            for stmt in tree.walk(func):
                 if not isinstance(stmt, (ast.Assign, ast.AugAssign,
                                          ast.AnnAssign, ast.Delete)):
                     continue
@@ -169,7 +122,7 @@ def rule_foreign_write(tree: SourceTree) -> List[Finding]:
                     receiver = target.value
                     if _is_self(receiver):
                         continue
-                    component = _boundary_of(ctx, env, receiver)
+                    component = _boundary_of(env, receiver)
                     if component is None:
                         continue
                     findings.append(src.finding(
@@ -182,16 +135,16 @@ def rule_foreign_write(tree: SourceTree) -> List[Finding]:
     return findings
 
 
-def _constructed_class(ctx: ShardContext, call: ast.Call) -> Optional[str]:
+def _constructed_class(index: ClassIndex, call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Name) and call.func.id[:1].isupper():
         name = call.func.id
-        if name in ctx.index.classes or ctx.index.boundary_component(name):
+        if name in index.classes or index.boundary_component(name):
             return name
     return None
 
 
-def _is_message_class(ctx: ShardContext, name: str) -> bool:
-    for info in ctx.index.mro(name):
+def _is_message_class(index: ClassIndex, name: str) -> bool:
+    for info in index.mro(name):
         if "Message" in info.bases or info.name == "Message":
             return True
     return False
@@ -199,25 +152,25 @@ def _is_message_class(ctx: ShardContext, name: str) -> bool:
 
 def rule_foreign_retention(tree: SourceTree) -> List[Finding]:
     """SHD002: boundary-class objects retained across a shard boundary."""
-    ctx = _context(tree)
+    index = tree.class_index
     findings: List[Finding] = []
     for src in tree:
         classification = classify_path(src.rel)
         if classification.role not in _SHARD_ROLES:
             continue
         check_retention = classification.role == ROLE_COMPONENT
-        for func, cls, _qual in _functions(src):
-            env = ctx.env(func, cls)
-            for node in ast.walk(func):
+        for func, cls, _qual in functions(src):
+            env = tree.type_env(func, cls)
+            for node in tree.walk(func):
                 if check_retention and isinstance(node, ast.Assign):
                     for target in node.targets:
                         attr = _retention_slot(target)
                         if attr is None:
                             continue
-                        component = _boundary_of(ctx, env, node.value)
+                        component = _boundary_of(env, node.value)
                         if component is None or _is_self(node.value):
                             continue
-                        if _sanctioned_ref(ctx, cls, attr):
+                        if _sanctioned_ref(index, cls, attr):
                             continue
                         findings.append(src.finding(
                             "SHD002", node.lineno,
@@ -234,10 +187,10 @@ def rule_foreign_retention(tree: SourceTree) -> List[Finding]:
                     if slot is None:
                         continue
                     for arg in node.args:
-                        component = _boundary_of(ctx, env, arg)
+                        component = _boundary_of(env, arg)
                         if component is None or _is_self(arg):
                             continue
-                        if _sanctioned_ref(ctx, cls, slot):
+                        if _sanctioned_ref(index, cls, slot):
                             continue
                         findings.append(src.finding(
                             "SHD002", node.lineno,
@@ -247,21 +200,21 @@ def rule_foreign_retention(tree: SourceTree) -> List[Finding]:
                             "store an id instead, or declare the "
                             "co-location in ownership.ALLOWED_REFS"))
                 elif isinstance(node, ast.Call):
-                    constructed = _constructed_class(ctx, node)
+                    constructed = _constructed_class(index, node)
                     if constructed is None:
                         continue
-                    is_message = _is_message_class(ctx, constructed)
-                    target_component = ctx.index.boundary_component(constructed)
+                    is_message = _is_message_class(index, constructed)
+                    target_component = index.boundary_component(constructed)
                     if not is_message and target_component is None:
                         continue
                     own_component = None
                     if cls is not None:
-                        own_component = ctx.index.boundary_component(cls)
+                        own_component = index.boundary_component(cls)
                     if own_component is None:
                         own_component = classification.component
                     values = list(node.args) + [kw.value for kw in node.keywords]
                     for value in values:
-                        component = _boundary_of(ctx, env, value)
+                        component = _boundary_of(env, value)
                         if component is None:
                             continue
                         if is_message:
@@ -304,10 +257,7 @@ def _module_containers(src: SourceFile) -> Dict[str, int]:
         value = node.value
         is_container = isinstance(value, (ast.Dict, ast.List, ast.Set))
         if isinstance(value, ast.Call):
-            callee = value.func
-            name = callee.id if isinstance(callee, ast.Name) else (
-                callee.attr if isinstance(callee, ast.Attribute) else None)
-            if name in ("dict", "list", "set", "defaultdict", "deque",
+            if base_name(value.func) in ("dict", "list", "set", "defaultdict", "deque",
                         "OrderedDict", "Counter"):
                 is_container = True
         if not is_container:
@@ -318,10 +268,11 @@ def _module_containers(src: SourceFile) -> Dict[str, int]:
     return containers
 
 
-def _mutations_of(func: ast.FunctionDef, names: Set[str]) -> Set[str]:
+def _mutations_of(tree: SourceTree, func: ast.FunctionDef,
+                  names: Set[str]) -> Set[str]:
     """Which module-level container names *func* mutates."""
     mutated: Set[str] = set()
-    for node in ast.walk(func):
+    for node in tree.walk(func):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -347,7 +298,6 @@ def _mutations_of(func: ast.FunctionDef, names: Set[str]) -> Set[str]:
 
 def rule_module_state(tree: SourceTree) -> List[Finding]:
     """SHD003: module-level mutable containers mutated from handler code."""
-    ctx = _context(tree)
     reachable: Optional[Set[GraphKey]] = None
     findings: List[Finding] = []
     for src in tree:
@@ -358,13 +308,13 @@ def rule_module_state(tree: SourceTree) -> List[Finding]:
             continue
         names = set(containers)
         if reachable is None:
-            graph = ctx.call_graph()
-            reachable = graph.reachable(graph.handler_roots(tree))
+            graph = CallGraph(tree)
+            reachable = graph.reachable(graph.handler_roots())
         flagged: Dict[str, Tuple[int, str]] = {}
-        for func, _cls, qual in _functions(src):
+        for func, _cls, qual in functions(src):
             if (src.rel, qual) not in reachable:
                 continue
-            for name in _mutations_of(func, names):
+            for name in _mutations_of(tree, func, names):
                 flagged.setdefault(name, (containers[name], qual))
         for name, (line, qual) in sorted(flagged.items()):
             findings.append(src.finding(
@@ -382,9 +332,8 @@ def rule_stream_ownership(tree: SourceTree) -> List[Finding]:
     findings: List[Finding] = []
     for src in tree:
         classification = classify_path(src.rel)
-        for node in ast.walk(src.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+        for node in src.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("stream", "spawn")
                     and node.args
                     and isinstance(node.args[0], ast.Constant)
@@ -412,26 +361,26 @@ def _owner_label(classification: FileClassification) -> str:
 
 def rule_foreign_simulator(tree: SourceTree) -> List[Finding]:
     """SHD005: touching a simulator through a foreign component."""
-    ctx = _context(tree)
+    index = tree.class_index
     findings: List[Finding] = []
     for src in tree:
         if classify_path(src.rel).role not in (ROLE_COMPONENT, ROLE_CHANNEL):
             continue
-        for func, cls, _qual in _functions(src):
-            env = ctx.env(func, cls)
-            for node in ast.walk(func):
+        for func, cls, _qual in functions(src):
+            env = tree.type_env(func, cls)
+            for node in tree.walk(func):
                 if not (isinstance(node, ast.Attribute)
                         and node.attr == "sim"):
                     continue
                 receiver = node.value
                 if _is_self(receiver):
                     continue
-                component = _boundary_of(ctx, env, receiver)
+                component = _boundary_of(env, receiver)
                 if component is None:
                     continue
                 if isinstance(receiver, ast.Attribute) \
                         and _is_self(receiver.value) \
-                        and _sanctioned_ref(ctx, cls, receiver.attr):
+                        and _sanctioned_ref(index, cls, receiver.attr):
                     continue
                 findings.append(src.finding(
                     "SHD005", node.lineno,
@@ -443,8 +392,7 @@ def rule_foreign_simulator(tree: SourceTree) -> List[Finding]:
     return findings
 
 
-def _schedule_call(ctx: ShardContext, env: TypeEnv,
-                   node: ast.Call) -> bool:
+def _schedule_call(env: TypeEnv, node: ast.Call) -> bool:
     if not (isinstance(node.func, ast.Attribute)
             and node.func.attr in ("schedule", "schedule_at")):
         return False
@@ -457,11 +405,12 @@ def _schedule_call(ctx: ShardContext, env: TypeEnv,
     return inferred is not None and inferred.cls == "Simulator"
 
 
-def _lambda_captures(env: TypeEnv, node: ast.Lambda) -> Set[str]:
+def _lambda_captures(tree: SourceTree, env: TypeEnv,
+                     node: ast.Lambda) -> Set[str]:
     params = {arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
                                   *node.args.kwonlyargs)}
     captured: Set[str] = set()
-    for child in ast.walk(node.body):
+    for child in tree.walk(node.body):
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
                 and child.id not in params and child.id in env.vars:
             captured.add(child.id)
@@ -470,54 +419,47 @@ def _lambda_captures(env: TypeEnv, node: ast.Lambda) -> Set[str]:
 
 def rule_scheduled_capture(tree: SourceTree) -> List[Finding]:
     """SHD006: component objects captured in scheduled callbacks."""
-    ctx = _context(tree)
     findings: List[Finding] = []
     for src in tree:
         if classify_path(src.rel).role not in _SHARD_ROLES:
             continue
-        for func, cls, _qual in _functions(src):
-            env = ctx.env(func, cls)
-            nested = {n.name: n for n in ast.walk(func)
+        for func, cls, _qual in functions(src):
+            env = tree.type_env(func, cls)
+            nested = {n.name: n for n in tree.walk(func)
                       if isinstance(n, ast.FunctionDef) and n is not func}
-            for node in ast.walk(func):
+            for node in tree.walk(func):
                 if not (isinstance(node, ast.Call)
-                        and _schedule_call(ctx, env, node)):
+                        and _schedule_call(env, node)):
                     continue
                 arguments = list(node.args) + [
                     kw.value for kw in node.keywords
                     if kw.arg not in ("label", None)]
                 for arg in arguments:
                     findings.extend(_capture_findings(
-                        ctx, env, src, node.lineno, arg, nested))
+                        tree, env, src, node.lineno, arg, nested))
     return findings
 
 
-def _is_bound_method(ctx: ShardContext, env: TypeEnv,
-                     arg: ast.Attribute) -> bool:
+def _is_bound_method(env: TypeEnv, arg: ast.Attribute) -> bool:
     receiver = env.infer(arg.value)
     if receiver is None or receiver.container:
         return False
-    defining = ctx.index.defining_class(receiver.cls, arg.attr)
+    defining = env.index.defining_class(receiver.cls, arg.attr)
     if defining is None:
         return False
-    decorators = defining.methods[arg.attr].decorator_list
-    for decorator in decorators:
-        name = decorator.id if isinstance(decorator, ast.Name) else (
-            decorator.attr if isinstance(decorator, ast.Attribute) else None)
-        if name in ("property", "cached_property"):
-            return False
-    return True
+    return not any(base_name(decorator) in ("property", "cached_property")
+                   for decorator in defining.methods[arg.attr].decorator_list)
 
 
-def _capture_findings(ctx: ShardContext, env: TypeEnv, src: SourceFile,
+def _capture_findings(tree: SourceTree, env: TypeEnv, src: SourceFile,
                       line: int, arg: ast.expr,
                       nested: Dict[str, ast.FunctionDef]) -> List[Finding]:
     found: List[Finding] = []
     if isinstance(arg, ast.Lambda):
-        for name in sorted(_lambda_captures(env, arg)):
+        for name in sorted(_lambda_captures(tree, env, arg)):
             if name == "self":
                 continue
-            component = ctx.index.boundary_component(env.vars[name].cls) \
+            component = env.index.boundary_component(env.vars[name].cls) \
                 if not env.vars[name].container else None
             if component is not None:
                 found.append(src.finding(
@@ -531,14 +473,14 @@ def _capture_findings(ctx: ShardContext, env: TypeEnv, src: SourceFile,
         inner = nested[arg.id]
         bound = {a.arg for a in (*inner.args.posonlyargs, *inner.args.args,
                                  *inner.args.kwonlyargs)}
-        for child in ast.walk(inner):
+        for child in tree.walk(inner):
             if isinstance(child, ast.Name) \
                     and isinstance(child.ctx, ast.Load) \
                     and child.id not in bound and child.id != "self" \
                     and child.id in env.vars:
                 inferred = env.vars[child.id]
                 component = None if inferred.container \
-                    else ctx.index.boundary_component(inferred.cls)
+                    else env.index.boundary_component(inferred.cls)
                 if component is not None:
                     found.append(src.finding(
                         "SHD006", line,
@@ -548,8 +490,8 @@ def _capture_findings(ctx: ShardContext, env: TypeEnv, src: SourceFile,
                         "capture the id and re-resolve at fire time"))
         return found
     if isinstance(arg, ast.Attribute) and not _is_self(arg.value):
-        component = _boundary_of(ctx, env, arg.value)
-        if component is not None and _is_bound_method(ctx, env, arg):
+        component = _boundary_of(env, arg.value)
+        if component is not None and _is_bound_method(env, arg):
             # A bound method retains its instance; a plain data attribute
             # is evaluated at schedule time and captures nothing.
             found.append(src.finding(
@@ -561,7 +503,7 @@ def _capture_findings(ctx: ShardContext, env: TypeEnv, src: SourceFile,
                 "argument"))
             return found
     if not _is_self(arg):
-        component = _boundary_of(ctx, env, arg)
+        component = _boundary_of(env, arg)
         if component is not None:
             label = ast.unparse(arg) if hasattr(ast, "unparse") else "object"
             found.append(src.finding(
@@ -600,4 +542,4 @@ def run_shard_rules(tree: SourceTree,
     return findings
 
 
-__all__ = ["SHARD_RULES", "ShardContext", "run_shard_rules"]
+__all__ = ["SHARD_RULES", "run_shard_rules"]

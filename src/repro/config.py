@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import ConfigError
-from .net.reliable import RetryPolicy
 
 TOPOLOGIES = ("line", "ring", "grid", "complete")
 ORDERINGS = ("raw", "fifo", "causal")
@@ -156,15 +155,11 @@ class WorldConfig:
     # the transport buys (AN14 ablation); True without faults exercises
     # the ack machinery on a clean fabric.
     wired_reliable: Optional[bool] = None
-    # Retransmission schedule for the reliable link; None = defaults.
-    wired_retry: Optional[RetryPolicy] = None
     # Which reliable transport to build when one is active: "sr" is the
     # selective-repeat sliding-window transport with adaptive RTO,
     # "legacy" the original stop-and-wait per-message retransmitter
     # (kept as the chaos ablation baseline).
     wired_transport: str = "sr"
-    # Selective-repeat send window (frames in flight per channel).
-    wired_window: int = 32
     # Proxy-side redelivery of unacknowledged results (crash healing).
     # None = automatic: 5.0 s when wired_faults is set, otherwise off
     # (the paper's purely event-driven proxy).
@@ -209,9 +204,6 @@ class WorldConfig:
         if self.wired_transport not in ("sr", "legacy"):
             raise ConfigError(
                 f"unknown wired transport {self.wired_transport!r}")
-        if self.wired_window < 1:
-            raise ConfigError(
-                f"wired window {self.wired_window!r} must be >= 1")
         if self.greet_backoff_cap is not None and self.greet_backoff_cap <= 0:
             raise ConfigError(
                 f"greet backoff cap {self.greet_backoff_cap!r} must be positive")

@@ -74,6 +74,21 @@ from .pref import Pref
 #: against its registered class.
 MessageHandler = Callable[[Any], None]
 
+#: With ``retain_results``, how long a reactivation's deferred
+#: update_currentloc waits for the redelivered results' Acks before it
+#: is sent anyway.
+RETAIN_UPDATE_FALLBACK = 0.2
+#: Attempt budget of the MSS-side wireless redelivery
+#: (``wireless_ack_timeout``).
+WIRELESS_REDELIVERY_ATTEMPTS = 6
+#: How long a forwarding stub outlives the proxy that moved away.
+STUB_TTL = 120.0
+#: Hand-off liveness probe: re-send an unanswered dereg after this
+#: long.  The wired network never loses messages, but a crashed peer
+#: loses *deferred* deregs; the probe is what makes acquisitions live
+#: across that (inert in failure-free runs — responses beat it).
+HANDOFF_PROBE_INTERVAL = 5.0
+
 
 @dataclass
 class MssConfig:
@@ -89,10 +104,10 @@ class MssConfig:
     # re-transmission by the proxy, and wait until the MH becomes active
     # again."  When enabled, results that miss an inactive local MH are
     # retained and redelivered on reactivation, and the reactivation's
-    # update_currentloc is deferred briefly so the Acks reach the proxy
-    # first (causal order then suppresses the wired retransmission).
+    # update_currentloc is deferred (at most RETAIN_UPDATE_FALLBACK) so
+    # the Acks reach the proxy first (causal order then suppresses the
+    # wired retransmission).
     retain_results: bool = False
-    retain_update_fallback: float = 0.2
     # Proxy-side redelivery: re-forward an unacknowledged result after
     # this long (exponential backoff).  None keeps the paper's purely
     # event-driven proxy; fault-injected worlds enable it so a crashed
@@ -100,12 +115,11 @@ class MssConfig:
     proxy_ack_timeout: Optional[float] = None
     # MSS-side redelivery over the *wireless* leg: re-downlink a result
     # whose Ack has not come back after this long, with exponential
-    # backoff capped at 4x and a bounded attempt budget — the respMss
+    # backoff capped at 4x and WIRELESS_REDELIVERY_ATTEMPTS — the respMss
     # covering radio fades locally instead of waiting out the proxy's
     # (much slower) end-to-end ack timeout.  None keeps the paper's
     # fire-and-forget downlink.
     wireless_ack_timeout: Optional[float] = None
-    wireless_redelivery_attempts: int = 6
     # Bound on proxy result custody: a held result older than this is
     # discarded with a custody_expired trace (see core/proxy.py).  None
     # keeps custody forever (the paper's unbounded result store).
@@ -116,12 +130,6 @@ class MssConfig:
     # provided by the world (cell-map geometry).
     proxy_migrate_distance: Optional[float] = None
     station_distance: Optional[Callable[[NodeId, NodeId], float]] = None
-    stub_ttl: float = 120.0
-    # Hand-off liveness probe: re-send an unanswered dereg after this
-    # long.  The wired network never loses messages, but a crashed peer
-    # loses *deferred* deregs; the probe is what makes acquisitions live
-    # across that (inert in failure-free runs — responses beat it).
-    handoff_probe_interval: float = 5.0
 
 
 @dataclass
@@ -355,10 +363,10 @@ class MobileSupportStation:
         self._redelivery = Retrier(
             sim, retry_policy(redeliver,
                               None if redeliver is None else 4 * redeliver,
-                              self.config.wireless_redelivery_attempts),
+                              WIRELESS_REDELIVERY_ATTEMPTS),
             self._wireless_redeliver, "mss:wl-redeliver")
         self._probe = Retrier(
-            sim, retry_policy(self.config.handoff_probe_interval),
+            sim, retry_policy(HANDOFF_PROBE_INTERVAL),
             self._handoff_probe, "mss:handoff-probe")
         self.proxies: Dict[ProxyId, Proxy] = {}
         # Forwarding stubs left behind for proxies that moved away.
@@ -661,7 +669,7 @@ class MobileSupportStation:
                 self._downlink(mh, frame)
                 self._redelivery.arm((mh, frame.request_id), frame)
             entry.deferred_update = ref
-            self.sim.schedule(self.config.retain_update_fallback,
+            self.sim.schedule(RETAIN_UPDATE_FALLBACK,
                               self._flush_deferred_update, mh,
                               label="mss:retain-fallback")
         elif ref is not None:
@@ -721,7 +729,7 @@ class MobileSupportStation:
             # (A waits on B's queue while B waits on A's).
             waiting = (requester, seq)
             entry.deferred_deregs += (waiting,)
-            self.sim.schedule(2 * self.config.handoff_probe_interval,
+            self.sim.schedule(2 * HANDOFF_PROBE_INTERVAL,
                               self._expire_deferred_dereg, mh, waiting,
                               label="mss:defer-ttl")
         elif row is not Row.DEREG_PROBE_DUPLICATE:
@@ -884,7 +892,7 @@ class MobileSupportStation:
         proxy.mark_migrated()
         new_ref = ProxyRef(mss=msg.src, proxy_id=msg.new_proxy_id)
         self._proxy_stubs[msg.proxy_id] = new_ref
-        self.sim.schedule(self.config.stub_ttl, self._expire_stub,
+        self.sim.schedule(STUB_TTL, self._expire_stub,
                           msg.proxy_id, label="mss:stub-ttl")
         self.instr.metrics.incr("proxies_moved_out", node=self.node_id)
         # Custody transfer first, then the trace-level disappearance of

@@ -108,10 +108,8 @@ class World:
                             if self.config.wired_distance_delay else None),
             faults=wired_plan(self.config.wired_faults, self.rng),
             reliable=self.config.wired_reliable,
-            retry=self.config.wired_retry,
             retry_rng=self.rng.stream("reliable.wired"),
             transport=self.config.wired_transport,
-            window=self.config.wired_window,
         )
         self.wireless = WirelessChannel(
             self.sim,

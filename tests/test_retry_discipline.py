@@ -21,6 +21,7 @@ from repro.core.proxy import Proxy
 from repro.instruments import Instruments
 from repro.sim.event import Event
 from repro.sim.simulator import Simulator
+from repro.stations import mss as mss_mod
 from repro.verify.fuzz import FuzzConfig, generate_case, run_case
 
 from tests.conftest import make_world
@@ -101,7 +102,7 @@ def test_wireless_redelivery_policy_matches_closed_form(base):
     world = make_world(wireless_ack_timeout=base)
     station = next(iter(world.stations.values()))
     policy = station._redelivery._policy
-    assert policy.max_retries == station.config.wireless_redelivery_attempts
+    assert policy.max_retries == mss_mod.WIRELESS_REDELIVERY_ATTEMPTS
     for attempt in ATTEMPTS:
         try:
             expected = _wireless(base, attempt - 1)
@@ -114,7 +115,7 @@ def test_handoff_probe_policy_matches_closed_form():
     world = make_world()
     station = next(iter(world.stations.values()))
     policy = station._probe._policy
-    interval = station.config.handoff_probe_interval
+    interval = mss_mod.HANDOFF_PROBE_INTERVAL
     for attempt in ATTEMPTS:
         assert policy.timeout_for(attempt, 0.0) == interval
 

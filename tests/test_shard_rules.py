@@ -427,11 +427,50 @@ def test_reverting_wireless_to_object_capture_flips_shd006(
     assert "SHD006" in out
 
 
-def test_shard_context_is_cached_per_tree(tmp_path):
-    """All six rules share one ClassIndex/TypeEnv cache per run."""
+def test_shard_context_is_cached_per_tree(tmp_path, monkeypatch):
+    """The SourceTree holds one ClassIndex and one TypeEnv per function;
+    all six rules and the call graph share them."""
+    from repro.analysis.static import dataflow
     from repro.analysis.static.model import SourceTree
-    from repro.analysis.static.shard_rules import _context
+    from repro.analysis.static.shard_rules import run_shard_rules
 
-    (tmp_path / "mod.py").write_text("class A:\n    pass\n")
+    (tmp_path / "stations").mkdir()
+    (tmp_path / "stations" / "mss.py").write_text(textwrap.dedent('''
+        _SEEN = {}
+
+        class MobileSupportStation:
+            def on_join(self, host: "MobileHost") -> None:
+                self._note(host.node_id)
+
+            def _note(self, node_id) -> None:
+                _SEEN[node_id] = True
+
+        def helper() -> None:
+            pass
+    '''))
+    built = {"index": 0, "envs": []}
+    index_init, env_init = dataflow.ClassIndex.__init__, dataflow.TypeEnv.__init__
+
+    def count_index(self, tree):
+        built["index"] += 1
+        index_init(self, tree)
+
+    def count_env(self, tree, func, enclosing_class=None):
+        built["envs"].append(func)
+        env_init(self, tree, func, enclosing_class)
+
+    monkeypatch.setattr(dataflow.ClassIndex, "__init__", count_index)
+    monkeypatch.setattr(dataflow.TypeEnv, "__init__", count_env)
     tree = SourceTree.load(tmp_path)
-    assert _context(tree) is _context(tree)
+    assert tree.class_index is tree.class_index
+    run_shard_rules(tree)
+    graph = dataflow.CallGraph(tree)
+    functions = [(func, cls) for src in tree
+                 for func, cls, _qual in dataflow.functions(src)]
+    assert len(functions) == 3
+    assert built["index"] == 1
+    assert sorted(map(id, built["envs"])) == sorted(
+        id(func) for func, _cls in functions)
+    for func, cls in functions:
+        assert tree.type_env(func, cls) is tree.type_env(func, cls)
+    assert graph.index is tree.class_index

@@ -581,6 +581,29 @@ def test_live_tree_protocol_surface_is_known():
         assert kind in kinds, f"paper kind '{kind}' missing from the tree"
 
 
+def test_node_index_is_ast_walk_on_live_tree():
+    """Each module's node index lists, per node type, exactly what
+    ``ast.walk`` yields of that type, in walk order: first-wins tables
+    and finding order depend on it.  The parent map matches too (for
+    statements and expressions: contexts and operators are shared
+    singletons with no one parent)."""
+    import ast
+
+    from repro.analysis.static import SourceTree
+
+    for src in SourceTree.load(REPRO_ROOT):
+        walked = list(ast.walk(src.tree))
+        types = {type(node) for node in walked}
+        assert set(src.by_type) == types, src.rel
+        for node_type in types:
+            assert src.nodes(node_type) == [
+                n for n in walked if isinstance(n, node_type)], (
+                src.rel, node_type.__name__)
+        assert all(src.parents[child] is node for node in walked
+                   for child in ast.iter_child_nodes(node)
+                   if isinstance(child, (ast.stmt, ast.expr))), src.rel
+
+
 # -- mutation tests: the analyzer must catch real regressions --------------
 
 @pytest.fixture

@@ -75,8 +75,6 @@ ARTEFACTS: List[Tuple[List[str], int]] = [
                      "--out", "{out}/obs.json"], 0),
     (_EXPERIMENTS + ["live", "--preset", "smoke", "--out", "{out}/live.json"], 0),
     (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--out", "{out}/chaos.json"], 0),
-    (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--transport", "sr",
-                     "--out", "{out}/chaos-sr.json"], 0),
     (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--transport", "legacy",
                      "--out", "{out}/chaos-legacy.json"], 0),
     (_EXPERIMENTS + ["analyze"], 0),
