@@ -237,7 +237,8 @@ def rule_set_iteration(tree: SourceTree) -> List[Finding]:
             continue
         # Per-file over-approximation: any attribute name bound to a set
         # anywhere in the file counts.  Locals bound to ``set()`` or set
-        # literals are tracked per enclosing function.
+        # literals are tracked per function, and each loop is judged once,
+        # in its innermost function.
         set_attrs = _set_attrs(src)
         for func in src.nodes(ast.FunctionDef):
             body = tree.walk(func)
@@ -249,7 +250,9 @@ def rule_set_iteration(tree: SourceTree) -> List[Finding]:
                     local_sets.update(target.id for target in stmt.targets
                                       if isinstance(target, ast.Name))
             for loop in body:
-                if not isinstance(loop, ast.For):
+                if not isinstance(loop, ast.For) or next(
+                        up for up in src.ancestors(loop)
+                        if isinstance(up, ast.FunctionDef)) is not func:
                     continue
                 iter_expr = loop.iter
                 is_set = (

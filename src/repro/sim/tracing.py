@@ -26,16 +26,23 @@ produced, to the sinks of its kind in registration order.  All sinks of
 one row get the same :class:`TraceRecord`; the recorder does not keep it.
 :meth:`TraceRecorder.dispatch` is that routing alone, for rows not to keep.
 
-Storage: kept rows live in four columns (time, kind, node, fields), not as
-row objects, so a kept row adds nothing the cyclic collector tracks; readers
-get :class:`TraceRecord` views, or tuples from :meth:`TraceRecorder.rows`.
+Storage: a kept row is its time, its node, an interned shape ``(kind,
+field names in insertion order)`` and an offset into one flat list that
+holds every row's field values back to back, so a row costs a few
+references and no object of its own, and adds nothing the cyclic
+collector tracks.  Reads rebuild the row: :class:`TraceRecord` views, or
+tuples from :meth:`TraceRecorder.rows`, each with a fresh ``fields`` dict
+in the recorded key order.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import starmap
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 Sink = Callable[["TraceRecord"], None]
+Shape = Tuple[str, Tuple[str, ...]]   # (kind, field names in insertion order)
 
 
 class TraceRecord:
@@ -69,8 +76,7 @@ class TraceRecorder:
     Recording everything in large sweeps is wasteful, so a recorder can be
     created with ``enabled=False`` or with a ``kinds`` whitelist.  Rows
     rejected by either filter are not kept, not pushed to sinks, and not
-    counted: ``counts`` always agrees with the kept records
-    (``counts[k] == len(filter(kind=k))``).
+    counted: ``counts[k]`` is always the number of kept rows of kind ``k``.
 
     Hot-path contract: call :meth:`wants` first when building the record's
     fields is itself costly, and pass expensive ``detail`` strings as
@@ -91,11 +97,16 @@ class TraceRecorder:
     ) -> None:
         self.enabled = enabled
         self._kinds = set(kinds) if kinds is not None else None
-        # The kept rows, one column per TraceRecord slot.
+        # The kept rows: row i is _time[i], _node[i], _shape[i] = (kind,
+        # field names) and the values _values[_offset[i]:] of those names.
+        # An unsigned-int offset bounds a trace at 2**32 values, whose
+        # references alone would take 32 GiB.
         self._time: List[float] = []
-        self._kind: List[str] = []
         self._node: List[str] = []
-        self._fields: List[Dict[str, Any]] = []
+        self._shape: List[Shape] = []
+        self._offset = array("I")
+        self._values: List[Any] = []
+        self._shapes: Dict[Shape, Shape] = {}   # each distinct shape, interned
         self._sinks: List[Tuple[Sink, Optional[FrozenSet[str]]]] = []
         self._routes: Dict[str, Tuple[Sink, ...]] = {}  # kind -> its sinks, built on first use
         if sink is not None:
@@ -137,10 +148,12 @@ class TraceRecorder:
         if detail is not None and callable(detail):
             fields["detail"] = detail()
         self.counts[kind] = self.counts.get(kind, 0) + 1
+        shape = (kind, tuple(fields))
         self._time.append(time)
-        self._kind.append(kind)
         self._node.append(node)
-        self._fields.append(fields)
+        self._shape.append(self._shapes.setdefault(shape, shape))
+        self._offset.append(len(self._values))
+        self._values.extend(fields.values())
         self.dispatch(time, kind, node, fields)
 
     def dispatch(self, time: float, kind: str, node: str,
@@ -161,34 +174,18 @@ class TraceRecorder:
         objects the sinks got)."""
         return list(self)
 
-    def rows(self, start: int = 0, stop: Optional[int] = None,
+    def rows(self, start: Optional[int] = None, stop: Optional[int] = None,
              ) -> Iterator[Tuple[float, str, str, Dict[str, Any]]]:
-        """``(time, kind, node, fields)`` of the kept rows ``[start:stop]``."""
-        span = slice(start, stop)
-        return zip(self._time[span], self._kind[span], self._node[span],
-                   self._fields[span])
+        """``(time, kind, node, fields)`` of the kept rows ``[start:stop]``,
+        each with a fresh ``fields`` dict."""
+        span, values = slice(start, stop), self._values
+        return ((time, kind, node, dict(zip(names, values[at:at + len(names)])))
+                for time, node, (kind, names), at in zip(
+                    self._time[span], self._node[span], self._shape[span],
+                    self._offset[span]))
 
     def __len__(self) -> int:
         return len(self._time)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(TraceRecord, self._time, self._kind, self._node, self._fields)
-
-    def filter(self, kind: Optional[str] = None, node: Optional[str] = None,
-               **field_filters: Any) -> List[TraceRecord]:
-        """Return records matching all given criteria."""
-        out = []
-        for time, row_kind, row_node, fields in self.rows():
-            if kind is not None and row_kind != kind:
-                continue
-            if node is not None and row_node != node:
-                continue
-            if any(fields.get(k) != v for k, v in field_filters.items()):
-                continue
-            out.append(TraceRecord(time, row_kind, row_node, fields))
-        return out
-
-    def clear(self) -> None:
-        for column in (self._time, self._kind, self._node, self._fields):
-            column.clear()
-        self.counts.clear()
+        return starmap(TraceRecord, self.rows())

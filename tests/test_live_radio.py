@@ -45,6 +45,8 @@ from repro.net.wireless import WirelessChannel
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId, RequestId
 
+from tests.conftest import trace_filter
+
 CELLS = (CellId("cell0"), CellId("cell1"))
 #: The radio addresses its datagrams; on a socketpair there is one peer.
 PEER = ("socketpair", 0)
@@ -142,7 +144,7 @@ class _Air:
     def rows(self, kind: str) -> List[Tuple[str, Optional[str]]]:
         """``(msg, reason)`` of every recorded row of *kind*."""
         return [(rec.fields["msg"], rec.fields.get("reason"))
-                for rec in self.recorder.filter(kind=kind)]
+                for rec in trace_filter(self.recorder, kind=kind)]
 
     def close(self) -> None:
         for sock in self.socks:
@@ -239,7 +241,7 @@ def test_congestion_delays_the_frame_and_leaves_a_row(air):
                                _result(host.node_id))
     pair.settle()
     assert host.received == [] and pair.stations[0].received == []
-    delays = pair.recorder.filter(kind="wireless_delay")
+    delays = trace_filter(pair.recorder, kind="wireless_delay")
     assert [(r.node, r.fields["msg"], r.fields["extra"]) for r in delays] == [
         (host.node_id, "request", 0.05),
         (pair.stations[0].node_id, "wireless_result", 0.05)]

@@ -44,6 +44,7 @@ from repro.net.wired import WiredNetwork
 from repro.sim import Simulator, TraceRecorder
 from repro.types import NodeId
 
+from .conftest import trace_filter
 from .test_transport_sr import _FailureAware, _Tagged
 
 A, B = NodeId("mss:a"), NodeId("mss:b")
@@ -128,7 +129,7 @@ class _Live:
             out.append(decode_envelope(data))
 
     def rows(self, kind: str) -> List[Any]:
-        return self.recorder.filter(kind=kind)
+        return trace_filter(self.recorder, kind=kind)
 
     def close(self) -> None:
         for sock in self.socks:
@@ -222,7 +223,7 @@ def test_trace_rows_carry_the_sims_field_sets(live):
     def field_sets(recorder: TraceRecorder) -> Dict[str, set]:
         out = {}
         for kind in kinds:
-            rows = recorder.filter(kind=kind)
+            rows = trace_filter(recorder, kind=kind)
             assert rows, f"scenario produced no {kind} row"
             out[kind] = {frozenset(r.fields) for r in rows}
         return out
@@ -335,8 +336,8 @@ def test_retry_budget_sim():
     net.send(A, B, _Tagged(tag="m0"))
     net.send(A, B, _Tagged(tag="m1"))
     sim.run()
-    assert len(recorder.filter(kind="wired_drop")) == 1 + FAST.max_retries
-    _assert_budget_spent(lambda kind: recorder.filter(kind=kind), sinks[0],
+    assert len(trace_filter(recorder, kind="wired_drop")) == 1 + FAST.max_retries
+    _assert_budget_spent(lambda kind: trace_filter(recorder, kind=kind), sinks[0],
                          net.transport)
 
 

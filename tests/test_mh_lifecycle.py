@@ -19,7 +19,7 @@ from repro.servers.echo import EchoServer, ManualServer
 from repro.types import MhState
 from repro.verify import NoCustodyLeak, NoLostResult, Oracle
 
-from tests.conftest import make_world
+from tests.conftest import make_world, trace_filter
 
 
 def _attach_oracle(world, checkers=None):
@@ -106,7 +106,7 @@ def test_recovery_replays_log_and_chases_custody_across_cells():
     world.recover_mh("m", world.cells[1])
     world.run(until=20.0)
     assert pending.done and pending.result == 42
-    recoveries = world.instruments.recorder.filter(kind="mh_recover")
+    recoveries = trace_filter(world.instruments.recorder, kind="mh_recover")
     assert len(recoveries) == 1
     assert recoveries[0].get("replayed") == 1
     oracle.detach()
@@ -156,7 +156,7 @@ def test_recovery_dedups_redelivered_results():
     world.recover_mh("m", world.cells[0])
     world.run(until=15.0)
     host = world.hosts["m"]
-    deliveries = [r for r in world.instruments.recorder.filter(kind="deliver")
+    deliveries = [r for r in trace_filter(world.instruments.recorder, kind="deliver")
                   if r.node == host.node_id]
     assert len(deliveries) == 1  # duplicates were dropped before "deliver"
     oracle.detach()
@@ -181,7 +181,7 @@ def test_custody_ttl_expires_with_trace_and_metric():
     world.run(until=2.0)
     server.release_next()
     world.run(until=6.0)   # TTL 1.0 fires well before anyone returns
-    expired = world.instruments.recorder.filter(kind="custody_expired")
+    expired = trace_filter(world.instruments.recorder, kind="custody_expired")
     assert len(expired) == 1
     assert expired[0].get("age") >= 1.0
     assert world.instruments.metrics.count("proxy_custody_expired") == 1
@@ -207,7 +207,7 @@ def test_ack_timeout_redelivers_through_a_blackout():
     assert not pending.done
     world.run(until=10.0)                 # auto ack timeout (3 s) re-sends
     assert pending.done
-    redeliveries = world.instruments.recorder.filter(
+    redeliveries = trace_filter(world.instruments.recorder,
         kind="wireless_redelivery")
     assert len(redeliveries) >= 1
     assert world.instruments.metrics.count("wireless_redeliveries") >= 1
@@ -243,6 +243,6 @@ def test_registration_backoff_capped_under_blacked_out_cell():
     assert gaps == [2.0, 4.0, 8.0, 8.0]
     assert host.registered
     registrations = [r for r in
-                     world.instruments.recorder.filter(kind="register")
+                     trace_filter(world.instruments.recorder, kind="register")
                      if r.get("mh") == host.node_id]
     assert len(registrations) == 1

@@ -25,6 +25,7 @@ from repro.obs.registry import CounterFamily, MetricFamily
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId
 
+from tests.conftest import trace_filter
 from tests.test_net_causal import held
 
 
@@ -134,7 +135,7 @@ def test_describe_still_evaluated_when_recording(sim):
     net.send(a.node_id, b.node_id, _TrackedMsg(tag="w1"))
     sim.run()
     assert _DESCRIBE_CALLS == ["w1", "w1"]  # send + recv
-    assert recorder.filter(kind="send")[0].get("detail") == "tracked w1"
+    assert trace_filter(recorder, kind="send")[0].get("detail") == "tracked w1"
 
 
 # -- indexed causal drain vs the classic rescan -------------------------------

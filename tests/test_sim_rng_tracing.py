@@ -5,6 +5,8 @@ from __future__ import annotations
 from repro.instruments import Instruments
 from repro.sim import RngStreams, TraceRecorder
 
+from tests.conftest import trace_filter
+
 
 def test_same_name_returns_same_stream():
     streams = RngStreams(seed=7)
@@ -52,9 +54,9 @@ def test_recorder_records_and_filters():
     rec.record(2.0, "recv", "n2", msg="request")
     rec.record(3.0, "send", "n1", msg="ack")
     assert len(rec) == 3
-    assert [r.time for r in rec.filter(kind="send")] == [1.0, 3.0]
-    assert rec.filter(node="n2")[0].get("msg") == "request"
-    assert rec.filter(kind="send", msg="ack")[0].time == 3.0
+    assert [r.time for r in trace_filter(rec, kind="send")] == [1.0, 3.0]
+    assert trace_filter(rec, node="n2")[0].get("msg") == "request"
+    assert trace_filter(rec, kind="send", msg="ack")[0].time == 3.0
 
 
 def test_recorder_disabled_is_noop():
@@ -82,7 +84,7 @@ def test_recorder_enabled_counts_match_records():
     rec.record(2.0, "send", "n1")
     rec.record(3.0, "recv", "n2")
     assert rec.counts == {"send": 2, "recv": 1}
-    assert rec.counts["send"] == len(rec.filter(kind="send"))
+    assert rec.counts["send"] == len(trace_filter(rec, kind="send"))
     assert rec.wants("send") and rec.wants("anything")
 
 
@@ -110,13 +112,6 @@ def test_recorder_sink_callback():
     rec = TraceRecorder(sink=seen.append)
     rec.record(1.0, "deliver", "mh")
     assert len(seen) == 1 and seen[0].kind == "deliver"
-
-
-def test_recorder_clear():
-    rec = TraceRecorder()
-    rec.record(1.0, "send", "n1")
-    rec.clear()
-    assert len(rec) == 0 and rec.counts == {}
 
 
 # -- instruments -----------------------------------------------------------------

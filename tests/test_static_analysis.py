@@ -372,6 +372,17 @@ def test_det004_fires_on_effectful_set_loop(tmp_path):
     assert "set order" in result.findings[0].message
 
 
+def test_det004_reports_a_loop_in_a_nested_def_once(tmp_path):
+    result = analyze(tmp_path, {"mod.py": '''
+        def outer(net, msg):
+            def inner():
+                for peer in set(net.peers):
+                    net.send(peer, msg)
+            return inner
+    '''}, rules="DET004")
+    assert [(f.rule, f.line) for f in result.findings] == [("DET004", 4)]
+
+
 def test_det004_quiet_on_sorted_iteration(tmp_path):
     result = analyze(tmp_path, {"mod.py": '''
         class Hub:

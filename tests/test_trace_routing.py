@@ -1,16 +1,21 @@
 """The recorder's sink contract (kind-routed sinks, registration order,
 subscriptions that change mid-run, one shared object per row) and its
-column storage (no tracked object per kept row, every read path agrees)."""
+compact storage (no tracked object and few bytes per kept row, rows come
+back exactly as recorded, every read path agrees and builds fresh dicts)."""
 
 from __future__ import annotations
 
 import gc
+import random
+import tracemalloc
 
 import pytest
 
 from repro.errors import VerificationError
 from repro.sim.tracing import TraceRecord, TraceRecorder
 from repro.verify import ExactlyOnceDelivery, Oracle
+
+from tests.conftest import trace_filter
 
 KINDS = ("send", "request", "recv", "deliver", "mss_crash")
 
@@ -101,7 +106,8 @@ def test_every_sink_of_a_row_gets_one_shared_object():
     recorder.add_sink(seen.append, kinds={"send"})
     recorder.record(1.0, "send", "n", msg_id=7, detail=lambda: "d")
     assert seen[0] is seen[1]
-    # The recorder keeps columns, not the object: a read gives an equal view.
+    # The recorder keeps the row's values, not the object: a read gives an
+    # equal view.
     assert recorder.records[0] == seen[0] and recorder.records[0] is not seen[0]
     assert seen[0].fields == {"msg_id": 7, "detail": "d"}
 
@@ -149,12 +155,84 @@ def test_every_read_path_agrees_on_a_mixed_trace():
     assert rows[2] == (2.5, "request", "a",
                        {"request_id": "a-r1", "candidates": ["cell0", "cell1"]})
     assert list(recorder.rows(1, 3)) == rows[1:3]
-    assert recorder.filter(kind="send") == [views[0], views[3]]
-    assert recorder.filter(node="b", net="wired") == [views[1]]
-    assert recorder.filter(candidates=["cell0", "cell1"]) == [views[2]]
+    assert trace_filter(recorder, kind="send") == [views[0], views[3]]
+    assert trace_filter(recorder, node="b", net="wired") == [views[1]]
+    assert trace_filter(recorder, candidates=["cell0", "cell1"]) == [views[2]]
     assert recorder.counts == {"send": 2, "recv": 1, "request": 1}
-    recorder.clear()
-    assert len(recorder) == 0 and list(recorder.rows()) == [] and recorder.records == []
+
+
+def test_a_kept_send_row_costs_little_beyond_its_values():
+    # Nine references (six values, time, node, shape) and a 4-byte offset
+    # are 76 B, ~80 B with list over-allocation.  A kept `**fields` dict
+    # per row cost ~300 B on CPython 3.11.
+    rows = [(i * 0.5, "send", "mss:s1",
+             {"net": "wired", "msg": "request", "msg_id": i, "src": "mss:s1",
+              "dst": "mss:s2", "detail": f"request(h0-r{i})"})
+            for i in range(20_000)]
+    recorder = TraceRecorder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for time, kind, node, fields in rows:
+            recorder.record(time, kind, node, **fields)
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recorder) == len(rows)
+    assert cost / len(rows) <= 100
+
+
+def _mixed_trace(seed):
+    """A recorder and the rows it was given: one kind with different key
+    sets and orders, container values, lazy details and ``int`` times."""
+    rng = random.Random(seed)
+    values = (0, 1.5, "", "cell0", None, False, ["cell0", "cell1"],
+              ("a", 2), {"nested": [1]})
+    recorder, recorded = TraceRecorder(), []
+    for i in range(400):
+        time = i // 3 if i % 4 == 0 else i * 0.125   # run(until=<int>) gives ints
+        kind = rng.choice(("send", "send", "recv", "request", "deliver"))
+        keys = rng.sample(("net", "msg", "msg_id", "dst", "candidates", "detail"),
+                          rng.randint(0, 6))
+        fields = {key: rng.choice(values) for key in keys}
+        given = dict(fields)
+        if "detail" in fields:
+            fields["detail"] = f"describe({i})"
+            if i % 2:
+                given["detail"] = lambda text=fields["detail"]: text
+            else:
+                given["detail"] = fields["detail"]
+        recorder.record(time, kind, f"n{i % 5}", **given)
+        recorded.append((time, kind, f"n{i % 5}", fields))
+    return recorder, recorded
+
+
+@pytest.mark.parametrize("start, stop", [
+    (None, None), (0, None), (None, 17), (-30, None), (-250, -40), (40, 10),
+    (399, None), (395, 10_000), (10_000, None), (-10_000, 3), (7, 7)])
+def test_rows_come_back_exactly_as_recorded(start, stop):
+    recorder, recorded = _mixed_trace(seed=40)
+    got, want = list(recorder.rows(start, stop)), recorded[start:stop]
+    assert got == want
+    assert [list(row[3]) for row in got] == [list(row[3]) for row in want]   # key order
+    assert [type(row[0]) for row in got] == [type(row[0]) for row in want]
+    assert any(type(row[0]) is int for row in recorded)
+    assert list(recorder) == [TraceRecord(*row) for row in recorded]
+
+
+def test_every_read_builds_fresh_fields():
+    recorder = TraceRecorder()
+    sent = []
+    recorder.add_sink(sent.append)
+    recorder.record(1.0, "request", "mh:a", request_id="a-r1", candidates=["c0"])
+    reads = [next(recorder.rows())[3], next(recorder.rows(-1, None))[3],
+             recorder.records[0].fields, next(iter(recorder)).fields,
+             trace_filter(recorder, kind="request")[0].fields, sent[0].fields]
+    assert all(fields == reads[-1] for fields in reads)
+    for i, fields in enumerate(reads):
+        assert all(fields is not other for other in reads[i + 1:])
+    reads[0]["request_id"] = "changed"
+    assert next(recorder.rows())[3] == {"request_id": "a-r1", "candidates": ["c0"]}
 
 
 def test_trace_record_equality_and_no_hashing():

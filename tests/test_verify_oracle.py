@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import make_world
+from tests.conftest import make_world, trace_filter
 from repro.core.proxy import Proxy
 from repro.errors import VerificationError
 from repro.net.latency import ConstantLatency
@@ -85,7 +85,7 @@ class TestNoLostResult:
         sub = client.subscribe("groups", {"group": "g"})
         world.run_until_idle()
         assert sub.active
-        assert world.recorder.filter(kind="request")[0].get("subscription") is True
+        assert trace_filter(world.recorder, kind="request")[0].get("subscription") is True
         assert oracle.finish() == []
 
     def test_lost_request_beside_an_open_subscription_still_flagged(self):
@@ -103,7 +103,7 @@ class TestNoLostResult:
         violations = oracle.finish()
         assert [v.invariant for v in violations] == ["no_lost_result"]
         assert str(stuck.request_id) in violations[0].detail
-        assert "subscription" not in world.recorder.filter(
+        assert "subscription" not in trace_filter(world.recorder,
             kind="request", request_id=stuck.request_id)[0].fields
 
 

@@ -28,7 +28,7 @@ from repro.servers.echo import ManualServer
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId, mss_id
 
-from tests.conftest import make_world
+from tests.conftest import make_world, trace_filter
 
 
 @dataclass(slots=True, kw_only=True)
@@ -384,16 +384,16 @@ def test_every_wireless_drop_reason_counted_and_traced_once():
     assert host.received == []
     for reason in ("inactive", "not_in_cell", "loss"):
         assert channel.monitor.drops_of(channel.name, reason=reason) == 1, reason
-        rows = [r for r in recorder.filter(kind="drop")
+        rows = [r for r in trace_filter(recorder, kind="drop")
                 if r.get("reason") == reason]
         assert len(rows) == 1, reason
     assert channel.monitor.drops_of(channel.name, reason="host_inactive") == 1
-    wireless_rows = recorder.filter(kind="wireless_drop")
+    wireless_rows = trace_filter(recorder, kind="wireless_drop")
     assert len(wireless_rows) == 1
     assert wireless_rows[0].get("reason") == "host_inactive"
     # Nothing else was dropped, and the totals agree with the rows.
     assert channel.monitor.drops_of(channel.name) == 4
-    assert len(recorder.filter(kind="drop")) == 3
+    assert len(trace_filter(recorder, kind="drop")) == 3
 
 
 def test_uplink_loss_dropped_with_reason():
