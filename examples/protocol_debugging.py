@@ -3,11 +3,11 @@
 
 Reconstructs the paper's trickiest moment — a result arriving exactly
 while its recipient changes cells — and shows the three views the
-`repro.analysis` package offers for understanding it:
+analysis toolbox offers for understanding it:
 
 * the per-entity **timeline** (who did what, when),
 * the **message-sequence chart** (Figure-3 style arrows),
-* the **latency decomposition** (where the time went).
+* the request's **delivery span** (where the time went).
 
 Run:  python examples/protocol_debugging.py
 """
@@ -15,10 +15,10 @@ Run:  python examples/protocol_debugging.py
 from __future__ import annotations
 
 from repro import World, WorldConfig
-from repro.analysis.latency import latency_report
 from repro.analysis.sequence import extract_chart, render_chart
 from repro.analysis.timeline import extract_timeline, lane_summary, render_timeline
 from repro.config import LatencySpec
+from repro.obs.spans import SpanBuilder
 from repro.servers.echo import ManualServer
 
 
@@ -51,7 +51,13 @@ def main() -> None:
         "ack", "ack_forward"})
     print(render_chart(chart, title="the race, as message arrows"))
     print()
-    print(latency_report(world).render())
+    for span in SpanBuilder.from_records(world.recorder).spans:
+        admission, service, delivery = span.segments()
+        print(f"span {span.request_id}: admission {admission * 1000:.1f} ms, "
+              f"service {service * 1000:.1f} ms, "
+              f"delivery {delivery * 1000:.1f} ms "
+              f"({span.handoff_overlaps} hand-offs overlapped, "
+              f"{len(span.hops)} hops)")
     print()
     print(f"verdict: delivered={pending['q'].done}, "
           f"retransmissions={world.metrics.count('proxy_retransmissions')}, "

@@ -1,7 +1,6 @@
 """Analysis: metrics, statistics, sequence charts, timelines."""
 
 from .charts import curve, hbar_chart, sparkline
-from .latency import LatencyBreakdown, LatencyReport, extract_breakdowns, latency_report
 from .metrics import MetricsRegistry
 from .sequence import ChartEntry, extract_chart, kinds_in_order, render_chart, subsequence_present
 from .timeline import TimelineEvent, extract_timeline, lane_summary, render_timeline
@@ -19,13 +18,9 @@ from .stats import (
 
 __all__ = [
     "ChartEntry",
-    "LatencyBreakdown",
-    "LatencyReport",
     "MetricsRegistry",
     "curve",
-    "extract_breakdowns",
     "hbar_chart",
-    "latency_report",
     "sparkline",
     "Summary",
     "TimelineEvent",

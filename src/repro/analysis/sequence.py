@@ -32,13 +32,11 @@ def extract_chart(
     recorder: TraceRecorder,
     kinds: Optional[Iterable[str]] = None,
     participants: Optional[Iterable[str]] = None,
-    mh: Optional[str] = None,
 ) -> List[ChartEntry]:
     """Build a chart from the ``send`` records of a trace.
 
     ``kinds`` filters message kinds; ``participants`` keeps arrows whose
-    endpoints are both in the set; ``mh`` keeps protocol messages that
-    concern one mobile host (matched on a ``mh=...`` detail or endpoint).
+    endpoints are both in the set.
     """
     kind_filter = set(kinds) if kinds is not None else None
     participant_filter = set(participants) if participants is not None else None
@@ -54,10 +52,6 @@ def extract_chart(
         if participant_filter is not None and (
                 src not in participant_filter or dst not in participant_filter):
             continue
-        if mh is not None and mh not in (src, dst):
-            detail_text = str(rec.get("detail", ""))
-            if mh not in detail_text:
-                continue
         chart.append(ChartEntry(
             time=rec.time, src=src, dst=dst, kind=msg_kind,
             detail=str(rec.get("detail", msg_kind)),

@@ -78,12 +78,10 @@ def _describe(rec: TraceRecord) -> Optional[str]:
 def extract_timeline(
     recorder: TraceRecorder,
     nodes: Optional[Sequence[str]] = None,
-    mh: Optional[str] = None,
     include_network: bool = False,
 ) -> List[TimelineEvent]:
-    """Build timeline rows, optionally restricted to *nodes* or to the
-    events concerning one mobile host.  ``include_network`` adds the raw
-    send/recv rows (verbose)."""
+    """Build timeline rows, optionally restricted to *nodes*.
+    ``include_network`` adds the raw send/recv rows (verbose)."""
     node_filter = set(nodes) if nodes is not None else None
     out: List[TimelineEvent] = []
     for rec in recorder:
@@ -91,11 +89,6 @@ def extract_timeline(
             continue
         if node_filter is not None and rec.node not in node_filter:
             continue
-        if mh is not None:
-            touches = (rec.node == mh or rec.get("mh") == mh
-                       or str(rec.get("detail", "")).find(mh) >= 0)
-            if not touches:
-                continue
         text = _describe(rec)
         if text is None:
             if rec.kind in ("send", "recv"):

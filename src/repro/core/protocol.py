@@ -101,6 +101,7 @@ class GreetMsg(Message):
 @dataclass(slots=True, kw_only=True)
 class RequestMsg(Message):
     kind: ClassVar[str] = "request"
+    request_field = "request_id"
     mh: NodeId
     request_id: RequestId
     service: str
@@ -120,6 +121,7 @@ class AckMsg(Message):
     """MH acknowledges the reception of one result."""
 
     kind: ClassVar[str] = "ack"
+    request_field = "request_id"
     mh: NodeId
     request_id: RequestId
     delivery_id: int
@@ -163,6 +165,7 @@ class WirelessResultMsg(Message):
     """
 
     kind: ClassVar[str] = "wireless_result"
+    request_field = "request_id"
     mh: NodeId
     request_id: RequestId
     delivery_id: int
@@ -242,6 +245,7 @@ class UpdateCurrentLocMsg(Message):
 @dataclass(slots=True, kw_only=True)
 class ForwardedRequestMsg(Message):
     kind: ClassVar[str] = "forwarded_request"
+    request_field = "request_id"
     mh: NodeId
     proxy_id: ProxyId
     request_id: RequestId
@@ -263,6 +267,7 @@ class ResultForwardMsg(Message):
     """
 
     kind: ClassVar[str] = "result_forward"
+    request_field = "request_id"
     mh: NodeId
     proxy_ref: ProxyRef
     request_id: RequestId
@@ -299,6 +304,7 @@ class AckForwardMsg(Message):
     """
 
     kind: ClassVar[str] = "ack_forward"
+    request_field = "request_id"
     mh: NodeId
     proxy_id: ProxyId
     request_id: RequestId
@@ -343,6 +349,7 @@ class ResultBounceMsg(Message):
     """
 
     kind: ClassVar[str] = "result_bounce"
+    request_field = "request_id"
     mh: NodeId
     proxy_id: ProxyId
     request_id: RequestId
@@ -483,6 +490,7 @@ class SubscriptionRelocateMsg(Message):
 @dataclass(slots=True, kw_only=True)
 class ServerRequestMsg(Message):
     kind: ClassVar[str] = "server_request"
+    request_field = "request_id"
     request_id: RequestId
     service: str
     payload: Any = None
@@ -495,6 +503,7 @@ class ServerRequestMsg(Message):
 @dataclass(slots=True, kw_only=True)
 class ServerResultMsg(Message):
     kind: ClassVar[str] = "server_result"
+    request_field = "request_id"
     request_id: RequestId
     proxy_id: ProxyId
     payload: Any = None
@@ -508,6 +517,7 @@ class ServerAckMsg(Message):
     """Optional application-level ack from proxy back to the server."""
 
     kind: ClassVar[str] = "server_ack"
+    request_field = "request_id"
     request_id: RequestId
 
     def describe(self) -> str:
@@ -523,6 +533,7 @@ class NotificationMsg(Message):
     """
 
     kind: ClassVar[str] = "notification"
+    request_field = "subscription_id"
     subscription_id: RequestId
     proxy_id: ProxyId
     seq: int
@@ -537,6 +548,7 @@ class SubscriptionEndMsg(Message):
     """Server closes a subscription; completes the subscribe request."""
 
     kind: ClassVar[str] = "subscription_end"
+    request_field = "subscription_id"
     subscription_id: RequestId
     proxy_id: ProxyId
     payload: Any = None

@@ -7,17 +7,19 @@ one location-update round per miss; as residence time shrinks, the
 delivery segment grows while admission and service stay flat.
 
 The experiment sweeps mean cell-residence time and reports the latency
-decomposition from :mod:`repro.analysis.latency`.
+decomposition of each request's delivery span
+(:meth:`repro.obs.spans.DeliverySpan.segments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..analysis.latency import LatencyReport, latency_report
+from ..analysis.stats import mean, percentile
 from ..config import LatencySpec, WorldConfig
 from ..net.latency import ConstantLatency
+from ..obs.spans import SpanBuilder
 from ..servers.echo import EchoServer
 from ..world import World
 from .harness import Table, drain, start_chains
@@ -26,7 +28,8 @@ from .harness import Table, drain, start_chains
 @dataclass
 class LatencyPoint:
     mean_residence: float
-    report: LatencyReport
+    # (admission, service, delivery) of every complete request
+    segments: List[Tuple[float, float, float]]
     retransmissions: int
 
 
@@ -43,7 +46,7 @@ def run_latency_point(
         topology="ring",
         wired_latency=LatencySpec(kind="constant", mean=0.020),
         wireless_latency=LatencySpec(kind="constant", mean=0.010),
-        trace=True,  # breakdowns need the trace
+        trace=True,  # spans need the trace
     )
     world = World(config)
     world.add_server("echo", EchoServer,
@@ -51,9 +54,10 @@ def run_latency_point(
     start_chains(world, n_hosts, requests_per_host, mean_residence)
     world.run(until=max(600.0, mean_residence * requests_per_host * 10))
     drain(world)
+    spans = SpanBuilder.from_records(world.recorder).spans
     return LatencyPoint(
         mean_residence=mean_residence,
-        report=latency_report(world),
+        segments=[span.segments() for span in spans if span.complete],
         retransmissions=world.metrics.count("proxy_retransmissions"),
     )
 
@@ -69,10 +73,11 @@ def run_an10(residences: Optional[List[float]] = None, seed: int = 0,
     )
     for mean_residence in residences:
         point = run_latency_point(mean_residence, seed=seed, **kwargs)
-        report = point.report
-        table.add_row(mean_residence, report.count, report.admission.mean,
-                      report.service.mean, report.delivery.mean,
-                      report.delivery.p95, point.retransmissions)
+        admission, service, delivery = (
+            [segments[i] for segments in point.segments] for i in range(3))
+        table.add_row(mean_residence, len(point.segments), mean(admission),
+                      mean(service), mean(delivery), percentile(delivery, 95),
+                      point.retransmissions)
     table.notes.append(
         "admission and service stay flat; the delivery segment absorbs "
         "the mobility cost (one update round per missed forward)")

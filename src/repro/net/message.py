@@ -60,9 +60,14 @@ class Message:
     retransmissions and redeliveries; a decoded live message keeps its
     sender's.  Nothing deduplicates on it — links use frame sequence
     numbers, the mobile host delivery and request ids.
+
+    ``request_field`` names the field that holds the id of the client
+    request the message is about, on the kinds that carry one; every
+    trace row about such a message records that id as ``request_id``.
     """
 
     kind: ClassVar[str] = "message"
+    request_field: ClassVar[Optional[str]] = None
 
     msg_id: int = 0
     src: Optional[NodeId] = None

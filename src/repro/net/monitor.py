@@ -194,11 +194,17 @@ class Fabric:
             message.msg_id = self.sim.ids.message()
 
     def _row(self, kind: str, node: NodeId, message: Message,
-             detail: bool = False, **fields: Any) -> None:
-        """One trace row about *message*, if the recorder wants *kind*."""
+             detail: bool = False, net: Optional[str] = None,
+             **fields: Any) -> None:
+        """One trace row about *message*, if the recorder wants *kind*:
+        its ``net`` (this fabric's unless given), kind and id, *fields*,
+        the ``describe()`` text when *detail*, and the id of the request
+        the message is about (see :attr:`Message.request_field`)."""
         if self.recorder.wants(kind):
             if detail:
                 fields["detail"] = message.describe()
+            if message.request_field is not None:
+                fields["request_id"] = getattr(message, message.request_field)
             self.recorder.record(
-                self.sim.now, kind, node, net=self.name, msg=message.kind,
-                msg_id=message.msg_id, **fields)
+                self.sim.now, kind, node, net=net or self.name,
+                msg=message.kind, msg_id=message.msg_id, **fields)

@@ -8,7 +8,11 @@ retransmissions, result bounces and hand-off overlaps), the terminal
 reaches the proxy.  Spans answer the paper's Section 5 questions per
 request instead of in aggregate: where did this request spend its time
 (wireless vs wired vs server vs proxy residency), how many transmission
-attempts did it take, and did a hand-off overlap it.
+attempts did it take, and did a hand-off overlap it.  A span also
+splits its latency the way the proxy sees it: admission (issue to
+``proxy_admit``), service (to ``proxy_result``, the server's reply
+reaching the proxy) and delivery (to the terminal ``deliver``), the
+segments experiment AN10 sweeps against mobility.
 
 The builder works in two modes:
 
@@ -19,14 +23,15 @@ The builder works in two modes:
   retained.
 * **post-hoc** — feed a saved trace to :meth:`SpanBuilder.from_records`.
 
-Correlation works off the fields the networks already record: every
-``send``/``recv`` row carries ``net``, ``msg`` (the message kind),
-``msg_id`` and the ``describe()`` string, whose leading argument is the
-request id for every request-bearing message kind (``request(<rid>)``,
-``fwd_result(<rid> del-pref retr)``, ``srv_result(<rid>)``, ...).
-``create_proxy``/``proxy_gone`` describe the MH instead of the request,
-so their (rare) wire time is not attributed to a named stage — it lands
-in the proxy-residency remainder, which is computed as
+Correlation works off the fields the networks record: every
+``send``/``recv`` row carries ``net``, ``msg`` (the message kind) and
+``msg_id``, and a row about a message that names a request also carries
+that ``request_id`` (the message class declares which of its fields
+names it, :attr:`~repro.net.message.Message.request_field`; a
+notification or subscription end names its subscribe request).
+``create_proxy``/``proxy_gone`` declare none, so their (rare) wire time
+is not attributed to a named stage — it lands in the proxy-residency
+remainder, which is computed as
 ``latency - wireless - wired - server`` precisely so the four stages
 always sum to the whole span.
 
@@ -41,19 +46,10 @@ the latency breakdown — span latency is issue-to-delivery, matching the
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..sim.tracing import TraceRecord
-
-#: Message kinds whose ``describe()`` leads with the request id.
-RID_KINDS = frozenset({
-    "request", "ack", "wireless_result",
-    "forwarded_request", "result_forward", "ack_forward", "result_bounce",
-    "server_request", "server_result", "server_ack",
-    "notification", "subscription_end",
-})
 
 #: Stages on the issue-to-delivery chain, per network, in protocol order.
 #: Ack-path kinds (``ack``, ``ack_forward``, ``server_ack``) are
@@ -62,17 +58,6 @@ _BREAKDOWN_KINDS = frozenset({
     "request", "forwarded_request", "server_request", "server_result",
     "result_forward", "wireless_result", "notification",
 })
-
-_RID_RE = re.compile(r"^[a-z_]+\(([^\s,)#]+)")
-
-
-def rid_of(detail: object) -> Optional[str]:
-    """Extract the request id from a ``describe()`` string, or None."""
-    if not isinstance(detail, str):
-        return None
-    match = _RID_RE.match(detail)
-    return match.group(1) if match else None
-
 
 @dataclass
 class Hop:
@@ -100,6 +85,8 @@ class DeliverySpan:
     issued_at: float = 0.0
     delivered_at: Optional[float] = None
     acked_at: Optional[float] = None
+    admitted_at: Optional[float] = None      # first proxy_admit
+    result_at_proxy: Optional[float] = None  # first proxy_result
     proxy_node: Optional[str] = None
     hops: List[Hop] = field(default_factory=list)
     retransmits: int = 0
@@ -135,6 +122,24 @@ class DeliverySpan:
         if self.delivered_at is None:
             return None
         return self.delivered_at - self.issued_at
+
+    @property
+    def complete(self) -> bool:
+        """Admitted, answered at the proxy and delivered."""
+        return (self.admitted_at is not None
+                and self.result_at_proxy is not None
+                and self.delivered_at is not None)
+
+    def segments(self) -> Tuple[float, float, float]:
+        """``(admission, service, delivery)``: issue to admission, to the
+        result reaching the proxy, to delivery; they sum to the latency.
+        All 0 unless the span is :attr:`complete`."""
+        if (self.admitted_at is None or self.result_at_proxy is None
+                or self.delivered_at is None):
+            return 0.0, 0.0, 0.0
+        return (self.admitted_at - self.issued_at,
+                self.result_at_proxy - self.admitted_at,
+                self.delivered_at - self.result_at_proxy)
 
     def end_time(self) -> Optional[float]:
         """The span's last terminal timestamp, if any."""
@@ -262,7 +267,7 @@ class SpanBuilder:
     #: whitelist so an observe run keeps nothing it doesn't need.
     KINDS = frozenset({
         "request", "send", "recv", "drop", "wired_drop", "wireless_drop",
-        "deliver", "proxy_admit", "proxy_ack", "retransmit",
+        "deliver", "proxy_admit", "proxy_result", "proxy_ack", "retransmit",
         "handoff_start", "handoff_done",
     })
 
@@ -291,6 +296,8 @@ class SpanBuilder:
             self._ingest_proxy_ack(rec)
         elif kind == "proxy_admit":
             self._ingest_proxy_admit(rec)
+        elif kind == "proxy_result":
+            self._ingest_proxy_result(rec)
         elif kind == "retransmit":
             self._ingest_retransmit(rec)
         elif kind in ("drop", "wired_drop", "wireless_drop"):
@@ -323,38 +330,33 @@ class SpanBuilder:
         # runs from the FIRST issue, so the original row wins.
 
     def _ingest_send(self, rec: TraceRecord) -> None:
-        msg_kind = rec.get("msg")
-        if msg_kind not in RID_KINDS:
-            return
-        rid = rid_of(rec.get("detail"))
+        rid = rec.get("request_id")
         if rid is None:
             return
         net = rec.get("net", "?")
         if net == "local":
             # Local dispatch never records a recv; zero wire time.
             return
+        msg_kind = str(rec.get("msg"))
         self._pending[(net, rec.get("msg_id", -1))] = (
-            rec.time, str(msg_kind), rid, rec.node)
+            rec.time, msg_kind, rid, rec.node)
         if msg_kind == "server_result":
             span = self._spans.get(rid)
             if span is not None and span._srv_res_send is None:
                 span._srv_res_send = rec.time
 
     def _ingest_recv(self, rec: TraceRecord) -> None:
-        msg_kind = rec.get("msg")
-        if msg_kind not in RID_KINDS:
+        rid = rec.get("request_id")
+        if rid is None:
             return
         net = rec.get("net", "?")
         pending = self._pending.pop((net, rec.get("msg_id", -1)), None)
-        rid = pending[2] if pending is not None else rid_of(rec.get("detail"))
-        if rid is None:
-            return
         span = self._span(rid)
         if pending is not None:
             sent_at, kind, _rid, src = pending
             span.hops.append(Hop(net=net, kind=kind, sent_at=sent_at,
                                  received_at=rec.time, src=src, dst=rec.node))
-        if msg_kind == "server_request" and span._srv_req_recv is None:
+        if rec.get("msg") == "server_request" and span._srv_req_recv is None:
             span._srv_req_recv = rec.time
 
     def _ingest_drop(self, rec: TraceRecord) -> None:
@@ -384,6 +386,17 @@ class SpanBuilder:
         rid = str(rec.get("request_id"))
         span = self._span(rid)
         span.proxy_node = rec.node
+        if span.admitted_at is None:
+            span.admitted_at = rec.time
+
+    def _ingest_proxy_result(self, rec: TraceRecord) -> None:
+        # A request's span is open by now; a notification's result is a
+        # request of its own (``<subscription>#n<k>``) that no MH issued,
+        # so its span opens here.
+        span = self._span(str(rec.get("request_id")), mh=str(rec.get("mh")),
+                          at=rec.time)
+        if span.result_at_proxy is None:
+            span.result_at_proxy = rec.time
 
     def _ingest_retransmit(self, rec: TraceRecord) -> None:
         rid = str(rec.get("request_id"))
@@ -420,8 +433,6 @@ class SpanBuilder:
 __all__ = [
     "DeliverySpan",
     "Hop",
-    "RID_KINDS",
     "SpanBuilder",
     "SpanReport",
-    "rid_of",
 ]

@@ -79,14 +79,11 @@ class TraceRecorder:
     counted: ``counts[k]`` is always the number of kept rows of kind ``k``.
 
     Hot-path contract: call :meth:`wants` first when building the record's
-    fields is itself costly, and pass expensive ``detail`` strings as
-    zero-argument callables — :meth:`record` only evaluates them for rows
-    it actually keeps::
+    fields is itself costly (a ``describe()`` string, say), so a row that
+    will not be kept costs no more than that test::
 
         if recorder.wants("send"):
             recorder.record(now, "send", node, detail=message.describe())
-        # or, unguarded:
-        recorder.record(now, "send", node, detail=message.describe)
     """
 
     def __init__(
@@ -135,18 +132,11 @@ class TraceRecorder:
         return self.enabled and (self._kinds is None or kind in self._kinds)
 
     def record(self, time: float, kind: str, node: str, **fields: Any) -> None:
-        """Record one row (cheap no-op when disabled or filtered out).
-
-        A callable ``detail`` field is evaluated lazily — only for rows
-        that pass the enabled/kinds filters.
-        """
+        """Record one row (cheap no-op when disabled or filtered out)."""
         if not self.enabled:
             return
         if self._kinds is not None and kind not in self._kinds:
             return
-        detail = fields.get("detail")
-        if detail is not None and callable(detail):
-            fields["detail"] = detail()
         self.counts[kind] = self.counts.get(kind, 0) + 1
         shape = (kind, tuple(fields))
         self._time.append(time)

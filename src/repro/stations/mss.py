@@ -501,11 +501,8 @@ class MobileSupportStation:
         message.dst = self.node_id
         self.wired.stamp(message)
         self.instr.metrics.incr("local_dispatches", node=self.node_id)
-        if self.instr.recorder.wants("send"):
-            self.instr.recorder.record(
-                self.sim.now, "send", self.node_id,
-                net="local", msg=message.kind, msg_id=message.msg_id,
-                dst=self.node_id, detail=message.describe())
+        self.wired._row("send", self.node_id, message, detail=True,
+                        net="local", dst=self.node_id)
         self.sim.schedule(0.0, self.on_wired_message, message,
                           label="mss:local")
 

@@ -208,18 +208,6 @@ def test_metrics_series_and_per_node():
     assert metrics.hub.get("rdp_hits_total").items()[0][0] == ("n1",)
 
 
-def test_extract_chart_mh_filter():
-    rec = TraceRecorder()
-    rec.record(1.0, "send", "mss:a", msg="dereg", dst="mss:b",
-               detail="dereg(mh:x,#1)")
-    rec.record(2.0, "send", "mss:a", msg="dereg", dst="mss:b",
-               detail="dereg(mh:y,#1)")
-    rec.record(3.0, "send", "mh:x", msg="request", dst="mss:a",
-               detail="request(r)")
-    chart = extract_chart(rec, mh="mh:x")
-    assert len(chart) == 2  # the dereg mentioning mh:x + the uplink from mh:x
-
-
 def test_proxy_reachability_detects_stranded_state(world):
     """Manually strand a busy proxy: the invariant must fire."""
     from repro.servers.echo import ManualServer

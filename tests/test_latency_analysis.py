@@ -1,18 +1,17 @@
-"""Tests for the latency decomposition module."""
+"""Tests for the per-request latency decomposition of delivery spans
+(admission, service, delivery — the segments experiment AN10 sweeps)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.latency import (
-    LatencyBreakdown,
-    extract_breakdowns,
-    latency_report,
-)
 from repro.net.latency import ConstantLatency
+from repro.obs.spans import DeliverySpan, SpanBuilder
 from repro.servers.echo import EchoServer, ManualServer
 
-from tests.conftest import make_world
+
+def _spans(world):
+    return SpanBuilder.from_records(world.recorder).spans
 
 
 def test_breakdown_segments_add_up(world):
@@ -21,13 +20,11 @@ def test_breakdown_segments_add_up(world):
     world.run(until=0.5)
     p = client.request("slow", 1)
     world.run_until_idle()
-    breakdowns = [b for b in extract_breakdowns(world) if b.complete]
-    assert len(breakdowns) == 1
-    b = breakdowns[0]
-    assert b.total == pytest.approx(
-        b.admission_time + b.service_time + b.delivery_time)
-    assert b.service_time == pytest.approx(0.5, abs=0.05)
-    assert b.total == pytest.approx(p.latency, abs=1e-9)
+    (span,) = [s for s in _spans(world) if s.complete]
+    admission, service, delivery = span.segments()
+    assert span.latency == pytest.approx(admission + service + delivery)
+    assert service == pytest.approx(0.5, abs=0.05)
+    assert span.latency == pytest.approx(p.latency, abs=1e-9)
 
 
 def test_breakdown_local_proxy_forward_counted(world):
@@ -37,7 +34,8 @@ def test_breakdown_local_proxy_forward_counted(world):
     world.run(until=0.5)
     client.request("echo", 1)
     world.run_until_idle()
-    assert all(b.complete for b in extract_breakdowns(world))
+    spans = _spans(world)
+    assert spans and all(s.complete for s in spans)
 
 
 def test_breakdown_delivery_absorbs_inactivity(world):
@@ -52,9 +50,10 @@ def test_breakdown_delivery_absorbs_inactivity(world):
     world.run(until=5.0)
     host.activate()
     world.run_until_idle()
-    (b,) = [b for b in extract_breakdowns(world) if b.complete]
-    assert b.delivery_time > 3.0          # waited out the nap
-    assert b.service_time < 1.0
+    (span,) = [s for s in _spans(world) if s.complete]
+    _admission, service, delivery = span.segments()
+    assert delivery > 3.0          # waited out the nap
+    assert service < 1.0
 
 
 def test_incomplete_requests_excluded_from_report(world):
@@ -63,26 +62,24 @@ def test_incomplete_requests_excluded_from_report(world):
     world.run(until=0.5)
     client.request("manual", 1)           # never answered
     world.run(until=1.0)
-    report = latency_report(world)
-    assert report.count == 0
+    (span,) = _spans(world)
+    assert span.admitted_at is not None and not span.complete
 
 
-def test_report_renders(world):
+def test_report_counts_complete_requests(world):
     world.add_server("echo")
     client = world.add_host("m", world.cells[0])
     world.run(until=0.5)
     client.request("echo", 1)
     client.request("echo", 2)
     world.run_until_idle()
-    report = latency_report(world)
-    assert report.count == 2
-    text = report.render()
-    assert "delivery" in text and "n=2" in text
+    assert sum(s.complete for s in _spans(world)) == 2
 
 
 def test_breakdown_dataclass_defaults():
-    b = LatencyBreakdown(request_id="r", issued_at=1.0, admitted_at=None,
-                         result_at_proxy=None, delivered_at=None)
-    assert not b.complete
-    assert b.total == 0.0
-    assert b.service_time == 0.0
+    span = DeliverySpan(request_id="r", mh="m", issued_at=1.0)
+    assert not span.complete
+    assert span.segments() == (0.0, 0.0, 0.0)
+    span.admitted_at = 1.5                 # admitted, never answered
+    assert not span.complete
+    assert span.segments() == (0.0, 0.0, 0.0)

@@ -6,7 +6,8 @@ Three layers:
   on hand-written records;
 * the pinned fuzz corpus — every replayed case must reconstruct exactly
   one span per issued client request, agree with the client-side
-  delivery counts and the proxy retransmission metric;
+  delivery counts and the proxy retransmission metric, and every row
+  about a message must name the request its ``describe()`` text names;
 * non-interference — running a scenario with the span recorder fully on
   must leave the simulation event-identical to a fully disabled run, and
   the monitor's sent/received families must stay in parity.
@@ -14,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 from repro.experiments.bench import BenchPreset, build_config, run_scenario
 from repro.instruments import Instruments
 from repro.obs import SpanBuilder, digest
+from repro.servers.multicast import GroupServer
 from repro.sim import TraceRecorder
 from repro.sim.tracing import TraceRecord
 from repro.verify import fuzz, load_case
@@ -42,27 +45,27 @@ def test_span_from_synthetic_happy_path():
     records = [
         rec(1.0, "request", "mh0", request_id="r1", service="echo"),
         rec(1.0, "send", "mh0", net="wireless", msg="request",
-            msg_id=1, detail="request(r1)"),
+            msg_id=1, request_id="r1"),
         rec(1.005, "recv", "s0", net="wireless", msg="request",
-            msg_id=1, detail="request(r1)"),
+            msg_id=1, request_id="r1"),
         rec(1.005, "send", "s0", net="wired", msg="server_request",
-            msg_id=2, detail="server_request(r1)"),
+            msg_id=2, request_id="r1"),
         rec(1.015, "recv", "srv", net="wired", msg="server_request",
-            msg_id=2, detail="server_request(r1)"),
+            msg_id=2, request_id="r1"),
         rec(1.215, "send", "srv", net="wired", msg="server_result",
-            msg_id=3, detail="server_result(r1)"),
+            msg_id=3, request_id="r1"),
         rec(1.225, "recv", "s0", net="wired", msg="server_result",
-            msg_id=3, detail="server_result(r1)"),
+            msg_id=3, request_id="r1"),
         rec(1.225, "proxy_admit", "s0", request_id="r1"),
         rec(1.230, "send", "s0", net="wireless", msg="wireless_result",
-            msg_id=4, detail="wireless_result(r1)"),
+            msg_id=4, request_id="r1"),
         rec(1.235, "recv", "mh0", net="wireless", msg="wireless_result",
-            msg_id=4, detail="wireless_result(r1)"),
+            msg_id=4, request_id="r1"),
         rec(1.235, "deliver", "mh0", request_id="r1"),
         rec(1.240, "send", "mh0", net="wireless", msg="ack",
-            msg_id=5, detail="ack(r1)"),
+            msg_id=5, request_id="r1"),
         rec(1.245, "recv", "s0", net="wireless", msg="ack",
-            msg_id=5, detail="ack(r1)"),
+            msg_id=5, request_id="r1"),
         rec(1.245, "proxy_ack", "s0", request_id="r1"),
     ]
     report = SpanBuilder.from_records(records)
@@ -99,13 +102,13 @@ def test_dropped_attempts_count_but_never_pair():
     records = [
         rec(1.0, "request", "mh0", request_id="r1"),
         rec(1.0, "send", "mh0", net="wireless", msg="request",
-            msg_id=1, detail="request(r1)"),
+            msg_id=1, request_id="r1"),
         rec(1.005, "drop", "wireless", net="wireless", msg="request",
-            msg_id=1, detail="request(r1)"),
+            msg_id=1, request_id="r1"),
         rec(3.0, "send", "mh0", net="wireless", msg="request",
-            msg_id=2, detail="request(r1)"),
+            msg_id=2, request_id="r1"),
         rec(3.005, "recv", "s0", net="wireless", msg="request",
-            msg_id=2, detail="request(r1)"),
+            msg_id=2, request_id="r1"),
     ]
     report = SpanBuilder.from_records(records)
     span = report.spans[0]
@@ -170,6 +173,71 @@ def test_corpus_spans_account_for_every_request(path):
         # The RDP stress seeds are pinned violation-free: every request
         # must show a delivered span.
         assert all(s.deliveries == 1 for s in report.spans)
+
+
+#: The describe-text parser spans once found request ids with, kept as the
+#: reference the rows' ``request_id`` field must agree with: the message
+#: kinds whose ``describe()`` leads with the request id, and the parse.
+OLD_RID_KINDS = frozenset({
+    "request", "ack", "wireless_result",
+    "forwarded_request", "result_forward", "ack_forward", "result_bounce",
+    "server_request", "server_result", "server_ack",
+    "notification", "subscription_end",
+})
+OLD_RID_RE = re.compile(r"^[a-z_]+\(([^\s,)#]+)")
+
+
+def _subscription_world():
+    """Notifications and a subscription end, which no corpus case sends."""
+    world = make_world()
+    world.add_server("groups", GroupServer)
+    a = world.add_host("a", world.cells[0])
+    b = world.add_host("b", world.cells[1])
+    sub = a.subscribe("groups", {"group": "g"})
+    world.run(until=1.0)
+    world.hosts["a"].migrate_to(world.cells[2])
+    b.request("groups", {"op": "mcast", "group": "g", "data": "news"})
+    world.run(until=2.0)
+    a.request("groups", {"op": "leave", "group": "g",
+                         "member": str(sub.request_id)})
+    world.run_until_idle()
+    return world
+
+
+@pytest.mark.parametrize("path", [*SEED_FILES, None],
+                         ids=lambda p: p.stem if p else "subscriptions")
+def test_rows_name_the_request_their_describe_text_names(path):
+    world = _subscription_world() if path is None else _replay(path)[0]
+    named = set()
+    for _time, kind, _node, fields in world.recorder.rows():
+        if kind not in ("send", "recv"):
+            continue
+        if fields["msg"] in OLD_RID_KINDS:
+            parsed = OLD_RID_RE.match(fields["detail"]).group(1)
+            rid = fields.get("request_id")
+            # A notification's result is a request of its own,
+            # ``<subscription>#n<k>``; the old parse cut it back to the
+            # subscription.
+            assert rid == parsed or str(rid).startswith(parsed + "#n"), fields
+            named.add(fields["msg"] if rid == parsed else "#n")
+        else:
+            assert "request_id" not in fields, fields
+    assert "request" in named
+    if path is None:
+        assert {"notification", "subscription_end", "#n"} <= named
+
+
+def test_a_notification_result_is_a_span_of_its_own():
+    report = SpanBuilder.from_records(_subscription_world().recorder)
+    children = [s for s in report.spans if "#n" in s.request_id]
+    assert len(children) == 2
+    for span in children:
+        assert span.mh == "mh:a" and span.status == "acked"
+        # Opened when the proxy took the notification's result, so the
+        # span runs from there to the MH.
+        assert span.issued_at == span.result_at_proxy
+        assert span.latency > 0 and span.hops
+        assert span.wireless_time > 0 and span.proxy_time >= 0
 
 
 # -- non-interference ---------------------------------------------------------

@@ -88,23 +88,18 @@ def test_recorder_enabled_counts_match_records():
     assert rec.wants("send") and rec.wants("anything")
 
 
-def test_recorder_lazy_detail_only_evaluated_when_kept():
-    calls = []
-
-    def describe():
-        calls.append(1)
-        return "expensive"
-
+def test_recorder_rows_filtered_out_are_neither_kept_nor_counted():
     disabled = TraceRecorder(enabled=False)
-    disabled.record(1.0, "send", "n1", detail=describe)
+    disabled.record(1.0, "send", "n1", detail="request(r1)")
     filtered = TraceRecorder(kinds={"recv"})
-    filtered.record(1.0, "send", "n1", detail=describe)
-    assert calls == []
+    filtered.record(1.0, "send", "n1", detail="request(r1)")
+    for recorder in (disabled, filtered):
+        assert len(recorder) == 0 and recorder.counts == {}
 
     kept = TraceRecorder()
-    kept.record(1.0, "send", "n1", detail=describe)
-    assert calls == [1]
-    assert kept.records[0].get("detail") == "expensive"
+    kept.record(1.0, "send", "n1", detail="request(r1)")
+    assert kept.counts == {"send": 1}
+    assert kept.records[0].get("detail") == "request(r1)"
 
 
 def test_recorder_sink_callback():

@@ -40,14 +40,6 @@ def test_timeline_node_filter():
     assert mh_events and all(e.node == "mh:m" for e in mh_events)
 
 
-def test_timeline_mh_filter_includes_station_events():
-    world = _scenario_world()
-    events = extract_timeline(world.recorder, mh="mh:m")
-    nodes = {e.node for e in events}
-    assert "mh:m" in nodes
-    assert any(node.startswith("mss:") for node in nodes)
-
-
 def test_timeline_network_rows_optional():
     world = _scenario_world()
     quiet = extract_timeline(world.recorder)

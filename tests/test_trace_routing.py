@@ -104,7 +104,7 @@ def test_every_sink_of_a_row_gets_one_shared_object():
     seen = []
     recorder.add_sink(seen.append)
     recorder.add_sink(seen.append, kinds={"send"})
-    recorder.record(1.0, "send", "n", msg_id=7, detail=lambda: "d")
+    recorder.record(1.0, "send", "n", msg_id=7, detail="d")
     assert seen[0] is seen[1]
     # The recorder keeps the row's values, not the object: a read gives an
     # equal view.
@@ -184,7 +184,7 @@ def test_a_kept_send_row_costs_little_beyond_its_values():
 
 def _mixed_trace(seed):
     """A recorder and the rows it was given: one kind with different key
-    sets and orders, container values, lazy details and ``int`` times."""
+    sets and orders, container values and ``int`` times."""
     rng = random.Random(seed)
     values = (0, 1.5, "", "cell0", None, False, ["cell0", "cell1"],
               ("a", 2), {"nested": [1]})
@@ -195,14 +195,9 @@ def _mixed_trace(seed):
         keys = rng.sample(("net", "msg", "msg_id", "dst", "candidates", "detail"),
                           rng.randint(0, 6))
         fields = {key: rng.choice(values) for key in keys}
-        given = dict(fields)
         if "detail" in fields:
             fields["detail"] = f"describe({i})"
-            if i % 2:
-                given["detail"] = lambda text=fields["detail"]: text
-            else:
-                given["detail"] = fields["detail"]
-        recorder.record(time, kind, f"n{i % 5}", **given)
+        recorder.record(time, kind, f"n{i % 5}", **fields)
         recorded.append((time, kind, f"n{i % 5}", fields))
     return recorder, recorded
 
