@@ -58,14 +58,3 @@ def curve(points: Sequence[Tuple[float, float]], width: int = 50,
     x_label = "log10(x)" if log_x else "x"
     lines.append(f"{x_label}: {x_lo:g} .. {x_hi:g}")
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line trend using block characters."""
-    blocks = " ▁▂▃▄▅▆▇█"
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(
-        blocks[1 + int((v - lo) / span * (len(blocks) - 2))] for v in values)

@@ -101,10 +101,6 @@ class MetricsRegistry:
             return []
         return child.samples
 
-    def mean(self, name: str) -> float:
-        values = self.samples(name)
-        return sum(values) / len(values) if values else 0.0
-
     def per_node(self, name: str) -> Dict[str, int]:
         """The named counter's value for every node that touched it."""
         family = self._counters.get(name)
@@ -115,15 +111,3 @@ class MetricsRegistry:
             for (node,), child in family.children.items()
             if node != ""
         }
-
-    def snapshot(self) -> Dict[str, int]:
-        """All global counters as a plain dict (for reports)."""
-        return {name: int(family.value)
-                for name, family in self._counters.items()}
-
-    def clear(self) -> None:
-        """Reset every counter and series owned by this facade."""
-        for counter in self._counters.values():
-            counter.children.clear()
-        for series in self._series.values():
-            series.children.clear()

@@ -24,9 +24,6 @@ class ChartEntry:
     kind: str
     detail: str
 
-    def arrow(self) -> str:
-        return f"{self.src} -> {self.dst}: {self.detail}"
-
 
 def extract_chart(
     recorder: TraceRecorder,

@@ -20,7 +20,7 @@ from .baseline import (
     save_baseline,
     unjustified,
 )
-from .engine import RULES, rule_ids, run_analysis
+from .engine import RULES, run_analysis
 from .model import SourceTree
 from .ownership import classify_path
 from .protocol_model import build_protocol_model
@@ -37,7 +37,6 @@ __all__ = [
     "render_json",
     "render_result",
     "render_sarif",
-    "rule_ids",
     "run_analysis",
     "save_baseline",
     "unjustified",

@@ -34,10 +34,6 @@ class BaselineComparison:
     baselined: List[Finding] = field(default_factory=list)
     fixed: int = 0  # baseline entries no longer observed
 
-    @property
-    def ok(self) -> bool:
-        return not self.new
-
 
 def load_baseline(path: Path) -> Dict[str, int]:
     if not path.exists():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .determinism_rules import DETERMINISM_RULES, run_determinism_rules
 from .model import Finding, SourceFile, SourceTree, Suppression
@@ -36,15 +36,6 @@ class AnalysisResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _comment_only(line: str) -> bool:
-    stripped = line.strip()
-    return stripped.startswith("#")
 
 
 _COMPOUND = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.If,
@@ -103,7 +94,8 @@ def _suppression_for(finding: Finding,
             return sup
         if sup.line in (finding.line - 1, head - 1):
             lines = lines_by_file.get(finding.path, [])
-            if 1 <= sup.line <= len(lines) and _comment_only(lines[sup.line - 1]):
+            if (1 <= sup.line <= len(lines)
+                    and lines[sup.line - 1].lstrip().startswith("#")):
                 return sup
     return None
 
@@ -152,8 +144,3 @@ def run_analysis(root: Path,
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return result
-
-
-def rule_ids() -> List[Tuple[str, str]]:
-    """(rule id, one-line description) for --list-rules."""
-    return sorted(RULES.items())

@@ -17,10 +17,6 @@ from .engine import RULES, AnalysisResult
 from .model import Finding
 
 
-def render_findings(findings: List[Finding]) -> str:
-    return "\n".join(f.render() for f in findings)
-
-
 def _reported(result: AnalysisResult,
               comparison: Optional[BaselineComparison]) -> List[Finding]:
     return comparison.new if comparison is not None else result.findings
@@ -114,7 +110,7 @@ def render_result(result: AnalysisResult,
     lines: List[str] = []
     reported = comparison.new if comparison is not None else result.findings
     if reported:
-        lines.append(render_findings(reported))
+        lines.extend(f.render() for f in reported)
         lines.append("")
         tally = Counter(f.rule for f in reported)
         lines.append("findings by rule: " + ", ".join(

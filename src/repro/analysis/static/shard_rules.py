@@ -50,7 +50,6 @@ from .ownership import (
     ROLE_CHANNEL,
     ROLE_COMPONENT,
     ROLE_KERNEL,
-    FileClassification,
     classify_path,
     may_draw_stream,
 )
@@ -342,7 +341,9 @@ def rule_stream_ownership(tree: SourceTree) -> List[Finding]:
             name = node.args[0].value
             if may_draw_stream(classification, name):
                 continue
-            owner = _owner_label(classification)
+            owner = (f"the {classification.component} component"
+                     if classification.component is not None
+                     else f"{classification.role} code")
             findings.append(src.finding(
                 "SHD004", node.lineno,
                 f"derives RNG stream '{name}' which {owner} does not own "
@@ -351,12 +352,6 @@ def rule_stream_ownership(tree: SourceTree) -> List[Finding]:
                 "assembler, or register ownership in "
                 "ownership.STREAM_OWNERS"))
     return findings
-
-
-def _owner_label(classification: FileClassification) -> str:
-    if classification.component is not None:
-        return f"the {classification.component} component"
-    return f"{classification.role} code"
 
 
 def rule_foreign_simulator(tree: SourceTree) -> List[Finding]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,19 +93,3 @@ def imbalance_ratio(values: Sequence[float]) -> float:
     if mu == 0:
         return 1.0
     return max(values) / mu
-
-
-def histogram(values: Iterable[float], bin_width: float) -> Dict[float, int]:
-    """Fixed-width histogram keyed by bin lower edge."""
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
-    out: Dict[float, int] = {}
-    for v in values:
-        edge = math.floor(v / bin_width) * bin_width
-        out[edge] = out.get(edge, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def rate(numerator: float, denominator: float) -> float:
-    """Safe ratio (0 when the denominator is 0)."""
-    return numerator / denominator if denominator else 0.0

@@ -10,13 +10,12 @@
 
 from .direct import DirectDeliveryMss
 from .itcp_like import ItcpLikeMss, MhImage, StoredResult
-from .mobile_ip import build_mobile_ip_world, mobile_ip_config
+from .mobile_ip import mobile_ip_config
 
 __all__ = [
     "DirectDeliveryMss",
     "ItcpLikeMss",
     "MhImage",
     "StoredResult",
-    "build_mobile_ip_world",
     "mobile_ip_config",
 ]

@@ -230,6 +230,3 @@ class _ChasedResult(_Message):
     proxy_id: ProxyId
     request_id: RequestId
     payload: Any = None
-
-    def describe(self) -> str:
-        return f"chased({self.request_id})"

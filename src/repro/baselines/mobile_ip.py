@@ -23,14 +23,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..config import WorldConfig
-from ..world import World
 
 
 def mobile_ip_config(base: WorldConfig) -> WorldConfig:
     """Derive the Mobile-IP variant of a world config."""
     return replace(base, placement="home", persistent_proxies=True)
-
-
-def build_mobile_ip_world(base: WorldConfig) -> World:
-    """A world whose rendezvous points behave like static home agents."""
-    return World(mobile_ip_config(base))

@@ -14,7 +14,7 @@ from .errors import ConfigError
 
 TOPOLOGIES = ("line", "ring", "grid", "complete")
 ORDERINGS = ("raw", "fifo", "causal")
-LATENCY_KINDS = ("constant", "uniform", "exponential", "normal")
+LATENCY_KINDS = ("constant", "uniform", "exponential")
 PLACEMENTS = ("current", "home", "least_loaded")
 
 
@@ -24,7 +24,7 @@ class LatencySpec:
 
     kind: str = "constant"
     mean: float = 0.010
-    spread: float = 0.0  # half-width (uniform), stddev (normal), floor share n/a
+    spread: float = 0.0  # half-width (uniform), mean minus floor (exponential)
 
     def __post_init__(self) -> None:
         if self.kind not in LATENCY_KINDS:
@@ -142,10 +142,6 @@ class WorldConfig:
     # paper's fire-and-forget respMss).  <= 0 forces off even with
     # faults (chaos ablation).
     wireless_ack_timeout: Optional[float] = None
-    # Cap for the MH's registration-retry exponential backoff.  None =
-    # automatic: 8 * greet_retry_interval when wireless_faults is set,
-    # otherwise the legacy fixed retry interval (no backoff).
-    greet_backoff_cap: Optional[float] = None
     # Bound on how long a proxy keeps an undeliverable result in custody
     # before discarding it with a custody_expired trace.  None = keep
     # forever (the paper's unbounded result store).
@@ -204,9 +200,6 @@ class WorldConfig:
         if self.wired_transport not in ("sr", "legacy"):
             raise ConfigError(
                 f"unknown wired transport {self.wired_transport!r}")
-        if self.greet_backoff_cap is not None and self.greet_backoff_cap <= 0:
-            raise ConfigError(
-                f"greet backoff cap {self.greet_backoff_cap!r} must be positive")
         if self.proxy_custody_ttl is not None and self.proxy_custody_ttl <= 0:
             raise ConfigError(
                 f"proxy custody ttl {self.proxy_custody_ttl!r} must be positive")

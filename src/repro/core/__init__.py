@@ -9,7 +9,6 @@
 from .placement import (
     CurrentCellPlacement,
     HomeMssPlacement,
-    LeastLoadedPlacement,
     PlacementPolicy,
 )
 from .proxy import Proxy, RequestRecord
@@ -17,7 +16,6 @@ from .proxy import Proxy, RequestRecord
 __all__ = [
     "CurrentCellPlacement",
     "HomeMssPlacement",
-    "LeastLoadedPlacement",
     "PlacementPolicy",
     "Proxy",
     "RequestRecord",

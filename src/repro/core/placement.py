@@ -10,15 +10,15 @@ Three policies make that claim measurable:
 * :class:`CurrentCellPlacement` — the paper's rule.
 * :class:`HomeMssPlacement` — a Mobile-IP-style *static* home agent: the
   proxy always lives at the MH's home MSS (the baseline of experiment AN5).
-* :class:`LeastLoadedPlacement` — an extension exploiting the dynamic
+* ``placement="least_loaded"`` — an extension exploiting the dynamic
   placement freedom explicitly: create the proxy at the currently
-  least-loaded MSS.
+  least-loaded MSS (``world.py``, bound to the world's load figures).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Sequence
+from typing import Dict
 
 from ..errors import ConfigError
 from ..types import NodeId
@@ -58,23 +58,3 @@ class HomeMssPlacement(PlacementPolicy):
             return self.home_table[mh]
         except KeyError:
             raise ConfigError(f"no home MSS configured for {mh!r}") from None
-
-
-class LeastLoadedPlacement(PlacementPolicy):
-    """Create the proxy at the least-loaded MSS (global-view extension).
-
-    ``load_of`` returns the current load figure for an MSS; ties break by
-    node id for determinism.
-    """
-
-    name = "least_loaded"
-
-    def __init__(self, stations: Sequence[NodeId],
-                 load_of: Callable[[NodeId], float]) -> None:
-        if not stations:
-            raise ConfigError("least-loaded placement needs at least one MSS")
-        self.stations = list(stations)
-        self.load_of = load_of
-
-    def place(self, mh: NodeId, resp_mss: NodeId) -> NodeId:
-        return min(self.stations, key=lambda node: (self.load_of(node), node))

@@ -396,9 +396,6 @@ class CreateProxyMsg(Message):
     service: str
     payload: Any = None
 
-    def describe(self) -> str:
-        return f"create_proxy({self.mh})"
-
 
 @dataclass(slots=True, kw_only=True)
 class ProxyGoneMsg(Message):
@@ -428,9 +425,6 @@ class ProxyCreatedMsg(Message):
     kind: ClassVar[str] = "proxy_created"
     mh: NodeId
     ref: ProxyRef
-
-    def describe(self) -> str:
-        return f"proxy_created({self.mh})"
 
 
 @dataclass(slots=True, kw_only=True)
@@ -519,9 +513,6 @@ class ServerAckMsg(Message):
     kind: ClassVar[str] = "server_ack"
     request_field = "request_id"
     request_id: RequestId
-
-    def describe(self) -> str:
-        return f"srv_ack({self.request_id})"
 
 
 @dataclass(slots=True, kw_only=True)

@@ -141,10 +141,6 @@ class Proxy:
     def ref(self) -> ProxyRef:
         return ProxyRef(mss=self.host.node_id, proxy_id=self.proxy_id)
 
-    @property
-    def pending_count(self) -> int:
-        return len(self.requestlist)
-
     # -- inbound handlers (called by the hosting MSS router) ---------------
 
     def handle_forwarded_request(self, msg: ForwardedRequestMsg) -> None:

@@ -27,6 +27,7 @@ from typing import Dict
 
 from ..analysis.charts import hbar_chart
 from ..analysis.stats import imbalance_ratio, jain_fairness
+from ..baselines.mobile_ip import mobile_ip_config
 from ..config import LatencySpec, WorldConfig
 from ..net.latency import ExponentialLatency
 from ..servers.echo import EchoServer
@@ -65,12 +66,11 @@ def run_policy(
         grid_width=grid,
         grid_height=grid,
         placement=policy,
-        persistent_proxies=(policy == "home"),
         wired_latency=LatencySpec(kind="exponential", mean=0.010),
         wireless_latency=LatencySpec(kind="constant", mean=0.005),
         trace=False,
     )
-    world = World(config)
+    world = World(mobile_ip_config(config) if policy == "home" else config)
     world.add_server("echo", EchoServer,
                      service_time=ExponentialLatency(scale=0.5, floor=0.1))
     home_cell = world.cells[0]

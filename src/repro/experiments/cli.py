@@ -372,12 +372,12 @@ def _select_rules(spec: str) -> Set[str]:
 def run_analyze(args: argparse.Namespace) -> int:
     """The ``analyze`` subcommand: static passes plus baseline ratchet."""
     from ..analysis.static import (
-        compare, load_baseline, load_justifications, render_json,
-        render_result, render_sarif, rule_ids, run_analysis, save_baseline,
+        RULES, compare, load_baseline, load_justifications, render_json,
+        render_result, render_sarif, run_analysis, save_baseline,
         unjustified)
 
     if args.list_rules:
-        for rule_id, doc in rule_ids():
+        for rule_id, doc in sorted(RULES.items()):
             print(f"{rule_id:<8} {doc}")
         return 0
     selected = None

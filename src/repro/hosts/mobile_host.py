@@ -468,11 +468,3 @@ class MobileHost:
                                 node=self.node_id)
         self._pending_ack_events.clear()
         self._unacked.clear()
-
-    # -- observation helpers -------------------------------------------------------
-
-    def delivered_request_ids(self) -> List[RequestId]:
-        return [rid for _, rid, _ in self.deliveries]
-
-    def results_for(self, request_id: RequestId) -> List[Any]:
-        return [payload for _, rid, payload in self.deliveries if rid == request_id]

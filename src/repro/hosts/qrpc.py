@@ -31,10 +31,6 @@ class QueuedRpcClient(RdpClient):
         self._outbox: List[RequestId] = []
         host.registration_listeners.append(self._flush_outbox)
 
-    @property
-    def outbox_depth(self) -> int:
-        return len(self._outbox)
-
     def request(self, service: str, payload: Any = None,
                 on_result: Optional[Callable[[Any], None]] = None) -> PendingRequest:
         """Issue a request; queue it if the host cannot transmit now."""

@@ -13,7 +13,7 @@ live run unmodified.  See ``docs/LIVE.md`` for the architecture and
 
 from .clock import LiveClock
 from .cluster import ClusterResult, ClusterSpec, run_cluster
-from .codec import CodecError, decode_message, encode_message
+from .codec import CodecError
 from .engine import AsyncioEngine
 
 __all__ = [
@@ -22,7 +22,5 @@ __all__ = [
     "ClusterSpec",
     "CodecError",
     "LiveClock",
-    "decode_message",
-    "encode_message",
     "run_cluster",
 ]

@@ -141,20 +141,6 @@ def message_from_obj(obj: Any) -> Message:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def encode_message(message: Message) -> bytes:
-    """Byte-stable encoding (sorted keys, compact separators, UTF-8)."""
-    return _ENCODER.encode(message_to_obj(message)).encode("utf-8")
-
-
-def decode_message(data: bytes) -> Message:
-    """Inverse of :func:`encode_message`."""
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise CodecError(f"corrupt wire frame: {exc}") from None
-    return message_from_obj(obj)
-
-
 #: The stamp of every live frame.  No ordering layer runs on the live
 #: wire yet (ROADMAP: vector clocks in the envelope), so the stamp slot
 #: is never read; one shared instance, built at import, keeps

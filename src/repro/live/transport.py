@@ -38,7 +38,7 @@ invariant oracle consume a merged live trace unmodified.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import UnknownNodeError
 from ..net.causal import StampedMessage
@@ -49,7 +49,7 @@ from ..net.reliable import Frame, ReliableLink, RetryPolicy
 from ..net.wired import WiredFabric
 from ..net.wireless import WirelessFabric, WirelessHost, WirelessStation
 from ..sim.tracing import TraceRecorder
-from ..types import CellId, NodeId, is_mss
+from ..types import CellId, NodeId
 from .codec import (
     CodecError,
     encode_envelope,
@@ -88,10 +88,6 @@ class LiveWiredTransport(WiredFabric):
         self.transport = ReliableLink(
             self, policy if policy is not None else RetryPolicy(), self.rng)
         self.send_errors = 0
-
-    def station_ids(self) -> List[NodeId]:
-        """Every station in the cluster, from the address map (sorted)."""
-        return sorted(node for node in self.addresses if is_mss(node))
 
     # -- send path ---------------------------------------------------------
 

@@ -8,8 +8,7 @@ configurable on/off durations.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Optional, Protocol
+from typing import Callable, Protocol
 
 from ..sim import Simulator
 from ..types import MhState
@@ -69,13 +68,3 @@ class ActivityProcess:
             self.host.activate()
         self.sim.schedule(self.on_duration(), self._go_inactive,
                           label="activity:off")
-
-
-def exponential_durations(rng: random.Random, mean: float) -> Callable[[], float]:
-    """Convenience factory for exponential on/off period lengths."""
-    return lambda: rng.expovariate(1.0 / mean)
-
-
-def fixed_durations(duration: float) -> Callable[[], float]:
-    """Convenience factory for constant on/off period lengths."""
-    return lambda: duration

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, TypeVar, Union)
+                    Tuple, TypeVar, Union)
 
 from ..errors import MobilityError
 from ..types import CellId
@@ -91,15 +91,6 @@ class CellMap:
         """2-D position of *cell* (grid layouts set it; defaults to 0,0)."""
         return self._positions.get(cell, (0.0, 0.0))
 
-    def distance_hops(self, a: CellId, b: CellId) -> int:
-        """Shortest-path hop distance between two cells."""
-        if a not in self._neighbors or b not in self._neighbors:
-            raise MobilityError(f"unknown cell {a!r} or {b!r}")
-        try:
-            return bfs(self._neighbors, a)[b][0]
-        except KeyError:
-            raise MobilityError(f"no path from {a!r} to {b!r}") from None
-
 
 def _cell_name(index: int) -> CellId:
     return CellId(f"cell{index}")
@@ -147,10 +138,3 @@ def complete_topology(n_cells: int) -> CellMap:
     return CellMap([(_cell_name(i), _cell_name(j))
                     for i in range(n_cells) for j in range(i + 1, n_cells)],
                    _row(n_cells))
-
-
-def custom_topology(edges: Iterable[Tuple[str, str]],
-                    isolated: Sequence[str] = ()) -> CellMap:
-    """Build a map from explicit cell-name edges."""
-    return CellMap([(CellId(a), CellId(b)) for a, b in edges],
-                   isolated=[CellId(cell) for cell in isolated])

@@ -27,26 +27,6 @@ class ResidenceTime(ABC):
     @abstractmethod
     def sample(self, rng: random.Random) -> float: ...
 
-    @property
-    @abstractmethod
-    def mean(self) -> float: ...
-
-
-class FixedResidence(ResidenceTime):
-    """Always stay exactly ``duration``."""
-
-    def __init__(self, duration: float) -> None:
-        if duration <= 0:
-            raise MobilityError(f"residence time must be positive, got {duration}")
-        self.duration = duration
-
-    def sample(self, rng: random.Random) -> float:
-        return self.duration
-
-    @property
-    def mean(self) -> float:
-        return self.duration
-
 
 class ExponentialResidence(ResidenceTime):
     """Exponential residence time (memoryless cell dwell)."""
@@ -58,27 +38,6 @@ class ExponentialResidence(ResidenceTime):
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-
-class UniformResidence(ResidenceTime):
-    """Residence time uniform in ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if low <= 0 or high < low:
-            raise MobilityError(f"invalid residence range [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
 
 
 class MobilityModel(ABC):

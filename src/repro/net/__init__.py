@@ -18,7 +18,6 @@ from .latency import (
     ConstantLatency,
     ExponentialLatency,
     LatencyModel,
-    NormalLatency,
     UniformLatency,
 )
 from .message import Message
@@ -40,7 +39,6 @@ __all__ = [
     "LinkAckMsg",
     "Message",
     "NetworkMonitor",
-    "NormalLatency",
     "OrderingLayer",
     "RawOrdering",
     "ReliableLink",

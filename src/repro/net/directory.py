@@ -8,7 +8,7 @@ are modelled as local (zero-cost) calls.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..errors import UnknownNodeError
 from ..types import NodeId
@@ -24,9 +24,6 @@ class DirectoryService:
         """Bind *name* to *node*; re-binding overwrites."""
         self._entries[name] = node
 
-    def unregister(self, name: str) -> None:
-        self._entries.pop(name, None)
-
     def lookup(self, name: str) -> NodeId:
         """Resolve *name*; raises :class:`UnknownNodeError` when unbound."""
         try:
@@ -36,10 +33,6 @@ class DirectoryService:
 
     def contains(self, name: str) -> bool:
         return name in self._entries
-
-    def list(self, prefix: str = "") -> List[str]:
-        """All bound names starting with *prefix*, sorted."""
-        return sorted(name for name in self._entries if name.startswith(prefix))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -336,19 +336,6 @@ class WirelessFaultPlan:
 
     # -- reporting --------------------------------------------------------
 
-    def describe(self) -> Dict[str, object]:
-        """Schedule parameters for experiment reports (stable keys)."""
-        return {
-            "loss": self.loss,
-            "burst_probability": self.burst_probability,
-            "burst_length": self.burst_length,
-            "burst_loss": self.burst_loss,
-            "congestion_probability": self.congestion_probability,
-            "congestion_delay": self.congestion_delay,
-            "handoff_blackout": self.handoff_blackout,
-            "blackouts": [list(window) for window in self._blackouts],
-        }
-
 
 # -- spec -> plan -------------------------------------------------------------
 #

@@ -1,9 +1,6 @@
 """Latency models for the wired and wireless substrates.
 
-Each model exposes ``sample(rng)`` (one transmission delay) and ``mean``.
-The retransmission-threshold experiment (AN3) needs the means explicitly:
-the paper predicts retransmissions only when the mean cell residence time
-falls below ``t_wired + t_wireless``.
+Each model exposes ``sample(rng)``, one transmission delay.
 """
 
 from __future__ import annotations
@@ -21,11 +18,6 @@ class LatencyModel(ABC):
     def sample(self, rng: random.Random) -> float:
         """Draw one delay."""
 
-    @property
-    @abstractmethod
-    def mean(self) -> float:
-        """Mean delay of the distribution."""
-
 
 class ConstantLatency(LatencyModel):
     """Every message takes exactly ``delay``."""
@@ -36,10 +28,6 @@ class ConstantLatency(LatencyModel):
         self.delay = delay
 
     def sample(self, rng: random.Random) -> float:
-        return self.delay
-
-    @property
-    def mean(self) -> float:
         return self.delay
 
     def __repr__(self) -> str:
@@ -57,10 +45,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -84,32 +68,5 @@ class ExponentialLatency(LatencyModel):
             return self.floor
         return self.floor + rng.expovariate(1.0 / self.scale)
 
-    @property
-    def mean(self) -> float:
-        return self.floor + self.scale
-
     def __repr__(self) -> str:
         return f"ExponentialLatency(scale={self.scale}, floor={self.floor})"
-
-
-class NormalLatency(LatencyModel):
-    """Normally distributed delays, truncated at a non-negative floor."""
-
-    def __init__(self, mean: float, stddev: float, floor: float = 0.0) -> None:
-        if mean < 0 or stddev < 0 or floor < 0:
-            raise ConfigError(f"invalid normal latency ({mean}, {stddev}, {floor})")
-        self._mean = mean
-        self.stddev = stddev
-        self.floor = floor
-
-    def sample(self, rng: random.Random) -> float:
-        return max(self.floor, rng.gauss(self._mean, self.stddev))
-
-    @property
-    def mean(self) -> float:
-        # Truncation bias is negligible for the parameters used in the
-        # experiments (mean >> stddev); report the untruncated mean.
-        return self._mean
-
-    def __repr__(self) -> str:
-        return f"NormalLatency(mean={self._mean}, stddev={self.stddev})"

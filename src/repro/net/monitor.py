@@ -124,19 +124,6 @@ class NetworkMonitor:
         """Bytes of *kind* sent on *network* (or on any network)."""
         return self._sum(self._sent_bytes, network, kind)
 
-    def received(self, kind: str | None = None,
-                 network: str | None = None) -> int:
-        """Messages delivered, filtered by kind and/or network."""
-        return self._sum(self._received, network, kind)
-
-    def received_histogram(self, network: str | None = None) -> Dict[str, int]:
-        """Delivered-message counts per kind (parity with sent counts)."""
-        out: Dict[str, int] = {}
-        for (net, kind), child in self._received.children.items():
-            if network is None or net == network:
-                out[kind] = out.get(kind, 0) + int(child.value)  # type: ignore[attr-defined]
-        return out
-
     def drops(self, reason: str | None = None) -> int:
         """Dropped messages, optionally filtered by reason."""
         return self._sum(self._dropped, None, None, reason)
@@ -148,14 +135,6 @@ class NetworkMonitor:
 
     def total_messages(self, network: str | None = None) -> int:
         return self._sum(self._sent, network)
-
-    def kind_histogram(self, network: str | None = None) -> Dict[str, int]:
-        """Message counts per kind (summed over networks by default)."""
-        out: Dict[str, int] = {}
-        for (net, kind), child in self._sent.children.items():
-            if network is None or net == network:
-                out[kind] = out.get(kind, 0) + int(child.value)  # type: ignore[attr-defined]
-        return out
 
     def load_of(self, node: NodeId) -> int:
         """Messages sent or received by *node* (a proxy for its load)."""

@@ -216,9 +216,6 @@ class AckRanges:
         """The sparse ranges above the floor (the SACK blocks)."""
         return tuple((lo, hi) for lo, hi in self._ranges)
 
-    def range_count(self) -> int:
-        return len(self._ranges)
-
 
 @dataclass(slots=True, kw_only=True)
 class LinkAckMsg(Message):
@@ -749,10 +746,6 @@ class ReliableLink(_LinkTransport):
     def max_window_occupancy(self) -> int:
         return max((w.max_occupancy for w in self._windows.values()),
                    default=0)
-
-    def receiver_range_count(self) -> int:
-        """Total SACK ranges held across channels (memory-bound probe)."""
-        return sum(r.range_count() for r in self._recv.values())
 
     def describe(self) -> Dict[str, int]:
         out = super().describe()

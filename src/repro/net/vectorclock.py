@@ -124,10 +124,6 @@ class VectorClock:
     def __hash__(self) -> int:
         return hash(frozenset(self._clock.items()))
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """True when neither clock dominates the other."""
-        return not self.dominates(other) and not other.dominates(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._clock.items()))
         return f"VC({inner})"

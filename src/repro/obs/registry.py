@@ -87,15 +87,6 @@ class Gauge:
         self.value: float = 0
         self._fn: Optional[Callable[[], float]] = None
 
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self.value -= amount
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Sample the gauge lazily at export/scrape time."""
         self._fn = fn
@@ -112,7 +103,7 @@ class Histogram:
     at export time; internally we store per-bucket (non-cumulative)
     counts and cumulate when read.  ``track=True`` additionally keeps the
     raw sample list — used by the :class:`MetricsRegistry` facade, whose
-    ``samples()``/``mean()`` API predates the hub.
+    ``samples()`` API predates the hub.
     """
 
     __slots__ = ("bounds", "counts", "total", "sum", "samples")
@@ -208,10 +199,6 @@ class CounterFamily(MetricFamily):
         assert isinstance(child, Counter)
         return child
 
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        """Bump the unlabeled child (labelless families only)."""
-        self.labels().inc(amount)
-
     @property
     def value(self) -> float:
         """Sum over all children (the family total)."""
@@ -231,14 +218,8 @@ class GaugeFamily(MetricFamily):
         assert isinstance(child, Gauge)
         return child
 
-    def set(self, value: Union[int, float]) -> None:
-        self.labels().set(value)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         self.labels().set_function(fn)
-
-    def read(self) -> float:
-        return self.labels().read()
 
 
 class HistogramFamily(MetricFamily):
@@ -334,13 +315,6 @@ class MetricsHub:
 
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
-
-    def counter_total(self, name: str) -> float:
-        """Family-wide counter total, 0 for unknown names."""
-        family = self._families.get(name)
-        if not isinstance(family, CounterFamily):
-            return 0
-        return family.value
 
 
 __all__ = [

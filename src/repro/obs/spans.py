@@ -88,6 +88,7 @@ class DeliverySpan:
     admitted_at: Optional[float] = None      # first proxy_admit
     result_at_proxy: Optional[float] = None  # first proxy_result
     proxy_node: Optional[str] = None
+    requested: bool = False  # a client ``request`` row opened it
     hops: List[Hop] = field(default_factory=list)
     retransmits: int = 0
     bounces: int = 0
@@ -111,11 +112,6 @@ class DeliverySpan:
         if self.delivered_at is not None:
             return "delivered"
         return "pending"
-
-    @property
-    def terminated(self) -> bool:
-        """Closed by the protocol's own terminal event (``proxy_ack``)."""
-        return self.acked_at is not None
 
     @property
     def latency(self) -> Optional[float]:
@@ -213,7 +209,9 @@ class SpanReport:
 
     @property
     def issued(self) -> int:
-        return len(self.spans)
+        """Spans a client ``request`` row opened; a notification's result
+        has a span of its own but is no issued request."""
+        return sum(1 for s in self.spans if s.requested)
 
     @property
     def acked(self) -> int:
@@ -230,8 +228,8 @@ class SpanReport:
     def accounted(self) -> bool:
         """True when every issued request is closed or explicitly listed
         as unterminated — the 100%-accounting acceptance criterion."""
-        return self.acked + self.delivered_only + sum(
-            1 for s in self.spans if s.status == "pending") == self.issued
+        return sum(1 for s in self.spans if s.requested and s.status in (
+            "acked", "delivered", "pending")) == self.issued
 
     def summary(self) -> Dict[str, object]:
         latencies = sorted(
@@ -328,6 +326,7 @@ class SpanBuilder:
             span.service = str(rec.get("service", ""))
         # else: a client retry re-issued the same request id — latency
         # runs from the FIRST issue, so the original row wins.
+        span.requested = True
 
     def _ingest_send(self, rec: TraceRecord) -> None:
         rid = rec.get("request_id")

@@ -2,7 +2,7 @@
 group multicast."""
 
 from .base import AppServer
-from .echo import ComputeServer, EchoServer, ManualServer, TaggingServer
+from .echo import EchoServer, ManualServer, TaggingServer
 from .mail import MailServer, Mailbox, StoredMail
 from .multicast import GroupServer
 from .ordered_multicast import (
@@ -17,7 +17,6 @@ from .tis_network import TisNetwork
 
 __all__ = [
     "AppServer",
-    "ComputeServer",
     "EchoServer",
     "GroupServer",
     "MailServer",

@@ -72,8 +72,8 @@ class AppServer:
             self.handle_other(message)
 
     def handle_other(self, message: Message) -> None:
-        """Hook for subclasses with extra message types (TIS overlay)."""
-        self.instr.metrics.incr("server_unhandled_messages", node=self.node_id)
+        """Hook for subclasses with extra message types (TIS overlay);
+        the base server has none and ignores the message."""
 
     def _relocate_subscription(self, message: SubscriptionRelocateMsg) -> None:
         """A migrated proxy announces its new address for an open

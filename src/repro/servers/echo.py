@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.protocol import ServerRequestMsg
 from ..types import RequestId
@@ -11,22 +11,6 @@ from .base import AppServer
 
 class EchoServer(AppServer):
     """Replies with exactly the request payload."""
-
-
-class ComputeServer(AppServer):
-    """Applies a pure function to the payload.
-
-    The default squares numbers, a stand-in for any long-running
-    computation behind a request/reply service.
-    """
-
-    def __init__(self, *args: Any, fn: Optional[Callable[[Any], Any]] = None,
-                 **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.fn = fn or (lambda x: x * x)
-
-    def handle_request(self, payload: Any) -> Any:
-        return self.fn(payload)
 
 
 class ManualServer(AppServer):

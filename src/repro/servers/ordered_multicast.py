@@ -151,10 +151,6 @@ class OrderedMembership:
     def holdback_depth(self) -> int:
         return len(self._holdback)
 
-    @property
-    def active(self) -> bool:
-        return self.subscription.active
-
 
 def join_ordered_group(client: RdpClient, service: str, group: str,
                        on_deliver: Optional[Callable[[Any], None]] = None

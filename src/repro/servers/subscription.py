@@ -61,15 +61,6 @@ class SubscriptionRegistry:
         ))
         return True
 
-    def notify_all(self, payload: Any, **param_filters: Any) -> int:
-        """Notify every subscription whose params match; returns count."""
-        count = 0
-        for entry in list(self.entries.values()):
-            if all(entry.params.get(k) == v for k, v in param_filters.items()):
-                if self.notify(entry.subscription_id, payload):
-                    count += 1
-        return count
-
     def close(self, subscription_id: RequestId, payload: Any = None) -> bool:
         """End a subscription; completes the original subscribe request."""
         entry = self.entries.pop(subscription_id, None)

@@ -89,9 +89,6 @@ class TisUpdateMsg(Message):
     origin: NodeId
     ttl: int = 8
 
-    def describe(self) -> str:
-        return f"tis_update({self.region})"
-
 
 @dataclass(slots=True, kw_only=True)
 class TisUpdateAckMsg(Message):
@@ -99,9 +96,6 @@ class TisUpdateAckMsg(Message):
     op_id: int
     region: str
     version: int
-
-    def describe(self) -> str:
-        return f"tis_update_ack({self.region})"
 
 
 @dataclass(slots=True, kw_only=True)
@@ -201,7 +195,7 @@ class TrafficInfoServer(AppServer):
             self._finish_lookup(op_id, None)
             return
         pending.timer = self.sim.schedule(self.lookup_timeout,
-                                          self._lookup_timed_out, op_id,
+                                          self._finish_lookup, op_id, None,
                                           label="tis:lookup-timeout")
 
     def _forward_lookup(self, lookup: TisLookupMsg) -> bool:
@@ -221,9 +215,6 @@ class TrafficInfoServer(AppServer):
                 op_id=lookup.op_id, region=lookup.region, origin=lookup.origin,
                 ttl=lookup.ttl - 1, visited=visited))
         return True
-
-    def _lookup_timed_out(self, op_id: int) -> None:
-        self._finish_lookup(op_id, None)
 
     def _finish_lookup(self, op_id: int, report: Optional[Dict[str, Any]]) -> None:
         pending = self._pending.pop(op_id, None)
@@ -253,7 +244,7 @@ class TrafficInfoServer(AppServer):
             self._finish_lookup(op_id, None)
             return
         self._pending[op_id].timer = self.sim.schedule(
-            self.lookup_timeout, self._lookup_timed_out, op_id,
+            self.lookup_timeout, self._finish_lookup, op_id, None,
             label="tis:update-timeout")
 
     def _forward_update(self, update: TisUpdateMsg) -> bool:

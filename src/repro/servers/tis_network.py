@@ -99,9 +99,6 @@ class TisNetwork:
 
     # -- accessors -----------------------------------------------------------------
 
-    def server_names(self) -> List[str]:
-        return sorted(self.servers)
-
     def owner_of(self, region: str) -> TrafficInfoServer:
         try:
             return self.servers[self.region_owner[region]]

@@ -2,7 +2,7 @@
 
 from .city import CityModel
 from .traffic import StaffReporter, SyntheticTraffic, clamp_level
-from .workload import CitizenWorkload, WorkloadStats, open_home_subscription
+from .workload import CitizenWorkload, WorkloadStats
 
 __all__ = [
     "CitizenWorkload",
@@ -11,5 +11,4 @@ __all__ = [
     "SyntheticTraffic",
     "WorkloadStats",
     "clamp_level",
-    "open_home_subscription",
 ]

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..hosts.api import PendingRequest, RdpClient, Subscription
+from ..hosts.api import PendingRequest, RdpClient
 from ..sim import PeriodicProcess, Simulator
 from ..types import MhState
 from .city import CityModel
@@ -23,10 +23,6 @@ class WorkloadStats:
 
     issued: int = 0
     requests: List[PendingRequest] = field(default_factory=list)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.requests if r.done)
 
     def latencies(self) -> List[float]:
         return [r.latency for r in self.requests if r.latency is not None]
@@ -79,14 +75,3 @@ class CitizenWorkload:
                                       {"op": "query", "region": region})
         self.stats.issued += 1
         self.stats.requests.append(pending)
-
-
-def open_home_subscription(client: RdpClient, city: CityModel,
-                           service: str = "tis",
-                           threshold: float = 2.0) -> Subscription:
-    """Subscribe the client to its current cell's region."""
-    host = client.host
-    if host.current_cell is None:
-        raise ValueError(f"{host.node_id} is not in any cell")
-    region = city.local_region(host.current_cell)
-    return client.subscribe(service, {"region": region, "threshold": threshold})

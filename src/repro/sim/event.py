@@ -6,7 +6,8 @@ from typing import Any, Callable
 
 
 def _noop() -> None:
-    return None
+    """Placeholder callback (the default, and a cancelled event's); the
+    kernel never fires either."""
 
 
 class Event:

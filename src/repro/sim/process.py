@@ -188,10 +188,6 @@ class PeriodicProcess:
         self._event: Optional[Event] = None
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Begin ticking; the first tick fires after *initial_delay*
         (default: one period)."""

@@ -41,9 +41,5 @@ class RngStreams:
             self._streams[name] = random.Random(_derive_seed(self.seed, name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Derive a child factory (e.g. one per experiment repetition)."""
-        return RngStreams(_derive_seed(self.seed, f"spawn/{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStreams(seed={self.seed}, streams={sorted(self._streams)})"

@@ -63,11 +63,6 @@ class Simulator:
         """Number of events fired so far (useful for progress metrics)."""
         return self._events_executed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
-
     def schedule(
         self,
         delay: float,

@@ -158,12 +158,6 @@ class TraceRecorder:
             for sink in sinks:
                 sink(rec)
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        """A new list of views of the kept rows (equal to, but not the
-        objects the sinks got)."""
-        return list(self)
-
     def rows(self, start: Optional[int] = None, stop: Optional[int] = None,
              ) -> Iterator[Tuple[float, str, str, Dict[str, Any]]]:
         """``(time, kind, node, fields)`` of the kept rows ``[start:stop]``,

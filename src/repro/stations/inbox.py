@@ -96,8 +96,3 @@ class Inbox:
         dropped = len(self._queue)
         self._queue.clear()
         return dropped
-
-    @property
-    def depth(self) -> int:
-        """Messages waiting (excluding the one in service)."""
-        return len(self._queue)

@@ -600,7 +600,7 @@ class MobileSupportStation:
 
     def _on_leave(self, msg: LeaveMsg) -> None:
         entry = self.entries.get(msg.mh)
-        if entry is not None and self._unregister(msg.mh, entry).has_proxy:
+        if entry is not None and self._unregister(msg.mh, entry).ref is not None:
             # Assumption 6 says an MH only leaves once everything is
             # acknowledged; count violations instead of crashing.
             self.instr.metrics.incr("mh_left_with_pending", node=self.node_id)
@@ -975,11 +975,6 @@ class MobileSupportStation:
         self.wired.set_up(self.node_id)
         self.instr.metrics.incr("mss_restarts", node=self.node_id)
         self.instr.recorder.record(self.sim.now, "mss_restart", self.node_id)
-
-    def crash_and_restart(self) -> None:
-        """Instantaneous crash+reboot (state loss with zero downtime)."""
-        self.crash()
-        self.restart()
 
     def _on_proxy_gone(self, msg: ProxyGoneMsg) -> None:
         mh = msg.mh

@@ -35,10 +35,6 @@ class Pref:
     # new requests belong to the owner.  Keyed by request id.
     foreign: Dict[RequestId, ProxyRef] = field(default_factory=dict)
 
-    @property
-    def has_proxy(self) -> bool:
-        return self.ref is not None
-
     def clear_proxy(self) -> None:
         """Null the address and drop flags (the proxy is being removed)."""
         self.ref = None

@@ -42,16 +42,6 @@ def is_mss(node: NodeId) -> bool:
     return node.startswith("mss:")
 
 
-def is_mh(node: NodeId) -> bool:
-    """Return True when *node* names a mobile host."""
-    return node.startswith("mh:")
-
-
-def is_server(node: NodeId) -> bool:
-    """Return True when *node* names an application server."""
-    return node.startswith("srv:")
-
-
 class MhState(Enum):
     """Life-cycle states of a mobile host (paper, Section 2).
 

@@ -427,7 +427,7 @@ def run_case(case: FuzzCase, protocol: str = "rdp",
     delivered = sum(len(c.completed) for c in world.clients.values())
     return FuzzResult(
         case=case, protocol=protocol, violations=oracle.violations,
-        trace=canonical_lines(world.recorder.records) if keep_trace else [],
+        trace=canonical_lines(world.recorder) if keep_trace else [],
         requests_issued=issued, requests_delivered=delivered,
     )
 

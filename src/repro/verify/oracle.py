@@ -559,12 +559,8 @@ class Oracle:
         if self.raise_immediately:
             raise violation
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def summary(self) -> str:
-        if self.ok:
+        if not self.violations:
             return "all invariants held"
         by_name: Dict[str, int] = {}
         for violation in self.violations:

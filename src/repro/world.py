@@ -8,14 +8,12 @@ go through this module.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, List, Optional, Type
 
 from .config import LatencySpec, WorldConfig
 from .core.placement import (
     CurrentCellPlacement,
     HomeMssPlacement,
-    LeastLoadedPlacement,
     PlacementPolicy,
 )
 from .errors import ConfigError
@@ -36,7 +34,6 @@ from .net.latency import (
     ConstantLatency,
     ExponentialLatency,
     LatencyModel,
-    NormalLatency,
     UniformLatency,
 )
 from .net.faults import wired_plan, wireless_plan
@@ -58,8 +55,6 @@ def build_latency(spec: LatencySpec) -> LatencyModel:
     if spec.kind == "exponential":
         floor = max(0.0, spec.mean - spec.spread) if spec.spread else 0.0
         return ExponentialLatency(scale=spec.mean - floor, floor=floor)
-    if spec.kind == "normal":
-        return NormalLatency(spec.mean, spec.spread)
     raise ConfigError(f"unknown latency kind {spec.kind!r}")
 
 
@@ -164,14 +159,13 @@ class World:
         return value if value > 0 else None
 
     def _greet_backoff_cap(self) -> Optional[float]:
-        """Resolve the auto semantics of ``greet_backoff_cap``.
+        """The cap of the MH's registration-retry backoff: 8 ×
+        ``greet_retry_interval`` with a radio fault plan, else none.
 
         Backoff only engages when a radio fault plan is present: in clean
         worlds the legacy fixed retry interval keeps historical event
         schedules (and therefore BENCH determinism) byte-identical.
         """
-        if self.config.greet_backoff_cap is not None:
-            return self.config.greet_backoff_cap
         if self.config.wireless_faults is not None:
             return 8.0 * self.config.greet_retry_interval
         return None
@@ -215,12 +209,6 @@ class World:
     @property
     def cells(self) -> List[CellId]:
         return list(self._cells)
-
-    def station(self, cell: CellId) -> MobileSupportStation:
-        try:
-            return self.stations[cell]
-        except KeyError:
-            raise ConfigError(f"unknown cell {cell!r}") from None
 
     def station_ids(self) -> List[NodeId]:
         return [self.stations[cell].node_id for cell in self.cells]
@@ -266,12 +254,6 @@ class World:
         durable log's unanswered requests, dedup redeliveries."""
         host = self.hosts[name]
         host.recover(cell)
-        return host
-
-    def doze_mh(self, name: str) -> MobileHost:
-        """Put a host into doze mode (radio off, state kept)."""
-        host = self.hosts[name]
-        host.doze()
         return host
 
     def wake_mh(self, name: str) -> MobileHost:
@@ -326,9 +308,6 @@ class World:
             driver.start()
         return driver
 
-    def mobility_rng(self, name: str) -> random.Random:
-        return self.rng.stream(f"mobility.{name}")
-
     # -- running ----------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
@@ -357,11 +336,6 @@ class World:
 
     def live_proxy_count(self) -> int:
         return sum(len(s.proxies) for s in self.stations.values())
-
-    def proxies_of(self, host_name: str) -> list:
-        mh = self.hosts[host_name].node_id
-        return [proxy for station in self.stations.values()
-                for proxy in station.proxies.values() if proxy.mh == mh]
 
 
 class _DeferredHome(PlacementPolicy):

@@ -70,7 +70,7 @@ def test_retained_results_dropped_on_handoff():
     host.activate()
     world.run_until_idle()
     assert p.done
-    s0 = world.station(world.cells[0])
+    s0 = world.stations[world.cells[0]]
     assert s0.entries[host.node_id].retained is None
     # Delivery came from the proxy's re-send via the new MSS.
     assert world.metrics.count("proxy_retransmissions") >= 1

@@ -87,7 +87,7 @@ def test_mobile_ip_rendezvous_stays_home():
         p = client.request("echo", cell)
         world.run(until=world.sim.now + 2.0)
         assert p.done
-    home = world.station(world.cells[0])
+    home = world.stations[world.cells[0]]
     assert len(home.proxies) == 1  # all traffic rendezvoused at home
     assert world.metrics.count("proxies_deleted") == 0
 

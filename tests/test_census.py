@@ -4,8 +4,11 @@ One traced run of a tiny program covers what the census must get right:
 a called and an uncalled function, a def nested in an uncalled def
 (counted once, inside its parent), stubs (counted zero), a decorated def
 (matched by its first decorator's line), a dunder (listed, not gated) and
-a function reached only in a forked child.  The last test keeps the
-census's artefact list in step with the CI workflow.
+a function reached only in a forked child.  A second traced run stands
+in for the test suite of ``--tests``: it reaches one uncalled function,
+which the census marks ``test``, and leaves another, marked ``none``.
+The last tests keep the census's artefact list in step with the CI
+workflow and the standing benchmark.
 """
 
 from __future__ import annotations
@@ -66,19 +69,29 @@ def run():
 '''
 
 
-def test_census_of_a_synthetic_package(tmp_path):
+def _synthetic_package(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(textwrap.dedent(MODULE))
-    (tmp_path / "main.py").write_text("import pkg.mod\n\npkg.mod.run()\n")
-    into = tmp_path / "trace"
-    into.mkdir()
+    return package
 
-    done = census.trace_run(["main.py"], into, cwd=tmp_path, pythonpath=tmp_path)
+
+def _traced(tmp_path, package, script, body):
+    """Run *body* as ``<tmp_path>/<script>`` under the census tracer."""
+    (tmp_path / script).write_text(body)
+    into = tmp_path / f"trace-{script}"
+    into.mkdir()
+    done = census.trace_run([script], into, cwd=tmp_path, pythonpath=tmp_path)
     assert done.returncode == 0, done.stderr
-    dead = census.uncalled(census.units_of(package),
-                           census.reached(into, package))
+    return census.reached(into, package)
+
+
+def test_census_of_a_synthetic_package(tmp_path):
+    package = _synthetic_package(tmp_path)
+    hits = _traced(tmp_path, package, "main.py",
+                   "import pkg.mod\n\npkg.mod.run()\n")
+    dead = census.uncalled(census.units_of(package), hits)
 
     by_key = {unit.key: unit for unit in dead}
     assert sorted(by_key) == [
@@ -95,6 +108,24 @@ def test_census_of_a_synthetic_package(tmp_path):
     assert census.gate(dead, {"uncalled": {u.key: u.lines for u in dead}}) == []
 
 
+def test_tests_column_splits_test_only_from_dead_code(tmp_path):
+    package = _synthetic_package(tmp_path)
+    hits = _traced(tmp_path, package, "main.py",
+                   "import pkg.mod\n\npkg.mod.run()\n")
+    dead = census.uncalled(census.units_of(package), hits)
+    test_hits = _traced(tmp_path, package, "suite.py",
+                        "import pkg.mod\n\nassert pkg.mod.uncalled() == 2\n")
+
+    assert census.reached_by_tests(dead, test_hits) == {
+        "pkg/mod.py::uncalled": True,          # only the "suite" runs it
+        "pkg/mod.py::parent_called.<locals>.nested_uncalled": False,
+    }
+    table = census.tests_column(dead, test_hits).splitlines()
+    assert table[1].split() == ["pkg/mod.py::uncalled", "4", "test"]
+    assert table[2].split()[-1] == "none"
+    assert table[-1].startswith("1 of 2 gated uncalled functions")
+
+
 def test_every_ci_experiments_command_is_a_census_artefact():
     text = census.CI_YML.read_text()
     assert len(census.ci_commands(text)) >= 15
@@ -104,3 +135,7 @@ def test_every_ci_experiments_command_is_a_census_artefact():
 def test_an_unlisted_ci_command_is_reported():
     text = "run: PYTHONPATH=src python -m repro.experiments fuzz --seeds 7 --out x\n"
     assert census.missing_from_census(text) == [("fuzz", "--seeds", "7")]
+
+
+def test_the_benchmark_micro_loops_are_a_census_artefact():
+    assert (["-m", "benchmarks.rdpbench", "micro"], 0) in census.ARTEFACTS

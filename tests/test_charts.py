@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.charts import curve, hbar_chart, sparkline
+from repro.analysis.charts import curve, hbar_chart
 
 
 def test_hbar_scales_to_peak():
@@ -44,11 +44,3 @@ def test_curve_log_x():
 
 def test_curve_empty():
     assert curve([], title="empty") == "empty"
-
-
-def test_sparkline_shape():
-    line = sparkline([0, 1, 2, 3])
-    assert len(line) == 4
-    assert line[0] < line[-1]
-    assert sparkline([]) == ""
-    assert len(set(sparkline([5, 5, 5]))) == 1

@@ -41,7 +41,7 @@ def test_lost_greet_fallback_finds_confirmed_owner():
     world.run(until=5.0)
 
     assert world.metrics.count("handoff_fallback_deregs") == 1
-    s2 = world.station(world.cells[2])
+    s2 = world.stations[world.cells[2]]
     assert host.registered
     pref = s2.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None   # custody arrived
@@ -68,7 +68,7 @@ def test_lost_greet_then_reactivation_uses_fallback():
     host.activate()    # greet(old=s1) at s1, candidates include s0
     world.run(until=6.0)
 
-    s1 = world.station(world.cells[1])
+    s1 = world.stations[world.cells[1]]
     pref = s1.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None
     # Exactly one station owns it (no blind double-registration).

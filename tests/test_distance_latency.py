@@ -33,8 +33,8 @@ def test_pairwise_delay_added(sim):
 
 def test_world_distance_delay_between_stations():
     world = make_world(n_cells=5, wired_distance_delay=0.1)
-    s0 = world.station(world.cells[0]).node_id
-    s4 = world.station(world.cells[4]).node_id
+    s0 = world.stations[world.cells[0]].node_id
+    s4 = world.stations[world.cells[4]].node_id
     # Line topology: cells at x = 0..4.
     assert world._distance_delay(s0, s4) == pytest.approx(0.4)
     assert world._distance_delay(s0, s0) == 0.0
@@ -43,7 +43,7 @@ def test_world_distance_delay_between_stations():
 def test_world_servers_sit_at_centroid():
     world = make_world(n_cells=5, wired_distance_delay=0.1)
     server = world.add_server("echo")
-    s0 = world.station(world.cells[0]).node_id
+    s0 = world.stations[world.cells[0]].node_id
     # Centroid of x = 0..4 is 2.0.
     assert world._distance_delay(s0, server.node_id) == pytest.approx(0.2)
 

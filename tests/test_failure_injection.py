@@ -34,8 +34,9 @@ def test_crash_loses_registration_and_nack_recovers():
     world.run(until=1.0)
     assert host.registered
 
-    station = world.station(world.cells[0])
-    station.crash_and_restart()
+    station = world.stations[world.cells[0]]
+    station.crash()
+    station.restart()
     assert station.pref_of(host.node_id) is None
     assert host.registered  # the MH has no idea yet
 
@@ -61,7 +62,8 @@ def test_crash_of_proxy_host_recovered_by_retry():
     # Move away so the proxy (at s0) and the respMss (s1) differ.
     host.migrate_to(world.cells[1])
     world.run(until=2.0)
-    world.station(world.cells[0]).crash_and_restart()
+    world.stations[world.cells[0]].crash()
+    world.stations[world.cells[0]].restart()
     # The original server-side work still answers, but to a dead proxy.
     server.release(p.request_id, "lost")
     world.run(until=30.0)
@@ -82,7 +84,8 @@ def test_crash_respmss_with_colocated_proxy():
     client = world.add_host("m", world.cells[0], retry_interval=3.0)
     p = client.request("manual", "y")
     world.run(until=1.0)
-    world.station(world.cells[0]).crash_and_restart()
+    world.stations[world.cells[0]].crash()
+    world.stations[world.cells[0]].restart()
     world.run(until=30.0)
     server.release(p.request_id, "answer")
     world.run(until=60.0)
@@ -96,7 +99,8 @@ def test_unaffected_hosts_keep_working_through_peer_crash():
     a = world.add_host("a", world.cells[0], retry_interval=2.0)
     b = world.add_host("b", world.cells[2], retry_interval=2.0)
     world.run(until=1.0)
-    world.station(world.cells[0]).crash_and_restart()
+    world.stations[world.cells[0]].crash()
+    world.stations[world.cells[0]].restart()
     pa = a.request("echo", 1)
     pb = b.request("echo", 2)
     world.run(until=20.0)
@@ -140,7 +144,8 @@ def test_pre_crash_probe_neither_fires_nor_disarms_the_new_chain():
     s = Station()
     s.greet("s1", 3)                      # probe chain armed for t=5
     s.run(until=1.0)
-    s.s0.crash_and_restart()
+    s.s0.crash()
+    s.s0.restart()
     s.run(until=2.0)
     s.greet("s1", 4)                      # a fresh acquisition: t=7, 12
     s.run(until=13.0)
@@ -157,7 +162,8 @@ def test_failed_chases_are_forgotten_by_a_crash():
     s.in_cell()
     s.greet("s1", 3)
     s.deregack("s1", 3, False)
-    s.s0.crash_and_restart()
+    s.s0.crash()
+    s.s0.restart()
     s.greet("s1", 3)
     s.deregack("s1", 3, False)
     assert s.world.metrics.count("handoffs_aborted") == 2
@@ -171,7 +177,8 @@ def test_stub_does_not_survive_a_crash():
     moved = next(iter(s.s0.proxies))
     s.deliver(ProxyMigrateRequestMsg(mh=MH, proxy_id=moved,
                                      new_proxy_id=ProxyId("pxFar")), "s1")
-    s.s0.crash_and_restart()
+    s.s0.crash()
+    s.s0.restart()
     s.sent.clear()
     s.deliver(UpdateCurrentLocMsg(mh=MH, proxy_id=moved,
                                   new_mss=s.node("s2")), "s2")
@@ -185,7 +192,8 @@ def test_migration_in_flight_does_not_survive_a_crash():
     _migrating(s)
     s.local_with_proxy(3)
     assert s.sent[-1] == "s2 proxy_migrate_request proxy_id=pxA"
-    s.s0.crash_and_restart()
+    s.s0.crash()
+    s.s0.restart()
     s.local_with_proxy(5)                # acquired again after the restart
     assert s.sent[-1] == "s2 proxy_migrate_request proxy_id=pxA"
     assert s.world.metrics.count("proxy_migrations_started") == 2
@@ -197,7 +205,8 @@ def test_proxy_move_after_a_restart_still_installs_the_proxy():
     s = Station()
     _migrating(s)
     s.local_with_proxy(3)
-    s.s0.crash_and_restart()
+    s.s0.crash()
+    s.s0.restart()
     s.deliver(ProxyMoveMsg(mh=MH, new_proxy_id=ProxyId("pxNew"),
                            state={"records": [], "completed": set()}), "s2")
     assert ProxyId("pxNew") in s.s0.proxies

@@ -24,9 +24,7 @@ from repro.core.protocol import PrefPayload  # noqa: E402
 from repro.live.codec import (  # noqa: E402
     CodecError,
     decode_envelope,
-    decode_message,
     encode_envelope,
-    encode_message,
     frame_from_envelope,
     frame_to_envelope,
     message_from_obj,
@@ -89,21 +87,30 @@ def all_kinds():
                   if cls.__module__.startswith("repro."))
 
 
+def encode(message: Message) -> bytes:
+    """A message's bytes as they sit inside a live envelope."""
+    return encode_envelope(message_to_obj(message))
+
+
+def decode(data: bytes) -> Message:
+    return message_from_obj(json.loads(data))
+
+
 @pytest.mark.parametrize("kind", all_kinds())
 def test_round_trip_byte_identical(kind):
     """encode → decode → re-encode is the identity on bytes."""
     original = sample_message(Message.registry()[kind])
-    data = encode_message(original)
-    decoded = decode_message(data)
+    data = encode(original)
+    decoded = decode(data)
     assert type(decoded) is type(original)
     assert message_to_obj(decoded) == message_to_obj(original)
-    assert encode_message(decoded) == data
+    assert encode(decoded) == data
 
 
 @pytest.mark.parametrize("kind", all_kinds())
 def test_round_trip_preserves_field_values(kind):
     original = sample_message(Message.registry()[kind])
-    decoded = decode_message(encode_message(original))
+    decoded = decode(encode(original))
     for f in fields(original):
         assert getattr(decoded, f.name) == getattr(original, f.name), f.name
 
@@ -112,14 +119,14 @@ def test_tuples_survive_as_tuples():
     """Greet candidate lists are tuples and must stay tuples (they are
     compared and sliced as such on the receiving MSS)."""
     cls = Message.registry()["greet"]
-    decoded = decode_message(encode_message(sample_message(cls)))
+    decoded = decode(encode(sample_message(cls)))
     assert isinstance(decoded.old_candidates, tuple)
     assert decoded.old_candidates == (NodeId("mss:s0"), NodeId("mss:s2"))
 
 
 def test_proxy_ref_and_pref_payload_types():
     cls = Message.registry()["deregack"]
-    decoded = decode_message(encode_message(sample_message(cls)))
+    decoded = decode(encode(sample_message(cls)))
     assert isinstance(decoded.pref, PrefPayload)
     assert isinstance(decoded.pref.ref, ProxyRef)
     assert decoded.pref.ref.mss == NodeId("mss:s1")
@@ -128,8 +135,7 @@ def test_proxy_ref_and_pref_payload_types():
 
 def test_encoding_is_deterministic():
     cls = Message.registry()["result_forward"]
-    assert (encode_message(sample_message(cls))
-            == encode_message(sample_message(cls)))
+    assert encode(sample_message(cls)) == encode(sample_message(cls))
 
 
 # -- failure modes ----------------------------------------------------------
@@ -142,9 +148,9 @@ def test_unknown_kind_rejected():
 
 def test_corrupt_bytes_rejected():
     with pytest.raises(CodecError):
-        decode_message(b"{not json")
+        decode_envelope(b"{not json")
     with pytest.raises(CodecError):
-        decode_message(b"\xff\xfe")
+        decode_envelope(b"\xff\xfe")
 
 
 def test_malformed_shapes_rejected():
@@ -161,13 +167,13 @@ def test_unencodable_payload_rejected_at_send_time():
     msg = sample_message(cls)
     msg.payload = object()
     with pytest.raises(CodecError):
-        encode_message(msg)
+        encode(msg)
     msg.payload = {1: "non-string key"}
     with pytest.raises(CodecError):
-        encode_message(msg)
+        encode(msg)
     msg.payload = {"__tuple__": "tag collision"}
     with pytest.raises(CodecError):
-        encode_message(msg)
+        encode(msg)
 
 
 def test_envelope_round_trip():
@@ -218,7 +224,7 @@ def test_frame_envelope_round_trip(tag):
 
 def _current_golden():
     golden = {
-        kind: encode_message(
+        kind: encode(
             sample_message(Message.registry()[kind])).decode("utf-8")
         for kind in all_kinds()
     }

@@ -45,7 +45,7 @@ from repro.net.wireless import WirelessChannel
 from repro.sim import Simulator, TraceRecorder
 from repro.types import CellId, MhState, NodeId, RequestId
 
-from tests.conftest import trace_filter
+from tests.conftest import per_kind, trace_filter
 
 CELLS = (CellId("cell0"), CellId("cell1"))
 #: The radio addresses its datagrams; on a socketpair there is one peer.
@@ -177,7 +177,8 @@ def test_downlink_reaches_an_active_host_in_the_cell(air):
     assert host.received[0].src == pair.stations[0].node_id
     assert pair.rows("send") == pair.rows("recv") == [
         ("wireless_result", None)]
-    assert pair.host_side.monitor.received("wireless_result") == 1
+    assert per_kind(pair.host_side.monitor,
+                    "received")["wireless_result"] == 1
 
 
 def test_downlink_drop_reasons(air):
@@ -279,7 +280,7 @@ def test_malformed_and_misaddressed_datagrams_are_ignored(air):
     for obj in ({"t": "wmsg"}, {"t": "wmsg", "cell": CELLS[0], "m": 7}):
         pair.host_side.on_datagram(dict(obj))
     pair.settle()
-    assert len(pair.recorder.records) == 0
+    assert len(pair.recorder) == 0
     assert all(s.received == [] for s in pair.stations)
 
 
@@ -293,7 +294,7 @@ def test_uplink_from_a_host_that_may_not_transmit_raises(air):
     with pytest.raises(NetworkError, match="not in any cell"):
         pair.host_side.uplink(host, _request(host.node_id))
     pair.settle()
-    assert len(pair.recorder.records) == 0
+    assert len(pair.recorder) == 0
 
 
 # -- one model: the same life on both engines ---------------------------------
@@ -326,7 +327,7 @@ def _life_of_one_host(engine: Any, recorder: TraceRecorder, host_radio: Any,
     assert [request for _, request, _ in host.deliveries] == ["r1", "r4"]
     return [(rec.kind, rec.node, rec.fields.get("net"),
              rec.fields.get("msg"), rec.fields.get("reason"))
-            for rec in recorder.records]
+            for rec in recorder]
 
 
 def test_sim_channel_and_live_radio_leave_the_same_rows(air):

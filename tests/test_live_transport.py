@@ -44,7 +44,7 @@ from repro.net.wired import WiredNetwork
 from repro.sim import Simulator, TraceRecorder
 from repro.types import NodeId
 
-from .conftest import trace_filter
+from .conftest import receiver_ranges, trace_filter
 from .test_transport_sr import _FailureAware, _Tagged
 
 A, B = NodeId("mss:a"), NodeId("mss:b")
@@ -305,7 +305,7 @@ def test_malformed_envelopes_never_reach_the_link(live):
         pair.nets[1].on_datagram(envelope)
     pair.run_for(0.05)
     assert pair.sinks[1].received == []
-    assert link.acks_sent == 0 and link.receiver_range_count() == 0
+    assert link.acks_sent == 0 and receiver_ranges(link) == 0
     assert not link._recv and not link._windows
     # The well-formed original is, of course, delivered and acknowledged.
     pair.nets[1].on_datagram(good)
@@ -364,7 +364,7 @@ def _assert_soak_left_bounded_state(link_tx: ReliableLink,
     assert sorted(_tags(receiver)) == sorted(f"m{i}" for i in range(messages))
     assert link_rx.duplicates_suppressed > 0
     assert link_tx.pending_count() == 0
-    assert link_rx.receiver_range_count() <= link_tx.window
+    assert receiver_ranges(link_rx) <= link_tx.window
     assert peak_ranges <= link_tx.window
     # Dedup state is a floor plus those ranges — not a set of 2 000 seqs.
     assert link_rx._recv[(A, B)].cumulative == link_tx.frames_sent
@@ -376,7 +376,7 @@ def test_receiver_state_stays_window_bounded_sim():
 
     def probe() -> None:
         nonlocal peak
-        peak = max(peak, net.transport.receiver_range_count())
+        peak = max(peak, receiver_ranges(net.transport))
     for i in range(SOAK_FRAMES):
         sim.schedule(i * 0.002, net.send, A, B, _Tagged(tag=f"m{i}"))
         sim.schedule(i * 0.002 + 0.001, probe)
@@ -397,7 +397,7 @@ def test_receiver_state_stays_window_bounded_live(live):
             pair.nets[0].send(A, B, _Tagged(tag=f"m{sent}"))
             sent += 1
             await asyncio.sleep(0)
-            peak = max(peak, link_rx.receiver_range_count())
+            peak = max(peak, receiver_ranges(link_rx))
     pair.loop.run_until_complete(go())
     assert pair.run_until(lambda: link_tx.pending_count() == 0, timeout=20.0)
     pair.run_for(0.05)

@@ -37,7 +37,7 @@ def test_doze_guards_and_state():
     with pytest.raises(ProtocolError):
         host.wake()  # not dozing
     world.run(until=1.0)
-    world.doze_mh("m")
+    world.hosts["m"].doze()
     assert host.state is MhState.DOZING
     assert not host.registered
     with pytest.raises(ProtocolError):
@@ -60,7 +60,7 @@ def test_doze_with_result_in_flight_is_exactly_once():
     world.run(until=1.0)
     pending = client.request("echo", 7)
     world.run(until=1.1)   # request is uplinked, result still cooking
-    world.doze_mh("m")
+    world.hosts["m"].doze()
     world.run(until=2.5)   # result reached the MSS, downlink dropped
     assert not pending.done
     world.wake_mh("m")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.net.latency import ConstantLatency
-from repro.servers.echo import ComputeServer, EchoServer, ManualServer
+from repro.servers.echo import EchoServer, ManualServer
 from repro.types import MhState
 
 from tests.conftest import make_world
@@ -146,14 +146,6 @@ def test_client_result_property_raises_before_done(world):
     with pytest.raises(ProtocolError):
         _ = p.result
     world.run_until_idle
-
-
-def test_compute_server_applies_function(world):
-    world.add_server("square", ComputeServer)
-    client = world.add_host("m", world.cells[0])
-    p = client.request("square", 12)
-    world.run_until_idle()
-    assert p.result == 144
 
 
 def test_client_callback_invoked_once(world):

@@ -11,20 +11,17 @@ from repro.mobility import (
     ActivityProcess,
     CellMap,
     ExponentialResidence,
-    FixedResidence,
     MobilityDriver,
     RandomNeighborWalk,
-    UniformResidence,
     complete_topology,
-    custom_topology,
-    fixed_durations,
     grid_topology,
     line_topology,
     ring_topology,
 )
+from repro.mobility.cellmap import bfs
 from repro.types import CellId, MhState
 
-from tests.conftest import make_world
+from tests.conftest import FixedResidence, make_world
 from tests.mobility_trace import (
     ACTIVATE,
     DEACTIVATE,
@@ -69,8 +66,9 @@ def test_complete_topology_all_adjacent():
 
 
 def test_custom_topology_and_distance():
-    cmap = custom_topology([("a", "b"), ("b", "c")], isolated=["d"])
-    assert cmap.distance_hops(CellId("a"), CellId("c")) == 2
+    cmap = CellMap([("a", "b"), ("b", "c")], isolated=["d"])
+    hops = bfs({cell: cmap.neighbors(cell) for cell in cmap.cells}, "a")
+    assert hops["c"] == (2, "b") and "d" not in hops
     assert cmap.neighbors(CellId("d")) == []
 
 
@@ -83,9 +81,9 @@ def test_unknown_cell_raises():
 def test_cells_and_neighbors_are_naturally_sorted_whatever_the_edge_order():
     # cell10 is named before cell2, cell12 only in an edge, cell7 only
     # as an isolated cell; the map sorts each once, at construction.
-    cmap = custom_topology([("cell10", "cell0"), ("cell0", "cell2"),
-                            ("cell12", "cell0"), ("cell2", "cell1")],
-                           isolated=["cell7"])
+    cmap = CellMap([("cell10", "cell0"), ("cell0", "cell2"),
+                    ("cell12", "cell0"), ("cell2", "cell1")],
+                   isolated=["cell7"])
     assert cmap.cells == ["cell0", "cell1", "cell2", "cell7", "cell10",
                           "cell12"]
     assert len(cmap) == 6 and "cell12" in cmap and "cell3" not in cmap
@@ -96,38 +94,13 @@ def test_cells_and_neighbors_are_naturally_sorted_whatever_the_edge_order():
     assert line_topology(11).cells[-2:] == ["cell9", "cell10"]  # not lexical
 
 
-def test_distance_to_an_unreachable_cell_raises():
-    cmap = custom_topology([("a", "b")], isolated=["c"])
-    assert cmap.distance_hops(CellId("b"), CellId("a")) == 1
-    assert cmap.distance_hops(CellId("c"), CellId("c")) == 0
-    with pytest.raises(MobilityError):
-        cmap.distance_hops(CellId("a"), CellId("c"))
-    with pytest.raises(MobilityError):
-        cmap.distance_hops(CellId("a"), CellId("nowhere"))
-
-
 # -- residence times ------------------------------------------------------------
-
-def test_fixed_residence():
-    model = FixedResidence(3.0)
-    assert model.sample(random.Random(0)) == 3.0
-    assert model.mean == 3.0
-    with pytest.raises(MobilityError):
-        FixedResidence(0.0)
-
 
 def test_exponential_residence_mean():
     model = ExponentialResidence(5.0)
     rng = random.Random(1)
     samples = [model.sample(rng) for _ in range(2000)]
     assert sum(samples) / len(samples) == pytest.approx(5.0, rel=0.1)
-
-
-def test_uniform_residence_bounds():
-    model = UniformResidence(1.0, 3.0)
-    rng = random.Random(2)
-    assert all(1.0 <= model.sample(rng) <= 3.0 for _ in range(100))
-    assert model.mean == 2.0
 
 
 # -- mobility models ---------------------------------------------------------------
@@ -192,7 +165,7 @@ def test_driver_keeps_moving_inactive_host(sim):
 
 def test_activity_alternates_states(sim):
     host = _FakeHost()
-    proc = ActivityProcess(sim, host, fixed_durations(2.0), fixed_durations(1.0))
+    proc = ActivityProcess(sim, host, lambda: 2.0, lambda: 1.0)
     proc.start()
     sim.run(until=2.5)
     assert host.state is MhState.INACTIVE
@@ -203,7 +176,7 @@ def test_activity_alternates_states(sim):
 
 def test_activity_stop(sim):
     host = _FakeHost()
-    proc = ActivityProcess(sim, host, fixed_durations(1.0), fixed_durations(1.0))
+    proc = ActivityProcess(sim, host, lambda: 1.0, lambda: 1.0)
     proc.start()
     sim.run(until=1.5)
     proc.stop()

@@ -63,7 +63,7 @@ class Station:
 
     def __init__(self, monkeypatch: Optional[pytest.MonkeyPatch] = None) -> None:
         self.world = make_world()
-        self.s0, self.s1, self.s2 = (self.world.station(cell)
+        self.s0, self.s1, self.s2 = (self.world.stations[cell]
                                      for cell in self.world.cells)
         self.alias = {self.s0.node_id: "s0", self.s1.node_id: "s1",
                       self.s2.node_id: "s2", MH: "mh"}
@@ -172,12 +172,12 @@ class Station:
     def counters(self) -> Dict[str, int]:
         metrics = self.world.metrics
         return {name: metrics.node_count(self.s0.node_id, name)
-                for name in metrics.snapshot()
+                for name in metrics._counters
                 if name not in IGNORED_COUNTERS}
 
     def rows(self, since: int) -> List[str]:
         out = []
-        for rec in self.world.recorder.records[since:]:
+        for rec in list(self.world.recorder)[since:]:
             if rec.node != self.s0.node_id or rec.kind in ("send", "recv"):
                 continue
             fields = " ".join(f"{k}={self.alias.get(v, v)}"
@@ -504,7 +504,7 @@ def test_handoff_table_row(case: Case, monkeypatch: pytest.MonkeyPatch) -> None:
     s.times.clear()
     s.hits.clear()
     before = s.counters()
-    first_row = len(s.world.recorder.records)
+    first_row = len(s.world.recorder)
     case.act(s)
     after = s.counters()
     moved = {name: after[name] - before.get(name, 0) for name in after

@@ -10,7 +10,7 @@ from repro.net.latency import ConstantLatency
 from repro.servers.echo import EchoServer, ManualServer
 from repro.types import MhState, NodeId
 
-from tests.conftest import make_world
+from tests.conftest import make_world, proxies_of
 
 
 def test_join_registers_and_confirms(world):
@@ -18,7 +18,7 @@ def test_join_registers_and_confirms(world):
     client = world.add_host("m", world.cells[0])
     world.run_until_idle()
     host = world.hosts["m"]
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     assert host.registered
     assert station.pref_of(host.node_id) is not None
     assert host.resp_mss == station.node_id
@@ -30,7 +30,7 @@ def test_leave_deregisters(world):
     world.run_until_idle()
     world.hosts["m"].leave()
     world.run_until_idle()
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     assert station.pref_of(world.hosts["m"].node_id) is None
     assert world.hosts["m"].state is MhState.LEFT
 
@@ -42,8 +42,8 @@ def test_handoff_moves_registration_and_pref(world):
     world.sim.schedule(0.1, client.request, "slow", 1)
     world.sim.schedule(1.0, host.migrate_to, world.cells[1])
     world.run(until=2.0)
-    s0 = world.station(world.cells[0])
-    s1 = world.station(world.cells[1])
+    s0 = world.stations[world.cells[0]]
+    s1 = world.stations[world.cells[1]]
     assert s0.pref_of(host.node_id) is None
     pref = s1.pref_of(host.node_id)
     assert pref is not None and pref.ref is not None
@@ -65,7 +65,7 @@ def test_rkpr_set_by_del_pref_and_reset_by_new_request(world):
     server = world.add_server("manual", ManualServer)
     client = world.add_host("m", world.cells[0])
     host = world.hosts["m"]
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     p1 = client.request("manual", "a")
     world.run(until=0.5)
     server.release(p1.request_id)
@@ -86,7 +86,7 @@ def test_new_request_resets_rkpr_keeps_proxy(world):
     client = world.add_host("m", world.cells[0])
     host = world.hosts["m"]
     host.ack_delay = 0.2  # window to slip a new request before the Ack
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     p1 = client.request("manual", "a")
     world.run(until=0.3)
     server.release(p1.request_id)
@@ -167,7 +167,7 @@ def test_stale_dereg_rejected_on_bounce(world):
     world.sim.schedule(0.503, host.migrate_to, world.cells[0])
     world.run_until_idle()
     assert world.metrics.count("stale_deregs_rejected") >= 1
-    s0 = world.station(world.cells[0])
+    s0 = world.stations[world.cells[0]]
     assert s0.pref_of(host.node_id) is not None
     assert host.registered
     # The request still completed and the proxy retired.
@@ -176,8 +176,8 @@ def test_stale_dereg_rejected_on_bounce(world):
 
 
 def test_dereg_for_unknown_mh_answers_not_found(world):
-    s0 = world.station(world.cells[0])
-    s1 = world.station(world.cells[1])
+    s0 = world.stations[world.cells[0]]
+    s1 = world.stations[world.cells[1]]
     world.wired.send(s1.node_id, s0.node_id,
                      DeregMsg(mh=NodeId("mh:ghost"), seq=5))
     world.run_until_idle()
@@ -194,9 +194,9 @@ def test_proxy_stays_at_creation_mss_through_many_migrations(world):
     for i, t in enumerate((1.0, 2.0, 3.0, 4.0)):
         world.sim.schedule(t, host.migrate_to, world.cells[(i + 1) % 3])
     world.run(until=9.0)
-    proxies = world.proxies_of("m")
+    proxies = proxies_of(world, "m")
     assert len(proxies) == 1
-    assert proxies[0].host.node_id == world.station(world.cells[0]).node_id
+    assert proxies[0].host.node_id == world.stations[world.cells[0]].node_id
     world.run_until_idle()
     assert world.live_proxy_count() == 0
 
@@ -206,7 +206,7 @@ def test_mss_counts_load_per_message(world):
     client = world.add_host("m", world.cells[0])
     client.request("echo", 1)
     world.run_until_idle()
-    s0 = world.station(world.cells[0])
+    s0 = world.stations[world.cells[0]]
     assert world.metrics.node_count(s0.node_id, "mss_messages_processed") > 0
 
 
@@ -228,7 +228,7 @@ def test_leave_with_pending_proxy_counted(world):
 def test_unhandled_wired_message_counted(world):
     from repro.core.protocol import ServerAckMsg
 
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     server = world.add_server("echo")
     # A server-bound message delivered to an MSS has no handler there.
     world.wired.send(server.node_id, station.node_id,
@@ -246,5 +246,5 @@ def test_duplicate_join_confirms_again(world):
     world.wireless.uplink(host, JoinMsg(mh=host.node_id, seq=host._reg_seq))
     world.run_until_idle()
     assert host.registered  # re-confirmed, no state change
-    station = world.station(world.cells[0])
+    station = world.stations[world.cells[0]]
     assert station.pref_of(host.node_id) is not None

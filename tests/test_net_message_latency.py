@@ -21,7 +21,6 @@ from repro.errors import ConfigError
 from repro.net.latency import (
     ConstantLatency,
     ExponentialLatency,
-    NormalLatency,
     UniformLatency,
 )
 from repro.net.message import (
@@ -69,7 +68,7 @@ def _message_id_rows() -> List[Tuple[str, int]]:
     assert first.msg_id == stamped  # a re-send keeps its id
     sim.schedule(1.0, net.set_up, b.node_id)
     sim.run()
-    return [(r.kind, r.fields["msg_id"]) for r in recorder.records]
+    return [(r.kind, r.fields["msg_id"]) for r in recorder]
 
 
 def test_msg_ids_unique_and_increasing():
@@ -203,7 +202,6 @@ def test_describe_mentions_flags():
 def test_constant_latency():
     model = ConstantLatency(0.5)
     assert model.sample(random.Random(0)) == 0.5
-    assert model.mean == 0.5
     with pytest.raises(ConfigError):
         ConstantLatency(-1)
 
@@ -213,7 +211,7 @@ def test_uniform_latency_bounds_and_mean():
     rng = random.Random(1)
     samples = [model.sample(rng) for _ in range(200)]
     assert all(0.1 <= s <= 0.3 for s in samples)
-    assert model.mean == pytest.approx(0.2)
+    assert sum(samples) / len(samples) == pytest.approx(0.2, rel=0.1)
     with pytest.raises(ConfigError):
         UniformLatency(0.3, 0.1)
 
@@ -223,20 +221,12 @@ def test_exponential_latency_floor_and_mean():
     rng = random.Random(2)
     samples = [model.sample(rng) for _ in range(500)]
     assert all(s >= 0.05 for s in samples)
-    assert model.mean == pytest.approx(0.15)
     assert sum(samples) / len(samples) == pytest.approx(0.15, rel=0.2)
 
 
 def test_exponential_zero_scale_is_constant():
     model = ExponentialLatency(scale=0.0, floor=0.02)
     assert model.sample(random.Random(0)) == 0.02
-
-
-def test_normal_latency_truncated():
-    model = NormalLatency(mean=0.01, stddev=0.05, floor=0.001)
-    rng = random.Random(3)
-    samples = [model.sample(rng) for _ in range(300)]
-    assert all(s >= 0.001 for s in samples)
 
 
 # -- payload size model and registry ---------------------------------------------

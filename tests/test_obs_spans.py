@@ -28,7 +28,7 @@ from repro.sim import TraceRecorder
 from repro.sim.tracing import TraceRecord
 from repro.verify import fuzz, load_case
 
-from tests.conftest import make_world
+from tests.conftest import make_world, per_kind
 
 CORPUS = Path(__file__).parent / "corpus"
 SEED_FILES = sorted(CORPUS.glob("*.json"))
@@ -147,7 +147,7 @@ def _replay(path: Path):
 @pytest.mark.parametrize("path", SEED_FILES, ids=lambda p: p.stem)
 def test_corpus_spans_account_for_every_request(path):
     world, protocol = _replay(path)
-    report = SpanBuilder.from_records(world.recorder.records)
+    report = SpanBuilder.from_records(world.recorder)
 
     issued_ids = sorted(rid for c in world.clients.values()
                         for rid in c.requests)
@@ -240,6 +240,15 @@ def test_a_notification_result_is_a_span_of_its_own():
         assert span.wireless_time > 0 and span.proxy_time >= 0
 
 
+def test_a_notification_span_is_not_an_issued_request():
+    world = _subscription_world()
+    report = SpanBuilder.from_records(world.recorder)
+    requests = [row for row in world.recorder.rows() if row[1] == "request"]
+    assert len(requests) == 3 and len(report.spans) == 5
+    assert report.issued == 3 and report.accounted()
+    assert report.summary()["issued"] == 3
+
+
 # -- non-interference ---------------------------------------------------------
 
 _TINY = BenchPreset(name="tiny", citizens=15, grid=3, duration=8.0)
@@ -249,7 +258,7 @@ def _fingerprint(world, workloads):
     return {
         "events": world.sim.events_executed,
         "final_time": round(world.sim.now, 9),
-        "kinds": world.monitor.kind_histogram(),
+        "kinds": per_kind(world.monitor, "sent"),
         "metrics": digest(world.instruments.hub),
         "issued": sum(w.stats.issued for w in workloads),
     }
@@ -284,9 +293,9 @@ def test_monitor_parity_on_loss_free_static_run():
         world.sim.schedule_at(1.0 + i, client.request, "echo", {"n": i})
     world.run_until_idle()
     mon = world.monitor
-    assert sum(mon.kind_histogram().values()) > 0
+    assert sum(per_kind(mon, "sent").values()) > 0
     for net in ("wired", "wireless"):
-        assert mon.kind_histogram(net) == mon.received_histogram(net)
+        assert per_kind(mon, "sent", net) == per_kind(mon, "received", net)
 
 
 def test_monitor_parity_with_loss_and_mobility():
@@ -305,9 +314,10 @@ def test_monitor_parity_with_loss_and_mobility():
     world.run_until_idle()
     mon = world.monitor
     pairs = {(net, kind) for net in ("wired", "wireless")
-             for kind in mon.kind_histogram(net)}
+             for kind in per_kind(mon, "sent", net)}
     assert pairs
     for net, kind in sorted(pairs):
         assert mon.count(kind, net) == (
-            mon.received(kind, net) + mon.drops_of(net, kind=kind)
+            per_kind(mon, "received", net).get(kind, 0)
+            + mon.drops_of(net, kind=kind)
         ), f"conservation broken for {(net, kind)}"

@@ -289,7 +289,7 @@ def test_oracle_makes_no_componentwise_clock_comparison(monkeypatch):
             return real(self, other)
         return wrapper
 
-    for name in ("dominates", "__le__", "__lt__", "concurrent_with"):
+    for name in ("dominates", "__le__", "__lt__"):
         monkeypatch.setattr(VectorClock, name, counted(name))
     routed, reference = _run(_raw_jittered_case(), "rdp",
                              lambda: Oracle([CausalWiredOrder()]),

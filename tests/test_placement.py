@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.placement import (
-    CurrentCellPlacement,
-    HomeMssPlacement,
-    LeastLoadedPlacement,
-)
+from repro.core.placement import CurrentCellPlacement, HomeMssPlacement
 from repro.errors import ConfigError
 from repro.net.latency import ConstantLatency
 from repro.types import NodeId
@@ -34,9 +30,11 @@ def test_home_placement_needs_table():
 
 
 def test_least_loaded_picks_minimum_with_deterministic_ties():
-    loads = {NodeId("mss:a"): 5.0, NodeId("mss:b"): 2.0, NodeId("mss:c"): 2.0}
-    policy = LeastLoadedPlacement(list(loads), loads.get)
-    assert policy.place(NodeId("mh:m"), NodeId("mss:a")) == NodeId("mss:b")
+    world = make_world(placement="least_loaded", n_cells=3)
+    policy = world.stations[world.cells[0]].placement
+    ids = sorted(world.station_ids())
+    # No load yet: ties break by node id, and each placement adds load.
+    assert [policy.place(NodeId("mh:m"), ids[-1]) for _ in ids] == ids
 
 
 def test_world_home_placement_creates_proxy_at_home():
@@ -50,7 +48,7 @@ def test_world_home_placement_creates_proxy_at_home():
     p = client.request("slow", 1)
     world.run_until_idle()
     assert p.done
-    home_station = world.station(world.cells[0])
+    home_station = world.stations[world.cells[0]]
     assert len(home_station.proxies) == 1  # proxy at home, not at cell2
     assert world.metrics.count("remote_proxy_creations") == 1
 

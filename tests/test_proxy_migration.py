@@ -10,6 +10,7 @@ from repro.servers.echo import EchoServer, ManualServer
 from repro.servers.multicast import GroupServer
 from repro.world import World
 
+from tests.conftest import proxies_of
 from tests.invariants import assert_invariants, attach_oracle
 
 
@@ -41,7 +42,7 @@ def test_proxy_follows_far_roaming_subscriber():
     _walk(world, host, 1, 8)
     assert world.metrics.count("proxies_moved_in") >= 1
     assert world.metrics.count("subscriptions_relocated") >= 1
-    proxies = world.proxies_of("m")
+    proxies = proxies_of(world, "m")
     assert len(proxies) == 1
     # The surviving proxy is within the threshold of the current station.
     station = world.stations[host.current_cell]
@@ -69,8 +70,8 @@ def test_disabled_by_default():
     world.run(until=1.0)
     _walk(world, host, 1, 8)
     assert world.metrics.count("proxy_migrations_started") == 0
-    proxies = world.proxies_of("m")
-    assert proxies[0].host.node_id == world.station(world.cells[0]).node_id
+    proxies = proxies_of(world, "m")
+    assert proxies[0].host.node_id == world.stations[world.cells[0]].node_id
 
 
 def test_pending_request_survives_move():
@@ -144,7 +145,7 @@ def test_migrate_request_for_vanished_proxy_is_answered():
     # Force an initiate against the stale (deleted) ref.
     from repro.types import ProxyId, ProxyRef
     pref = station.pref_of(host.node_id)
-    pref.ref = ProxyRef(mss=world.station(world.cells[5]).node_id,
+    pref.ref = ProxyRef(mss=world.stations[world.cells[5]].node_id,
                         proxy_id=ProxyId("ghost"))
     station._maybe_migrate_proxy(host.node_id)
     world.run_until_idle()

@@ -82,7 +82,7 @@ def test_admit_dispatches_to_server(setup):
     assert reqs[0].request_id == rid
     assert reqs[0].reply_to == proxy.ref
     assert host.sent[0][0] == NodeId("srv:echo")
-    assert proxy.pending_count == 1
+    assert len(proxy.requestlist) == 1
 
 
 def test_duplicate_request_ignored(setup):
@@ -157,7 +157,7 @@ def test_ack_completes_and_del_proxy_deletes(setup):
     _ack(proxy, rid, del_proxy=True)
     assert proxy.deleted
     assert host.removed == [proxy.proxy_id]
-    assert proxy.pending_count == 0
+    assert len(proxy.requestlist) == 0
 
 
 def test_del_proxy_with_pending_requests_is_refused(setup):
@@ -230,7 +230,7 @@ def test_subscription_stays_pending_and_notifications_flow(setup):
     _ack(proxy, RequestId("s1#n1"))
     _ack(proxy, RequestId("s1#n2"))
     assert not proxy.deleted
-    assert proxy.pending_count == 1
+    assert len(proxy.requestlist) == 1
 
 
 def test_duplicate_notification_seq_ignored(setup):

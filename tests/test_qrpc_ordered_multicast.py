@@ -31,14 +31,14 @@ def test_qrpc_queues_while_inactive(world):
     world.run_until_idle()
     host.deactivate()
     p = qclient.request("echo", "later")   # would raise on a plain client
-    assert qclient.outbox_depth == 1
+    assert len(qclient._outbox) == 1
     assert not p.done
     world.run(until=world.sim.now + 5.0)
     assert not p.done
     host.activate()
     world.run_until_idle()
     assert p.done and p.result == "later"
-    assert qclient.outbox_depth == 0
+    assert len(qclient._outbox) == 0
     assert world.metrics.count("qrpc_queued") == 1
     assert world.metrics.count("qrpc_flushed") == 1
 
@@ -164,7 +164,7 @@ def test_ordered_multicast_leave(world):
     p = leave_ordered_group(a, "ogroups", ma)
     world.run(until=world.sim.now + 2.0)
     assert p.done and p.result["ok"] is True
-    assert not ma.active
+    assert not ma.subscription.active
     p2 = b.request("ogroups", {"op": "omcast", "group": "g", "data": "x"})
     world.run_until_idle()
     assert p2.result["members"] == 0

@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.core.proxy import Proxy
+from repro.hosts.mobile_host import MobileHost
 from repro.instruments import Instruments
 from repro.sim.event import Event
 from repro.sim.simulator import Simulator
@@ -143,9 +144,10 @@ def test_proxy_bounce_policy_matches_closed_form():
 @pytest.mark.parametrize("interval,cap", [(1.0, None), (1.0, 8.0),
                                           (0.5, 4.0), (1.0, 0.5)])
 def test_registration_policy_matches_closed_form(interval, cap):
-    world = make_world(greet_retry_interval=interval, greet_backoff_cap=cap)
-    world.add_host("m", world.cells[0])
-    policy = world.hosts["m"]._greet_retry._policy
+    world = make_world()
+    host = MobileHost(world.sim, "m", world.wireless,
+                      greet_retry_interval=interval, greet_backoff_cap=cap)
+    policy = host._greet_retry._policy
     for attempt in ATTEMPTS:
         assert (policy.timeout_for(attempt, 0.0)
                 == _greet(interval, cap, attempt - 1))

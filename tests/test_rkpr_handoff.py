@@ -59,7 +59,7 @@ class TestPrefTable:
                     outstanding={"a-r1"})
         pref.clear_proxy()
         assert pref.ref is None and not pref.rkpr and not pref.outstanding
-        assert not pref.has_proxy
+        assert pref.ref is None
 
 
 class TestInboxPriorities:
@@ -92,7 +92,7 @@ class TestInboxPriorities:
         order = []
         inbox = Inbox(sim, lambda m: order.append(m.kind), proc_delay=0.0)
         inbox.push(DeregMsg(mh="mh:a", seq=1))
-        assert order == ["dereg"] and inbox.depth == 0
+        assert order == ["dereg"] and len(inbox._queue) == 0
 
     def test_default_priority_classes(self):
         assert default_priority(

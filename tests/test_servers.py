@@ -83,7 +83,7 @@ def test_unknown_service_produces_error_result(world):
 # -- subscription registry -------------------------------------------------------
 
 def test_subscription_registry_notify_and_close(world):
-    s0 = world.station(world.cells[0])
+    s0 = world.stations[world.cells[0]]
     server = world.add_server("echo")
     registry = SubscriptionRegistry(server.node_id, world.wired)
     ref = ProxyRef(mss=s0.node_id, proxy_id=ProxyId("px"))
@@ -96,18 +96,6 @@ def test_subscription_registry_notify_and_close(world):
     world.run_until_idle()
     # The messages went to a nonexistent proxy: counted, not fatal.
     assert world.metrics.count("stale_proxy_messages") == 2
-
-
-def test_subscription_notify_all_filters_by_params(world):
-    server = world.add_server("echo")
-    registry = SubscriptionRegistry(server.node_id, world.wired)
-    s0 = world.station(world.cells[0])
-    ref = ProxyRef(mss=s0.node_id, proxy_id=ProxyId("px"))
-    registry.open(RequestId("a"), ref, {"region": "r1"})
-    registry.open(RequestId("b"), ref, {"region": "r2"})
-    assert registry.notify_all("x", region="r1") == 1
-    assert registry.notify_all("x") == 2
-    world.run_until_idle()
 
 
 # -- group multicast ----------------------------------------------------------------

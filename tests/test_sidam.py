@@ -12,7 +12,7 @@ from repro.net.latency import ConstantLatency
 from repro.servers.tis_network import TisNetwork
 from repro.sidam.city import CityModel
 from repro.sidam.traffic import LEVEL_MAX, LEVEL_MIN, StaffReporter, SyntheticTraffic, clamp_level
-from repro.sidam.workload import CitizenWorkload, open_home_subscription
+from repro.sidam.workload import CitizenWorkload
 from repro.types import CellId
 
 from tests.conftest import make_world
@@ -132,7 +132,7 @@ def test_citizen_workload_issues_queries():
     workload.stop()
     world.run_until_idle()
     assert workload.stats.issued == 5
-    assert workload.stats.completed == 5
+    assert sum(r.done for r in workload.stats.requests) == 5
     assert len(workload.stats.latencies()) == 5
 
 
@@ -140,8 +140,8 @@ def test_home_subscription_fires_on_change():
     world, city, tis = _city_world()
     client = world.add_host("citizen", world.cells[0])
     world.run(until=0.5)
-    sub = open_home_subscription(client, city, service="tis.tis0",
-                                 threshold=1.0)
+    sub = client.subscribe("tis.tis0", {
+        "region": city.local_region(world.cells[0]), "threshold": 1.0})
     world.run(until=1.0)
     region = city.local_region(world.cells[0])
     tis.apply_external_update(region, 5.0)

@@ -69,9 +69,9 @@ def test_cancelled_tombstones_are_compacted(sim):
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(200)]
     for event in events[:150]:
         event.cancel()
-    assert sim.pending_events == 200
+    assert len(sim._queue) == 200
     sim.schedule(300.0, lambda: None)  # triggers the lazy compaction
-    assert sim.pending_events == 51
+    assert len(sim._queue) == 51
     sim.run()
     assert sim.events_executed == 51
 

@@ -544,7 +544,7 @@ def test_baseline_roundtrip_and_ratchet(tmp_path):
 
     # Same findings again: all baselined, nothing new.
     comparison = compare(result.findings, load_baseline(baseline_path))
-    assert comparison.ok
+    assert not comparison.new
     assert len(comparison.baselined) == 1
 
     # A second wall-clock call exceeds the baselined count: new finding.
@@ -554,12 +554,12 @@ def test_baseline_roundtrip_and_ratchet(tmp_path):
     '''
     worse = analyze(tmp_path / "tree", sources, rules="DET001")
     comparison = compare(worse.findings, load_baseline(baseline_path))
-    assert not comparison.ok
+    assert comparison.new
     assert len(comparison.new) == 1
 
     # Fixing everything marks the baseline entry as fixed.
     comparison = compare([], load_baseline(baseline_path))
-    assert comparison.ok
+    assert not comparison.new
     assert comparison.fixed == 1
 
 

@@ -71,7 +71,8 @@ def test_timeline_reports_crash_and_move():
     for i in range(1, 6):
         host.migrate_to(world.cells[i])
         world.run(until=world.sim.now + 1.0)
-    world.station(world.cells[0]).crash_and_restart()
+    world.stations[world.cells[0]].crash()
+    world.stations[world.cells[0]].restart()
     world.run(until=world.sim.now + 1.0)
     texts = [e.text for e in extract_timeline(world.recorder)]
     assert any(t.startswith("proxy_move") for t in texts)

@@ -44,6 +44,8 @@ from repro.net.wired import WiredNetwork
 from repro.sim import Simulator, TraceRecorder
 from repro.types import NodeId
 
+from tests.conftest import receiver_ranges
+
 
 @dataclass(slots=True, kw_only=True)
 class _Tagged(Message):
@@ -211,7 +213,7 @@ def test_sr_window_memory_stays_bounded():
 
     def probe() -> None:
         nonlocal peak_ranges
-        peak_ranges = max(peak_ranges, transport.receiver_range_count())
+        peak_ranges = max(peak_ranges, receiver_ranges(transport))
         if sim.now < 60.0:
             sim.schedule(0.5, probe)
     sim.schedule(0.5, probe)
@@ -305,7 +307,7 @@ def test_sr_abandoned_gap_retires_receiver_state():
     net.send(a.node_id, b.node_id, _Tagged(tag="m1"))
     sim.run()
     assert [m.tag for m in b.received] == ["m1"]
-    assert transport.receiver_range_count() == 0  # gap closed by base
+    assert receiver_ranges(transport) == 0  # gap closed by base
     assert transport.pending_count() == 0
 
 

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.types import ProxyRef, is_mh, is_mss, is_server, mh_id, mss_id, server_id
+from repro.types import ProxyRef, is_mss, mh_id, mss_id, server_id
 
 
 def test_node_id_builders_and_predicates():
     assert mss_id("a") == "mss:a" and is_mss(mss_id("a"))
-    assert mh_id("b") == "mh:b" and is_mh(mh_id("b"))
-    assert server_id("c") == "srv:c" and is_server(server_id("c"))
-    assert not is_mss(mh_id("b")) and not is_mh(server_id("c"))
+    assert mh_id("b") == "mh:b" and server_id("c") == "srv:c"
+    assert not is_mss(mh_id("b")) and not is_mss(server_id("c"))
 
 
 def test_proxy_ref_is_hashable_value_object():

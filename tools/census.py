@@ -2,12 +2,16 @@
 
     python tools/census.py            # run every artefact, print, gate
     python tools/census.py --update   # rewrite the baseline's uncalled list
+    python tools/census.py --tests    # also run tier-1: which uncalled
+                                      # functions only tests reach (no gate)
 
-Every command of :data:`ARTEFACTS` (the CI commands plus every
-``examples/*.py``) runs in a fresh interpreter under a ``sys.settrace``
-hook that records the code object of each call and traces nothing
-further.  A code object is matched to its ``def`` by (file,
-``co_firstlineno``) — for a decorated def, the first decorator's line.
+Every command of :data:`ARTEFACTS` (the CI commands, the benchmark's
+``micro`` loops and every ``examples/*.py``) runs in a fresh interpreter
+that records the code object of each call and nothing further
+(``sys.monitoring`` from Python 3.12, a ``sys.settrace`` hook before;
+see :func:`_record_calls`).  A code object is matched to its ``def`` by
+(file, ``co_firstlineno``) — for a decorated def, the first decorator's
+line.
 Forked children are followed: ``os.register_at_fork`` starts a fresh
 record in the child and a wrapped ``os._exit`` writes it out, since a
 multiprocessing child leaves through ``os._exit`` without running
@@ -22,6 +26,10 @@ committed baseline (``tools/census_baseline.json``), or when a
 ``python -m repro.experiments`` command of ``.github/workflows/ci.yml``
 is missing from :data:`ARTEFACTS`.  The baseline's ``keep`` map holds
 the uncalled functions that stay on purpose, each with its reason.
+
+``--tests`` runs :data:`TIER1` under the same tracer beside the
+artefacts and marks each uncalled function ``test`` (some test reaches
+it: test-only code) or ``none`` (nothing reaches it).  It never fails.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from types import CodeType, FrameType
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -84,20 +92,52 @@ ARTEFACTS: List[Tuple[List[str], int]] = [
     (_sim_instance("sim-city"), 0),
     (_sim_instance("sim-lossy"), 0),
     (_sim_instance("sim-observed"), 0),
+    (["-m", "benchmarks.rdpbench", "micro"], 0),
 ] + [([str(path.relative_to(ROOT))], 0)
      for path in sorted((ROOT / "examples").glob("*.py"))]
 
+#: The tier-1 suite, for ``--tests``.
+TIER1: List[str] = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+
 
 # -- the tracer (runs inside each artefact's interpreter) ----------------------
+
+
+def _record_calls(seen: Set[CodeType]) -> Callable[[], None]:
+    """Add every code object that starts running to *seen*; returns the
+    function that stops recording.
+
+    From Python 3.12, ``sys.monitoring`` reports a code object's first
+    start and is then disabled there, so a hot function costs one
+    callback per process; before 3.12 a ``sys.settrace`` hook sees every
+    call.  A forked child inherits the disabled code objects, which its
+    parent has already recorded.
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None:
+        tool = monitoring.COVERAGE_ID
+
+        def on_start(code: CodeType, offset: int) -> object:
+            seen.add(code)
+            return monitoring.DISABLE
+
+        monitoring.use_tool_id(tool, "census")
+        monitoring.register_callback(tool, monitoring.events.PY_START, on_start)
+        monitoring.set_events(tool, monitoring.events.PY_START)
+        return lambda: monitoring.set_events(tool, 0)
+
+    def tracer(frame: FrameType, event: str, arg: object) -> None:
+        seen.add(frame.f_code)
+
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    return lambda: sys.settrace(None)
 
 
 def _traced_main(into: str, argv: List[str]) -> None:
     """Run *argv* as ``python argv...`` would, recording every code object
     called; each process appends its record to ``<into>/<pid>.txt``."""
     seen: Set[CodeType] = set()
-
-    def tracer(frame: FrameType, event: str, arg: object) -> None:
-        seen.add(frame.f_code)
 
     def dump() -> None:
         with open(os.path.join(into, f"{os.getpid()}.txt"), "a") as fh:
@@ -107,24 +147,24 @@ def _traced_main(into: str, argv: List[str]) -> None:
     real_exit = os._exit
 
     def traced_exit(status: int) -> None:
-        sys.settrace(None)
+        stop()
         dump()
         real_exit(status)
 
     os._exit = traced_exit
     os.register_at_fork(after_in_child=seen.clear)
     sys.argv = list(argv)
-    threading.settrace(tracer)
-    sys.settrace(tracer)
+    stop = _record_calls(seen)
     try:
         if argv[0] == "-m":
+            sys.path.insert(0, os.getcwd())
             sys.argv = argv[1:]
             runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
         else:
             sys.path.insert(0, os.path.dirname(os.path.abspath(argv[0])))
             runpy.run_path(argv[0], run_name="__main__")
     finally:
-        sys.settrace(None)
+        stop()
         dump()
 
 
@@ -307,6 +347,26 @@ def summary(dead: List[Unit], sizes: Dict[str, int]) -> str:
     return "\n".join(rows)
 
 
+def reached_by_tests(dead: List[Unit],
+                     test_hits: Set[Tuple[str, int]]) -> Dict[str, bool]:
+    """Each gated uncalled function: does some test reach it?"""
+    return {u.key: (u.path, u.line) in test_hits for u in dead if u.gated}
+
+
+def tests_column(dead: List[Unit], test_hits: Set[Tuple[str, int]]) -> str:
+    """The gated uncalled functions, each marked ``test`` (only tests reach
+    it) or ``none`` (nothing does)."""
+    lines = {u.key: u.lines for u in dead}
+    reach = reached_by_tests(dead, test_hits)
+    rows = [f"{'uncalled function':<72}{'lines':>6}  reached by"]
+    rows += [f"{key:<72}{lines[key]:>6}  {'test' if hit else 'none'}"
+             for key, hit in reach.items()]
+    tested = sum(reach.values())
+    rows.append(f"{tested} of {len(reach)} gated uncalled functions are "
+                f"reached by tests only; {len(reach) - tested} by nothing")
+    return "\n".join(rows)
+
+
 def gate(dead: List[Unit], baseline: Dict[str, Dict[str, object]]) -> List[str]:
     """Gated uncalled functions the baseline does not list."""
     known = baseline["uncalled"]
@@ -319,6 +379,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                                      description=__doc__.split("\n")[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline's uncalled list from this run")
+    parser.add_argument("--tests", action="store_true",
+                        help="also run tier-1 under the tracer and mark the "
+                             "uncalled functions only tests reach (never fails)")
     args = parser.parse_args(argv)
 
     problems = [f"ci.yml runs `python -m repro.experiments {' '.join(cmd)}`, "
@@ -326,15 +389,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for cmd in missing_from_census(CI_YML.read_text())]
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
-        into, out = Path(scratch, "trace"), Path(scratch, "out")
-        into.mkdir()
-        out.mkdir()
-        problems += run_artefacts(into, out)
-        hits = reached(into, PACKAGE)
+        into, out, tested = (Path(scratch, name)
+                             for name in ("trace", "out", "tests"))
+        for path in (into, out, tested):
+            path.mkdir()
+        with ThreadPoolExecutor(1) as side:
+            suite = side.submit(trace_run, TIER1, tested) if args.tests else None
+            problems += run_artefacts(into, out)
+            hits = reached(into, PACKAGE)
+            if suite is not None:
+                status = suite.result().returncode
+                if status != 0:
+                    print(f"tier-1 exited {status} under the tracer",
+                          file=sys.stderr)
+                test_hits = reached(tested, PACKAGE)
     dead = uncalled(units_of(PACKAGE), hits)
     print(f"reachability census: {len(ARTEFACTS)} artefacts in "
           f"{time.perf_counter() - started:.1f} s")
     print(summary(dead, src_lines(PACKAGE)))
+    if args.tests:
+        print(tests_column(dead, test_hits))
 
     baseline = json.loads(BASELINE.read_text())
     keep: Dict[str, str] = baseline["keep"]
@@ -352,7 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"--update shrinks the baseline")
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    return 1 if problems and not args.tests else 0
 
 
 if __name__ == "__main__":
