@@ -24,11 +24,12 @@ rules flag code patterns that silently break that promise:
 **Scope.**  The determinism contract is a *simulator* contract; the live
 backend (``repro/live``) runs on real wall-clock sockets, where reading
 ``time.monotonic()`` is the whole point.  Every DET rule therefore skips
-files under ``live/``.  The protocol/shard rules (RDP*, SHD*) still
-apply there in full — live code shares the protocol entities and their
-ownership rules, it only swaps the clock.  The live tree keeps the
-exemption honest on its side by routing all wall-clock reads through
-``repro/live/clock.py``.
+files under ``live/``.  The protocol rules (RDP*) still apply there in
+full: live code shares the protocol entities, it only swaps the clock.
+Stream ownership (SHD004) classifies ``live/`` as harness, because its
+modules are the live processes' composition roots, so it reports
+nothing there.  The live tree keeps the exemption honest on its side by
+routing all wall-clock reads through ``repro/live/clock.py``.
 """
 
 from __future__ import annotations

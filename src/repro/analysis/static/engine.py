@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .determinism_rules import DETERMINISM_RULES, run_determinism_rules
 from .model import Finding, SourceFile, SourceTree, Suppression
+from .ownership import OWNERSHIP_RULES, run_ownership_rules
 from .protocol_rules import PROTOCOL_RULES, run_protocol_rules
-from .shard_rules import SHARD_RULES, run_shard_rules
 
 RULES: Dict[str, str] = {
     **{rule_id: doc for rule_id, (_f, doc) in PROTOCOL_RULES.items()},
     **{rule_id: doc for rule_id, (_f, doc) in DETERMINISM_RULES.items()},
-    **{rule_id: doc for rule_id, (_f, doc) in SHARD_RULES.items()},
+    **{rule_id: doc for rule_id, (_f, doc) in OWNERSHIP_RULES.items()},
     "SUP001": "unused # repro: allow[...] suppression",
 }
 
@@ -107,7 +107,7 @@ def run_analysis(root: Path,
     raw: List[Finding] = []
     raw.extend(run_protocol_rules(tree, selected))
     raw.extend(run_determinism_rules(tree, selected))
-    raw.extend(run_shard_rules(tree, selected))
+    raw.extend(run_ownership_rules(tree, selected))
     for rel, error in tree.unparseable:
         raw.append(Finding(rule="SUP001", path=rel, line=1,
                            message=f"file does not parse: {error}",

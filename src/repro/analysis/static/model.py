@@ -3,11 +3,9 @@
 A run parses every ``*.py`` file under one root directory into a
 :class:`SourceTree`.  Each :class:`SourceFile` is walked once at parse
 time, which yields its node-by-type index (in ``ast.walk`` order), its
-parent map and its import tables; the tree adds the whole-tree facts
-(the :class:`~.dataflow.ClassIndex`, one :class:`~.dataflow.TypeEnv` per
-function, memoised subtree walks), each built on first use.  The rule
-passes (:mod:`.protocol_rules`, :mod:`.determinism_rules`,
-:mod:`.shard_rules`) only read this model.  Findings are plain values:
+parent map and its import tables; the tree adds memoised subtree walks.
+The rule passes (:mod:`.protocol_rules`, :mod:`.determinism_rules`,
+:mod:`.ownership`) only read this model.  Findings are plain values:
 rule id, file, line, message, fix hint — everything the reporter and
 the baseline ratchet need.
 """
@@ -21,13 +19,9 @@ import tokenize
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
-                    List, Optional, Tuple, Type, TypeVar, cast)
+from typing import (Deque, Dict, Iterator, List, Optional, Tuple, Type,
+                    TypeVar, cast)
 
-if TYPE_CHECKING:
-    from .dataflow import ClassIndex, TypeEnv
-
-_T = TypeVar("_T")
 _N = TypeVar("_N", bound=ast.AST)
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")
@@ -172,36 +166,22 @@ class SourceFile:
 @dataclass
 class SourceTree:
     """Every parseable python file under one root directory, plus the
-    whole-tree facts the rules share, each built once on first use."""
+    subtree walks the rules share, each built once on first use."""
 
     root: Path
     files: List[SourceFile]
     unparseable: List[Tuple[str, str]] = field(default_factory=list)
-    _memo: Dict[Tuple[str, int], Any] = field(default_factory=dict,
-                                              repr=False)
-
-    def _once(self, what: str, node: Any, build: Callable[[], _T]) -> _T:
-        # In-process memo key only; the value never reaches output.
-        key = (what, id(node))  # repro: allow[DET003]
-        if key not in self._memo:
-            self._memo[key] = build()
-        return cast(_T, self._memo[key])
-
-    @property
-    def class_index(self) -> "ClassIndex":
-        from . import dataflow
-        return self._once("classes", self, lambda: dataflow.ClassIndex(self))
-
-    def type_env(self, func: ast.FunctionDef,
-                 enclosing_class: Optional[str]) -> "TypeEnv":
-        """The one :class:`~.dataflow.TypeEnv` of *func*."""
-        from . import dataflow
-        return self._once("env", func, lambda: dataflow.TypeEnv(
-            self, func, enclosing_class))
+    _walks: Dict[int, List[ast.AST]] = field(default_factory=dict,
+                                             repr=False)
 
     def walk(self, node: ast.AST) -> List[ast.AST]:
         """``list(ast.walk(node))`` for a subtree, computed once."""
-        return self._once("walk", node, lambda: list(ast.walk(node)))
+        # In-process memo key only; the value never reaches output.
+        key = id(node)  # repro: allow[DET003]
+        walked = self._walks.get(key)
+        if walked is None:
+            walked = self._walks[key] = list(ast.walk(node))
+        return walked
 
     @classmethod
     def load(cls, root: Path) -> "SourceTree":

@@ -1,33 +1,23 @@
-"""The declarative shard-boundary and ownership spec.
+"""RNG-stream ownership (rule ``SHD004``) and the path roles it reads.
 
-The ROADMAP's sharded-kernel refactor partitions the world into regions
-that share nothing: every component instance (an MSS, a proxy, a mobile
-host, a server) lives in exactly one region, owns its own state, and
-interacts with other components *only* through the declared channels
-(``net/wired.py``, ``net/wireless.py``, ``net/directory.py``).  This
-module states that discipline as data; :mod:`.shard_rules` (SHD001-006)
-enforces it against the tree via the dataflow engine.
+Every named :class:`~repro.sim.rng.RngStreams` substream has one owner.
+The assembler (``world.py``) derives streams and hands each to the
+component that draws from it.  ``RngStreams.stream(name)`` returns one
+generator per name, so a component that derives a stream another role
+owns draws from the owner's generator, and every such draw shifts the
+owner's sequence.  Seeded per-owner jitter (one stream per retry owner)
+relies on that separation.
 
-The spec has four layers:
+The spec has two layers:
 
 * **path classification** — which component (or exempt role) each source
   file belongs to.  ``harness`` files (the world assembler, experiments,
-  analysis, observability) compose components and are exempt: they run
-  outside any shard.  ``channel`` files *are* the boundary; ``kernel``
-  is the per-region simulator infrastructure; ``data`` is plain shared
-  value types (messages, ids, errors).
-* **boundary classes** — the classes whose instances are shard units
-  (plus the structural Protocols that stand in for them).  The SHD rules
-  reason about expressions of these types; component-internal records
-  (prefs, request records, window state) are each component's own
-  business.
-* **sanctioned references** — the few attribute slots that may legally
-  hold a boundary-class object across calls, each one a documented
-  co-location: a proxy lives inside its hosting MSS, a client API and a
-  mobility driver wrap their own mobile host.
-* **RNG-stream ownership** — which role may derive each named
-  :class:`~repro.sim.rng.RngStreams` substream.  Drawing from a stream
-  another component owns couples shards through the generator state.
+  analysis, observability, the live processes' composition roots) build
+  components and hand out their streams.  ``channel`` files are the
+  wired/wireless networks and their layers; ``kernel`` is the simulator
+  infrastructure; ``data`` is plain shared value types (messages, ids,
+  errors).
+* **stream ownership** — which role may derive each named stream.
 
 Fixture trees in tests reuse the same relative paths
 (``stations/mss.py`` ...), so the spec applies to them unchanged.
@@ -35,26 +25,24 @@ Fixture trees in tests reuse the same relative paths
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-#: Roles a source file can play.  Only ``component`` files own shardable
-#: state; the rest are exempt from one or more SHD rules (see each
-#: rule's docstring for exactly which).
+from .model import Finding, SourceTree
+
+#: Roles a source file can play.
 ROLE_COMPONENT = "component"
 ROLE_CHANNEL = "channel"
 ROLE_KERNEL = "kernel"
 ROLE_HARNESS = "harness"
 ROLE_DATA = "data"
 
-#: The shardable components.
+#: The protocol components.
 COMPONENT_MSS = "mss"
 COMPONENT_PROXY = "proxy"
 COMPONENT_MH = "mh"
 COMPONENT_SERVER = "server"
-
-COMPONENTS: Tuple[str, ...] = (
-    COMPONENT_MSS, COMPONENT_PROXY, COMPONENT_MH, COMPONENT_SERVER)
 
 
 @dataclass(frozen=True)
@@ -68,13 +56,13 @@ class FileClassification:
 #: Ordered (prefix, role, component) rules; first match wins.  Paths are
 #: relative to the scan root (the ``repro`` package) with posix
 #: separators; an optional ``src/repro/`` prefix is stripped first so
-#: scanning a repo root classifies identically.
+#: scanning a repo root classifies identically.  Every file of the
+#: package matches an entry (a tier-1 test checks it).
 _PATH_RULES: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("stations/", ROLE_COMPONENT, COMPONENT_MSS),
     ("baselines/", ROLE_COMPONENT, COMPONENT_MSS),
     ("core/proxy.py", ROLE_COMPONENT, COMPONENT_PROXY),
     ("core/placement.py", ROLE_COMPONENT, COMPONENT_MSS),
-    ("core/protocol.py", ROLE_DATA, None),
     ("core/", ROLE_DATA, None),
     ("hosts/", ROLE_COMPONENT, COMPONENT_MH),
     ("mobility/", ROLE_COMPONENT, COMPONENT_MH),
@@ -83,16 +71,24 @@ _PATH_RULES: Tuple[Tuple[str, str, Optional[str]], ...] = (
     # sim runs, exactly like world.py does for everything else.
     ("servers/tis_network.py", ROLE_HARNESS, None),
     ("servers/", ROLE_COMPONENT, COMPONENT_SERVER),
-    # The legal cross-component channels -- and their internal layers
-    # (reliable transport, fault plans, latency models, causal ordering)
-    # which sit strictly below the channel API.
+    # The networks and their layers (reliable transport, fault plans,
+    # latency models, causal ordering).
     ("net/", ROLE_CHANNEL, None),
-    # Per-region infrastructure: the event loop, rng derivation, tracing.
+    # The event loop, rng derivation, tracing.
     ("sim/", ROLE_KERNEL, None),
-    # Composition roots and tooling run outside any shard.
+    # Composition roots and tooling.
     ("world.py", ROLE_HARNESS, None),
     ("config.py", ROLE_HARNESS, None),
     ("instruments.py", ROLE_HARNESS, None),
+    # The Engine contract and the Ids allocator, built by whoever
+    # assembles a world or a live process.
+    ("engine.py", ROLE_HARNESS, None),
+    ("__init__.py", ROLE_HARNESS, None),
+    # The live backend: each process's composition root (cluster.py's
+    # driver, node.py's station) derives its transports' streams
+    # (``live.wireless``, ``live.wired.<station>``) the way world.py
+    # does, and the package's other modules are built by those roots.
+    ("live/", ROLE_HARNESS, None),
     ("experiments/", ROLE_HARNESS, None),
     ("analysis/", ROLE_HARNESS, None),
     ("verify/", ROLE_HARNESS, None),
@@ -107,8 +103,7 @@ _PATH_RULES: Tuple[Tuple[str, str, Optional[str]], ...] = (
 def classify_path(rel: str) -> FileClassification:
     """Classify a scan-root-relative posix path.
 
-    Unmatched files default to ``harness`` — a new component directory
-    must be added to ``_PATH_RULES`` before the SHD rules guard it.
+    A path no rule matches (only fixture trees have one) is ``harness``.
     """
     if rel.startswith("src/repro/"):
         rel = rel[len("src/repro/"):]
@@ -119,43 +114,6 @@ def classify_path(rel: str) -> FileClassification:
             return FileClassification(role=role, component=component)
     return FileClassification(role=ROLE_HARNESS)
 
-
-#: Boundary classes: the shard-unit classes themselves plus the
-#: structural Protocols other modules use to talk about them.  Any class
-#: that (transitively) subclasses one of the concrete names inherits its
-#: component through the dataflow class index.
-BOUNDARY_CLASSES: Dict[str, str] = {
-    "MobileSupportStation": COMPONENT_MSS,
-    "WirelessStation": COMPONENT_MSS,   # structural stand-in for an MSS
-    "ProxyHost": COMPONENT_MSS,         # the proxy's view of its host MSS
-    "Proxy": COMPONENT_PROXY,
-    "MobileHost": COMPONENT_MH,
-    "WirelessHost": COMPONENT_MH,       # structural stand-in for an MH
-    "AppServer": COMPONENT_SERVER,
-}
-
-#: Sanctioned boundary references: (holder class, attribute) slots that
-#: may hold a boundary-class object, each a by-construction co-location
-#: (same shard, by definition) rather than a cross-shard alias.
-ALLOWED_REFS: FrozenSet[Tuple[str, str]] = frozenset({
-    # A proxy lives inside its hosting MSS and borrows its network
-    # identity (core/proxy.py module docstring).
-    ("Proxy", "host"),
-    # An MSS hosts its proxies; the registry is the hosting relation.
-    ("MobileSupportStation", "proxies"),
-    # The client API and mobility/activity drivers run *on* the MH.
-    ("RdpClient", "host"),
-    ("QueuedRpcClient", "host"),
-    ("MobilityDriver", "host"),
-    ("ActivityProcess", "host"),
-})
-
-#: Which component may construct (and thereby capture ``self`` into)
-#: instances of a boundary class: the hosting relation, seen from the
-#: constructor side.
-HOSTED_BY: Dict[str, str] = {
-    "Proxy": COMPONENT_MSS,
-}
 
 #: RNG-stream ownership: (stream-name prefix, owning role-or-component).
 #: An entry ending in ``.`` is a prefix family; others match exactly.
@@ -194,19 +152,57 @@ def may_draw_stream(classification: FileClassification, name: str) -> bool:
     return owner == classification.component
 
 
+def rule_stream_ownership(tree: SourceTree) -> List[Finding]:
+    """SHD004: deriving an RNG substream another role owns."""
+    findings: List[Finding] = []
+    for src in tree:
+        classification = classify_path(src.rel)
+        for node in src.nodes(ast.Call):
+            if not (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("stream", "spawn")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            name = node.args[0].value
+            if may_draw_stream(classification, name):
+                continue
+            owner = (f"the {classification.component} component"
+                     if classification.component is not None
+                     else f"{classification.role} code")
+            findings.append(src.finding(
+                "SHD004", node.lineno,
+                f"derives RNG stream '{name}' which {owner} does not own "
+                f"— foreign draws couple shards through generator state",
+                "take the stream as a constructor argument from the "
+                "assembler, or register ownership in "
+                "ownership.STREAM_OWNERS"))
+    return findings
+
+
+OWNERSHIP_RULES = {
+    "SHD004": (rule_stream_ownership, "RNG stream drawn by a non-owner"),
+}
+
+
+def run_ownership_rules(tree: SourceTree,
+                        selected: Optional[Set[str]] = None) -> List[Finding]:
+    if selected is not None and "SHD004" not in selected:
+        return []
+    return rule_stream_ownership(tree)
+
+
 __all__ = [
-    "ALLOWED_REFS",
-    "BOUNDARY_CLASSES",
-    "COMPONENTS",
     "FileClassification",
-    "HOSTED_BY",
     "ROLE_CHANNEL",
     "ROLE_COMPONENT",
     "ROLE_DATA",
     "ROLE_HARNESS",
     "ROLE_KERNEL",
+    "OWNERSHIP_RULES",
     "STREAM_OWNERS",
     "classify_path",
     "may_draw_stream",
+    "run_ownership_rules",
     "stream_owner",
 ]

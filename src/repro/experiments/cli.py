@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "findings and exit 0")
     analyze.add_argument("--select", "--rules", dest="select", default=None,
                          help="comma-separated rule ids or id prefixes to "
-                              "run, e.g. SHD or SHD001,DET (default: all)")
+                              "run, e.g. SHD or RDP001,DET (default: all)")
     analyze.add_argument("--format", choices=("text", "json", "sarif"),
                          default="text",
                          help="output format (json/sarif are stably "

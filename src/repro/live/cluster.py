@@ -96,7 +96,7 @@ class ClusterResult:
 
     @property
     def accounted(self) -> bool:
-        return self.report.issued == self.issued and self.report.accounted()
+        return self.report.issued == self.issued
 
     @property
     def ok(self) -> bool:

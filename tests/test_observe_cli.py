@@ -54,3 +54,17 @@ def test_bench_obs_adds_metrics_section(tmp_path):
         det["messages"]
     assert metrics["rdp_handoffs_completed_total"] == det["handoffs"]
     assert metrics["rdp_net_messages_dropped_total"] != {}
+
+
+def test_observe_accounting_fails_when_spans_and_requests_differ():
+    from repro.experiments.bench import PRESETS
+    from repro.experiments.observe import ObserveResult
+    from repro.obs.spans import DeliverySpan, SpanReport
+
+    spans = [DeliverySpan(request_id=f"mh1#{n}", mh="mh1", requested=True)
+             for n in (1, 2)]
+    result = ObserveResult(preset=PRESETS["smoke"], world=None,
+                           report=SpanReport(spans), queries=2, wall=0.0)
+    assert result.accounted()
+    result.queries = 3
+    assert not result.accounted()

@@ -1,16 +1,20 @@
 """Golden tests for the static analyzer (``repro.analysis.static``).
 
 Each rule gets a violating fixture (must fire, with the right rule id and
-location) and a clean twin (must stay quiet).  Two mutation tests then
+location) and a clean twin (must stay quiet).  Mutation tests then
 prove the passes catch real regressions in the live tree: deleting a
-dispatch-dict entry from the MSS and injecting a wall-clock call into the
-simulator both make ``python -m repro.experiments analyze`` fail.
+dispatch-dict entry from the MSS, injecting a wall-clock call into the
+simulator and drawing another role's RNG stream from proxy code each make
+``python -m repro.experiments analyze`` fail.  SHD004 fixtures reuse the
+live tree's relative paths (``core/proxy.py`` ...), so the ownership
+spec classifies them exactly as it classifies the real code.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 import shutil
 import textwrap
 
@@ -19,11 +23,15 @@ import pytest
 import repro
 from repro.analysis.static import (
     RULES,
+    classify_path,
     compare,
     load_baseline,
+    load_justifications,
     run_analysis,
     save_baseline,
+    unjustified,
 )
+from repro.analysis.static.ownership import _PATH_RULES
 from repro.experiments.cli import main
 
 REPRO_ROOT = pathlib.Path(repro.__file__).resolve().parent
@@ -419,6 +427,73 @@ def test_det005_quiet_on_instance_counter(tmp_path):
     assert result.findings == []
 
 
+# -- SHD004: RNG-stream ownership ------------------------------------------
+
+def test_classify_path_components_and_roles():
+    assert classify_path("stations/mss.py").component == "mss"
+    assert classify_path("src/repro/stations/mss.py").component == "mss"
+    assert classify_path("core/proxy.py").component == "proxy"
+    assert classify_path("hosts/mobile_host.py").component == "mh"
+    assert classify_path("servers/echo.py").component == "server"
+    assert classify_path("servers/tis_network.py").role == "harness"
+    assert classify_path("net/wired.py").role == "channel"
+    assert classify_path("sim/simulator.py").role == "kernel"
+    assert classify_path("world.py").role == "harness"
+    assert classify_path("core/protocol.py").role == "data"
+    assert classify_path("something_new.py").role == "harness"
+
+
+def test_every_source_file_has_an_explicit_path_role():
+    """No file of the package falls through to classify_path's default:
+    a new module or directory gets its role on purpose."""
+    unmatched = [
+        rel for rel in (path.relative_to(REPRO_ROOT).as_posix()
+                        for path in sorted(REPRO_ROOT.rglob("*.py")))
+        if not any(rel.startswith(prefix) for prefix, _r, _c in _PATH_RULES)]
+    assert unmatched == []
+
+
+def test_shd004_fires_on_foreign_stream_draw(tmp_path):
+    result = analyze(tmp_path, {"core/proxy.py": '''
+        class Proxy:
+            def __init__(self, rng) -> None:
+                self.rng = rng.stream("faults.wired")
+    '''}, rules="SHD004")
+    assert [f.rule for f in result.findings] == ["SHD004"]
+    assert "faults.wired" in result.findings[0].message
+    assert "proxy component" in result.findings[0].message
+
+
+def test_shd004_fires_on_undeclared_stream(tmp_path):
+    result = analyze(tmp_path, {"core/proxy.py": '''
+        class Proxy:
+            def __init__(self, rng) -> None:
+                self.rng = rng.stream("proxy.jitter")
+    '''}, rules="SHD004")
+    assert [f.rule for f in result.findings] == ["SHD004"]
+    assert "STREAM_OWNERS" in result.findings[0].hint
+
+
+def test_shd004_quiet_for_owners_and_harness(tmp_path):
+    result = analyze(tmp_path, {
+        "net/faults.py": '''
+            class FaultPlan:
+                def __init__(self, rng) -> None:
+                    self.rng = rng.stream("faults.wired")
+        ''',
+        "mobility/driver.py": '''
+            class MobilityDriver:
+                def __init__(self, rng) -> None:
+                    self.rng = rng.stream("mobility.mh1")
+        ''',
+        "world.py": '''
+            def build(rng):
+                return rng.stream("faults.wired")
+        ''',
+    }, rules="SHD004")
+    assert result.findings == []
+
+
 # -- suppressions and SUP001 -----------------------------------------------
 
 def test_same_line_suppression_swallows_finding(tmp_path):
@@ -580,6 +655,13 @@ def test_live_tree_matches_committed_baseline():
         "'python -m repro.experiments analyze --update-baseline'")
 
 
+def test_every_baseline_entry_is_justified():
+    """The ratchet may hold debt, but never undocumented debt."""
+    baseline = load_baseline(BASELINE)
+    justifications = load_justifications(BASELINE)
+    assert unjustified(baseline, justifications) == []
+
+
 def test_live_tree_protocol_surface_is_known():
     """Every paper message kind the chain depends on exists and is live."""
     from repro.analysis.static import SourceTree, build_protocol_model
@@ -678,6 +760,23 @@ def test_restored_message_counter_fails_analyze(mutable_tree, capsys):
     assert "_msg_counter" in capsys.readouterr().out
 
 
+def test_foreign_stream_draw_in_proxy_flips_shd004(mutable_tree, capsys):
+    proxy = mutable_tree / "core" / "proxy.py"
+    proxy.write_text(proxy.read_text() + textwrap.dedent('''
+
+        def _shard_mutation_rng(rng):
+            return rng.stream("faults.wired")
+    '''))
+
+    code = main(["analyze", "--root", str(mutable_tree), "--no-baseline",
+                 "--select", "SHD"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "SHD004" in out
+    assert "faults.wired" in out
+    assert set(re.findall(r":\d+: (SHD\d+) ", out)) == {"SHD004"}
+
+
 # -- CLI surface -----------------------------------------------------------
 
 def test_cli_analyze_clean_tree_exits_zero(capsys):
@@ -699,21 +798,22 @@ def test_cli_rules_subset(capsys):
 
 
 def test_cli_select_prefix_expansion(tmp_path, capsys):
-    (tmp_path / "stations").mkdir()
-    (tmp_path / "stations" / "mss.py").write_text(textwrap.dedent('''
+    (tmp_path / "core").mkdir()
+    (tmp_path / "core" / "proxy.py").write_text(textwrap.dedent('''
         import time
 
-        class MobileSupportStation:
-            def poke(self, proxy: "Proxy") -> None:
-                proxy.currentloc = time.time()
+        class Proxy:
+            def __init__(self, rng) -> None:
+                self.born = time.time()
+                self.rng = rng.stream("faults.wired")
     '''))
     # The SHD prefix selects the whole shard family — and only it: the
-    # DET001 wall clock on the same line must not appear.
+    # DET001 wall clock in the same constructor must not appear.
     code = main(["analyze", "--root", str(tmp_path), "--no-baseline",
                  "--select", "SHD"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "SHD001" in out
+    assert "SHD004" in out
     assert "DET001" not in out
 
 

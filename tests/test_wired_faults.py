@@ -274,6 +274,42 @@ def test_reliable_link_gives_up_after_retry_budget():
     assert net.transport.pending_count() == 0
 
 
+def test_transport_give_up_hands_the_result_back_to_the_proxy():
+    """The wired link between the proxy's MSS (s0) and the respMss (s1)
+    is cut while a result_forward is in flight, for longer than the
+    default retry budget (20 retries, capped at 8 s: given up at ~123 s).
+    The MSS hands the abandoned result to its proxy, whose redelivery
+    loop re-forwards it, and that copy gets through once the cut heals.
+
+    Nothing else can rescue the result: proxies never migrate, the
+    client does not retry, and the proxy's ack timeout (1000 s) fires
+    long after the run.  Ordering is ``raw``: under FIFO or causal
+    ordering the abandoned frame leaves a gap that parks every later
+    s0 -> s1 message at s1 (see ``WiredNetwork.set_down``)."""
+    heal = 150.0
+    world = make_world(n_cells=2, ordering="raw", proxy_ack_timeout=1000.0,
+                       wired_faults=WiredFaultSpec(partitions=(
+                           (mss_id("s0"), mss_id("s1"), 2.0, heal),)))
+    server = world.add_server("manual", ManualServer)
+    client = world.add_host("m", world.cells[0])
+    host = world.hosts["m"]
+    pending = client.request("manual", "x")          # proxy at s0
+    world.sim.schedule_at(1.0, host.migrate_to, world.cells[1])
+    world.run(until=3.0)
+    server.release(pending.request_id, "late")       # forwarded into the cut
+    world.run(until=heal)
+
+    failed = trace_filter(world.recorder, "delivery_failed")
+    assert [row.fields["msg"] for row in failed] == ["result_forward"]
+    assert world.metrics.count("proxy_transport_failures") == 1
+    assert not pending.done
+
+    world.run(until=heal + 60.0)
+    assert pending.done and pending.result == "late"
+    assert [rid for _t, rid, _p in host.deliveries] == [pending.request_id]
+    assert world.metrics.count("proxy_transport_failures") == 1
+
+
 def test_reliable_link_bridges_node_downtime():
     """Frames toward a down node are dropped silently (no transport ack),
     so the sender keeps retransmitting and delivery completes once the
