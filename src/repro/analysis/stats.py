@@ -56,6 +56,12 @@ def percentile(values: Sequence[float], q: float) -> float:
     return min(max(value, ordered[0]), ordered[-1])
 
 
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of a non-empty, pre-sorted sample, q in
+    [0, 1]: no interpolation, so the result is always a sample value."""
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 def summarize(values: Sequence[float]) -> Summary:
     if not values:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -151,11 +151,6 @@ class WorldConfig:
     # the transport buys (AN14 ablation); True without faults exercises
     # the ack machinery on a clean fabric.
     wired_reliable: Optional[bool] = None
-    # Which reliable transport to build when one is active: "sr" is the
-    # selective-repeat sliding-window transport with adaptive RTO,
-    # "legacy" the original stop-and-wait per-message retransmitter
-    # (kept as the chaos ablation baseline).
-    wired_transport: str = "sr"
     # Proxy-side redelivery of unacknowledged results (crash healing).
     # None = automatic: 5.0 s when wired_faults is set, otherwise off
     # (the paper's purely event-driven proxy).
@@ -197,9 +192,6 @@ class WorldConfig:
             raise ConfigError(f"wireless loss {self.wireless_loss!r} out of range")
         if self.proc_delay < 0 or self.ack_delay < 0:
             raise ConfigError("delays must be non-negative")
-        if self.wired_transport not in ("sr", "legacy"):
-            raise ConfigError(
-                f"unknown wired transport {self.wired_transport!r}")
         if self.proxy_custody_ttl is not None and self.proxy_custody_ttl <= 0:
             raise ConfigError(
                 f"proxy custody ttl {self.proxy_custody_ttl!r} must be positive")

@@ -1,43 +1,28 @@
-"""The standing macro-benchmark of the simulation kernel.
+"""The pinned sidam-city macro scenario.
 
-``python -m repro.experiments bench`` runs a pinned large sidam-city
-workload — thousands of mobile hosts roaming a grid of cells, issuing
-TIS queries against a partitioned server network — and reports the
-kernel's throughput (events/sec, messages/sec), wall time and peak
-memory.  The result is written as JSON (``BENCH_macro.json`` at the
-repo root by default) so the perf trajectory is tracked run-over-run:
-every later scaling PR is judged against the numbers recorded here.
-
-The JSON is split into two sections:
-
-* ``scenario`` + ``determinism`` — pinned inputs and simulation-domain
-  outputs (event/message/query counts, final simulated time).  These
-  must be byte-identical between two runs of the same preset on any
-  machine; CI enforces it.
-* ``timing`` — wall-clock measurements, different on every run.
-
-Compare runs with ``jq 'del(.timing)' BENCH_macro.json`` (see
-EXPERIMENTS.md).
+Thousands of mobile hosts roam a grid of cells, issuing TIS queries
+against a partitioned server network.  :data:`PRESETS` pins its inputs;
+:func:`run_scenario` builds and runs it.  ``observe`` runs it with a
+span-filtered trace, and the ``sim-city`` workload of
+``benchmarks/rdpbench`` times it.  ``BENCH_macro.json`` pins the
+``macro`` preset's simulation-domain counts, and
+``python -m benchmarks.rdpbench --workload sim-city --scale 1`` fails
+when they drift (EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import resource
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import LatencySpec, WorldConfig
 from ..instruments import Instruments
 from ..mobility.models import ExponentialResidence, RandomNeighborWalk
 from ..net.latency import ExponentialLatency
-from ..obs.export import digest
 from ..servers.tis_network import TisNetwork
 from ..sidam.city import CityModel
 from ..sidam.workload import CitizenWorkload
 from ..world import World
-from ._timing import wall_clock
 from .harness import drain
 
 
@@ -55,8 +40,8 @@ class BenchPreset:
     residence: float = 20.0
 
 
-#: The standing macro scenario (results committed as BENCH_macro.json)
-#: and its CI-sized smoke variant.  Do not retune these casually: the
+#: The standing macro scenario (counts pinned in BENCH_macro.json) and
+#: its CI-sized smoke variant.  Do not retune these casually: the
 #: whole point is run-over-run comparability.
 PRESETS: Dict[str, BenchPreset] = {
     "macro": BenchPreset(name="macro", citizens=2000, grid=12, duration=60.0),
@@ -65,7 +50,7 @@ PRESETS: Dict[str, BenchPreset] = {
 
 
 def build_config(preset: BenchPreset, trace: bool = False) -> WorldConfig:
-    """The pinned world configuration of one bench scenario."""
+    """The pinned world configuration of one scenario."""
     return WorldConfig(
         seed=preset.seed,
         topology="grid",
@@ -85,9 +70,9 @@ def run_scenario(
 ) -> Tuple[World, List[CitizenWorkload]]:
     """Build the sidam-city world, run it to quiescence, return it.
 
-    Shared by the bench (counters only) and the observe run (same
-    scenario with a span-filtered trace recorder passed in through
-    *instruments*) so both measure the identical workload.
+    Shared by the ``sim-city`` benchmark (counters only) and the observe
+    run (same scenario with a span-filtered trace recorder passed in
+    through *instruments*) so both measure the identical workload.
     """
     world = World(config, instruments=instruments)
     city = CityModel(world.cell_map, n_servers=preset.n_servers)
@@ -116,92 +101,3 @@ def run_scenario(
         workload.stop()
     drain(world)
     return world, workloads
-
-
-def run_bench(preset: BenchPreset, obs: bool = False) -> Dict[str, Any]:
-    """Run one benchmark scenario; return the result document.
-
-    With ``obs=True`` the document gains a ``metrics`` section — the
-    observability hub's deterministic digest (every counter/gauge/
-    histogram family the instrumented stack filled during the run).  The
-    default document is unchanged byte for byte, which is what lets the
-    CI determinism gate keep pinning it.
-    """
-    started = wall_clock()
-    world, workloads = run_scenario(preset, build_config(preset))
-    wall = wall_clock() - started
-
-    events = world.sim.events_executed
-    messages = world.monitor.total_messages()
-    queries = sum(len(w.stats.requests) for w in workloads)
-    answered = sum(sum(1 for r in w.stats.requests if r.done)
-                   for w in workloads)
-    metrics = world.instruments.metrics
-    result: Dict[str, Any] = {
-        "schema": 1,
-        "scenario": {
-            "preset": preset.name,
-            "seed": preset.seed,
-            "citizens": preset.citizens,
-            "grid": [preset.grid, preset.grid],
-            "duration": preset.duration,
-            "n_servers": preset.n_servers,
-            "mean_interarrival": preset.mean_interarrival,
-            "mean_residence": preset.residence,
-        },
-        "determinism": {
-            "events": events,
-            "messages": messages,
-            "queries": queries,
-            "answered": answered,
-            "handoffs": metrics.count("handoffs_completed"),
-            "retransmissions": metrics.count("proxy_retransmissions"),
-            "wireless_drops": world.monitor.drops(),
-            "final_time": round(world.sim.now, 6),
-        },
-        "timing": {
-            "wall_seconds": round(wall, 3),
-            "events_per_second": round(events / wall) if wall > 0 else None,
-            "messages_per_second": round(messages / wall) if wall > 0 else None,
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        },
-    }
-    if obs:
-        result["metrics"] = digest(world.instruments.hub)
-    return result
-
-
-def render(result: Dict[str, Any]) -> str:
-    """One-screen human summary of a result document."""
-    scenario, det, timing = (result["scenario"], result["determinism"],
-                             result["timing"])
-    return "\n".join([
-        f"bench[{scenario['preset']}]: {scenario['citizens']} MHs on a "
-        f"{scenario['grid'][0]}x{scenario['grid'][1]} grid, "
-        f"{scenario['duration']:.0f}s simulated (seed {scenario['seed']})",
-        f"  events      {det['events']:>12,}   "
-        f"({timing['events_per_second']:,}/s)",
-        f"  messages    {det['messages']:>12,}   "
-        f"({timing['messages_per_second']:,}/s)",
-        f"  queries     {det['queries']:>12,}   "
-        f"({det['answered']:,} answered)",
-        f"  handoffs    {det['handoffs']:>12,}   "
-        f"({det['retransmissions']:,} proxy retransmissions)",
-        f"  wall        {timing['wall_seconds']:>12.3f}s",
-        f"  peak rss    {timing['peak_rss_kb']:>12,} kB",
-    ])
-
-
-def write_result(result: Dict[str, Any], out: pathlib.Path) -> None:
-    """Write the result document as stable, diff-friendly JSON."""
-    out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-
-
-def default_out_path() -> pathlib.Path:
-    """``BENCH_macro.json`` at the repo root (next to ``src/``), falling
-    back to the working directory for installed trees."""
-    package_root = pathlib.Path(__file__).resolve().parents[2]
-    repo_root = package_root.parent
-    if (repo_root / "src").is_dir():
-        return repo_root / "BENCH_macro.json"
-    return pathlib.Path("BENCH_macro.json")

@@ -11,8 +11,8 @@ assumption 1 well enough that *every* protocol invariant (exactly-once
 delivery, no lost result, causal wired order, ...) holds end to end
 even though the fabric underneath is actively misbehaving.
 
-The result is written as JSON (``CHAOS_report.json`` at the repo root
-by default) in the same two-section shape as the bench report:
+The result is written as JSON (``CHAOS_report.json`` in the working
+directory by default) in two sections:
 
 * ``scenario`` + ``determinism`` — pinned inputs and simulation-domain
   outputs (counts, oracle verdict, transport/fault counters).  These
@@ -22,12 +22,10 @@ by default) in the same two-section shape as the bench report:
 
 Run with ``reliable=False`` (CLI ``--unreliable``) to watch the same
 faults wreck the protocol without the transport — the ablation that
-shows what the reliable link buys.  ``--transport legacy`` swaps the
-selective-repeat transport for the original stop-and-wait retransmitter,
-and every reliable report also embeds a ``transport_ablation`` block: a
-pinned mini-scenario swept over 5–20% wired loss under both transports,
-comparing goodput and delivery-latency percentiles (the table in
-``docs/TRANSPORT.md``).
+shows what the reliable link buys.  Every reliable report also embeds a
+``transport_ablation`` block: a pinned mini-scenario swept over 5–20%
+wired loss, recording goodput and delivery-latency percentiles (the
+table in ``docs/TRANSPORT.md``).
 
 Reliable reports also embed a ``wireless_ablation`` block — the last
 mile's counterpart: a pinned scenario where every MH crashes mid-flight
@@ -46,6 +44,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
+from ..analysis.stats import nearest_rank
 from ..config import (LatencySpec, WiredFaultSpec, WirelessFaultSpec,
                       WorldConfig)
 from ..mobility.models import ExponentialResidence, RandomNeighborWalk
@@ -86,18 +85,17 @@ class ChaosPreset:
     crash_downtime: float = 2.0
 
 
-#: Pinned scenarios.  ``soak`` is the standing report committed as
-#: CHAOS_report.json; ``smoke`` is the CI-sized variant the
-#: ``chaos-smoke`` job runs twice and diffs.  Do not retune casually:
-#: run-over-run comparability is the point.
+#: Pinned scenarios.  ``smoke`` is the report committed as
+#: CHAOS_report.json, which the ``chaos-smoke`` CI job and tier-1 diff
+#: against a fresh run; ``soak`` is the longer default.  Do not retune
+#: casually: run-over-run comparability is the point.
 PRESETS: Dict[str, ChaosPreset] = {
     "soak": ChaosPreset(name="soak", n_hosts=8, n_cells=6, duration=150.0),
     "smoke": ChaosPreset(name="smoke", n_hosts=4, n_cells=5, duration=60.0),
 }
 
 
-def build_config(preset: ChaosPreset, reliable: bool = True,
-                 transport: str = "sr") -> WorldConfig:
+def build_config(preset: ChaosPreset, reliable: bool = True) -> WorldConfig:
     """The world configuration for one chaos scenario."""
     t0 = preset.partition_at
     return WorldConfig(
@@ -116,17 +114,14 @@ def build_config(preset: ChaosPreset, reliable: bool = True,
                          t0, t0 + preset.partition_length),),
         ),
         wired_reliable=reliable,
-        wired_transport=transport,
         trace=True,  # the oracle needs the trace stream
     )
 
 
-def run_chaos(preset: ChaosPreset, reliable: bool = True,
-              transport: str = "sr") -> Dict[str, Any]:
+def run_chaos(preset: ChaosPreset, reliable: bool = True) -> Dict[str, Any]:
     """Run one chaos scenario; return the result document."""
     started = wall_clock()
-    world = World(build_config(preset, reliable=reliable,
-                               transport=transport))
+    world = World(build_config(preset, reliable=reliable))
     oracle = Oracle()
     oracle.attach(world.instruments.recorder)
     world.add_server("echo", EchoServer,
@@ -195,7 +190,6 @@ def run_chaos(preset: ChaosPreset, reliable: bool = True,
             "n_cells": preset.n_cells,
             "duration": preset.duration,
             "reliable": reliable,
-            "transport": transport if reliable else None,
             "faults": world.wired.faults.describe()
                       if world.wired.faults is not None else None,
             "crash": [preset.crash_at,
@@ -249,15 +243,14 @@ def run_chaos(preset: ChaosPreset, reliable: bool = True,
 
 # -- transport ablation -------------------------------------------------------
 
-#: Wired loss rates swept by the ablation (the 5–20% band the ROADMAP
-#: names as the regime where stop-and-wait serializes on timeouts).
+#: Wired loss rates swept by the ablation (the table in docs/TRANSPORT.md).
 ABLATION_LOSSES = (0.05, 0.10, 0.20)
 _ABLATION_DURATION = 40.0
 _ABLATION_HOSTS = 4
 _ABLATION_INTERARRIVAL = 0.8
 
 
-def _ablation_config(transport: str, loss: float, seed: int) -> WorldConfig:
+def _ablation_config(loss: float, seed: int) -> WorldConfig:
     """A pinned wired-heavy mini-scenario: static hosts, clean radio,
     constant service — the only stochastic element is wired loss, so any
     goodput/latency difference between rows is the transport's doing."""
@@ -270,23 +263,16 @@ def _ablation_config(transport: str, loss: float, seed: int) -> WorldConfig:
         wireless_loss=0.0,
         wired_faults=WiredFaultSpec(loss=loss),
         wired_reliable=True,
-        wired_transport=transport,
         trace=False,  # counters only: these runs are measured, not audited
     )
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile on a pre-sorted sample (deterministic)."""
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
-
-
-def _ablation_run(transport: str, loss: float, seed: int) -> Dict[str, Any]:
+def _ablation_run(loss: float, seed: int) -> Dict[str, Any]:
     """One ablation row: run the mini-scenario, report sim-domain
     goodput and delivery-latency percentiles at the duration cutoff
     (stragglers still in flight count against goodput — that is the
     metric's point)."""
-    world = World(_ablation_config(transport, loss, seed))
+    world = World(_ablation_config(loss, seed))
     world.add_server("echo", EchoServer, service_time=ConstantLatency(0.020))
     processes: List[PeriodicProcess] = []
     for i in range(_ABLATION_HOSTS):
@@ -313,39 +299,30 @@ def _ablation_run(transport: str, loss: float, seed: int) -> Dict[str, Any]:
         for pending in client.requests.values()
         if pending.done and pending.completed_at is not None)
     requests = sum(len(c.requests) for c in world.clients.values())
-    transport_stats = world.wired.transport.describe() \
-        if world.wired.transport is not None else {}
     return {
-        "transport": transport,
         "loss": loss,
         "requests": requests,
         "delivered": len(latencies),
         "goodput": round(len(latencies) / _ABLATION_DURATION, 6),
-        "latency_p50": (round(_percentile(latencies, 0.50), 6)
+        "latency_p50": (round(nearest_rank(latencies, 0.50), 6)
                         if latencies else None),
-        "latency_p99": (round(_percentile(latencies, 0.99), 6)
+        "latency_p99": (round(nearest_rank(latencies, 0.99), 6)
                         if latencies else None),
         "latency_mean": (round(sum(latencies) / len(latencies), 6)
                          if latencies else None),
-        "retransmissions": transport_stats.get("retransmissions", 0),
+        "retransmissions": world.wired.transport.retransmissions,
         "delivery_failures": len(world.wired.failures),
     }
 
 
 def _transport_ablation(seed: int) -> Dict[str, Any]:
-    """Sweep ``ABLATION_LOSSES`` under both transports (legacy first, so
-    rows pair up as baseline/candidate in the rendered table)."""
-    rows = [
-        _ablation_run(transport, loss, seed)
-        for loss in ABLATION_LOSSES
-        for transport in ("legacy", "sr")
-    ]
+    """Sweep ``ABLATION_LOSSES``, one row per loss rate."""
     return {
         "duration": _ABLATION_DURATION,
         "n_hosts": _ABLATION_HOSTS,
         "mean_interarrival": _ABLATION_INTERARRIVAL,
         "losses": list(ABLATION_LOSSES),
-        "rows": rows,
+        "rows": [_ablation_run(loss, seed) for loss in ABLATION_LOSSES],
     }
 
 
@@ -513,8 +490,7 @@ def render(result: Dict[str, Any]) -> str:
     verdict = ("OK — all invariants held" if det["violations"] == 0 else
                f"VIOLATED: {det['violations']} "
                f"({', '.join(det['violated_invariants'])})")
-    link = (f"on, {scenario.get('transport', 'sr')} transport"
-            if scenario["reliable"] else "OFF")
+    link = "on" if scenario["reliable"] else "OFF"
     lines = [
         f"chaos[{scenario['preset']}]: {scenario['n_hosts']} MHs on a "
         f"{scenario['n_cells']}-cell ring, {scenario['duration']:.0f}s "
@@ -540,11 +516,10 @@ def render(result: Dict[str, Any]) -> str:
     ]
     ablation = det.get("transport_ablation")
     if ablation:
-        lines.append("  ablation    loss   transport  goodput      p50"
-                     "      p99     retx")
+        lines.append("  ablation    loss    goodput      p50      p99     retx")
         for row in ablation["rows"]:
             lines.append(
-                f"              {row['loss']:>4.0%}   {row['transport']:<9}"
+                f"              {row['loss']:>4.0%}   "
                 f"{row['goodput']:>8.3f} {row['latency_p50'] or 0:>8.3f} "
                 f"{row['latency_p99'] or 0:>8.3f} {row['retransmissions']:>8,}")
     wireless = det.get("wireless_ablation")
@@ -563,13 +538,3 @@ def render(result: Dict[str, Any]) -> str:
 def write_result(result: Dict[str, Any], out: pathlib.Path) -> None:
     """Write the report as stable, diff-friendly JSON."""
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-
-
-def default_out_path() -> pathlib.Path:
-    """``CHAOS_report.json`` at the repo root (next to ``src/``), falling
-    back to the working directory for installed trees."""
-    package_root = pathlib.Path(__file__).resolve().parents[2]
-    repo_root = package_root.parent
-    if (repo_root / "src").is_dir():
-        return repo_root / "CHAOS_report.json"
-    return pathlib.Path("CHAOS_report.json")

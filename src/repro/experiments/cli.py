@@ -140,20 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fuzz over the wired fault profile too: "
                            "loss/duplication plus crash/partition/wired_loss "
                            "ops (see docs/FAULTS.md)")
-    bench = sub.add_parser(
-        "bench", help="run the pinned macro-benchmark and record "
-                      "throughput (see EXPERIMENTS.md)")
-    bench.add_argument("--preset", choices=sorted(bench_mod.PRESETS),
-                       default="macro",
-                       help="scenario size (default macro; CI uses smoke)")
-    bench.add_argument("--out", type=pathlib.Path, default=None,
-                       help="result file (default: BENCH_macro.json at the "
-                            "repo root)")
-    bench.add_argument("--quiet", action="store_true",
-                       help="suppress the human-readable summary")
-    bench.add_argument("--obs", action="store_true",
-                       help="add the observability hub's deterministic "
-                            "metrics digest to the result JSON")
     observe = sub.add_parser(
         "observe", help="run a bench scenario with delivery-span "
                         "reconstruction and metrics export on "
@@ -175,18 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--preset", choices=sorted(chaos_mod.PRESETS),
                        default="soak",
                        help="scenario size (default soak; CI uses smoke)")
-    chaos.add_argument("--out", type=pathlib.Path, default=None,
-                       help="result file (default: CHAOS_report.json at the "
-                            "repo root)")
+    chaos.add_argument("--out", type=pathlib.Path,
+                       default=pathlib.Path("CHAOS_report.json"),
+                       help="result file (default: CHAOS_report.json)")
     chaos.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
     chaos.add_argument("--unreliable", action="store_true",
                        help="disable the reliable link: same faults, no "
                             "repair (demonstrates the violations it prevents)")
-    chaos.add_argument("--transport", choices=("sr", "legacy"), default="sr",
-                       help="reliable transport to run the scenario under: "
-                            "selective-repeat (default) or the stop-and-wait "
-                            "baseline (see docs/TRANSPORT.md)")
     live = sub.add_parser(
         "live", help="run RDP over real loopback UDP sockets and "
                      "cross-validate against the simulator "
@@ -194,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--preset", choices=sorted(live_mod.PRESETS),
                       default="smoke",
                       help="cluster scenario (default smoke; the CI gate)")
-    live.add_argument("--out", type=pathlib.Path, default=None,
+    live.add_argument("--out", type=pathlib.Path,
+                      default=pathlib.Path("LIVE_crossval.json"),
                       help="cross-validation report file (default: "
-                           "LIVE_crossval.json at the repo root)")
+                           "LIVE_crossval.json)")
     live.add_argument("--quiet", action="store_true",
                       help="suppress the human-readable summary")
     analyze = sub.add_parser(
@@ -299,18 +282,6 @@ def run_fuzz(args: argparse.Namespace) -> int:
     return 0 if campaign.ok else 1
 
 
-def run_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` subcommand: pinned macro scenario -> JSON + summary."""
-    preset = bench_mod.PRESETS[args.preset]
-    result = bench_mod.run_bench(preset, obs=args.obs)
-    out = args.out if args.out is not None else bench_mod.default_out_path()
-    bench_mod.write_result(result, out)
-    if not args.quiet:
-        print(bench_mod.render(result))
-    print(f"wrote {out}")
-    return 0
-
-
 def run_observe(args: argparse.Namespace) -> int:
     """The ``observe`` subcommand: spans + metrics on one bench scenario."""
     from ..obs.export import json_text, prometheus_text
@@ -336,13 +307,11 @@ def run_observe(args: argparse.Namespace) -> int:
 def run_chaos(args: argparse.Namespace) -> int:
     """The ``chaos`` subcommand: pinned fault soak -> JSON + summary."""
     preset = chaos_mod.PRESETS[args.preset]
-    result = chaos_mod.run_chaos(preset, reliable=not args.unreliable,
-                                 transport=args.transport)
-    out = args.out if args.out is not None else chaos_mod.default_out_path()
-    chaos_mod.write_result(result, out)
+    result = chaos_mod.run_chaos(preset, reliable=not args.unreliable)
+    chaos_mod.write_result(result, args.out)
     if not args.quiet:
         print(chaos_mod.render(result))
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     violations = result["determinism"]["violations"]
     # With the reliable link on, any violation is a protocol bug; without
     # it violations are the expected demonstration, not a failure.
@@ -437,7 +406,7 @@ def main(argv: List[str] | None = None) -> int:
             print(f"{exp_id:<6} {experiment.description}")
         return 0
     commands: Dict[str, Callable[[argparse.Namespace], int]] = {
-        "fuzz": run_fuzz, "bench": run_bench, "observe": run_observe,
+        "fuzz": run_fuzz, "observe": run_observe,
         "chaos": run_chaos, "live": live_mod.run_live, "analyze": run_analyze}
     if args.command in commands:
         return commands[args.command](args)

@@ -11,7 +11,7 @@ CI demands of the simulator:
 
 and then runs the identical scenario through the simulated engine,
 writing a sim-vs-live cross-validation report
-(:mod:`repro.live.crossval`) to ``LIVE_crossval.json`` at the repo root.
+(:mod:`repro.live.crossval`) to ``LIVE_crossval.json`` by default.
 
 The exit status is the acceptance gate: 0 only when the live run
 delivered everything exactly once with full span accounting.
@@ -49,14 +49,6 @@ PRESETS: Dict[str, ClusterSpec] = {
         grace=1.0,
     ),
 }
-
-
-def default_out_path() -> pathlib.Path:
-    """``LIVE_crossval.json`` at the repo root (next to ``src/``)."""
-    package_root = pathlib.Path(__file__).resolve().parents[2]
-    if package_root.name == "src":
-        return package_root.parent / "LIVE_crossval.json"
-    return package_root / "LIVE_crossval.json"
 
 
 def write_report(report: Dict[str, Any], out: pathlib.Path) -> None:
@@ -111,11 +103,10 @@ def run_live(args: argparse.Namespace) -> int:
     spec = PRESETS[args.preset]
     result = run_cluster(spec)
     report = crossval_report(spec, result)
-    out = args.out if args.out is not None else default_out_path()
-    write_report(report, out)
+    write_report(report, args.out)
     if not args.quiet:
         print(render(report))
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     gate_ok = (result.ok
                and report["parity"]["both_delivered_everything"])
     return 0 if gate_ok else 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..analysis.stats import nearest_rank
 from ..config import WiredFaultSpec, WorldConfig
 from ..types import CellId
 from ..world import World
@@ -31,16 +32,11 @@ def _stats(latencies: List[float]) -> Dict[str, Optional[float]]:
     if not latencies:
         return {"n": 0, "mean": None, "p50": None, "p95": None, "max": None}
     ordered = sorted(latencies)
-
-    def pct(p: float) -> float:
-        idx = min(len(ordered) - 1, int(p * len(ordered)))
-        return ordered[idx]
-
     return {
         "n": len(ordered),
         "mean": sum(ordered) / len(ordered),
-        "p50": pct(0.50),
-        "p95": pct(0.95),
+        "p50": nearest_rank(ordered, 0.50),
+        "p95": nearest_rank(ordered, 0.95),
         "max": ordered[-1],
     }
 

@@ -6,22 +6,17 @@ whose constraints name a lost predecessor, forever.  The link transport
 restores assumption 1 the way QRPC and I-TCP-style indirection do — an
 acknowledged, retransmitting hop per link.
 
-Two transports implement that contract (``docs/TRANSPORT.md``):
+One transport implements that contract (``docs/TRANSPORT.md``):
+:class:`ReliableLink`, a **selective-repeat** transport: a sliding
+per-``(src, dst)`` send window (:class:`SendWindow`, default 32 frames),
+cumulative + selective acknowledgements piggybacked on every
+:class:`LinkAckMsg` (:class:`AckRanges`), per-link adaptive
+retransmission timeouts via Jacobson/Karels SRTT/RTTVAR estimation with
+Karn's rule (:class:`RtoEstimator`), fast retransmit on duplicate acks,
+and coalescing of same-destination messages queued in the same
+simulation tick into one wire frame.
 
-* :class:`ReliableLink` — the default **selective-repeat** transport: a
-  sliding per-``(src, dst)`` send window (:class:`SendWindow`, default
-  32 frames), cumulative + selective acknowledgements piggybacked on
-  every :class:`LinkAckMsg` (:class:`AckRanges`), per-link adaptive
-  retransmission timeouts via Jacobson/Karels SRTT/RTTVAR estimation
-  with Karn's rule (:class:`RtoEstimator`), fast retransmit on
-  duplicate acks, and coalescing of same-destination messages queued in
-  the same simulation tick into one wire frame.
-* :class:`LegacyReliableLink` — the original PR-4 transport: one frame
-  per message, ack-every-arrival, fixed exponential backoff from
-  :class:`RetryPolicy`.  Kept as the ablation baseline the ``chaos``
-  experiment compares against (``--transport legacy``).
-
-Both sit *below* the ordering layer: retransmission re-sends the same
+It sits *below* the ordering layer: retransmission re-sends the same
 stamped message, so ``on_send`` runs exactly once per message and the
 SES stamps stay valid.  Link acks are consumed here and never reach the
 ordering layer or the protocol trace (no ``send``/``recv`` rows), so
@@ -45,7 +40,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     ClassVar,
     Deque,
@@ -225,8 +220,7 @@ class LinkAckMsg(Message):
     so it never appears in protocol traces and carries no ack obligation
     of its own (acks are never acked — a lost ack is repaired by the
     data frame's retransmission).  ``seq`` names the frame that
-    triggered this ack (the legacy transport's whole payload, and the
-    adaptive transport's RTT-sample anchor); ``cum``/``sacks`` piggyback
+    triggered this ack (the RTT-sample anchor); ``cum``/``sacks`` piggyback
     the receiver's complete cumulative + selective state so any one
     surviving ack repairs every earlier loss on the channel.
     """
@@ -242,9 +236,9 @@ class LinkAckMsg(Message):
 class Frame:
     """One wire transmission unit.
 
-    Exactly one of the payload fields is set: ``stamped`` (legacy data
-    frame: one message), ``batch`` (selective-repeat data frame: one or
-    more same-tick messages coalesced), or ``payload`` (a link ack).
+    Exactly one of the payload fields is set: ``batch`` (a data frame:
+    one or more same-tick messages coalesced) or ``payload`` (a link
+    ack).
     ``base`` piggybacks the sender's window base at (re)transmission
     time so the receiver can retire dedup state below it.
     """
@@ -252,16 +246,13 @@ class Frame:
     src: NodeId
     dst: NodeId
     seq: int
-    stamped: Optional[StampedMessage] = None  # legacy data frames
     payload: Optional[Message] = None  # link acks
-    batch: Optional[Tuple[StampedMessage, ...]] = None  # SR data frames
+    batch: Optional[Tuple[StampedMessage, ...]] = None  # data frames
     base: int = 0
 
     @property
     def message(self) -> Message:
         """A representative message for labels, traces and fault drops."""
-        if self.stamped is not None:
-            return self.stamped.message
         if self.batch is not None:
             return self.batch[0].message
         assert self.payload is not None
@@ -269,17 +260,9 @@ class Frame:
 
     def protocol_messages(self) -> Iterator[Message]:
         """Every protocol message this data frame carries."""
-        if self.stamped is not None:
-            yield self.stamped.message
-        elif self.batch is not None:
+        if self.batch is not None:
             for stamped in self.batch:
                 yield stamped.message
-
-    def stamped_messages(self) -> Iterator[StampedMessage]:
-        if self.stamped is not None:
-            yield self.stamped
-        elif self.batch is not None:
-            yield from self.batch
 
 
 @dataclass(frozen=True)
@@ -372,92 +355,7 @@ class LinkPort(Protocol):
     def _delivery_failed(self, frame: "Frame", attempts: int) -> None: ...
 
 
-class _LinkTransport:
-    """Shared plumbing of both wired-link transports.
-
-    Plugged into a :class:`LinkPort`; uses the port's ``_transmit`` (in
-    the sim: fault plan + latency + scheduling; live: one datagram) for
-    the wire and hands deduplicated data frames back to
-    ``_ordered_arrival``.  Per-instance counters are the deterministic
-    primary source for experiment reports; the hub handles mirror them
-    into the observability exports.
-    """
-
-    def __init__(self, net: LinkPort, policy: RetryPolicy,
-                 rng: random.Random) -> None:
-        self.net = net
-        self.policy = policy
-        self.rng = rng
-        self.retransmissions = 0
-        self.acks_sent = 0
-        self.duplicates_suppressed = 0
-        self.aborted = 0
-        hub = net.monitor.hub
-        self._obs_events = hub.counter(
-            "rdp_reliable_link_events_total",
-            "Reliable wired-link transport events, by type",
-            labels=("event",))
-        self._obs_retx = self._obs_events.labels("retransmission")
-        self._obs_acks = self._obs_events.labels("ack_sent")
-        self._obs_dups = self._obs_events.labels("duplicate_suppressed")
-        self._obs_aborts = self._obs_events.labels("aborted")
-        self._obs_unacked = hub.gauge(
-            "rdp_reliable_link_pending_frames",
-            "Unacknowledged reliable-link frames awaiting ack or retry")
-        self._obs_unacked.set_function(lambda: float(self.pending_count()))
-        # Link-ack accounting children per ack channel: what the
-        # monitor's on_send would look up again on every ack.
-        self._obs_ack_sent: Dict[Channel, Tuple[Counter, ...]] = {}
-
-    # -- interface ---------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId,
-             stamped: StampedMessage) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def on_frame(self, frame: Frame) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def abort_from(self, node: NodeId) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def pending_count(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _emit_ack(self, frame: Frame, ack: LinkAckMsg) -> None:
-        """Send *ack* back along the reverse channel of *frame*."""
-        ack.src = frame.dst
-        ack.dst = frame.src
-        self.net.stamp(ack)
-        self.acks_sent += 1
-        self._obs_acks.inc()
-        handles = self._obs_ack_sent.get((frame.dst, frame.src))
-        if handles is None:
-            handles = self._obs_ack_sent[frame.dst, frame.src] = (
-                self.net.monitor.send_handles(self.net.name, ack.kind,
-                                              frame.dst))
-        sent, sent_bytes, node_sent = handles
-        sent.inc()
-        sent_bytes.inc(ack.size_bytes())
-        node_sent.inc()
-        self.net._transmit(
-            frame.dst, frame.src, ack,
-            Frame(src=frame.dst, dst=frame.src, seq=frame.seq, payload=ack))
-
-    def describe(self) -> Dict[str, int]:
-        """Transport counters for experiment reports (stable keys)."""
-        return {
-            "retransmissions": self.retransmissions,
-            "acks_sent": self.acks_sent,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "aborted": self.aborted,
-            "pending": self.pending_count(),
-        }
-
-
-class ReliableLink(_LinkTransport):
+class ReliableLink:
     """Selective-repeat sliding-window transport with adaptive RTO.
 
     Mechanics per ``(src, dst)`` channel (full walkthrough in
@@ -488,13 +386,19 @@ class ReliableLink(_LinkTransport):
     def __init__(self, net: LinkPort, policy: RetryPolicy,
                  rng: random.Random, window: int = 32,
                  max_batch: int = 8) -> None:
-        super().__init__(net, policy, rng)
         if window < 1:
             raise ConfigError(f"send window {window!r} must be >= 1")
         if max_batch < 1:
             raise ConfigError(f"frame batch limit {max_batch!r} must be >= 1")
+        self.net = net
+        self.policy = policy
+        self.rng = rng
         self.window = window
         self.max_batch = max_batch
+        self.retransmissions = 0
+        self.acks_sent = 0
+        self.duplicates_suppressed = 0
+        self.aborted = 0
         self.frames_sent = 0
         self.batched_frames = 0  # frames carrying more than one message
         self.fast_retransmissions = 0
@@ -502,8 +406,26 @@ class ReliableLink(_LinkTransport):
         self._rtos: Dict[Channel, RtoEstimator] = {}
         self._recv: Dict[Channel, AckRanges] = {}
         self._tick: Dict[Channel, List[StampedMessage]] = {}
+        # Link-ack accounting children per ack channel: what the
+        # monitor's on_send / on_deliver would look up again on every ack.
+        self._obs_ack_sent: Dict[Channel, Tuple[Counter, ...]] = {}
         self._obs_ack_received: Dict[Channel, Tuple[Counter, ...]] = {}
+        # Per-instance counters are the deterministic primary source for
+        # experiment reports; the hub handles mirror them into the
+        # observability exports.
         hub = net.monitor.hub
+        events = hub.counter(
+            "rdp_reliable_link_events_total",
+            "Reliable wired-link transport events, by type",
+            labels=("event",))
+        self._obs_retx = events.labels("retransmission")
+        self._obs_acks = events.labels("ack_sent")
+        self._obs_dups = events.labels("duplicate_suppressed")
+        self._obs_aborts = events.labels("aborted")
+        hub.gauge(
+            "rdp_reliable_link_pending_frames",
+            "Unacknowledged reliable-link frames awaiting ack or retry"
+        ).set_function(lambda: float(self.pending_count()))
         self._obs_window = hub.gauge(
             "rdp_transport_window_occupancy",
             "In-flight selective-repeat frames, summed over channels")
@@ -732,8 +654,28 @@ class ReliableLink(_LinkTransport):
             self._obs_dups.inc()
             self.net.monitor.on_drop(self.net.name, message, "duplicate")
             return
-        for stamped in frame.stamped_messages():
+        for stamped in frame.batch or ():
             self.net._ordered_arrival(frame.dst, stamped)
+
+    def _emit_ack(self, frame: Frame, ack: LinkAckMsg) -> None:
+        """Send *ack* back along the reverse channel of *frame*."""
+        ack.src = frame.dst
+        ack.dst = frame.src
+        self.net.stamp(ack)
+        self.acks_sent += 1
+        self._obs_acks.inc()
+        handles = self._obs_ack_sent.get((frame.dst, frame.src))
+        if handles is None:
+            handles = self._obs_ack_sent[frame.dst, frame.src] = (
+                self.net.monitor.send_handles(self.net.name, ack.kind,
+                                              frame.dst))
+        sent, sent_bytes, node_sent = handles
+        sent.inc()
+        sent_bytes.inc(ack.size_bytes())
+        node_sent.inc()
+        self.net._transmit(
+            frame.dst, frame.src, ack,
+            Frame(src=frame.dst, dst=frame.src, seq=frame.seq, payload=ack))
 
     # -- reporting ---------------------------------------------------------
 
@@ -748,114 +690,18 @@ class ReliableLink(_LinkTransport):
                    default=0)
 
     def describe(self) -> Dict[str, int]:
-        out = super().describe()
-        out.update({
+        """Transport counters for experiment reports (stable keys)."""
+        return {
+            "retransmissions": self.retransmissions,
+            "acks_sent": self.acks_sent,
+            "duplicates_suppressed": self.duplicates_suppressed,
+            "aborted": self.aborted,
+            "pending": self.pending_count(),
             "frames_sent": self.frames_sent,
             "batched_frames": self.batched_frames,
             "fast_retransmissions": self.fast_retransmissions,
             "max_window_occupancy": self.max_window_occupancy(),
-        })
-        return out
-
-
-class LegacyReliableLink(_LinkTransport):
-    """The PR-4 transport: one frame per message, fixed backoff.
-
-    Every message is its own frame, transmitted immediately with an
-    unbounded number of channels in flight; retransmission waits the
-    fixed :meth:`RetryPolicy.timeout_for` exponential schedule.  Kept as
-    the measured baseline for the selective-repeat transport (``chaos
-    --transport legacy``); see ``docs/TRANSPORT.md`` for the ablation.
-    """
-
-    def __init__(self, net: LinkPort, policy: RetryPolicy,
-                 rng: random.Random) -> None:
-        super().__init__(net, policy, rng)
-        self._next_seq: Dict[Channel, int] = {}
-        self._pending: Dict[Tuple[NodeId, NodeId, int], _Pending] = {}
-        self._seen: Dict[Channel, AckRanges] = {}
-
-    # -- sender side -------------------------------------------------------
-
-    def send(self, src: NodeId, dst: NodeId, stamped: StampedMessage) -> None:
-        """Transmit a stamped message with at-least-once retransmission."""
-        channel = (src, dst)
-        seq = self._next_seq.get(channel, 0) + 1
-        self._next_seq[channel] = seq
-        frame = Frame(src=src, dst=dst, seq=seq, stamped=stamped)
-        pending = _Pending(frame=frame, sent_at=self.net.sim.now)
-        self._pending[(src, dst, seq)] = pending
-        self.net._transmit(src, dst, stamped.message, frame)
-        self._arm(pending)
-
-    def _arm(self, pending: _Pending) -> None:
-        timeout = self.policy.timeout_for(pending.attempts, self.rng.random())
-        pending.timer = self.net.sim.schedule(
-            timeout, self._expire, pending, label="wired:retx")
-
-    def _expire(self, pending: _Pending) -> None:
-        frame = pending.frame
-        key = (frame.src, frame.dst, frame.seq)
-        if self._pending.get(key) is not pending:
-            return  # acked or aborted while the timer was in flight
-        if pending.attempts > self.policy.max_retries:
-            del self._pending[key]
-            self.net._delivery_failed(frame, pending.attempts)
-            return
-        pending.attempts += 1
-        self.retransmissions += 1
-        self._obs_retx.inc()
-        self.net._transmit(frame.src, frame.dst, frame.message, frame,
-                           retransmit=True)
-        self._arm(pending)
-
-    def abort_from(self, node: NodeId) -> int:
-        """Cancel every unacked send *from* a crashed node."""
-        cancelled = 0
-        for key in [k for k in self._pending if k[0] == node]:
-            pending = self._pending.pop(key)
-            if pending.timer is not None:
-                pending.timer.cancel()
-            cancelled += 1
-        self.aborted += cancelled
-        self._obs_aborts.inc(cancelled)
-        return cancelled
-
-    # -- receiver side -----------------------------------------------------
-
-    def on_frame(self, frame: Frame) -> None:
-        """A frame survived the wire: consume acks, ack + dedup data."""
-        message = frame.message
-        if isinstance(message, LinkAckMsg):
-            self._on_link_ack(message)
-            return
-        # Ack every arrival, duplicates included: the previous ack may
-        # itself have been lost and the sender is still retransmitting.
-        self._emit_ack(frame, LinkAckMsg(seq=frame.seq))
-        channel = self._seen.get((frame.src, frame.dst))
-        if channel is None:
-            channel = self._seen[(frame.src, frame.dst)] = AckRanges()
-        if not channel.add(frame.seq):
-            self.duplicates_suppressed += 1
-            self._obs_dups.inc()
-            self.net.monitor.on_drop(self.net.name, message, "duplicate")
-            return
-        assert frame.stamped is not None
-        self.net._ordered_arrival(frame.dst, frame.stamped)
-
-    def _on_link_ack(self, ack: LinkAckMsg) -> None:
-        self.net.monitor.on_deliver(self.net.name, ack)
-        # The acked channel runs data-sender -> data-receiver; the ack
-        # travels the reverse direction, so swap its endpoints back.
-        assert ack.src is not None and ack.dst is not None
-        pending = self._pending.pop((ack.dst, ack.src, ack.seq), None)
-        if pending is not None and pending.timer is not None:
-            pending.timer.cancel()
-
-    # -- reporting ---------------------------------------------------------
-
-    def pending_count(self) -> int:
-        return len(self._pending)
+        }
 
 
 __all__ = [
@@ -864,7 +710,6 @@ __all__ = [
     "DUPACK_THRESHOLD",
     "DeliveryFailure",
     "Frame",
-    "LegacyReliableLink",
     "LinkAckMsg",
     "LinkPort",
     "ReliableLink",

@@ -8,11 +8,9 @@ default.  The ordering layer is pluggable (``causal`` / ``fifo`` /
 Assumption 1 itself is breakable: an optional :class:`FaultPlan`
 injects seeded loss/duplication/reorder/partitions per frame, and an
 optional reliable transport (built automatically whenever a fault plan
-is present) repairs the damage *below* the ordering layer — by default
-the selective-repeat sliding-window :class:`ReliableLink`, or the
-stop-and-wait :class:`LegacyReliableLink` baseline via
-``transport="legacy"`` (the chaos ablation).  With neither configured
-the send path is the original lossless single hop.
+is present) repairs the damage *below* the ordering layer: the
+selective-repeat sliding-window :class:`ReliableLink`.  With neither
+configured the send path is the original lossless single hop.
 
 Nodes attach with an object exposing ``node_id`` and
 ``on_wired_message(message)``.
@@ -24,7 +22,7 @@ import random
 from typing import Callable, Dict, List, Optional, Protocol, Set, Union
 
 from ..engine import Engine
-from ..errors import ConfigError, UnknownNodeError
+from ..errors import UnknownNodeError
 from ..sim import Simulator, TraceRecorder
 from ..types import NodeId, is_mss
 from .causal import OrderingLayer, StampedMessage, make_ordering
@@ -35,10 +33,8 @@ from .monitor import Fabric, NetworkMonitor
 from .reliable import (
     DeliveryFailure,
     Frame,
-    LegacyReliableLink,
     ReliableLink,
     RetryPolicy,
-    _LinkTransport,
 )
 
 # Optional per-pair propagation delay added on top of the sampled
@@ -173,7 +169,6 @@ class WiredNetwork(WiredFabric):
         reliable: Optional[bool] = None,
         retry: Optional[RetryPolicy] = None,
         retry_rng: Optional[random.Random] = None,
-        transport: str = "sr",
         window: int = 32,
         max_batch: int = 8,
     ) -> None:
@@ -187,21 +182,12 @@ class WiredNetwork(WiredFabric):
         # The reliable transport defaults to "on iff faults are on"; an
         # explicit reliable=False keeps the raw faulty fabric (the AN14
         # ablation that demonstrates what the transport buys).
-        if transport not in ("sr", "legacy"):
-            raise ConfigError(f"unknown wired transport {transport!r}")
-        self.transport_mode: Optional[str] = None
-        self.transport: Optional[_LinkTransport] = None
+        self.transport: Optional[ReliableLink] = None
         if reliable if reliable is not None else faults is not None:
-            policy = retry if retry is not None else RetryPolicy()
-            link_rng = retry_rng if retry_rng is not None else random.Random(1)
-            self.transport_mode = transport
-            if transport == "legacy":
-                self.transport = LegacyReliableLink(self, policy=policy,
-                                                   rng=link_rng)
-            else:
-                self.transport = ReliableLink(self, policy=policy,
-                                              rng=link_rng, window=window,
-                                              max_batch=max_batch)
+            self.transport = ReliableLink(
+                self, policy=retry if retry is not None else RetryPolicy(),
+                rng=retry_rng if retry_rng is not None else random.Random(1),
+                window=window, max_batch=max_batch)
 
     def station_ids(self) -> List[NodeId]:
         """All attached Mobile Support Stations, sorted (page broadcasts)."""

@@ -16,7 +16,7 @@ The legacy :class:`repro.net.monitor.NetworkMonitor` and
 facades over one shared hub (see :class:`repro.instruments.Instruments`).
 """
 
-from .export import digest, json_text, prometheus_text, snapshot
+from .export import json_text, prometheus_text, snapshot
 from .registry import (
     COUNT_BUCKETS,
     Counter,
@@ -44,7 +44,6 @@ __all__ = [
     "MetricsHub",
     "SpanBuilder",
     "SpanReport",
-    "digest",
     "json_text",
     "prometheus_text",
     "snapshot",

@@ -17,7 +17,7 @@ the JSON instead.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .registry import (
     CounterFamily,
@@ -128,45 +128,4 @@ def json_text(hub: MetricsHub, sim_time: Optional[float] = None) -> str:
     return json.dumps(snapshot(hub, sim_time), indent=2, sort_keys=True) + "\n"
 
 
-def _round(value: float) -> object:
-    if isinstance(value, int) or (isinstance(value, float)
-                                  and value.is_integer()):
-        return int(value)
-    return round(float(value), 6)
-
-
-def digest(hub: MetricsHub,
-           collapse: Sequence[str] = ("node",)) -> Dict[str, object]:
-    """Compact deterministic digest for experiment report JSON.
-
-    One entry per non-empty family.  Counters and gauges render
-    per-child values keyed by comma-joined label values, except families
-    carrying a high-cardinality label from *collapse* (per-node series),
-    which report only the family total so the digest stays small at any
-    fleet size.  Histograms report aggregate ``count``/``sum`` — bucket
-    detail belongs to the full :func:`snapshot`, not a report digest.
-    """
-    out: Dict[str, object] = {}
-    for family in hub.families():
-        if not family.children:
-            continue
-        if isinstance(family, HistogramFamily):
-            children = [c for _, c in family.items()]
-            out[family.name] = {
-                "count": sum(c.total for c in children),  # type: ignore[union-attr]
-                "sum": round(sum(c.sum for c in children), 6),  # type: ignore[union-attr]
-            }
-            continue
-        if isinstance(family, GaugeFamily):
-            pairs = [(v, child.read()) for v, child in family.items()]  # type: ignore[union-attr]
-        else:
-            pairs = [(v, child.value) for v, child in family.items()]  # type: ignore[union-attr]
-        if family.label_names and not any(
-                label in collapse for label in family.label_names):
-            out[family.name] = {",".join(v): _round(val) for v, val in pairs}
-        else:
-            out[family.name] = _round(sum(val for _, val in pairs))
-    return out
-
-
-__all__ = ["digest", "json_text", "prometheus_text", "snapshot"]
+__all__ = ["json_text", "prometheus_text", "snapshot"]

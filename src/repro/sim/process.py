@@ -17,13 +17,12 @@ class RetryPolicy:
     """Retransmission schedule limits: budget, clamps and jitter.
 
     Attempt *n* (1-based) waits ``timeout * backoff**(n-1)`` seconds,
-    capped at ``max_timeout``: the complete schedule of
-    :class:`~repro.net.reliable.LegacyReliableLink` and, jitter-free, of
-    every protocol retry loop (:class:`Retrier`).  For the
-    selective-repeat :class:`~repro.net.reliable.ReliableLink` the wait
-    comes from the per-link RTO estimator instead; ``timeout`` seeds the
-    estimator's initial RTO, ``min_timeout``/``max_timeout`` clamp it
-    and ``backoff`` is the Karn timeout-doubling factor.
+    capped at ``max_timeout``: jitter-free, the schedule of every
+    protocol retry loop (:class:`Retrier`).  For the selective-repeat
+    :class:`~repro.net.reliable.ReliableLink` the wait comes from the
+    per-link RTO estimator instead; ``timeout`` seeds the estimator's
+    initial RTO, ``min_timeout``/``max_timeout`` clamp it and
+    ``backoff`` is the Karn timeout-doubling factor.
 
     Every armed delay is stretched by a deterministic jitter factor in
     ``[1, 1 + jitter]`` drawn from the link's seeded stream (jitter

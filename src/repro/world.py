@@ -104,7 +104,6 @@ class World:
             faults=wired_plan(self.config.wired_faults, self.rng),
             reliable=self.config.wired_reliable,
             retry_rng=self.rng.stream("reliable.wired"),
-            transport=self.config.wired_transport,
         )
         self.wireless = WirelessChannel(
             self.sim,

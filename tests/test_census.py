@@ -6,7 +6,8 @@ a called and an uncalled function, a def nested in an uncalled def
 (matched by its first decorator's line), a dunder (listed, not gated) and
 a function reached only in a forked child.  A second traced run stands
 in for the test suite of ``--tests``: it reaches one uncalled function,
-which the census marks ``test``, and leaves another, marked ``none``.
+which the census marks ``test``, and leaves another, marked ``none``
+(a ``keep`` entry there fails ``--tests``).
 The last tests keep the census's artefact list in step with the CI
 workflow and the standing benchmark.
 """
@@ -124,11 +125,19 @@ def test_tests_column_splits_test_only_from_dead_code(tmp_path):
     assert table[1].split() == ["pkg/mod.py::uncalled", "4", "test"]
     assert table[2].split()[-1] == "none"
     assert table[-1].startswith("1 of 2 gated uncalled functions")
+    # --tests fails on a keep entry that nothing reaches, and only there.
+    keep = ["pkg/mod.py::uncalled",
+            "pkg/mod.py::parent_called.<locals>.nested_uncalled"]
+    assert census.unreached_keep(
+        keep, census.reached_by_tests(dead, test_hits)) == [
+        "keep-list entry pkg/mod.py::parent_called.<locals>.nested_uncalled "
+        "is reached by no artefact and no test"]
 
 
 def test_every_ci_experiments_command_is_a_census_artefact():
     text = census.CI_YML.read_text()
-    assert len(census.ci_commands(text)) >= 15
+    assert {cmd[0] for cmd in census.ci_commands(text)} == {
+        "report", "fuzz", "observe", "live", "chaos", "analyze"}
     assert census.missing_from_census(text) == []
 
 

@@ -93,27 +93,3 @@ def test_report_exits_1_on_a_false_claim_after_writing(
     err = capsys.readouterr().err
     assert "an4: the stand-in bound holds" in err
     assert "a true claim" not in err
-
-
-def test_bench_smoke_writes_schema_and_is_deterministic(tmp_path, capsys):
-    import json
-
-    first = tmp_path / "one.json"
-    second = tmp_path / "two.json"
-    assert main(["bench", "--preset", "smoke", "--out", str(first)]) == 0
-    summary = capsys.readouterr().out
-    assert "bench[smoke]" in summary and str(first) in summary
-    assert main(["bench", "--preset", "smoke", "--out", str(second),
-                 "--quiet"]) == 0
-    one = json.loads(first.read_text())
-    two = json.loads(second.read_text())
-    assert set(one) == {"schema", "scenario", "determinism", "timing"}
-    det = one["determinism"]
-    assert det["events"] > 0 and det["messages"] > 0
-    assert det["answered"] == det["queries"] > 0
-    for key in ("wall_seconds", "events_per_second", "messages_per_second",
-                "peak_rss_kb"):
-        assert key in one["timing"]
-    one.pop("timing")
-    two.pop("timing")
-    assert one == two  # the non-timing sections must be reproducible

@@ -11,7 +11,6 @@ from repro.obs import (
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
     MetricsHub,
-    digest,
     json_text,
     prometheus_text,
     snapshot,
@@ -203,17 +202,3 @@ def test_snapshot_shape_and_json_round_trip():
 def test_exports_are_deterministic():
     assert prometheus_text(_filled_hub()) == prometheus_text(_filled_hub())
     assert json_text(_filled_hub()) == json_text(_filled_hub())
-
-
-def test_digest_collapses_node_labels():
-    hub = MetricsHub()
-    per_node = hub.counter("rdp_load_total", labels=("node",))
-    per_node.labels("s0").inc(4)
-    per_node.labels("s1").inc(6)
-    by_kind = hub.counter("rdp_kinds_total", labels=("net", "kind"))
-    by_kind.labels("wired", "request").inc(2)
-    hub.histogram("rdp_lat", buckets=(1.0,)).labels().observe(0.25)
-    out = digest(hub)
-    assert out["rdp_load_total"] == 10  # per-node family -> total only
-    assert out["rdp_kinds_total"] == {"wired,request": 2}
-    assert out["rdp_lat"] == {"count": 1, "sum": 0.25}

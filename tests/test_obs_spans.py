@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments.bench import BenchPreset, build_config, run_scenario
 from repro.instruments import Instruments
-from repro.obs import SpanBuilder, digest
+from repro.obs import SpanBuilder, snapshot
 from repro.servers.multicast import GroupServer
 from repro.sim import TraceRecorder
 from repro.sim.tracing import TraceRecord
@@ -259,7 +259,7 @@ def _fingerprint(world, workloads):
         "events": world.sim.events_executed,
         "final_time": round(world.sim.now, 9),
         "kinds": per_kind(world.monitor, "sent"),
-        "metrics": digest(world.instruments.hub),
+        "metrics": snapshot(world.instruments.hub),
         "issued": sum(w.stats.issued for w in workloads),
     }
 

@@ -1,4 +1,4 @@
-"""Tests for the ``observe`` subcommand and ``bench --obs``."""
+"""Tests for the ``observe`` subcommand."""
 
 from __future__ import annotations
 
@@ -36,24 +36,6 @@ def test_observe_json_export(tmp_path):
     assert sent["type"] == "counter"
     assert sent["label_names"] == ["net", "kind"]
     assert sent["samples"]
-
-
-def test_bench_obs_adds_metrics_section(tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--preset", "smoke", "--obs", "--quiet",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"schema", "scenario", "determinism", "timing",
-                        "metrics"}
-    metrics = doc["metrics"]
-    assert len(metrics) >= 10
-    # The digest must agree with the pinned determinism section: same
-    # hub, two views.
-    det = doc["determinism"]
-    assert sum(metrics["rdp_net_messages_sent_total"].values()) == \
-        det["messages"]
-    assert metrics["rdp_handoffs_completed_total"] == det["handoffs"]
-    assert metrics["rdp_net_messages_dropped_total"] != {}
 
 
 def test_observe_accounting_fails_when_spans_and_requests_differ():

@@ -4,12 +4,10 @@ The sliding-window transport (``net/reliable.py``) is a state machine of
 exactly the kind where reordering/duplication bugs hide, so every
 mechanism here is pinned twice over:
 
-* **Differential stress** — seeded loss/dup/reorder schedules drive the
-  selective-repeat transport against the stop-and-wait baseline
-  (:class:`LegacyReliableLink`, the executable spec of at-least-once +
-  dedup delivery, same role as the rescan reference in
-  ``test_perf_hotpath.py``), asserting identical delivered sequences,
-  exactly-once delivery, drained windows and bounded memory.
+* **Stress against the schedule** — seeded loss/dup/reorder schedules
+  drive the selective-repeat transport, and each channel's delivered
+  sequence must equal the one derived from the schedule: exactly-once,
+  in send order, with drained windows and bounded memory.
 * **Golden units** — hand-computed Jacobson/Karels SRTT/RTTVAR values,
   RTO clamping and Karn backoff; :class:`AckRanges` merge semantics;
   window/batching accounting.
@@ -34,7 +32,6 @@ from repro.net.message import Message
 from repro.net.reliable import (
     DUPACK_THRESHOLD,
     AckRanges,
-    LegacyReliableLink,
     ReliableLink,
     RetryPolicy,
     RtoEstimator,
@@ -74,7 +71,7 @@ class _FailureAware(_Sink):
         self.failed.append(message)
 
 
-def _network(sim: Simulator, transport: str, *,
+def _network(sim: Simulator, *,
              faults: Optional[FaultPlan] = None,
              policy: Optional[RetryPolicy] = None,
              seed: int = 1, window: int = 8, max_batch: int = 4,
@@ -86,7 +83,7 @@ def _network(sim: Simulator, transport: str, *,
         faults=faults, reliable=True,
         retry=policy if policy is not None else RetryPolicy(),
         retry_rng=random.Random(seed),
-        transport=transport, window=window, max_batch=max_batch)
+        window=window, max_batch=max_batch)
 
 
 # One randomized traffic schedule: (send time, src index, dst index).
@@ -107,13 +104,13 @@ def _make_schedule(seed: int, n_nodes: int, n_messages: int) -> Schedule:
     return schedule
 
 
-def _run_schedule(transport: str, schedule: Schedule, seed: int,
+def _run_schedule(schedule: Schedule, seed: int,
                   n_nodes: int, *, loss: float = 0.0, dup: float = 0.0,
                   reorder: float = 0.0, window: int = 8,
                   max_batch: int = 4) -> Tuple[WiredNetwork, List[_Sink],
                                                Dict[Tuple[int, int],
                                                     List[str]]]:
-    """Drive one seeded schedule through one transport; returns the
+    """Drive one seeded schedule through the transport; returns the
     network, sinks, and the expected per-channel tag sequences."""
     sim = Simulator()
     faults = None
@@ -121,7 +118,7 @@ def _run_schedule(transport: str, schedule: Schedule, seed: int,
         faults = FaultPlan(random.Random(seed + 100), loss=loss,
                            duplication=dup, reorder=reorder,
                            reorder_spread=0.25 if reorder else 0.0)
-    net = _network(sim, transport, faults=faults, seed=seed,
+    net = _network(sim, faults=faults, seed=seed,
                    window=window, max_batch=max_batch)
     sinks = [_Sink(f"n{i}") for i in range(n_nodes)]
     for sink in sinks:
@@ -150,7 +147,7 @@ def _channel_sequences(sinks: List[_Sink]) -> Dict[Tuple[int, int],
     return out
 
 
-# -- differential stress battery ---------------------------------------------
+# -- stress battery -----------------------------------------------------------
 
 
 FAULT_GRID = (
@@ -162,22 +159,19 @@ FAULT_GRID = (
 
 
 def test_sr_matches_reference_across_fault_schedules():
-    """The battery: across seeds x fault mixes, the SR transport and the
-    stop-and-wait reference deliver *identical* per-channel sequences —
-    every message exactly once, in send order — and the SR window both
-    stays bounded and fully drains."""
+    """The battery: across seeds x fault mixes, the SR transport delivers
+    the per-channel sequences the schedule implies — every message
+    exactly once, in send order — and the SR window both stays bounded
+    and fully drains."""
     total_fast_retx = 0
     for seed in range(6):
         for fault_mix in FAULT_GRID:
             schedule = _make_schedule(seed, n_nodes=4, n_messages=80)
             sr_net, sr_sinks, expected = _run_schedule(
-                "sr", schedule, seed, 4, **fault_mix)
-            legacy_net, legacy_sinks, _ = _run_schedule(
-                "legacy", schedule, seed, 4, **fault_mix)
+                schedule, seed, 4, **fault_mix)
             label = f"seed={seed} faults={fault_mix}"
             sr_seqs = _channel_sequences(sr_sinks)
             assert sr_seqs == expected, label
-            assert _channel_sequences(legacy_sinks) == expected, label
             # Exactly-once: per-channel equality above already forbids
             # dups within a channel; the totals close the cross-channel
             # loophole.
@@ -186,9 +180,7 @@ def test_sr_matches_reference_across_fault_schedules():
             # buffered once the simulator went quiet.
             assert sr_net.transport is not None
             assert sr_net.transport.pending_count() == 0, label
-            assert legacy_net.transport is not None
-            assert legacy_net.transport.pending_count() == 0, label
-            assert not sr_net.failures and not legacy_net.failures
+            assert not sr_net.failures
             total_fast_retx += sr_net.transport.fast_retransmissions
     # The sweep must actually exercise the fast-retransmit path
     # somewhere, or the dupack machinery could rot undetected.
@@ -200,7 +192,7 @@ def test_sr_window_memory_stays_bounded():
     window even under a same-tick burst far larger than it, and the
     receiver's SACK state stays within the window span."""
     sim = Simulator()
-    net = _network(sim, "sr", seed=3, window=4, max_batch=2,
+    net = _network(sim, seed=3, window=4, max_batch=2,
                    faults=FaultPlan(random.Random(9), loss=0.2))
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
@@ -227,7 +219,7 @@ def test_sr_window_memory_stays_bounded():
 
 def test_sr_batches_same_tick_sends():
     sim = Simulator()
-    net = _network(sim, "sr", max_batch=8)
+    net = _network(sim, max_batch=8)
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
     net.attach(b)
@@ -245,7 +237,7 @@ def test_sr_batches_same_tick_sends():
 
 def test_sr_batch_splits_at_max_batch_and_ticks_do_not_merge():
     sim = Simulator()
-    net = _network(sim, "sr", max_batch=3)
+    net = _network(sim, max_batch=3)
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
     net.attach(b)
@@ -265,7 +257,7 @@ def test_sr_per_message_delivery_failure_and_node_hook():
     DeliveryFailure *per batched message* and routes each through the
     source node's ``on_delivery_failure`` hook."""
     sim = Simulator()
-    net = _network(sim, "sr",
+    net = _network(sim,
                    faults=FaultPlan(random.Random(2), loss=1.0),
                    policy=RetryPolicy(timeout=0.1, max_retries=2,
                                       jitter=0.0),
@@ -292,7 +284,7 @@ def test_sr_abandoned_gap_retires_receiver_state():
     plan = FaultPlan(random.Random(0))
     # Raw ordering: the causal layer (correctly) wedges a channel behind
     # an abandoned message; here the transport itself is under test.
-    net = _network(sim, "sr", faults=plan, ordering="raw",
+    net = _network(sim, faults=plan, ordering="raw",
                    policy=RetryPolicy(timeout=0.1, max_retries=1, jitter=0.0))
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
@@ -319,7 +311,7 @@ def test_sr_abort_from_preserves_sequence_numbers():
     plan = FaultPlan(random.Random(0))
     # Raw ordering for the same reason as the abandoned-gap test: the
     # aborted message would (correctly) wedge the causal channel.
-    net = _network(sim, "sr", faults=plan, ordering="raw")
+    net = _network(sim, faults=plan, ordering="raw")
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
     net.attach(b)
@@ -347,7 +339,7 @@ def _assert_losses_recovered_by_timer(n_messages: int = 30) -> None:
     """Property: with only the retransmit timer to lean on (reordering
     kept off so dupacks stay quiet), every loss is eventually repaired."""
     sim = Simulator()
-    net = _network(sim, "sr",
+    net = _network(sim,
                    faults=FaultPlan(random.Random(5), loss=0.4),
                    policy=RetryPolicy(jitter=0.0), seed=5)
     a, b = _Sink("a"), _Sink("b")
@@ -383,7 +375,7 @@ def _steady_state_retransmissions() -> int:
     instead feeds retransmission-time deltas into SRTT and collapses the
     RTO into a permanent retransmit storm."""
     sim = Simulator()
-    net = _network(sim, "sr", latency=0.5,  # RTT = 1.0s
+    net = _network(sim, latency=0.5,  # RTT = 1.0s
                    policy=RetryPolicy(timeout=0.05, min_timeout=0.02,
                                       max_timeout=8.0, jitter=0.0), seed=7)
     a, b = _Sink("a"), _Sink("b")
@@ -420,7 +412,7 @@ def _assert_cumulative_ack_drains_window(n_messages: int = 20) -> None:
     cumulative (no SACK blocks), so cumulative advance alone must drain
     the window — no retransmissions, no stuck frames."""
     sim = Simulator()
-    net = _network(sim, "sr", policy=RetryPolicy(jitter=0.0),
+    net = _network(sim, policy=RetryPolicy(jitter=0.0),
                    window=4, max_batch=1)
     a, b = _Sink("a"), _Sink("b")
     net.attach(a)
@@ -539,21 +531,3 @@ def test_send_window_base_and_backlog():
 
 def test_dupack_threshold_is_classic_tcp():
     assert DUPACK_THRESHOLD == 3
-
-
-# -- legacy baseline stays available ------------------------------------------
-
-
-def test_legacy_transport_selectable_and_isolated():
-    sim = Simulator()
-    net = _network(sim, "legacy")
-    assert isinstance(net.transport, LegacyReliableLink)
-    assert net.transport_mode == "legacy"
-    a, b = _Sink("a"), _Sink("b")
-    net.attach(a)
-    net.attach(b)
-    net.send(a.node_id, b.node_id, _Tagged(tag="m0"))
-    sim.run()
-    assert [m.tag for m in b.received] == ["m0"]
-    with pytest.raises(ConfigError):
-        _network(Simulator(), "carrier-pigeon")

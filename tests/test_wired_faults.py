@@ -187,9 +187,9 @@ def test_retry_policy_jitter_never_exceeds_cap():
 
 def test_retry_policy_delay_stops_at_the_cap_past_float_range():
     # Regression: backoff ** (attempt - 1) overflowed past attempt ~1025,
-    # so a LegacyReliableLink with a large budget crashed the run during
-    # a long partition.  Every attempt that did not overflow keeps its
-    # exact float.
+    # so a retry loop with a large budget crashed the run during a long
+    # partition.  Every attempt that did not overflow keeps its exact
+    # float.
     policy = RetryPolicy(max_retries=5000)
     assert policy.timeout_for(1100, 0.5) == policy.max_timeout
     assert policy.timeout_for(5000, 0.0) == policy.max_timeout

@@ -3,7 +3,7 @@
     python tools/census.py            # run every artefact, print, gate
     python tools/census.py --update   # rewrite the baseline's uncalled list
     python tools/census.py --tests    # also run tier-1: which uncalled
-                                      # functions only tests reach (no gate)
+                                      # functions only tests reach
 
 Every command of :data:`ARTEFACTS` (the CI commands, the benchmark's
 ``micro`` loops and every ``examples/*.py``) runs in a fresh interpreter
@@ -29,7 +29,9 @@ the uncalled functions that stay on purpose, each with its reason.
 
 ``--tests`` runs :data:`TIER1` under the same tracer beside the
 artefacts and marks each uncalled function ``test`` (some test reaches
-it: test-only code) or ``none`` (nothing reaches it).  It never fails.
+it: test-only code) or ``none`` (nothing reaches it).  It fails as the
+plain run does, and also when a ``keep`` function is reached by nothing,
+so a keep reason cannot go stale unnoticed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ def _sim_instance(workload: str) -> List[str]:
 #: (python argv, expected exit status).  ``{out}`` is a scratch directory.
 ARTEFACTS: List[Tuple[List[str], int]] = [
     (_EXPERIMENTS + ["report", "--out", "{out}/report.md"], 0),
-    (_EXPERIMENTS + ["bench", "--preset", "smoke", "--out", "{out}/bench.json"], 0),
     (_EXPERIMENTS + ["fuzz", "--seeds", "200", "--base-seed", "0"], 0),
     (_EXPERIMENTS + ["fuzz", "--seeds", "200", "--base-seed", "0",
                      "--fault-profile"], 0),
@@ -83,8 +84,6 @@ ARTEFACTS: List[Tuple[List[str], int]] = [
                      "--out", "{out}/obs.json"], 0),
     (_EXPERIMENTS + ["live", "--preset", "smoke", "--out", "{out}/live.json"], 0),
     (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--out", "{out}/chaos.json"], 0),
-    (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--transport", "legacy",
-                     "--out", "{out}/chaos-legacy.json"], 0),
     (_EXPERIMENTS + ["analyze"], 0),
     (_EXPERIMENTS + ["analyze", "--select", "SHD", "--no-baseline"], 0),
     (_EXPERIMENTS + ["analyze", "--no-baseline", "--format", "sarif",
@@ -367,6 +366,13 @@ def tests_column(dead: List[Unit], test_hits: Set[Tuple[str, int]]) -> str:
     return "\n".join(rows)
 
 
+def unreached_keep(keep: Iterable[str],
+                   reach: Dict[str, bool]) -> List[str]:
+    """``keep`` entries that no artefact and no test reaches."""
+    return [f"keep-list entry {key} is reached by no artefact and no test"
+            for key in keep if reach.get(key) is False]
+
+
 def gate(dead: List[Unit], baseline: Dict[str, Dict[str, object]]) -> List[str]:
     """Gated uncalled functions the baseline does not list."""
     known = baseline["uncalled"]
@@ -380,8 +386,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline's uncalled list from this run")
     parser.add_argument("--tests", action="store_true",
-                        help="also run tier-1 under the tracer and mark the "
-                             "uncalled functions only tests reach (never fails)")
+                        help="also run tier-1 under the tracer, mark the "
+                             "uncalled functions only tests reach, and fail "
+                             "when a keep entry is reached by nothing")
     args = parser.parse_args(argv)
 
     problems = [f"ci.yml runs `python -m repro.experiments {' '.join(cmd)}`, "
@@ -420,13 +427,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     now = {u.key for u in dead}
     problems += [f"keep-list entry {key} is no longer an uncalled function"
                  for key in keep if key not in now]
+    if args.tests:
+        problems += unreached_keep(keep, reached_by_tests(dead, test_hits))
     gone = [key for key in baseline["uncalled"] if key not in now]
     if gone:
         print(f"{len(gone)} baseline entries are now reached or deleted; "
               f"--update shrinks the baseline")
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
-    return 1 if problems and not args.tests else 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
