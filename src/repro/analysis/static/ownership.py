@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .model import Finding, SourceTree
 
@@ -170,26 +170,16 @@ def rule_stream_ownership(tree: SourceTree) -> List[Finding]:
             owner = (f"the {classification.component} component"
                      if classification.component is not None
                      else f"{classification.role} code")
-            findings.append(src.finding(
-                "SHD004", node.lineno,
-                f"derives RNG stream '{name}' which {owner} does not own "
-                f"— foreign draws couple shards through generator state",
-                "take the stream as a constructor argument from the "
-                "assembler, or register ownership in "
-                "ownership.STREAM_OWNERS"))
+            findings.append(Finding(
+                rule="SHD004", path=src.rel, line=node.lineno,
+                message=f"derives RNG stream '{name}' which {owner} does "
+                        f"not own — foreign draws couple shards through "
+                        f"generator state",
+                hint="take the stream as a constructor argument from the "
+                     "assembler, or register ownership in "
+                     "ownership.STREAM_OWNERS",
+                context=src.lines[node.lineno - 1].strip()))
     return findings
-
-
-OWNERSHIP_RULES = {
-    "SHD004": (rule_stream_ownership, "RNG stream drawn by a non-owner"),
-}
-
-
-def run_ownership_rules(tree: SourceTree,
-                        selected: Optional[Set[str]] = None) -> List[Finding]:
-    if selected is not None and "SHD004" not in selected:
-        return []
-    return rule_stream_ownership(tree)
 
 
 __all__ = [
@@ -199,10 +189,9 @@ __all__ = [
     "ROLE_DATA",
     "ROLE_HARNESS",
     "ROLE_KERNEL",
-    "OWNERSHIP_RULES",
     "STREAM_OWNERS",
     "classify_path",
     "may_draw_stream",
-    "run_ownership_rules",
+    "rule_stream_ownership",
     "stream_owner",
 ]

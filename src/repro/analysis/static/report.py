@@ -1,60 +1,22 @@
-"""Text, JSON, and SARIF rendering of analyzer results.
+"""Text and SARIF rendering of analyzer results.
 
-All three formats report the same *failing set* — ``comparison.new``
-when a baseline comparison ran, every finding otherwise — in the
-engine's stable (path, line, rule, message) order, so reruns are
-byte-identical and CI can diff artifacts.
+Both formats report every finding in the engine's stable (path, line,
+rule, message) order, so reruns are byte-identical and CI can diff
+artifacts.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from .baseline import BaselineComparison
 from .engine import RULES, AnalysisResult
-from .model import Finding
 
 
-def _reported(result: AnalysisResult,
-              comparison: Optional[BaselineComparison]) -> List[Finding]:
-    return comparison.new if comparison is not None else result.findings
-
-
-def render_json(result: AnalysisResult,
-                comparison: Optional[BaselineComparison] = None) -> str:
-    """Machine-readable report (stable key and finding ordering)."""
-    reported = _reported(result, comparison)
-    payload: Dict[str, Any] = {
-        "files_scanned": result.files_scanned,
-        "findings": [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "line": f.line,
-                "message": f.message,
-                "hint": f.hint,
-                "fingerprint": f.fingerprint(),
-            }
-            for f in reported
-        ],
-        "suppressed": len(result.suppressed),
-    }
-    if comparison is not None:
-        payload["baseline"] = {
-            "new": len(comparison.new),
-            "baselined": len(comparison.baselined),
-            "fixed": comparison.fixed,
-        }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def render_sarif(result: AnalysisResult,
-                 comparison: Optional[BaselineComparison] = None) -> str:
+def render_sarif(result: AnalysisResult) -> str:
     """SARIF 2.1.0 document for CI code-scanning annotations."""
-    reported = _reported(result, comparison)
-    used_rules = sorted({f.rule for f in reported})
+    used_rules = sorted({f.rule for f in result.findings})
     sarif: Dict[str, Any] = {
         "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
         "version": "2.1.0",
@@ -96,7 +58,7 @@ def render_sarif(result: AnalysisResult,
                             "repro/v1": f.fingerprint(),
                         },
                     }
-                    for f in reported
+                    for f in result.findings
                 ],
             },
         ],
@@ -104,27 +66,15 @@ def render_sarif(result: AnalysisResult,
     return json.dumps(sarif, indent=2) + "\n"
 
 
-def render_result(result: AnalysisResult,
-                  comparison: Optional[BaselineComparison] = None) -> str:
+def render_result(result: AnalysisResult) -> str:
     """Full human-readable report: findings, per-rule tally, summary."""
     lines: List[str] = []
-    reported = comparison.new if comparison is not None else result.findings
-    if reported:
-        lines.extend(f.render() for f in reported)
+    if result.findings:
+        lines.extend(f.render() for f in result.findings)
         lines.append("")
-        tally = Counter(f.rule for f in reported)
+        tally = Counter(f.rule for f in result.findings)
         lines.append("findings by rule: " + ", ".join(
             f"{rule}={count}" for rule, count in sorted(tally.items())))
-    summary = [f"{result.files_scanned} files scanned"]
-    if comparison is not None:
-        summary.append(f"{len(comparison.new)} new")
-        summary.append(f"{len(comparison.baselined)} baselined")
-        if comparison.fixed:
-            summary.append(f"{comparison.fixed} baselined finding(s) fixed — "
-                           f"re-record the baseline to lock them in")
-    else:
-        summary.append(f"{len(result.findings)} finding(s)")
-    if result.suppressed:
-        summary.append(f"{len(result.suppressed)} suppressed")
-    lines.append("analyze: " + ", ".join(summary))
+    lines.append(f"analyze: {result.files_scanned} files scanned, "
+                 f"{len(result.findings)} finding(s)")
     return "\n".join(lines)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
@@ -54,7 +55,6 @@ from ..sim import PeriodicProcess
 from ..types import MhState, mss_id
 from ..verify.oracle import Oracle
 from ..world import World
-from ._timing import wall_clock
 from .harness import settle_active
 
 
@@ -87,8 +87,10 @@ class ChaosPreset:
 
 #: Pinned scenarios.  ``smoke`` is the report committed as
 #: CHAOS_report.json, which the ``chaos-smoke`` CI job and tier-1 diff
-#: against a fresh run; ``soak`` is the longer default.  Do not retune
-#: casually: run-over-run comparability is the point.
+#: against a fresh run, and the CLI's default, so a bare ``chaos`` from
+#: the repo root rewrites that file with the same document outside
+#: ``timing``; ``soak`` is the longer run.  Do not retune casually:
+#: run-over-run comparability is the point.
 PRESETS: Dict[str, ChaosPreset] = {
     "soak": ChaosPreset(name="soak", n_hosts=8, n_cells=6, duration=150.0),
     "smoke": ChaosPreset(name="smoke", n_hosts=4, n_cells=5, duration=60.0),
@@ -120,7 +122,7 @@ def build_config(preset: ChaosPreset, reliable: bool = True) -> WorldConfig:
 
 def run_chaos(preset: ChaosPreset, reliable: bool = True) -> Dict[str, Any]:
     """Run one chaos scenario; return the result document."""
-    started = wall_clock()
+    started = time.perf_counter()
     world = World(build_config(preset, reliable=reliable))
     oracle = Oracle()
     oracle.attach(world.instruments.recorder)
@@ -171,7 +173,7 @@ def run_chaos(preset: ChaosPreset, reliable: bool = True) -> Dict[str, Any]:
     # byte-stable run over run like the rest of ``determinism``.
     ablation = _transport_ablation(preset.seed) if reliable else None
     wireless_ablation = _wireless_ablation(preset.seed) if reliable else None
-    wall = wall_clock() - started
+    wall = time.perf_counter() - started
 
     requests = sum(len(c.requests) for c in world.clients.values())
     delivered = sum(len(c.completed) for c in world.clients.values())

@@ -18,7 +18,8 @@ import argparse
 import pathlib
 import re
 import sys
-from typing import Callable, Dict, Iterator, List, NamedTuple, Set, Tuple, Union
+import time
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .an1_reliability import run_an1
 from .an2_exactly_once import run_an2
@@ -41,7 +42,6 @@ from . import bench as bench_mod
 from . import chaos as chaos_mod
 from . import live as live_mod
 from . import observe as observe_mod
-from ._timing import wall_clock
 
 
 class Experiment(NamedTuple):
@@ -91,10 +91,10 @@ def regenerate(ids: List[str], false_claims: List[str]
     *false_claims* as ``"<id>: <statement>"``.
     """
     for exp_id in ids:
-        started = wall_clock()
+        started = time.perf_counter()
         result = EXPERIMENTS[exp_id].run()
         text = result.render()
-        elapsed = wall_clock() - started
+        elapsed = time.perf_counter() - started
         false_claims.extend(f"{exp_id}: {check.statement}"
                             for check in result.checks if not check.holds)
         yield exp_id, text, elapsed
@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="run the pinned fault-injection soak with the "
                       "invariant oracle attached (see docs/FAULTS.md)")
     chaos.add_argument("--preset", choices=sorted(chaos_mod.PRESETS),
-                       default="soak",
-                       help="scenario size (default soak; CI uses smoke)")
+                       default="smoke",
+                       help="scenario size (default smoke, the committed "
+                            "CHAOS_report.json)")
     chaos.add_argument("--out", type=pathlib.Path,
                        default=pathlib.Path("CHAOS_report.json"),
                        help="result file (default: CHAOS_report.json)")
@@ -183,30 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--quiet", action="store_true",
                       help="suppress the human-readable summary")
     analyze = sub.add_parser(
-        "analyze", help="run the AST-based protocol-conformance and "
-                        "determinism passes (see docs/STATIC_ANALYSIS.md)")
+        "analyze", help="run the RNG stream-ownership pass (SHD004) over "
+                        "the source tree (see docs/STATIC_ANALYSIS.md)")
     analyze.add_argument("--root", type=pathlib.Path, default=None,
                          help="tree to scan (default: the installed "
                               "repro package)")
-    analyze.add_argument("--baseline", type=pathlib.Path, default=None,
-                         help="baseline file (default: ANALYSIS_BASELINE.json "
-                              "next to the scanned tree's repo root)")
-    analyze.add_argument("--no-baseline", action="store_true",
-                         help="report every finding, ignore the baseline")
-    analyze.add_argument("--update-baseline", action="store_true",
-                         help="re-record the baseline from this run's "
-                              "findings and exit 0")
-    analyze.add_argument("--select", "--rules", dest="select", default=None,
-                         help="comma-separated rule ids or id prefixes to "
-                              "run, e.g. SHD or RDP001,DET (default: all)")
-    analyze.add_argument("--format", choices=("text", "json", "sarif"),
+    analyze.add_argument("--format", choices=("text", "sarif"),
                          default="text",
-                         help="output format (json/sarif are stably "
-                              "ordered for CI artifacts)")
+                         help="output format (sarif is stably ordered for "
+                              "CI artifacts)")
     analyze.add_argument("--out", type=pathlib.Path, default=None,
                          help="also write the rendered report to this file")
-    analyze.add_argument("--list-rules", action="store_true",
-                         help="list rule ids and exit")
     return parser
 
 
@@ -260,14 +248,14 @@ def run_fuzz(args: argparse.Namespace) -> int:
             print(violation.describe())
         return 0 if result.ok else 1
 
-    started = wall_clock()
+    started = time.perf_counter()
     config = (fuzz_mod.FuzzConfig(fault_profile=True)
               if args.fault_profile else None)
     campaign = fuzz_mod.run_campaign(
         seeds=args.seeds, base_seed=args.base_seed, protocol=args.protocol,
         config=config, shrink=not args.no_shrink, out_dir=args.out,
         progress=lambda line: print(f"  FAIL {line}"))
-    elapsed = wall_clock() - started
+    elapsed = time.perf_counter() - started
     print(f"fuzzed {campaign.seeds} seeds ({args.protocol}, base "
           f"{campaign.base_seed}) in {elapsed:.1f}s: "
           f"{campaign.requests_delivered}/{campaign.requests_issued} "
@@ -318,85 +306,18 @@ def run_chaos(args: argparse.Namespace) -> int:
     return 1 if violations and not args.unreliable else 0
 
 
-def _select_rules(spec: str) -> Set[str]:
-    """Expand comma-separated ids/prefixes against the rule registry."""
-    from ..analysis.static import RULES
-
-    selected = set()
-    for token in (t.strip() for t in spec.split(",")):
-        if not token:
-            continue
-        if token in RULES:
-            selected.add(token)
-            continue
-        expanded = {rule_id for rule_id in RULES
-                    if rule_id.startswith(token)}
-        if not expanded:
-            raise ConfigError(f"--select: unknown rule or prefix "
-                              f"{token!r} (see --list-rules)")
-        selected.update(expanded)
-    return selected
-
-
 def run_analyze(args: argparse.Namespace) -> int:
-    """The ``analyze`` subcommand: static passes plus baseline ratchet."""
-    from ..analysis.static import (
-        RULES, compare, load_baseline, load_justifications, render_json,
-        render_result, render_sarif, run_analysis, save_baseline,
-        unjustified)
+    """The ``analyze`` subcommand: exit 1 iff the pass finds anything."""
+    from ..analysis.static import render_result, render_sarif, run_analysis
 
-    if args.list_rules:
-        for rule_id, doc in sorted(RULES.items()):
-            print(f"{rule_id:<8} {doc}")
-        return 0
-    selected = None
-    if args.select:
-        try:
-            selected = _select_rules(args.select)
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     root = args.root or pathlib.Path(__file__).resolve().parents[1]
-    result = run_analysis(root, selected)
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        # src/repro -> repo root; fall back to the scan root itself when
-        # the tree is not laid out as <repo>/src/repro.
-        candidates = [root.parent.parent, root]
-        baseline_path = next(
-            (c / "ANALYSIS_BASELINE.json" for c in candidates
-             if (c / "ANALYSIS_BASELINE.json").exists()),
-            candidates[0] / "ANALYSIS_BASELINE.json")
-
-    if args.update_baseline:
-        save_baseline(baseline_path, result.findings)
-        print(f"recorded {len(result.findings)} finding(s) into "
-              f"{baseline_path}")
-        return 0
-
-    comparison = None
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-            comparison = compare(result.findings, baseline)
-        except ValueError as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        for fp in unjustified(baseline, load_justifications(baseline_path)):
-            print(f"analyze: baseline entry lacks a justification: {fp}",
-                  file=sys.stderr)
-
-    renderers = {"text": render_result, "json": render_json,
-                 "sarif": render_sarif}
-    rendered = renderers[args.format](result, comparison)
-    print(rendered, end="" if rendered.endswith("\n") else "\n")
+    result = run_analysis(root)
+    render = render_sarif if args.format == "sarif" else render_result
+    rendered = render(result).rstrip("\n") + "\n"
+    print(rendered, end="")
     if args.out is not None:
-        args.out.write_text(
-            rendered if rendered.endswith("\n") else rendered + "\n",
-            encoding="utf-8")
-    failed = comparison.new if comparison is not None else result.findings
-    return 1 if failed else 0
+        args.out.write_text(rendered, encoding="utf-8")
+    return 1 if result.findings else 0
 
 
 def main(argv: List[str] | None = None) -> int:

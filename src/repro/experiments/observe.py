@@ -29,6 +29,7 @@ only the trailing wall-time line differs run over run.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -38,7 +39,6 @@ from ..obs.spans import SpanBuilder, SpanReport
 from ..sim import TraceRecorder
 from ..types import is_mss
 from ..world import World
-from ._timing import wall_clock
 from .bench import BenchPreset, build_config, run_scenario
 from .harness import Table
 
@@ -64,7 +64,7 @@ class ObserveResult:
 
 def run_observe(preset: BenchPreset) -> ObserveResult:
     """Run one bench scenario with spans + metrics fully on."""
-    started = wall_clock()
+    started = time.perf_counter()
     builder = SpanBuilder()
     recorder = TraceRecorder(kinds=SpanBuilder.KINDS,
                              sink=builder.on_record)
@@ -74,7 +74,7 @@ def run_observe(preset: BenchPreset) -> ObserveResult:
     queries = sum(w.stats.issued for w in workloads)
     return ObserveResult(preset=preset, world=world,
                          report=builder.report(), queries=queries,
-                         wall=wall_clock() - started)
+                         wall=time.perf_counter() - started)
 
 
 # -- tables -------------------------------------------------------------------

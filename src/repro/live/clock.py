@@ -10,10 +10,10 @@ no other live module touches the ``time`` module.  Two reasons:
   merged trace sorts into a causally sensible order without any clock
   negotiation.
 
-* **Auditability.**  The sim-determinism passes (DET001) ban wall-clock
-  reads in simulator code; ``repro/live`` is exempt, and keeping the
-  exemption honest means wall time must be trivially greppable — it all
-  flows through here.
+* **Auditability.**  Simulator code never reads a wall clock (a read
+  would break the byte-identical traces the determinism tests and pins
+  check); ``repro/live`` must, and keeping that exception honest means
+  wall time must be trivially greppable — it all flows through here.
 """
 
 from __future__ import annotations

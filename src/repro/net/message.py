@@ -81,8 +81,17 @@ class Message:
         # on.  Message's base is object, so there is nothing to chain to.
         kind = cls.__dict__.get("kind")
         if kind is not None:
-            # The slots rebuild registers each class twice; last one wins
-            # (it is the final, slotted class object).
+            # The slots rebuild registers each class twice; the second,
+            # slotted class object replaces the first.  Any other class
+            # claiming a registered kind would conflate the two in traces
+            # and kind-keyed dispatch.
+            known = Message._registry.get(kind)
+            if known is not None and (known.__module__, known.__qualname__) \
+                    != (cls.__module__, cls.__qualname__):
+                raise TypeError(
+                    f"message kind {kind!r} of {cls.__module__}."
+                    f"{cls.__qualname__} is already registered to "
+                    f"{known.__module__}.{known.__qualname__}")
             Message._registry[kind] = cls
 
     @classmethod

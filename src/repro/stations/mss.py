@@ -70,8 +70,9 @@ from .pref import Pref
 #: (``def _on_join(self, msg: JoinMsg)``), so the table's common value
 #: type must erase that parameter (Callable is contravariant in it) — the
 #: ``type(message)`` lookup in :meth:`Mss._handle` restores the pairing
-#: at runtime, and the RDP004 static pass checks each handler body
-#: against its registered class.
+#: at runtime.  A handler that reads a field its class lacks raises
+#: ``AttributeError`` when that path runs; docs/STATIC_ANALYSIS.md names
+#: the gate that reaches each such mutant.
 MessageHandler = Callable[[Any], None]
 
 #: With ``retain_results``, how long a reactivation's deferred

@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from repro.experiments import chaos
-from repro.experiments.cli import main
+from repro.experiments.cli import build_parser, main
 from repro.net.reliable import ReliableLink
 from repro.verify.fuzz import (
     FuzzConfig,
@@ -77,6 +77,14 @@ def test_chaos_cli_writes_report(tmp_path, capsys):
     assert doc["schema"] == 2
     assert doc["scenario"]["preset"] == "smoke"
     assert doc["determinism"]["violations"] == 0
+
+
+def test_bare_chaos_runs_the_committed_smoke_preset():
+    # A bare `chaos` from the repo root writes CHAOS_report.json, so it
+    # must be the smoke document that file pins, not a soak over it.
+    args = build_parser().parse_args(["chaos"])
+    assert args.preset == "smoke"
+    assert args.out == pathlib.Path("CHAOS_report.json")
 
 
 def test_chaos_smoke_equals_the_committed_report(smoke_result):

@@ -3,10 +3,15 @@ runs, byte-identical determinism, shrinking, repro files and the CLI."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.cli import main
 from repro.verify import (
     FuzzCase,
@@ -63,6 +68,41 @@ class TestDeterminism:
         assert any("msg_id=1 " in line for line in first)
         assert any("detail=" in line for line in first)
         assert first == second
+
+    def test_traces_do_not_depend_on_the_hash_seed(self):
+        # str hashes change with PYTHONHASHSEED, so set order and hash()
+        # keys do too: a trace that follows either differs across seeds.
+        # No in-process test can see that, so four interpreters run the
+        # three figures and sixteen fuzz cases and compare digests.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", _TRACE_DIGEST], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1", "3", "5")]
+        digests = []
+        for run in runs:
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
+            digests.append(out.strip())
+        assert len(set(digests)) == 1, digests
+
+
+#: Prints one digest over the canonical traces of FIG1, FIG3, FIG4 and
+#: fuzz cases 0-7, plain and with the fault profile.
+_TRACE_DIGEST = """
+import hashlib
+from repro.experiments.scenarios import run_fig1, run_fig3, run_fig4
+from repro.verify import FuzzConfig, generate_case, run_case
+from repro.verify.canonical import canonical_lines
+traces = [canonical_lines(run().world.recorder)
+          for run in (run_fig1, run_fig3, run_fig4)]
+traces += [run_case(generate_case(seed, FuzzConfig(fault_profile=faults)),
+                    "rdp", keep_trace=True).trace
+           for faults in (False, True) for seed in range(8)]
+assert all(traces)
+print(hashlib.sha256("\\n".join(map("\\n".join, traces)).encode()).hexdigest())
+"""
 
 
 class TestRdpHoldsInvariants:

@@ -91,6 +91,17 @@ def test_registry_contains_protocol_kinds():
         assert kind in registry, kind
 
 
+def test_a_second_class_reusing_a_kind_fails_at_definition():
+    # Two classes of one kind would share trace rows and kind-keyed
+    # dispatch, so the registry refuses the second.  (The slots rebuild
+    # of every dataclass message re-registers the same class, and every
+    # protocol module imported above went through it.)
+    with pytest.raises(TypeError, match="'proxy_gone'.*ProxyGoneMsg"):
+        class _Impostor(Message):
+            kind = "proxy_gone"
+    assert Message.registry()["proxy_gone"].__name__ == "ProxyGoneMsg"
+
+
 def test_size_scales_with_payload():
     small = RequestMsg(mh=NodeId("mh:x"), request_id=RequestId("r"),
                        service="s", payload="ab")

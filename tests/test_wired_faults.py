@@ -31,9 +31,10 @@ from repro.types import CellId, MhState, NodeId, mss_id
 from tests.conftest import make_world, trace_filter
 
 
+# Its own kind: test_net_wired_wireless.py registers "ping".
 @dataclass(slots=True, kw_only=True)
 class _Ping(Message):
-    kind: ClassVar[str] = "ping"
+    kind: ClassVar[str] = "fault_ping"
     tag: str = ""
 
 

@@ -85,8 +85,7 @@ ARTEFACTS: List[Tuple[List[str], int]] = [
     (_EXPERIMENTS + ["live", "--preset", "smoke", "--out", "{out}/live.json"], 0),
     (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--out", "{out}/chaos.json"], 0),
     (_EXPERIMENTS + ["analyze"], 0),
-    (_EXPERIMENTS + ["analyze", "--select", "SHD", "--no-baseline"], 0),
-    (_EXPERIMENTS + ["analyze", "--no-baseline", "--format", "sarif",
+    (_EXPERIMENTS + ["analyze", "--format", "sarif",
                      "--out", "{out}/analyze.sarif"], 0),
     (_sim_instance("sim-city"), 0),
     (_sim_instance("sim-lossy"), 0),
