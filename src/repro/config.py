@@ -140,7 +140,7 @@ class WorldConfig:
     # MSS-side redelivery of unacknowledged downlink results.  None =
     # automatic: 3.0 s when wireless_faults is set, otherwise off (the
     # paper's fire-and-forget respMss).  <= 0 forces off even with
-    # faults (chaos ablation).
+    # faults (AN16's no_recovery arm).
     wireless_ack_timeout: Optional[float] = None
     # Bound on how long a proxy keeps an undeliverable result in custody
     # before discarding it with a custody_expired trace.  None = keep
@@ -148,7 +148,7 @@ class WorldConfig:
     proxy_custody_ttl: Optional[float] = None
     # Reliable link transport under the ordering layer.  None = automatic
     # (on iff wired_faults is set); False with faults demonstrates what
-    # the transport buys (AN14 ablation); True without faults exercises
+    # the transport buys (AN14's link-off column); True without faults exercises
     # the ack machinery on a clean fabric.
     wired_reliable: Optional[bool] = None
     # Proxy-side redelivery of unacknowledged results (crash healing).

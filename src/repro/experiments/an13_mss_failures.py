@@ -82,7 +82,7 @@ def run_failures(
             # Instantaneous crash+reboot through the first-class World
             # API: all volatile state is lost but no downtime accrues,
             # isolating the cost of state loss from the cost of outages
-            # (the chaos soak covers real downtime windows).
+            # (AN14's fault soak covers a real downtime window).
             station = world.crash_mss(crash_rng.choice(world.cells))
             world.restart_mss(station.name)
             crashes[0] += 1

@@ -34,12 +34,12 @@ from .an10_latency import run_an10
 from .an11_triangle import run_an11
 from .an12_proxy_migration import run_an12
 from .an13_mss_failures import run_an13
+from .an14_faults import run_an14, run_an15, run_an16
 from .harness import Table
 from .scenarios import ScenarioResult, run_fig1, run_fig3, run_fig4
 from ..errors import ConfigError
 from ..verify import fuzz as fuzz_mod
 from . import bench as bench_mod
-from . import chaos as chaos_mod
 from . import live as live_mod
 from . import observe as observe_mod
 
@@ -80,6 +80,14 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "proxy migration for long-lived subscriptions (extension)", run_an12),
     "an13": Experiment(
         "delivery under MSS crash/restart (assumption-2 exploration)", run_an13),
+    "an14": Experiment(
+        "fault soak, reliable link on vs off (assumption-1 exploration)",
+        run_an14),
+    "an15": Experiment(
+        "reliable transport under 5/10/20 % wired loss (exploration)",
+        run_an15),
+    "an16": Experiment(
+        "last-mile recovery arms under MH crashes (exploration)", run_an16),
 }
 
 
@@ -155,21 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "OBS_metrics.json in the working directory)")
     observe.add_argument("--quiet", action="store_true",
                          help="suppress the human-readable report")
-    chaos = sub.add_parser(
-        "chaos", help="run the pinned fault-injection soak with the "
-                      "invariant oracle attached (see docs/FAULTS.md)")
-    chaos.add_argument("--preset", choices=sorted(chaos_mod.PRESETS),
-                       default="smoke",
-                       help="scenario size (default smoke, the committed "
-                            "CHAOS_report.json)")
-    chaos.add_argument("--out", type=pathlib.Path,
-                       default=pathlib.Path("CHAOS_report.json"),
-                       help="result file (default: CHAOS_report.json)")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="suppress the human-readable summary")
-    chaos.add_argument("--unreliable", action="store_true",
-                       help="disable the reliable link: same faults, no "
-                            "repair (demonstrates the violations it prevents)")
     live = sub.add_parser(
         "live", help="run RDP over real loopback UDP sockets and "
                      "cross-validate against the simulator "
@@ -292,20 +285,6 @@ def run_observe(args: argparse.Namespace) -> int:
     return 0 if result.accounted() else 1
 
 
-def run_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos`` subcommand: pinned fault soak -> JSON + summary."""
-    preset = chaos_mod.PRESETS[args.preset]
-    result = chaos_mod.run_chaos(preset, reliable=not args.unreliable)
-    chaos_mod.write_result(result, args.out)
-    if not args.quiet:
-        print(chaos_mod.render(result))
-    print(f"wrote {args.out}")
-    violations = result["determinism"]["violations"]
-    # With the reliable link on, any violation is a protocol bug; without
-    # it violations are the expected demonstration, not a failure.
-    return 1 if violations and not args.unreliable else 0
-
-
 def run_analyze(args: argparse.Namespace) -> int:
     """The ``analyze`` subcommand: exit 1 iff the pass finds anything."""
     from ..analysis.static import render_result, render_sarif, run_analysis
@@ -328,7 +307,7 @@ def main(argv: List[str] | None = None) -> int:
         return 0
     commands: Dict[str, Callable[[argparse.Namespace], int]] = {
         "fuzz": run_fuzz, "observe": run_observe,
-        "chaos": run_chaos, "live": live_mod.run_live, "analyze": run_analyze}
+        "live": live_mod.run_live, "analyze": run_analyze}
     if args.command in commands:
         return commands[args.command](args)
 

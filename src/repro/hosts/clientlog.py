@@ -108,7 +108,7 @@ class ClientLog:
 
     def wipe(self) -> None:
         """Erase everything — models a client *without* durable storage
-        (the chaos ablation's amnesiac recovery)."""
+        (AN16's amnesiac ``no_recovery`` arm)."""
         self._records.clear()
         self._reg_seq = 0
         self._confirmed_mss = None

@@ -253,8 +253,8 @@ class MobileHost:
         re-delivers the held results.
 
         ``amnesia=True`` wipes the log first: a client with no durable
-        storage, kept for the chaos ablation that quantifies what the
-        log buys.
+        storage, kept for AN16's ``no_recovery`` arm, which quantifies
+        what the log buys.
         """
         if self.state is not MhState.CRASHED:
             raise ProtocolError(f"{self.node_id} cannot recover while {self.state}")

@@ -1137,14 +1137,15 @@ class MobileSupportStation:
         pref.rkpr = True
         if (self.config.proxy_ack_timeout is not None
                 and not pref.outstanding and not pref.creating):
-            # The special message lost a race against the final Ack
-            # (possible under fault-induced reordering): the removal
-            # condition already holds and no further Ack will piggyback
-            # del-proxy, so confirm removal explicitly.  Gated with the
-            # other crash-healing extensions (proxy_ack_timeout is the
-            # fault switch) — on a reliable fabric the paper's piggyback
-            # protocol closes every race on its own and we keep its
-            # message sequence exactly.
+            # The special message lost a race against the final Ack: the
+            # removal condition already holds and no further Ack will
+            # piggyback del-proxy, so confirm removal explicitly.  Gated
+            # with the other crash-healing extensions (proxy_ack_timeout
+            # is the fault switch) to keep the paper's message sequence
+            # on a reliable fabric.  The race happens there too: a notice
+            # sent when the first of two Acks reached the proxy arrives
+            # after the second left without del-proxy, and the proxy then
+            # outlives its series with an empty requestlist.
             ref = pref.ref
             pref.clear_proxy()
             self.instr.metrics.incr("del_proxy_confirms", node=self.node_id)

@@ -137,7 +137,7 @@ def test_tests_column_splits_test_only_from_dead_code(tmp_path):
 def test_every_ci_experiments_command_is_a_census_artefact():
     text = census.CI_YML.read_text()
     assert {cmd[0] for cmd in census.ci_commands(text)} == {
-        "report", "fuzz", "observe", "live", "chaos", "analyze"}
+        "report", "fuzz", "observe", "live", "analyze"}
     assert census.missing_from_census(text) == []
 
 

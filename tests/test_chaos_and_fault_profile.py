@@ -1,24 +1,23 @@
-"""Chaos scenarios and the fuzzer's fault profile.
+"""The fault sections of the report and the fuzzer's fault profile.
 
 Two standing guarantees ride on these tests:
 
 * **The transport is what makes RDP survive a faulty fabric** — the
-  pinned chaos scenario runs clean with the reliable link and visibly
-  breaks without it (both directions asserted, so neither the faults nor
-  the recovery can silently rot).
+  fault soak (AN14) runs clean with the reliable link and visibly breaks
+  without it, and the transport (AN15) and last-mile (AN16) ablations
+  state their claims as checks; every check holds and each section
+  equals its ``REPORT.md`` section, so any change to what the
+  transport, the faults or the oracle do shows as a diff.
 * **The fault-profile fuzzer still has teeth** — a deliberately broken
   retransmit timer is caught and shrunk (mutation test).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
+from typing import Dict, List
 
-import pytest
-
-from repro.experiments import chaos
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import _SECTION_RE, write_report
 from repro.net.reliable import ReliableLink
 from repro.verify.fuzz import (
     FuzzConfig,
@@ -28,108 +27,25 @@ from repro.verify.fuzz import (
     run_case,
 )
 
-SMOKE = chaos.PRESETS["smoke"]
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+REPORT = pathlib.Path(__file__).resolve().parents[1] / "REPORT.md"
 
 
-@pytest.fixture(scope="module")
-def smoke_result():
-    return chaos.run_chaos(SMOKE, reliable=True)
+def _sections(text: str) -> Dict[str, List[str]]:
+    """Each ``## <id>`` section's lines, its ``_regenerated in`` line left out."""
+    marks = list(_SECTION_RE.finditer(text))
+    ends = [mark.start() for mark in marks[1:]] + [len(text)]
+    return {mark.group(1): [line for line in text[mark.start():end].splitlines()
+                            if not line.startswith("_regenerated in")]
+            for mark, end in zip(marks, ends)}
 
 
-def test_chaos_smoke_clean_with_reliable_transport(smoke_result):
-    det = smoke_result["determinism"]
-    assert det["violations"] == 0
-    assert det["requests"] > 0
-    assert det["delivered"] == det["requests"]
-    # The scenario genuinely exercised every fault flavour.
-    wired = det["wired"]
-    assert wired["drops_loss"] > 0
-    assert wired["drops_partition"] > 0
-    assert wired["dup_injected"] > 0
-    assert wired["transport"]["retransmissions"] > 0
-    assert det["crashes"] == 1 and det["restarts"] == 1
-
-
-def test_chaos_smoke_deterministic(smoke_result):
-    again = chaos.run_chaos(SMOKE, reliable=True)
-    a, b = dict(smoke_result), dict(again)
-    a.pop("timing"), b.pop("timing")
-    assert a == b
-
-
-def test_chaos_smoke_breaks_without_transport():
-    """The ablation direction: same faults, raw fabric -> the oracle
-    must catch real protocol violations (otherwise the fault injection
-    is not actually testing anything)."""
-    result = chaos.run_chaos(SMOKE, reliable=False)
-    det = result["determinism"]
-    assert det["violations"] > 0
-    assert det["delivered"] < det["requests"]
-    assert det["wired"]["transport"] is None
-
-
-def test_chaos_cli_writes_report(tmp_path, capsys):
-    out = tmp_path / "CHAOS_report.json"
-    rc = main(["chaos", "--preset", "smoke", "--out", str(out), "--quiet"])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == 2
-    assert doc["scenario"]["preset"] == "smoke"
-    assert doc["determinism"]["violations"] == 0
-
-
-def test_bare_chaos_runs_the_committed_smoke_preset():
-    # A bare `chaos` from the repo root writes CHAOS_report.json, so it
-    # must be the smoke document that file pins, not a soak over it.
-    args = build_parser().parse_args(["chaos"])
-    assert args.preset == "smoke"
-    assert args.out == pathlib.Path("CHAOS_report.json")
-
-
-def test_chaos_smoke_equals_the_committed_report(smoke_result):
-    """CHAOS_report.json is the smoke preset's document: any change to
-    what the transport, the faults or the oracle do shows as a diff."""
-    committed = json.loads((ROOT / "CHAOS_report.json").read_text())
-    fresh = dict(smoke_result)
-    committed.pop("timing"), fresh.pop("timing")
-    assert (json.dumps(fresh, indent=2, sort_keys=True)
-            == json.dumps(committed, indent=2, sort_keys=True))
-
-
-def test_chaos_transport_ablation_block(smoke_result):
-    """The 5–20% wired-loss sweep: one row per loss rate, every request
-    delivered at 5% and 10%, and p99 delivery latency never falling as
-    loss grows (the sweep must get harder, or it measures nothing)."""
-    ablation = smoke_result["determinism"]["transport_ablation"]
-    assert ablation["losses"] == [0.05, 0.10, 0.20]
-    rows = ablation["rows"]
-    assert [row["loss"] for row in rows] == ablation["losses"]
-    for row in rows[:2]:
-        assert row["delivered"] == row["requests"] > 0
-    p99 = [row["latency_p99"] for row in rows]
-    assert p99 == sorted(p99)
-
-
-def test_chaos_wireless_ablation_block(smoke_result):
-    """The last-mile acceptance criterion: with the full robustness
-    stack (durable log, custody, redelivery) every issued request is
-    delivered despite three mid-flight MH crashes and cell blackouts;
-    amnesiac recovery with custody/redelivery disabled shows measurable
-    loss."""
-    ablation = smoke_result["determinism"]["wireless_ablation"]
-    arms = {arm["arm"]: arm for arm in ablation["arms"]}
-    assert set(arms) == {"recovery", "no_recovery"}
-    recovery, bare = arms["recovery"], arms["no_recovery"]
-    assert recovery["requests"] == bare["requests"] > 0
-    assert recovery["delivery_ratio"] == 1.0
-    assert bare["delivery_ratio"] < 1.0
-    # The machinery must actually have run, not merely been configured.
-    assert recovery["recoveries"] == len(ablation["crash_schedule"])
-    assert recovery["redeliveries"] > 0
-    assert recovery["custody_expired"] == 0
-    # And the bare arm must show WHY it lost: expired custody.
-    assert bare["custody_expired"] > 0 and bare["redeliveries"] == 0
+def test_fault_sections_hold_and_equal_the_report(tmp_path):
+    out = tmp_path / "report.md"
+    assert write_report(["an14", "an15", "an16"], out) == []
+    fresh, committed = _sections(out.read_text()), _sections(REPORT.read_text())
+    assert list(fresh) == ["an14", "an15", "an16"]
+    for exp_id, lines in fresh.items():
+        assert lines == committed[exp_id], exp_id
 
 
 # -- fuzzer fault profile ----------------------------------------------------

@@ -16,7 +16,7 @@ from repro.stations.inbox import (
 from repro.stations.pref import Pref
 from repro.types import ProxyRef
 from repro.verify import Oracle
-from tests.conftest import make_world
+from tests.conftest import make_world, trace_filter
 from tests.test_mss_handoff_table import MH, Station
 
 
@@ -128,6 +128,47 @@ class TestRkprThroughHandoff:
         assert s1.pref_of(host.node_id) is not None
         assert len(client.completed) == 1
         assert world.live_proxy_count() == 0  # rkpr honored at the new MSS
+        assert oracle.finish() == []
+
+    def test_del_pref_notice_trailing_the_del_proxy_ack_rebuilds_the_pref(self):
+        """The notice can trail the Ack that already deleted the proxy.
+
+        s1 holds RKpR with two results outstanding, and the MH acks both
+        at once.  The first Ack's forward leaves one request at the proxy,
+        which sends a del-pref notice; the second carries del-proxy and
+        clears s1's pref.  The notice then finds no proxy reference and
+        rebuilds it from its own (``_on_del_pref_notice``'s rebuild
+        branch); the next request finds that proxy gone and gets a new one.
+        """
+        world = make_world()
+        oracle = Oracle().attach(world.recorder)
+        world.add_server("echo", service_time=ConstantLatency(1.0))
+        client = world.add_host("mh0", world.cells[0])
+        host = world.hosts["mh0"]
+        s1 = world.stations[world.cells[1]]
+        world.run(until=0.2)
+        client.request("echo", {"n": 1})    # its proxy sits at s0
+        world.run(until=0.5)
+        host.migrate_to(world.cells[1])     # ... and is now remote
+        world.run(until=1.22)
+        # Request 2 reaches s1 (t=1.225) before the first result, sent
+        # while it was the proxy's only request, sets RKpR there (t=1.235).
+        client.request("echo", {"n": 2})
+        world.run(until=1.23)
+        host.deactivate()                   # both results miss the MH
+        world.run(until=3.0)
+        host.activate()                     # both re-sent and acked at once
+        world.run(until=3.1)
+        rebuilt = trace_filter(world.recorder, "proxy_adopt", s1.node_id,
+                               how="rebuild")
+        assert [round(row.time, 3) for row in rebuilt] == [3.055]
+        assert world.live_proxy_count() == 0
+        assert s1.pref_of(host.node_id).ref.proxy_id == rebuilt[0].get("proxy_id")
+        client.request("echo", {"n": 3})
+        world.run(until=10.0)
+        assert len(client.completed) == 3
+        assert world.metrics.count("prefs_cleared_dangling") == 1
+        assert world.live_proxy_count() == 0
         assert oracle.finish() == []
 
     def test_new_request_invalidates_pending_rkpr(self):

@@ -51,7 +51,7 @@ def test_mixed_sinks_are_called_in_registration_order():
 
 
 def test_sink_added_after_rows_takes_effect_on_the_next_row():
-    # The fuzz/chaos pattern: the world records rows (so every kind's
+    # The fuzz/fault-soak pattern: the world records rows (so every kind's
     # route is already built) before the oracle subscribes.
     recorder = TraceRecorder()
     early, late = [], []

@@ -83,7 +83,6 @@ ARTEFACTS: List[Tuple[List[str], int]] = [
     (_EXPERIMENTS + ["observe", "--preset", "smoke", "--export", "json",
                      "--out", "{out}/obs.json"], 0),
     (_EXPERIMENTS + ["live", "--preset", "smoke", "--out", "{out}/live.json"], 0),
-    (_EXPERIMENTS + ["chaos", "--preset", "smoke", "--out", "{out}/chaos.json"], 0),
     (_EXPERIMENTS + ["analyze"], 0),
     (_EXPERIMENTS + ["analyze", "--format", "sarif",
                      "--out", "{out}/analyze.sarif"], 0),
